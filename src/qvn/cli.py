@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import __version__
-from . import control,duality, memory, qec, tailed, uqt
+from . import control, duality, memory, qec, tailed, uqt
 from .errors import ParseError, QvnError, ValidationError
 from .gates import GATE_MATRICES
 from .kernel import RngStream, UnitaryOp
@@ -91,17 +91,17 @@ def parse_run_file(text):
             tokens = _tokenize(line, line_no)
             verb = tokens[0][1]
             if verb == "run" and tokens[0][0] is None:
-                fields = {k: v for k, v, _ in tokens[1:]}
-                shots = int(fields.get("shots", "1"))
-                seed = int(fields.get("seed", "0"))
+                fields = {k: (v, c) for k, v, c in tokens[1:]}
+                shots = control._int_field(fields, "shots", line_no, default=1)
+                seed = control._int_field(fields, "seed", line_no, default=0)
             elif verb == "slot" and tokens[0][0] is None:
-                fields = {k: v for k, v, _ in tokens[1:]}
+                fields = {k: (v, c) for k, v, c in tokens[1:]}
                 if "addr" not in fields:
                     raise ParseError("slot needs addr=", line_no, 1)
                 slot_fields = {
-                    "addr": int(fields["addr"]),
-                    "copies": int(fields.get("copies", "1")),
-                    "kind": fields.get("kind", memory.PROGRAM),
+                    "addr": control._int_field(fields, "addr", line_no),
+                    "copies": control._int_field(fields, "copies", line_no, default=1),
+                    "kind": fields.get("kind", (memory.PROGRAM, 1))[0],
                     "line": line_no,
                 }
                 slot_doc = []
@@ -172,9 +172,13 @@ def cmd_run(args):
 
 
 def cmd_compose(args):
+    if args.repeats < 1:
+        raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
     desc1 = memory.deserialize(_read_file(args.program1))
     desc2 = memory.deserialize(_read_file(args.program2))
-    target = duality.choi_of_unitary(desc2.unitary() @ desc1.unitary())
+    target = duality.vec(desc2.unitary() @ desc1.unitary())
+    # copies are immutable values: one synthesis per program serves every repeat
+    p1, p2 = memory.synthesize(desc1), memory.synthesize(desc2)
     names = (
         [s.value for s in uqt.ByproductStrategy]
         if args.strategy == "all"
@@ -187,10 +191,8 @@ def cmd_compose(args):
         fidelities = []
         trials = []
         for _ in range(args.repeats):
-            p1 = memory.synthesize(desc1)
-            p2 = memory.synthesize(desc2)
             result, used = uqt.compose(p1, p2, strat, rng)
-            fid = abs(np.vdot(result.choi.pure_amplitudes, target.pure_amplitudes)) ** 2
+            fid = abs(np.vdot(result.amplitudes, target)) ** 2
             fidelities.append(float(fid))
             trials.append(used)
         strategies[name] = {
@@ -346,8 +348,6 @@ def build_parser():
     p_run.add_argument("file")
     p_run.add_argument("--shots", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker-thread bound; results are independent of it")
     p_run.add_argument("--tolerance", type=float, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)

@@ -169,9 +169,10 @@ def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
 def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     """Run the schedule once per shot, mutating memory, and aggregate.
 
-    Readout samples are combined exactly as in `tailed.run_algorithm`: the
-    branch that saw the desired input estimates tr(Oρ_f) directly, the
-    complement branch is inverted through tr(O) − (2^n − 1)·mean.
+    Readout samples are combined by `tailed.combine_branch_estimates`, as
+    in `tailed.run_algorithm`: the branch that saw the desired input
+    estimates tr(Oρ_f) directly, the complement branch is inverted through
+    tr(O) − (2^n − 1)·mean.
     """
     records = []
     grouped = {"P0": [], "P1": [], "none": []}
@@ -204,26 +205,12 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     n1 = len(grouped["P1"]) + len(grouped["none"])
     n0 = len(grouped["P0"])
     if trace_of_o is not None and (n0 or n1):
-        estimates = []
-        direct = np.array(grouped["P1"] + grouped["none"])
-        if direct.size:
-            estimates.append(tailed._branch_estimate(direct, trace_of_o, 1.0, False))
-        if n0:
-            estimates.append(
-                tailed._branch_estimate(
-                    np.array(grouped["P0"]), trace_of_o, float(2**n_tails - 1), True
-                )
-            )
-        floor = 1e-30
-        if all(v <= floor for _, v in estimates):
-            estimate = float(np.mean([e for e, _ in estimates]))
-            stderr = 0.0
-        else:
-            weights = [1.0 / max(v, floor) for _, v in estimates]
-            estimate = float(
-                sum(w * e for w, (e, _) in zip(weights, estimates)) / sum(weights)
-            )
-            stderr = float(1.0 / math.sqrt(sum(weights)))
+        estimate, stderr = tailed.combine_branch_estimates(
+            np.array(grouped["P1"] + grouped["none"]),
+            np.array(grouped["P0"]),
+            trace_of_o,
+            n_tails,
+        )
     copies_after = {addr: len(slot.copies) for addr, slot in mem.slots.items()}
     return ExecutionResult(
         estimate=estimate,
@@ -341,8 +328,12 @@ def _field_map(tokens, line_no):
     return fields
 
 
-def _int_field(fields, key, line_no):
+def _int_field(fields, key, line_no, default=None):
+    """Integer value of `key=`; a missing key gives `default`, or raises
+    when there is none."""
     if key not in fields:
+        if default is not None:
+            return default
         raise ParseError(f"missing {key}=", line_no, 1)
     try:
         return int(fields[key][0])

@@ -277,10 +277,14 @@ def _parse_gate_line(tokens, line_no):
 
 @dataclass
 class MemorySlot:
+    """One address: its description, its live copies, and the program
+    synthesized from the description, which every restore copies."""
+
     address: int
     description: ProgramDescription | None
     copies: list
     kind: str = PROGRAM
+    program: StoredProgram | None = None
 
 
 @dataclass(frozen=True)
@@ -295,8 +299,10 @@ class MemoryUnit:
     """Addressed storage of program and data copies with an audit log.
 
     Single-writer: all mutations go through this object; the stored copies
-    themselves are immutable values. `tol` feeds the validation of every
-    synthesized copy.
+    themselves are immutable values. A slot synthesizes its description
+    once and holds that one program as each of its copies; consumption is
+    counted by the slot, not by the copies. `tol` feeds the validation of
+    every synthesized program.
     """
 
     def __init__(self, tol=DEFAULT_TOL):
@@ -318,8 +324,8 @@ class MemoryUnit:
         if copies < 1:
             raise ValidationError("store needs at least one copy")
         address = self._claim_address(address)
-        instances = [synthesize(desc, tol=self.tol) for _ in range(copies)]
-        self.slots[address] = MemorySlot(address, desc, instances, kind)
+        program = synthesize(desc, tol=self.tol)
+        self.slots[address] = MemorySlot(address, desc, [program] * copies, kind, program)
         self.audit_log.append(AuditRecord("store", address, copies, copies))
         return address
 
@@ -352,7 +358,8 @@ class MemoryUnit:
         return program
 
     def restore(self, address, copies) -> int:
-        """Re-synthesize copies from the slot's description; returns new total."""
+        """Add copies of the program synthesized from the slot's description
+        (once per slot); returns the new total."""
         if copies < 1:
             raise ValidationError("restore needs at least one copy")
         slot = self._slot(address)
@@ -360,7 +367,9 @@ class MemoryUnit:
             raise NotRestorableError(
                 f"slot {address} holds no classical description and cannot be restored"
             )
-        slot.copies.extend(synthesize(slot.description, tol=self.tol) for _ in range(copies))
+        if slot.program is None:
+            slot.program = synthesize(slot.description, tol=self.tol)
+        slot.copies.extend([slot.program] * copies)
         self.audit_log.append(AuditRecord("restore", address, copies, len(slot.copies)))
         return len(slot.copies)
 

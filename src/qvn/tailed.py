@@ -34,9 +34,6 @@ from .uqt import BellBasis, StoredProgram, bell_probabilities
 
 Endpoint = tuple  # ("h"|"t"|"q", index)
 
-MONOLITHIC = "monolithic"
-CASCADE = "cascade"
-
 
 @dataclass(frozen=True)
 class InjectionSpec:
@@ -44,7 +41,6 @@ class InjectionSpec:
 
     target_tails: tuple[int, ...]
     bitstring: str = ""
-    ancilla_mode: str = MONOLITHIC
 
     def __post_init__(self):
         tails = tuple(int(t) for t in self.target_tails)
@@ -53,8 +49,6 @@ class InjectionSpec:
         if len(bits) != len(tails) or any(c not in "01" for c in bits):
             raise ValidationError(f"bitstring {bits!r} does not fit {len(tails)} tails")
         object.__setattr__(self, "bitstring", bits)
-        if self.ancilla_mode not in (MONOLITHIC, CASCADE):
-            raise ValidationError(f"unknown ancilla mode {self.ancilla_mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +210,7 @@ def program_state(program: StoredProgram) -> PureState:
     n = d.bit_length() - 1
     if 2**n != d:
         raise ValidationError(f"program dim {d} is not a power of two")
-    return PureState(program.choi.pure_amplitudes, (2,) * (2 * n))
+    return PureState(program.amplitudes, (2,) * (2 * n))
 
 
 def circuit_of_description(desc) -> TailedCircuit:
@@ -279,60 +273,21 @@ def injection_branches(state: PureState, spec: InjectionSpec, num_ebits=None):
 
 
 def inject(state: PureState, spec: InjectionSpec, rng: RngStream, num_ebits=None):
-    """Injection by ancilla-mediated measurement.
+    """Injection by the heralded measurement of the target tails.
 
-    Appends the ancillas of the chosen realization, copies the AND of the
-    target tails onto the read ancilla, measures it in Z, uncomputes, and
-    drops the ancillas. Returns (branch, probability, post state); branch 1
-    collapses the tails onto the desired bitstring.
+    Samples the binary outcome of the projector onto the desired bitstring
+    from its exact branches, with the single draw an ancilla read-out would
+    make. Returns (branch, probability, post state); branch 1 collapses
+    the tails onto the desired bitstring.
     """
-    wires = _resolve_tails(state, spec, num_ebits)
-    n = len(wires)
-    if n == 0:
+    if not spec.target_tails:
         raise ValidationError("injection needs at least one target tail")
-    dims = list(state.subsystem_dims)
-    amp = state.amplitudes
-    # conjugate zero-positions by X so the protocol targets all-ones
-    flip = [w for w, bit in zip(wires, spec.bitstring) if bit == "0"]
-    for w in flip:
-        amp = apply_to_subsystems(amp, dims, gates.X, [w])
-
-    n_anc = 1 if (n == 1 or spec.ancilla_mode == MONOLITHIC) else n - 1
-    zero = np.zeros(2**n_anc, dtype=complex)
-    zero[0] = 1.0
-    amp = np.kron(amp, zero)
-    full_dims = tuple(dims) + (2,) * n_anc
-    anc = [len(dims) + j for j in range(n_anc)]
-
-    if n == 1:
-        compute = [(gates.CX, [wires[0], anc[0]])]
-        read_wire = anc[0]
-        uncompute = []
-    elif spec.ancilla_mode == MONOLITHIC:
-        compute = [(gates.nfold_toffoli(n), wires + [anc[0]])]
-        read_wire = anc[0]
-        uncompute = []
-    else:
-        compute = [(gates.CCX, [wires[0], wires[1], anc[0]])]
-        for j in range(1, n - 1):
-            compute.append((gates.CCX, [anc[j - 1], wires[j + 1], anc[j]]))
-        read_wire = anc[-1]
-        uncompute = list(reversed(compute[:-1]))
-
-    for g, targets in compute:
-        amp = apply_to_subsystems(amp, full_dims, g, targets)
-    branch, prob, amp = measure_wire_computational(amp, full_dims, read_wire, rng)
-    for g, targets in uncompute:
-        amp = apply_to_subsystems(amp, full_dims, g, targets)
-
-    tensor = amp.reshape(full_dims)
-    for j, w in enumerate(reversed(anc)):
-        outcome = branch if w == read_wire else 0
-        tensor = np.take(tensor, outcome, axis=w)
-    amp = tensor.reshape(-1)
-    for w in flip:
-        amp = apply_to_subsystems(amp, dims, gates.X, [w])
-    return branch, float(prob), PureState(amp, tuple(dims))
+    p1, post1, p0, post0 = injection_branches(state, spec, num_ebits)
+    branch = rng.choice([p0, p1])
+    prob, post = (p1, post1) if branch else (p0, post0)
+    if post is None:
+        raise NumericalError(f"sampled branch P{branch} has vanishing probability")
+    return branch, prob, post
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,6 +545,31 @@ def _branch_estimate(values, trace_of_o, scale, invert):
     return mean, var_mean
 
 
+def combine_branch_estimates(direct, complement, trace_of_o, n_tails):
+    """Inverse-variance combination of the two injection branches.
+
+    `direct` holds readout samples that saw the desired input and estimate
+    tr(O ρ_f) as they are; `complement` holds the P0 samples, inverted
+    through E[O|P0] = (tr O − o_f)/(2^n − 1). Returns (estimate, standard
+    error).
+    """
+    estimates = []
+    if direct.size:
+        estimates.append(_branch_estimate(direct, trace_of_o, 1.0, False))
+    if complement.size:
+        estimates.append(
+            _branch_estimate(complement, trace_of_o, float(2**n_tails - 1), True)
+        )
+    if not estimates:
+        raise EstimationError("no usable branch samples")
+    floor = 1e-30
+    if all(v <= floor for _, v in estimates):
+        return float(np.mean([e for e, _ in estimates])), 0.0
+    weights = [1.0 / max(v, floor) for _, v in estimates]
+    est = float(sum(w * e for w, (e, _) in zip(weights, estimates)) / sum(weights))
+    return est, float(1.0 / math.sqrt(sum(weights)))
+
+
 def run_algorithm(
     program,
     readout: ReadoutSpec,
@@ -638,27 +618,11 @@ def run_algorithm(
         picks = rng.choices(probs, count)
         values[mask] = vals[picks].real
 
-    estimates = []
     n1 = int(branches.sum())
     n0 = shots - n1
-    if n1:
-        estimates.append(
-            _branch_estimate(values[branches == 1], readout.trace_of_o, 1.0, False)
-        )
-    if n0:
-        estimates.append(
-            _branch_estimate(values[branches == 0], readout.trace_of_o, float(2**n - 1), True)
-        )
-    if not estimates:
-        raise EstimationError("no usable branch samples")
-    floor = 1e-30
-    if all(v <= floor for _, v in estimates):
-        est = float(np.mean([e for e, _ in estimates]))
-        err = 0.0
-    else:
-        weights = [1.0 / max(v, floor) for _, v in estimates]
-        est = float(sum(w * e for w, (e, _) in zip(weights, estimates)) / sum(weights))
-        err = float(1.0 / math.sqrt(sum(weights)))
+    est, err = combine_branch_estimates(
+        values[branches == 1], values[branches == 0], readout.trace_of_o, n
+    )
     records = ()
     if collect_records:
         records = tuple(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .duality import ChoiState, choi_of_unitary, unvec
+from .duality import ChoiState, choi_of_unitary, unvec, vec
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -121,21 +121,46 @@ def symmetric_decompose(u: UnitaryOp, tol=DEFAULT_TOL) -> SymmetricFactors:
 class StoredProgram:
     """A unitary held as its dual state plus the data composition needs.
 
+    `amplitudes` is the dual state vec(U)/√d of the validated unitary `op`.
     The correction table lists C_k = U σ_k U† for every nontrivial basis
     rotation σ_k, which is the phase-free information equivalent to the
-    adjoint representation of U.
+    adjoint representation of U. The table, the symmetric factors and the
+    Choi matrix are derived on first use and kept, so a copy that is only
+    teleported or injected never builds them.
     """
 
-    choi: ChoiState
-    d: int
-    correction_table: tuple[np.ndarray, ...]
-    is_symmetric: bool
+    op: UnitaryOp
     basis: BellBasis
-    symmetric_factors: SymmetricFactors | None = None
+    is_symmetric: bool
     description: object | None = None
+    with_factors: bool = True
+    tol: float = DEFAULT_TOL
+
+    @property
+    def d(self) -> int:
+        return self.op.dim
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        amp = vec(self.op.matrix)
+        amp.setflags(write=False)
+        return amp
+
+    @functools.cached_property
+    def choi(self) -> ChoiState:
+        return choi_of_unitary(self.op, tol=self.tol)
+
+    @functools.cached_property
+    def correction_table(self) -> tuple[np.ndarray, ...]:
+        m = self.op.matrix
+        return tuple(m @ sigma @ m.conj().T for sigma in self.basis.paulis[1:])
+
+    @functools.cached_property
+    def symmetric_factors(self) -> SymmetricFactors | None:
+        return symmetric_decompose(self.op, tol=self.tol) if self.with_factors else None
 
     def unitary(self) -> np.ndarray:
-        return self.choi.unitary()
+        return unvec(self.amplitudes)
 
 
 def stored_program(
@@ -153,16 +178,13 @@ def stored_program(
     if basis.d != d:
         raise DimensionMismatchError(f"basis dim {basis.d} != unitary dim {d}")
     m = uop.matrix
-    table = tuple(m @ sigma @ m.conj().T for sigma in basis.paulis[1:])
-    factors = symmetric_decompose(uop, tol=tol) if with_factors else None
     return StoredProgram(
-        choi=choi_of_unitary(uop, tol=tol),
-        d=d,
-        correction_table=table,
-        is_symmetric=bool(np.abs(m - m.T).max() <= tol),
+        op=uop,
         basis=basis,
-        symmetric_factors=factors,
+        is_symmetric=bool(np.abs(m - m.T).max() <= tol),
         description=description,
+        with_factors=with_factors,
+        tol=tol,
     )
 
 
@@ -217,7 +239,7 @@ def outcome_is_trivial(k) -> bool:
 
 def _program_pair_state(p1: StoredProgram, p2: StoredProgram) -> PureState:
     """Joint state on wires (h1, t1, h2, t2)."""
-    amp = np.kron(p1.choi.pure_amplitudes, p2.choi.pure_amplitudes)
+    amp = np.kron(p1.amplitudes, p2.amplitudes)
     d = p1.d
     return PureState(amp, (d, d, d, d))
 
@@ -229,7 +251,7 @@ def _teleport_once(p1_state: PureState, program: StoredProgram, rng: RngStream):
     fused program, with the correction applied on the head.
     """
     d = program.d
-    joint_amp = np.kron(p1_state.amplitudes, program.choi.pure_amplitudes)
+    joint_amp = np.kron(p1_state.amplitudes, program.amplitudes)
     joint = PureState(joint_amp, (d, d, d, d))
     k, _, post = bell_measure_pair(joint, 0, 3, program.basis, rng)
     # surviving wires are (t1, h2); swap into (head, tail) order
@@ -281,14 +303,14 @@ def compose(
     if strategy is ByproductStrategy.CORRECTION_TABLE:
         if not p2.correction_table:
             raise ConfigurationError("second program carries no correction table")
-        state1 = PureState(p1.choi.pure_amplitudes, (p1.d, p1.d))
+        state1 = PureState(p1.amplitudes, (p1.d, p1.d))
         _, state = _teleport_once(state1, p2, rng)
         return _program_from_state(state, p2.basis, description, tol), 1
     if strategy is ByproductStrategy.SYMMETRIC_PAIR:
         if p2.symmetric_factors is None:
             raise ConfigurationError("second program carries no symmetric factors")
         f = p2.symmetric_factors
-        state = PureState(p1.choi.pure_amplitudes, (p1.d, p1.d))
+        state = PureState(p1.amplitudes, (p1.d, p1.d))
         for factor in (f.s2, f.s1):
             prog = stored_program(factor, basis=p2.basis, with_factors=False)
             _, state = _teleport_once(state, prog, rng)
@@ -337,7 +359,7 @@ def composition_unitary(p2_factors: SymmetricFactors, basis: BellBasis | None = 
 def apply_composition_unitary(u_uqt: UnitaryOp, p1: StoredProgram, p2: StoredProgram):
     """Run the coherent composition; returns the reduced (h2, t1) state."""
     d = p1.d
-    amp = np.kron(np.kron(p1.choi.pure_amplitudes, p2.choi.pure_amplitudes), np.array([1.0, 0.0]))
+    amp = np.kron(np.kron(p1.amplitudes, p2.amplitudes), np.array([1.0, 0.0]))
     out = u_uqt.matrix @ amp
     tensor = out.reshape(d, d, d, d, 2)
     # reduced state on (h2, t1): contract out h1, t2, flag

@@ -85,6 +85,32 @@ class TestRun:
         assert err.count("\n") == 1
         assert err.startswith("error[E_PARSE]")
 
+    @pytest.mark.parametrize(
+        "header, col",
+        [
+            ("run shots=abc seed=1", 5),
+            ("run shots=3 seed=x1", 13),
+            ("slot addr=zero copies=1", 6),
+            ("slot addr=0 copies=2.5", 13),
+        ],
+    )
+    def test_bad_integer_field_located(self, workdir, capsys, header, col):
+        lines = RUN_DOC.split("\n")
+        if header.startswith("run"):
+            lines[0] = header
+            line_no = 1
+        else:
+            lines[1] = header
+            line_no = 2
+        bad = workdir / "bad_int.run"
+        bad.write_text("\n".join(lines))
+        code, _, err = run_cli(["run", str(bad)], capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_PARSE]")
+        assert f"(line {line_no}, col {col})" in err
+        assert "Traceback" not in err
+
 
 class TestCompose:
     def test_fidelity_report(self, workdir, capsys):
@@ -97,6 +123,17 @@ class TestCompose:
         for name, entry in c["strategies"].items():
             assert entry["min_fidelity"] > 1 - 1e-10
         assert c["strategies"]["correction_table"]["mean_trials"] == 1.0
+
+    def test_zero_repeats_rejected(self, workdir, capsys):
+        code, out, err = run_cli(
+            ["compose", str(workdir / "h.qvn"), str(workdir / "t.qvn"), "--repeats", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]")
+        assert "--repeats must be >= 1" in err
 
     def test_identity_pair(self, workdir, capsys):
         (workdir / "id.qvn").write_text("QVN1 name=id n=1\n")

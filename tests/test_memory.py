@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qvn import gates
+from qvn import gates, memory
 from qvn.duality import choi_of_unitary
 from qvn.errors import (
     NotRestorableError,
@@ -226,6 +226,34 @@ class TestMemoryUnit:
         assert mem.verify_conservation()
         assert mem.copy_count(a) == 4
         assert mem.copy_count(b) == 0
+
+    def test_restore_synthesizes_once_per_slot(self, monkeypatch):
+        real = memory.synthesize
+        calls = []
+
+        def counting(desc, tol=1e-10):
+            calls.append(desc.name)
+            return real(desc, tol=tol)
+
+        monkeypatch.setattr(memory, "synthesize", counting)
+        mem = MemoryUnit()
+        a = mem.store(desc_h(), 2)
+        b = mem.store(desc_th(), 1)
+        c = mem.store_copies([real(desc_h())], description=desc_h())
+        for _ in range(3):
+            mem.fetch_consume(a)
+            mem.restore(a, 2)
+            mem.fetch_consume(b)
+            mem.restore(b, 1)
+            mem.fetch_consume(c)
+            mem.restore(c, 1)
+        assert calls == ["H", "TH", "H"]
+        assert (mem.copy_count(a), mem.copy_count(b), mem.copy_count(c)) == (5, 1, 1)
+        assert len(mem.audit_log) == 3 + 3 * 6
+        assert mem.verify_conservation()
+        mem.fetch_consume(b)
+        with pytest.raises(OutOfCopiesError):
+            mem.fetch_consume(b)
 
     def test_consumed_copy_isolated_from_slot(self):
         mem = MemoryUnit()

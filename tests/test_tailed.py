@@ -6,10 +6,15 @@ import pytest
 from qvn import gates
 from qvn.duality import bell_state, choi_of_unitary
 from qvn.errors import ValidationError
-from qvn.kernel import Observable, PureState, RngStream, haar_random_unitary
+from qvn.kernel import (
+    Observable,
+    PureState,
+    RngStream,
+    apply_to_subsystems,
+    haar_random_unitary,
+    measure_wire_computational,
+)
 from qvn.tailed import (
-    CASCADE,
-    MONOLITHIC,
     CircuitGate,
     InjectionSpec,
     ReadoutSpec,
@@ -27,6 +32,52 @@ from qvn.tailed import (
     toffoli_cascade,
 )
 from qvn.uqt import stored_program
+
+MONOLITHIC = "monolithic"
+CASCADE = "cascade"
+
+
+def inject_by_ancilla(state, spec, rng, num_ebits, mode):
+    """Circuit oracle for `inject`: the ancilla-mediated measurement.
+
+    Conjugates zero positions by X, copies the AND of the target tails onto
+    a read ancilla (one n-fold Toffoli, or a Toffoli cascade over n−1
+    ancillas), measures it in Z, uncomputes and drops the ancillas.
+    """
+    wires = [num_ebits + t for t in spec.target_tails]
+    n = len(wires)
+    dims = list(state.subsystem_dims)
+    amp = state.amplitudes
+    flip = [w for w, bit in zip(wires, spec.bitstring) if bit == "0"]
+    for w in flip:
+        amp = apply_to_subsystems(amp, dims, gates.X, [w])
+    n_anc = 1 if (n == 1 or mode == MONOLITHIC) else n - 1
+    zero = np.zeros(2**n_anc, dtype=complex)
+    zero[0] = 1.0
+    amp = np.kron(amp, zero)
+    full_dims = tuple(dims) + (2,) * n_anc
+    anc = [len(dims) + j for j in range(n_anc)]
+    if n == 1:
+        compute = [(gates.CX, [wires[0], anc[0]])]
+    elif mode == MONOLITHIC:
+        compute = [(gates.nfold_toffoli(n), wires + [anc[0]])]
+    else:
+        compute = [(gates.CCX, [wires[0], wires[1], anc[0]])]
+        for j in range(1, n - 1):
+            compute.append((gates.CCX, [anc[j - 1], wires[j + 1], anc[j]]))
+    read_wire = anc[-1]
+    for g, targets in compute:
+        amp = apply_to_subsystems(amp, full_dims, g, targets)
+    branch, prob, amp = measure_wire_computational(amp, full_dims, read_wire, rng)
+    for g, targets in reversed(compute[:-1]):
+        amp = apply_to_subsystems(amp, full_dims, g, targets)
+    tensor = amp.reshape(full_dims)
+    for w in reversed(anc):
+        tensor = np.take(tensor, branch if w == read_wire else 0, axis=w)
+    amp = tensor.reshape(-1)
+    for w in flip:
+        amp = apply_to_subsystems(amp, dims, gates.X, [w])
+    return branch, float(prob), PureState(amp, tuple(dims))
 
 
 class TestCircuitIR:
@@ -134,29 +185,34 @@ class TestInjection:
         assert abs(abs(np.vdot(head, expected)) - 1.0) < 1e-12
 
     def test_inject_measurement_matches_exact_branches(self, rng):
-        u = haar_random_unitary(4, rng)
-        state = program_state(stored_program(u))
-        for mode in (MONOLITHIC, CASCADE):
-            spec = InjectionSpec((0, 1), ancilla_mode=mode)
-            p1, post1, p0, post0 = injection_branches(state, spec)
-            for seed in range(8):
-                branch, prob, post = inject(state, spec, RngStream(seed), num_ebits=2)
-                ref_p, ref_state = (p1, post1) if branch == 1 else (p0, post0)
-                assert abs(prob - ref_p) < 1e-10
-                assert abs(abs(np.vdot(post.amplitudes, ref_state.amplitudes)) - 1) < 1e-10
+        # inject samples the exact branches; the ancilla circuit must agree
+        # on the branch drawn from the same seed, its probability and state
+        for n in (1, 2, 3, 4):
+            state = program_state(stored_program(haar_random_unitary(2**n, rng)))
+            bits = "10" * n
+            spec = InjectionSpec(tuple(range(n)), bits[:n])
+            for mode in (MONOLITHIC, CASCADE):
+                for seed in range(8):
+                    branch, prob, post = inject(state, spec, RngStream(seed), num_ebits=n)
+                    ref = inject_by_ancilla(state, spec, RngStream(seed), n, mode)
+                    assert branch == ref[0]
+                    assert abs(prob - ref[1]) < 1e-10
+                    assert abs(abs(np.vdot(post.amplitudes, ref[2].amplitudes)) - 1) < 1e-10
 
     def test_modes_agree_for_three_tails(self, rng):
         u = haar_random_unitary(8, rng)
         state = program_state(stored_program(u))
-        outs = {}
+        spec = InjectionSpec((0, 1, 2))
+        outs = {
+            mode: inject_by_ancilla(state, spec, RngStream(5), 3, mode)
+            for mode in (MONOLITHIC, CASCADE)
+        }
+        outs["inject"] = inject(state, spec, RngStream(5), num_ebits=3)
         for mode in (MONOLITHIC, CASCADE):
-            spec = InjectionSpec((0, 1, 2), ancilla_mode=mode)
-            branch, prob, post = inject(state, spec, RngStream(5), num_ebits=3)
-            outs[mode] = (branch, prob, post.amplitudes)
-        assert outs[MONOLITHIC][0] == outs[CASCADE][0]
-        assert abs(outs[MONOLITHIC][1] - outs[CASCADE][1]) < 1e-10
-        overlap = abs(np.vdot(outs[MONOLITHIC][2], outs[CASCADE][2]))
-        assert abs(overlap - 1.0) < 1e-10
+            assert outs[mode][0] == outs["inject"][0]
+            assert abs(outs[mode][1] - outs["inject"][1]) < 1e-10
+            overlap = abs(np.vdot(outs[mode][2].amplitudes, outs["inject"][2].amplitudes))
+            assert abs(overlap - 1.0) < 1e-10
 
     def test_branch_frequencies(self):
         state = program_state(stored_program(np.eye(4)))

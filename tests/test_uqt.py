@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qvn import gates
-from qvn.duality import bell_state, choi_of_unitary
+from qvn.duality import ChoiState, bell_state, choi_of_unitary
 from qvn.errors import ConfigurationError
 from qvn.kernel import (
     PureState,
@@ -13,6 +13,7 @@ from qvn.kernel import (
     haar_random_unitary,
     state_fidelity,
 )
+from qvn.memory import GateRecord, ProgramDescription, synthesize
 from qvn.uqt import (
     BellBasis,
     ByproductStrategy,
@@ -107,6 +108,25 @@ class TestStoredProgram:
     def test_dim_mismatch_basis(self):
         with pytest.raises(Exception):
             stored_program(gates.H, basis=BellBasis.weyl(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_derived_choi_validates_and_matches_amplitudes(self, n, rng):
+        def custom(name):
+            u = haar_random_unitary(2**n, rng).matrix
+            gate = GateRecord(0, "custom", tuple(range(n)), u)
+            return ProgramDescription(name, n, (gate,))
+
+        p1, p2 = synthesize(custom("a")), synthesize(custom("b"))
+        programs = [p1, p2]
+        for strategy in ByproductStrategy:
+            programs.append(compose(p1, p2, strategy, rng)[0])
+        for p in programs:
+            assert "choi" not in vars(p)  # derived on first use only
+            choi = p.choi
+            assert isinstance(choi, ChoiState)
+            ChoiState(choi.matrix)  # PSD, unit trace, maximally mixed tail
+            assert np.abs(choi.pure_amplitudes - p.amplitudes).max() <= 1e-15
+            assert np.abs(choi.matrix - np.outer(p.amplitudes, p.amplitudes.conj())).max() <= 1e-15
 
 
 class TestBellMeasurePair:
