@@ -176,6 +176,10 @@ def cmd_compose(args):
         raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
     desc1 = memory.deserialize(_read_file(args.program1))
     desc2 = memory.deserialize(_read_file(args.program2))
+    if desc1.n != desc2.n:
+        raise ValidationError(
+            f"programs act on {desc1.n} and {desc2.n} qubits; composition needs equal widths"
+        )
     target = duality.vec(desc2.unitary() @ desc1.unitary())
     # copies are immutable values: one synthesis per program serves every repeat
     p1, p2 = memory.synthesize(desc1), memory.synthesize(desc2)
@@ -282,12 +286,14 @@ def parse_diagram(text) -> tailed.TopoDiagram:
             saw_header = True
             continue
         if verb == "vertex":
-            legs = int(fields.get("legs", ("1", 1))[0])
+            legs = control._int_field(fields, "legs", line_no, default=1)
             tag = fields.get("g", (None, 1))[0]
             if tag is None:
                 raise ParseError("vertex needs g=", line_no, 1)
             if tag == "custom":
-                rows = int(fields["rows"][0])
+                rows = control._int_field(fields, "rows", line_no)
+                if "data" not in fields:
+                    raise ParseError("custom vertex needs data=", line_no, 1)
                 gate = parse_complex_data(fields["data"][0], rows, rows, line_no, fields["data"][1])
                 UnitaryOp(gate)
             elif tag in GATE_MATRICES:

@@ -32,7 +32,6 @@ from .uqt import StoredProgram, stored_program
 GATE_ARITY = {"H": 1, "T": 1, "Tdg": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2, "CCX": 3}
 
 PROGRAM = "program"
-DATA = "data"
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,21 +129,6 @@ class ProgramDescription:
 def synthesize(desc: ProgramDescription, tol=DEFAULT_TOL) -> StoredProgram:
     """Fresh stored-program copy from a classical description."""
     return stored_program(desc.unitary(), description=desc, tol=tol)
-
-
-def encrypt_description(text: str, key=None) -> str:
-    """Transport boundary for downloaded descriptions.
-
-    Description secrecy is delegated to the classical channel (key
-    exchange or post-quantum encryption would plug in here); this
-    reference implementation is the identity map.
-    """
-    return text
-
-
-def decrypt_description(text: str, key=None) -> str:
-    """Inverse of `encrypt_description`; identity in this implementation."""
-    return text
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .kernel import DEFAULT_TOL, KrausChannel, PureState, RngStream, kron_all
 from .memory import format_complex_data, parse_complex_data, _tokenize
-from .uqt import BellBasis, ByproductStrategy, bell_measure_pair
+from .uqt import BellBasis, ByproductStrategy, teleport
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,14 +212,13 @@ class LogicalProgram:
     """A logical gate stored on an encoded ebit.
 
     Unlike a bare stored program, the dual state lives on the code space,
-    so the head/tail marginals are P/2^k rather than maximally mixed. The
-    correction table is the physical conjugation table of the gate.
+    so the head/tail marginals are P/2^k rather than maximally mixed. A
+    byproduct is corrected by conjugating the physical Pauli with the gate.
     """
 
     code: Code
     gate: np.ndarray
     state: PureState
-    correction_table: tuple[np.ndarray, ...]
     basis: BellBasis
     is_symmetric: bool
 
@@ -242,15 +241,12 @@ def logical_program(code: Code, gate, tol=DEFAULT_TOL) -> LogicalProgram:
     if np.abs(u @ p - p @ u).max() > tol * n_dim:
         raise ValidationError("gate does not commute with the code projector")
     amp = np.kron(u @ code.isometry, code.isometry) @ bell_state(code.logical_dim)
-    basis = BellBasis.qubit_product(code.n)
-    table = tuple(u @ sigma @ u.conj().T for sigma in basis.paulis[1:])
     sym = bool(np.abs(u - u.T).max() <= tol)
     return LogicalProgram(
         code=code,
         gate=u,
         state=PureState(amp, (n_dim, n_dim)),
-        correction_table=table,
-        basis=basis,
+        basis=BellBasis.qubit_product(code.n),
         is_symmetric=sym,
     )
 
@@ -273,7 +269,8 @@ def logical_compose(
     """Compose encoded programs by physical-level gate teleportation.
 
     Symmetric logical gates are required: the transpose-free pairing then
-    needs only the physical correction table. Returns (result, shots_used).
+    needs only the physical corrections. SymmetricPair, like
+    CorrectionTable, is one corrected round. Returns (result, shots_used).
     """
     if p1.code is not p2.code and not np.array_equal(p1.code.isometry, p2.code.isometry):
         raise ValidationError("programs live on different codes")
@@ -281,34 +278,18 @@ def logical_compose(
         raise ConfigurationError(
             "logical composition needs a symmetric logical gate on the second program"
         )
-    if strategy is ByproductStrategy.SYMMETRIC_PAIR and not p2.is_symmetric:
-        raise ConfigurationError("second program lacks symmetric factors")
-    n_dim = p1.code.physical_dim
-    shots = 0
-    while True:
-        shots += 1
-        joint = PureState(
-            np.kron(p1.state.amplitudes, p2.state.amplitudes), (n_dim,) * 4
-        )
-        k, _, post = bell_measure_pair(joint, 0, 3, p2.basis, rng)
-        if strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS and k != 0:
-            continue
-        mat = post.tensor().transpose(1, 0).reshape(n_dim, n_dim)
-        if k != 0:
-            mat = p2.correction_table[k - 1] @ mat
-        state = PureState(mat.reshape(-1), (n_dim, n_dim))
-        gate = p2.gate @ p1.gate
-        basis = p2.basis
-        table = tuple(gate @ s @ gate.conj().T for s in basis.paulis[1:])
-        result = LogicalProgram(
-            code=p1.code,
-            gate=gate,
-            state=state,
-            correction_table=table,
-            basis=basis,
-            is_symmetric=bool(np.abs(gate - gate.T).max() <= tol),
-        )
-        return result, shots
+    state, shots = teleport(
+        p1.state.amplitudes, p2.state.amplitudes, p2.basis, p2.gate, strategy, rng
+    )
+    gate = p2.gate @ p1.gate
+    result = LogicalProgram(
+        code=p1.code,
+        gate=gate,
+        state=state,
+        basis=p2.basis,
+        is_symmetric=bool(np.abs(gate - gate.T).max() <= tol),
+    )
+    return result, shots
 
 
 # ---------------------------------------------------------------------------

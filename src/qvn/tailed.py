@@ -30,7 +30,7 @@ from .kernel import (
     apply_to_subsystems,
     measure_wire_computational,
 )
-from .uqt import BellBasis, StoredProgram, bell_probabilities
+from .uqt import BellBasis, StoredProgram, bell_measure_pair, bell_probabilities
 
 Endpoint = tuple  # ("h"|"t"|"q", index)
 
@@ -78,7 +78,6 @@ class RunRecord:
     injection_branch: str
     observable_value: float
     bell_outcomes: tuple[int, ...] = ()
-    frames: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -382,26 +381,16 @@ def contract(
         raise DimensionMismatchError("contracted endpoints must share a dimension")
     if basis is None:
         basis = BellBasis.for_dim(dims[wire_a])
+    if not postselect_trivial:
+        if rng is None:
+            raise ValidationError("sampled contraction needs an RngStream")
+        return bell_measure_pair(state, wire_a, wire_b, basis, rng)
     probs, residuals = bell_probabilities(state, wire_a, wire_b, basis)
+    p0 = float(probs[0])
+    if p0 <= 1e-28:
+        return 0, 0.0, None
     out_dims = tuple(dm for i, dm in enumerate(dims) if i not in (wire_a, wire_b))
-    if postselect_trivial:
-        p0 = float(probs[0])
-        if p0 <= 1e-28:
-            return 0, 0.0, None
-        return 0, p0, PureState(residuals[0] / math.sqrt(p0), out_dims)
-    if rng is None:
-        raise ValidationError("sampled contraction needs an RngStream")
-    if probs.sum() <= 0:
-        raise NumericalError("all contraction outcomes have vanishing probability")
-    k = rng.choice(probs)
-    post = PureState(residuals[k] / math.sqrt(probs[k]), out_dims)
-    return k, float(probs[k]), post
-
-
-def conjugate_observable(obs: Observable, pauli) -> Observable:
-    """Resolve a recorded byproduct frame at readout: O ↦ P† O P."""
-    p = np.asarray(pauli, dtype=complex)
-    return Observable(p.conj().T @ obs.matrix @ p)
+    return 0, p0, PureState(residuals[0] / math.sqrt(p0), out_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +480,14 @@ def eval_topological(diagram: TopoDiagram):
     if not diagram.vertices:
         raise ValidationError("empty diagram")
     d = diagram.site_dim
-    letters = {}
-    for a, b in diagram.segments:
-        letters[a] = letters[b] = _LETTERS[len(letters)]
     open_eps = diagram.open_endpoints()
-    for ep in open_eps:
-        letters[ep] = _LETTERS[len(letters)]
-    if len(letters) > len(_LETTERS):
-        raise ValidationError("diagram too large for einsum evaluation")
+    # one label per segment (shared by its two endpoints) and per open endpoint
+    groups = [*diagram.segments, *((ep,) for ep in open_eps)]
+    if len(groups) > len(_LETTERS):
+        raise ValidationError(
+            f"diagram needs {len(groups)} einsum labels; at most {len(_LETTERS)} are supported"
+        )
+    letters = {ep: label for label, group in zip(_LETTERS, groups) for ep in group}
     terms = []
     tensors = []
     for v, vert in enumerate(diagram.vertices):

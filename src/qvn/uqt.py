@@ -122,10 +122,10 @@ class StoredProgram:
     """A unitary held as its dual state plus the data composition needs.
 
     `amplitudes` is the dual state vec(U)/√d of the validated unitary `op`.
-    The correction table lists C_k = U σ_k U† for every nontrivial basis
-    rotation σ_k, which is the phase-free information equivalent to the
-    adjoint representation of U. The table, the symmetric factors and the
-    Choi matrix are derived on first use and kept, so a copy that is only
+    `correction(k)` is C_k = U σ_k U† for one nontrivial basis rotation σ_k,
+    the phase-free information equivalent to the adjoint representation of
+    U, evaluated for the outcome at hand. The symmetric factors and the Choi
+    matrix are derived on first use and kept, so a copy that is only
     teleported or injected never builds them.
     """
 
@@ -133,7 +133,6 @@ class StoredProgram:
     basis: BellBasis
     is_symmetric: bool
     description: object | None = None
-    with_factors: bool = True
     tol: float = DEFAULT_TOL
 
     @property
@@ -150,14 +149,12 @@ class StoredProgram:
     def choi(self) -> ChoiState:
         return choi_of_unitary(self.op, tol=self.tol)
 
-    @functools.cached_property
-    def correction_table(self) -> tuple[np.ndarray, ...]:
-        m = self.op.matrix
-        return tuple(m @ sigma @ m.conj().T for sigma in self.basis.paulis[1:])
+    def correction(self, k) -> np.ndarray:
+        return byproduct_correction(self.op.matrix, self.basis, k)
 
     @functools.cached_property
-    def symmetric_factors(self) -> SymmetricFactors | None:
-        return symmetric_decompose(self.op, tol=self.tol) if self.with_factors else None
+    def symmetric_factors(self) -> SymmetricFactors:
+        return symmetric_decompose(self.op, tol=self.tol)
 
     def unitary(self) -> np.ndarray:
         return unvec(self.amplitudes)
@@ -167,7 +164,6 @@ def stored_program(
     u,
     basis: BellBasis | None = None,
     description=None,
-    with_factors=True,
     tol=DEFAULT_TOL,
 ) -> StoredProgram:
     """Build a stored program from a unitary."""
@@ -183,7 +179,6 @@ def stored_program(
         basis=basis,
         is_symmetric=bool(np.abs(m - m.T).max() <= tol),
         description=description,
-        with_factors=with_factors,
         tol=tol,
     )
 
@@ -237,28 +232,44 @@ def outcome_is_trivial(k) -> bool:
     return k == 0
 
 
-def _program_pair_state(p1: StoredProgram, p2: StoredProgram) -> PureState:
-    """Joint state on wires (h1, t1, h2, t2)."""
-    amp = np.kron(p1.amplitudes, p2.amplitudes)
-    d = p1.d
-    return PureState(amp, (d, d, d, d))
+def byproduct_correction(u2, basis: BellBasis, k) -> np.ndarray:
+    """C_k = U2 σ_k U2†: removes Bell outcome k's byproduct from the head."""
+    return u2 @ basis.paulis[k] @ u2.conj().T
 
 
-def _teleport_once(p1_state: PureState, program: StoredProgram, rng: RngStream):
-    """One Bell round fusing p1's head with `program`'s tail.
+# Repeat-until-success gives up after this many rounds per Bell outcome. For
+# unitary programs the trivial outcome has probability 1/d², so a correct run
+# exceeds 64·d² rounds with probability (1 - 1/d²)^(64·d²) < e⁻⁶⁴.
+MAX_ROUNDS_PER_OUTCOME = 64
 
-    Input wires (h1, t1); output wires reordered to (head, tail) of the
-    fused program, with the correction applied on the head.
+
+def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng: RngStream):
+    """Fuse two dual states by a Bell measurement of head1 against tail2.
+
+    `amp1` and `amp2` are (head, tail) amplitudes of dimension d² each and
+    `u2` is the gate the second state carries. Returns (state, rounds), the
+    state on the fused (head, tail) pair. Repeat-until-success redraws the
+    pair until the trivial outcome, at most 64·d² rounds; every other
+    strategy takes one round and applies C_k for the sampled outcome k.
     """
-    d = program.d
-    joint_amp = np.kron(p1_state.amplitudes, program.amplitudes)
-    joint = PureState(joint_amp, (d, d, d, d))
-    k, _, post = bell_measure_pair(joint, 0, 3, program.basis, rng)
+    d = basis.d
+    joint = PureState(np.kron(amp1, amp2), (d, d, d, d))
+    repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
+    max_rounds = MAX_ROUNDS_PER_OUTCOME * d * d if repeat else 1
+    for rounds in range(1, max_rounds + 1):
+        k, _, post = bell_measure_pair(joint, 0, 3, basis, rng)
+        if k == 0 or not repeat:
+            break
+    else:
+        raise NumericalError(
+            f"no trivial Bell outcome in {max_rounds} rounds "
+            f"(repeat-until-success bound {MAX_ROUNDS_PER_OUTCOME}·d² at d={d})"
+        )
     # surviving wires are (t1, h2); swap into (head, tail) order
-    tensor = post.tensor().transpose(1, 0)
+    mat = post.tensor().transpose(1, 0)
     if k != 0:
-        tensor = (program.correction_table[k - 1] @ tensor.reshape(d, d)).reshape(d, d)
-    return k, PureState(tensor.reshape(-1), (d, d))
+        mat = byproduct_correction(u2, basis, k) @ mat
+    return PureState(mat.reshape(-1), (d, d)), rounds
 
 
 def _program_from_state(state: PureState, basis, description, tol) -> StoredProgram:
@@ -286,36 +297,23 @@ def compose(
     Returns (result program, shots_used). CorrectionTable and SymmetricPair
     are deterministic single-pass protocols; RepeatUntilSuccess redraws
     fresh copies until the heralded trivial outcome (geometric in d²).
+    SymmetricPair teleports through S2 and then S1, with one corrected
+    round each.
     """
     if p1.d != p2.d:
         raise DimensionMismatchError(f"program dims differ: {p1.d} vs {p2.d}")
     description = _combined_description(p1, p2)
-    if strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS:
-        shots = 0
-        while True:
-            shots += 1
-            joint = _program_pair_state(p1, p2)
-            k, _, post = bell_measure_pair(joint, 0, 3, p2.basis, rng)
-            if k == 0:
-                tensor = post.tensor().transpose(1, 0)
-                state = PureState(tensor.reshape(-1), (p1.d, p1.d))
-                return _program_from_state(state, p2.basis, description, tol), shots
-    if strategy is ByproductStrategy.CORRECTION_TABLE:
-        if not p2.correction_table:
-            raise ConfigurationError("second program carries no correction table")
-        state1 = PureState(p1.amplitudes, (p1.d, p1.d))
-        _, state = _teleport_once(state1, p2, rng)
-        return _program_from_state(state, p2.basis, description, tol), 1
     if strategy is ByproductStrategy.SYMMETRIC_PAIR:
-        if p2.symmetric_factors is None:
-            raise ConfigurationError("second program carries no symmetric factors")
-        f = p2.symmetric_factors
-        state = PureState(p1.amplitudes, (p1.d, p1.d))
-        for factor in (f.s2, f.s1):
-            prog = stored_program(factor, basis=p2.basis, with_factors=False)
-            _, state = _teleport_once(state, prog, rng)
-        return _program_from_state(state, p2.basis, description, tol), 1
-    raise ConfigurationError(f"unknown strategy {strategy!r}")
+        amp = p1.amplitudes
+        for factor in (p2.symmetric_factors.s2, p2.symmetric_factors.s1):
+            state, _ = teleport(amp, vec(factor.matrix), p2.basis, factor.matrix, strategy, rng)
+            amp = state.amplitudes
+        shots = 1
+    elif strategy in (ByproductStrategy.REPEAT_UNTIL_SUCCESS, ByproductStrategy.CORRECTION_TABLE):
+        state, shots = teleport(p1.amplitudes, p2.amplitudes, p2.basis, p2.op.matrix, strategy, rng)
+    else:
+        raise ConfigurationError(f"unknown strategy {strategy!r}")
+    return _program_from_state(state, p2.basis, description, tol), shots
 
 
 def composition_unitary(p2_factors: SymmetricFactors, basis: BellBasis | None = None) -> UnitaryOp:
@@ -346,7 +344,7 @@ def composition_unitary(p2_factors: SymmetricFactors, basis: BellBasis | None = 
         ek = np.zeros((d * d, d * d), dtype=complex)
         ek[k, k] = 1.0
         flag += np.kron(ek, eye_flag if k == 0 else x_flag)
-        c_k = np.eye(d) if k == 0 else u2 @ basis.paulis[k] @ u2.conj().T
+        c_k = np.eye(d) if k == 0 else byproduct_correction(u2, basis, k)
         corr += np.kron(ek, c_k)
     # embed: flag touches the measured pair and the flag qubit, corrections
     # touch the pair and the new head h2

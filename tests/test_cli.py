@@ -135,6 +135,18 @@ class TestCompose:
         assert err.startswith("error[E_VALIDATION]")
         assert "--repeats must be >= 1" in err
 
+    def test_width_mismatch_rejected(self, workdir, capsys):
+        (workdir / "cx.qvn").write_text("QVN1 name=CX n=2\nt=0 g=CX q=0,1\n")
+        code, out, err = run_cli(
+            ["compose", str(workdir / "h.qvn"), str(workdir / "cx.qvn")], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]")
+        assert "1 and 2 qubits" in err
+        assert "Traceback" not in err
+
     def test_identity_pair(self, workdir, capsys):
         (workdir / "id.qvn").write_text("QVN1 name=id n=1\n")
         code, out, _ = run_cli(
@@ -229,3 +241,35 @@ class TestTopoEval:
         )
         assert code == 0
         assert json.loads(target.read_text())["canonical"]["closed"] is True
+
+    @pytest.mark.parametrize(
+        "vertex",
+        [
+            "vertex g=H legs=x",
+            "vertex g=custom data=1,0,0,1",
+            "vertex g=custom rows=2",
+        ],
+    )
+    def test_bad_vertex_fields_parse_error(self, workdir, capsys, vertex):
+        bad = workdir / "bad.topo"
+        bad.write_text(f"QVN1 name=bad\n{vertex}\nsegment a=0.h0 b=0.t0\n")
+        code, out, err = run_cli(["topo-eval", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_PARSE]")
+        assert "(line 2," in err
+        assert "Traceback" not in err
+
+    def test_label_limit_named(self, workdir, capsys):
+        m = 53
+        lines = ["QVN1 name=ring"] + ["vertex g=T"] * m
+        lines += [f"segment a={v}.h0 b={(v + 1) % m}.t0" for v in range(m)]
+        ring = workdir / "ring.topo"
+        ring.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["topo-eval", str(ring)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]")
+        assert "53 einsum labels" in err and "52" in err

@@ -268,15 +268,6 @@ class TestMemoryUnit:
         assert fid > 1 - 1e-12
 
 
-class TestTransportBoundary:
-    def test_encryption_stub_round_trips(self):
-        from qvn.memory import decrypt_description, encrypt_description
-
-        text = serialize(desc_th())
-        wire = encrypt_description(text)
-        assert deserialize(decrypt_description(wire)) == desc_th()
-
-
 class TestCircuitBridge:
     def test_description_circuit_matches_program_state(self):
         from qvn.tailed import circuit_of_description, program_state, simulate

@@ -8,11 +8,13 @@ from qvn.duality import bell_state
 from qvn.errors import (
     ConfigurationError,
     KlConditionError,
+    NumericalError,
     ParseError,
     ValidationError,
 )
 from qvn.kernel import (
     DensityOperator,
+    RngStream,
     apply_channel,
     partial_trace_matrix,
     random_pure_state,
@@ -33,7 +35,7 @@ from qvn.qec import (
     phase_flip_code,
     serialize_code,
 )
-from qvn.uqt import ByproductStrategy
+from qvn.uqt import MAX_ROUNDS_PER_OUTCOME, ByproductStrategy, compose, stored_program
 
 
 def x_errors():
@@ -262,6 +264,32 @@ class TestLogicalCompose:
         decoded = decode_program(result)
         phase = decoded[0, 0] / abs(decoded[0, 0])
         assert np.abs(decoded - phase * np.eye(2)).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "strategy", [ByproductStrategy.REPEAT_UNTIL_SUCCESS, ByproductStrategy.CORRECTION_TABLE]
+    )
+    def test_trivial_code_matches_uqt_compose(self, strategy):
+        code = Code(1, 1, np.eye(2))
+        lp1, lp2 = logical_program(code, gates.H), logical_program(code, gates.T)
+        p1, p2 = stored_program(gates.H), stored_program(gates.T)
+        for seed in range(20):
+            logical, logical_shots = logical_compose(lp1, lp2, strategy, RngStream(seed))
+            bare, bare_shots = compose(p1, p2, strategy, RngStream(seed))
+            assert logical_shots == bare_shots
+            assert np.abs(logical.state.amplitudes - bare.amplitudes).max() < 1e-15
+
+    def test_rus_bounded(self, monkeypatch):
+        draws = []
+
+        def nontrivial(self, probabilities):
+            draws.append(1)
+            return 1
+
+        monkeypatch.setattr(RngStream, "choice", nontrivial)
+        p = logical_program(Code(1, 1, np.eye(2)), gates.T)
+        with pytest.raises(NumericalError, match="64·d²"):
+            logical_compose(p, p, ByproductStrategy.REPEAT_UNTIL_SUCCESS, RngStream(0))
+        assert len(draws) == MAX_ROUNDS_PER_OUTCOME * 2**2
 
     def test_asymmetric_gate_rejected(self, rng):
         code = Code(1, 1, np.eye(2))

@@ -370,6 +370,25 @@ class TestTopological:
         expected = np.kron(u, np.eye(2)) @ bell_state(2)
         assert abs(abs(np.vdot(state.amplitudes, expected)) - 1.0) < 1e-12
 
+    def test_ring_labels_one_per_segment(self, monkeypatch):
+        # capture the spec instead of running the 2^27-step contraction
+        specs = []
+
+        def fake_einsum(spec, *operands):
+            specs.append(spec)
+            return np.complex128(1.0)
+
+        monkeypatch.setattr(np, "einsum", fake_einsum)
+        m = 27
+        vertices = tuple(TopoVertex(gates.T, 1) for _ in range(m))
+        segments = tuple(((v, "h", 0), ((v + 1) % m, "t", 0)) for v in range(m))
+        eval_topological(TopoDiagram(vertices, segments))
+        inputs, output = specs[0].split("->")
+        labels = inputs.replace(",", "")
+        assert output == ""
+        assert len(set(labels)) == m
+        assert all(labels.count(c) == 2 for c in set(labels))
+
     def test_malformed_endpoint_rejected(self):
         with pytest.raises(ValidationError):
             TopoDiagram((TopoVertex(np.eye(2), 1),), (((0, "h", 0), (0, "x", 0)),))

@@ -5,7 +5,7 @@ import pytest
 
 from qvn import gates
 from qvn.duality import ChoiState, bell_state, choi_of_unitary
-from qvn.errors import ConfigurationError
+from qvn.errors import NumericalError
 from qvn.kernel import (
     PureState,
     RngStream,
@@ -15,6 +15,7 @@ from qvn.kernel import (
 )
 from qvn.memory import GateRecord, ProgramDescription, synthesize
 from qvn.uqt import (
+    MAX_ROUNDS_PER_OUTCOME,
     BellBasis,
     ByproductStrategy,
     apply_composition_unitary,
@@ -96,10 +97,12 @@ class TestSymmetricDecompose:
 
 class TestStoredProgram:
     def test_correction_table_identity(self, rng):
-        p = stored_program(haar_random_unitary(2, rng))
-        u = p.unitary()
-        for sigma, c in zip(p.basis.paulis[1:], p.correction_table):
-            assert np.abs(c @ u @ sigma.conj().T - u).max() < 1e-10
+        for n in (1, 2):
+            p = stored_program(haar_random_unitary(2**n, rng))
+            u = p.unitary()
+            for k in range(1, p.d**2):
+                sigma = p.basis.paulis[k]
+                assert np.abs(p.correction(k) @ u @ sigma.conj().T - u).max() < 1e-10
 
     def test_symmetric_flag(self):
         assert stored_program(gates.CZ).is_symmetric
@@ -244,11 +247,18 @@ class TestCompose:
         sigma_mean = math.sqrt((1 - p) / p**2) / math.sqrt(len(trials))
         assert abs(mean - 4.0) < 3 * sigma_mean
 
-    def test_missing_factors_raises(self, rng):
-        p1 = stored_program(gates.H)
-        p2 = stored_program(gates.T, with_factors=False)
-        with pytest.raises(ConfigurationError):
-            compose(p1, p2, ByproductStrategy.SYMMETRIC_PAIR, rng)
+    def test_rus_bounded(self, monkeypatch):
+        draws = []
+
+        def nontrivial(self, probabilities):
+            draws.append(1)
+            return 1
+
+        monkeypatch.setattr(RngStream, "choice", nontrivial)
+        p1, p2 = stored_program(gates.H), stored_program(gates.T)
+        with pytest.raises(NumericalError, match="64·d²"):
+            compose(p1, p2, ByproductStrategy.REPEAT_UNTIL_SUCCESS, RngStream(0))
+        assert len(draws) == MAX_ROUNDS_PER_OUTCOME * 2**2
 
     def test_associativity(self, rng):
         ua = haar_random_unitary(2, rng)
