@@ -3,7 +3,9 @@
 Reports carry a deterministic `canonical` object (same inputs and seed
 give byte-identical content) and a `meta` object for timing and versions.
 
-A run file bundles memory slots and a schedule:
+A run file bundles memory slots and a schedule, in the line grammar of
+`qvn.text`; each slot holds a QVN1 document and the schedule block holds
+schedule lines:
 
     run shots=200 seed=7
     slot addr=0 copies=5
@@ -32,7 +34,8 @@ from . import control, duality, memory, qec, tailed, uqt
 from .errors import ParseError, QvnError, ValidationError
 from .gates import GATE_MATRICES
 from .kernel import RngStream, UnitaryOp
-from .memory import MemoryUnit, _tokenize, parse_complex_data
+from .memory import MemoryUnit
+from .text import decode, lines
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -63,10 +66,11 @@ def _matrix_entry(m):
 
 def _read_file(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FileNotFoundError(f"{path}: {exc.strerror}") from exc
+    return decode(data)
 
 
 # ---------------------------------------------------------------------------
@@ -75,71 +79,52 @@ def _read_file(path):
 
 
 def parse_run_file(text):
-    """Returns (shots, seed, slot list, schedule lines)."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """Returns (shots, seed, slots, instructions); a slot is
+    (addr, copies, kind, description)."""
     shots, seed = 1, 0
     slots = []
-    schedule_lines = []
+    instructions = []
     mode = "top"
-    slot_fields = None
-    slot_doc = []
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if mode == "top":
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = _tokenize(line, line_no)
-            verb = tokens[0][1]
-            if verb == "run" and tokens[0][0] is None:
-                fields = {k: (v, c) for k, v, c in tokens[1:]}
-                shots = control._int_field(fields, "shots", line_no, default=1)
-                seed = control._int_field(fields, "seed", line_no, default=0)
-            elif verb == "slot" and tokens[0][0] is None:
-                fields = {k: (v, c) for k, v, c in tokens[1:]}
-                if "addr" not in fields:
-                    raise ParseError("slot needs addr=", line_no, 1)
-                slot_fields = {
-                    "addr": control._int_field(fields, "addr", line_no),
-                    "copies": control._int_field(fields, "copies", line_no, default=1),
-                    "kind": fields.get("kind", (memory.PROGRAM, 1))[0],
-                    "line": line_no,
-                }
-                slot_doc = []
-                mode = "slot"
-            elif verb == "schedule" and tokens[0][0] is None:
-                mode = "schedule"
-            else:
-                raise ParseError(f"unexpected line {stripped!r}", line_no, 1)
-        elif mode == "slot":
-            if stripped == "endslot":
-                slots.append((slot_fields, "\n".join(slot_doc) + "\n"))
+    for line in lines(text):
+        if mode == "slot":
+            if line.verb == "endslot":
+                if not doc:
+                    raise line.error("slot holds no QVN1 document")
+                slots.append(slot + (memory.description_of_lines(doc),))
                 mode = "top"
             else:
-                slot_doc.append(line)
+                doc.append(line)
         elif mode == "schedule":
-            if stripped == "endschedule":
+            if line.verb == "endschedule":
                 mode = "top"
-            elif stripped and not stripped.startswith("#"):
-                schedule_lines.append((line_no, line))
+            else:
+                instructions.append(control.parse_instruction(line))
+        elif line.verb == "run":
+            shots, seed = line.int("shots", 1), line.int("seed", 0)
+        elif line.verb == "slot":
+            slot = (line.int("addr"), line.int("copies", 1), line.str("kind", memory.PROGRAM))
+            doc = []
+            mode, opened = "slot", line
+        elif line.verb == "schedule":
+            mode, opened = "schedule", line
+        else:
+            raise line.error("expected a run, slot or schedule line")
     if mode != "top":
-        raise ParseError(f"unterminated {mode} block", len(lines), 1)
-    return shots, seed, slots, schedule_lines
+        raise opened.error(f"unterminated {mode} block")
+    return shots, seed, slots, instructions
 
 
 def cmd_run(args):
-    text = _read_file(args.file)
-    shots, seed, slots, schedule_lines = parse_run_file(text)
+    shots, seed, slots, instructions = parse_run_file(_read_file(args.file))
     if args.shots is not None:
         shots = args.shots
     if args.seed is not None:
         seed = args.seed
     mem = MemoryUnit() if args.tolerance is None else MemoryUnit(tol=args.tolerance)
     slot_names = {}
-    for fields, doc in slots:
-        desc = memory.deserialize(doc)
-        mem.store(desc, fields["copies"], kind=fields["kind"], address=fields["addr"])
-        slot_names[fields["addr"]] = desc.name
-    instructions = [control.parse_instruction(line, ln) for ln, line in schedule_lines]
+    for addr, copies, kind, desc in slots:
+        mem.store(desc, copies, kind=kind, address=addr)
+        slot_names[addr] = desc.name
     sched = control.Schedule(tuple(instructions), shots=shots, seed=seed)
     result = control.execute(mem, sched)
     per_instruction = []
@@ -263,55 +248,37 @@ def cmd_qec_check(args):
 _ENDPOINT_RE = re.compile(r"^(\d+)\.([ht])(\d+)$")
 
 
-def _parse_endpoint(text, line_no, col):
-    m = _ENDPOINT_RE.match(text)
+def _endpoint(line, key):
+    value = line.str(key)
+    m = _ENDPOINT_RE.match(value)
     if not m:
-        raise ParseError(f"bad endpoint {text!r} (want <vertex>.<h|t><leg>)", line_no, col)
+        raise line.error(f"bad endpoint {value!r} (want <vertex>.<h|t><leg>)", key)
     return int(m.group(1)), m.group(2), int(m.group(3))
 
 
 def parse_diagram(text) -> tailed.TopoDiagram:
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     site_dim = 2
     vertices = []
     segments = []
     saw_header = False
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        tokens = _tokenize(line, line_no)
-        verb = tokens[0][1]
-        fields = {k: (v, c) for k, v, c in tokens[1:]}
-        if verb == "QVN1" and not saw_header:
+    for line in lines(text):
+        if line.verb == "QVN1" and not saw_header:
             saw_header = True
-            continue
-        if verb == "vertex":
-            legs = control._int_field(fields, "legs", line_no, default=1)
-            tag = fields.get("g", (None, 1))[0]
-            if tag is None:
-                raise ParseError("vertex needs g=", line_no, 1)
+        elif line.verb == "vertex":
+            legs, tag = line.int("legs", 1), line.str("g")
             if tag == "custom":
-                rows = control._int_field(fields, "rows", line_no)
-                if "data" not in fields:
-                    raise ParseError("custom vertex needs data=", line_no, 1)
-                gate = parse_complex_data(fields["data"][0], rows, rows, line_no, fields["data"][1])
-                UnitaryOp(gate)
+                rows = line.int("rows", low=1)
+                gate = line.matrix(rows, rows)
             elif tag in GATE_MATRICES:
                 gate = GATE_MATRICES[tag]
             else:
-                raise ParseError(f"unknown vertex gate {tag!r}", line_no, fields["g"][1])
-            try:
-                vertices.append(tailed.TopoVertex(gate, legs, site_dim))
-            except ValidationError as exc:
-                raise ParseError(str(exc), line_no, 1) from exc
-        elif verb == "segment":
-            if "a" not in fields or "b" not in fields:
-                raise ParseError("segment needs a= and b=", line_no, 1)
-            a = _parse_endpoint(fields["a"][0], line_no, fields["a"][1])
-            b = _parse_endpoint(fields["b"][0], line_no, fields["b"][1])
-            segments.append((a, b))
+                raise line.error(f"unknown vertex gate {tag!r}", "g")
+            with line.located():
+                vertices.append(tailed.TopoVertex(UnitaryOp(gate).matrix, legs, site_dim))
+        elif line.verb == "segment":
+            segments.append((_endpoint(line, "a"), _endpoint(line, "b")))
         else:
-            raise ParseError(f"unexpected line {line.strip()!r}", line_no, 1)
+            raise line.error("expected a vertex or segment line")
     try:
         return tailed.TopoDiagram(tuple(vertices), tuple(segments), site_dim)
     except ValidationError as exc:

@@ -2,7 +2,8 @@
 injection, and readout against a memory unit, plus the qubit-controlled
 unknown-gate primitive.
 
-Schedule text format, one instruction per line:
+Schedule text format, one instruction per line in the line grammar of
+`qvn.text`:
 
     compose a=<addr> b=<addr> strategy=<name> dest=<addr>
     inject target=<addr> bits=<bitstring>
@@ -22,7 +23,6 @@ from . import gates, tailed, uqt
 from .errors import (
     EstimationError,
     OutOfCopiesError,
-    ParseError,
     ValidationError,
 )
 from .kernel import (
@@ -35,7 +35,8 @@ from .kernel import (
     UnitaryOp,
     partial_trace_matrix,
 )
-from .memory import MemoryUnit, _tokenize, format_complex_data, parse_complex_data
+from .memory import MemoryUnit
+from .text import Line, format_complex_data, lines
 from .tailed import InjectionSpec, ReadoutSpec, RunRecord
 from .uqt import ByproductStrategy
 
@@ -293,102 +294,66 @@ _STRATEGY_NAMES = {s.value: s for s in ByproductStrategy}
 
 
 def serialize_schedule(sched: Schedule) -> str:
-    lines = []
+    out = []
     for ins in sched.instructions:
         if isinstance(ins, Compose):
-            lines.append(
+            out.append(
                 f"compose a={ins.addr1} b={ins.addr2} strategy={ins.strategy.value} dest={ins.dest}"
             )
         elif isinstance(ins, Inject):
-            lines.append(f"inject target={ins.target}" + (f" bits={ins.bits}" if ins.bits else ""))
+            out.append(f"inject target={ins.target}" + (f" bits={ins.bits}" if ins.bits else ""))
         elif isinstance(ins, Readout):
             if ins.label != "custom":
-                lines.append(f"readout target={ins.target} obs={ins.label}")
+                out.append(f"readout target={ins.target} obs={ins.label}")
             else:
                 d = ins.observable.dim
-                lines.append(
+                out.append(
                     f"readout target={ins.target} obs=custom rows={d} "
                     f"data={format_complex_data(ins.observable.matrix)}"
                 )
         elif isinstance(ins, Restore):
-            lines.append(f"restore addr={ins.addr} copies={ins.copies}")
+            out.append(f"restore addr={ins.addr} copies={ins.copies}")
         elif isinstance(ins, SampleTail):
-            lines.append(f"sampletail target={ins.target} tail={ins.tail}")
+            out.append(f"sampletail target={ins.target} tail={ins.tail}")
         else:
             raise ValidationError(f"unknown instruction {ins!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(out) + "\n"
 
 
-def _field_map(tokens, line_no):
-    fields = {}
-    for k, v, c in tokens[1:]:
-        if k is None:
-            raise ParseError(f"stray token {v!r}", line_no, c)
-        fields[k] = (v, c)
-    return fields
-
-
-def _int_field(fields, key, line_no, default=None):
-    """Integer value of `key=`; a missing key gives `default`, or raises
-    when there is none."""
-    if key not in fields:
-        if default is not None:
-            return default
-        raise ParseError(f"missing {key}=", line_no, 1)
-    try:
-        return int(fields[key][0])
-    except ValueError:
-        raise ParseError(f"bad integer {fields[key][0]!r}", line_no, fields[key][1]) from None
-
-
-def parse_instruction(line, line_no=1):
-    tokens = _tokenize(line, line_no)
-    if not tokens or tokens[0][0] is not None:
-        raise ParseError("instruction line must start with a verb", line_no, 1)
-    verb = tokens[0][1]
-    fields = _field_map(tokens, line_no)
+def parse_instruction(line: Line):
+    """The instruction of one schedule line."""
+    verb = line.verb
     if verb == "compose":
-        name = fields.get("strategy", ("correction_table", 1))[0]
+        name = line.str("strategy", "correction_table")
         if name not in _STRATEGY_NAMES:
-            raise ParseError(f"unknown strategy {name!r}", line_no, fields["strategy"][1])
-        return Compose(
-            _int_field(fields, "a", line_no),
-            _int_field(fields, "b", line_no),
-            _STRATEGY_NAMES[name],
-            _int_field(fields, "dest", line_no),
-        )
+            raise line.error(f"unknown strategy {name!r}", "strategy")
+        return Compose(line.int("a"), line.int("b"), _STRATEGY_NAMES[name], line.int("dest"))
     if verb == "inject":
-        bits = fields.get("bits", ("", 1))[0]
+        bits = line.str("bits", "")
         if any(c not in "01" for c in bits):
-            raise ParseError(f"bad bitstring {bits!r}", line_no, fields["bits"][1])
-        return Inject(_int_field(fields, "target", line_no), bits)
+            raise line.error(f"bad bitstring {bits!r}", "bits")
+        return Inject(line.int("target"), bits)
     if verb == "readout":
-        if "obs" not in fields:
-            raise ParseError("readout needs obs=", line_no, 1)
-        label = fields["obs"][0]
+        label = line.str("obs")
         if label == "custom":
-            rows = _int_field(fields, "rows", line_no)
-            if "data" not in fields:
-                raise ParseError("custom observable needs data=", line_no, 1)
-            matrix = parse_complex_data(fields["data"][0], rows, rows, line_no, fields["data"][1])
-            obs = Observable(matrix)
+            rows = line.int("rows", low=1)
+            matrix = line.matrix(rows, rows)
+            with line.located():
+                obs = Observable(matrix)
         else:
             try:
                 obs = Observable(gates.pauli_string_matrix(label))
             except ValidationError:
-                raise ParseError(f"bad observable {label!r}", line_no, fields["obs"][1]) from None
-        return Readout(_int_field(fields, "target", line_no), obs, label)
+                raise line.error(f"bad observable {label!r}", "obs") from None
+        return Readout(line.int("target"), obs, label)
     if verb == "restore":
-        return Restore(_int_field(fields, "addr", line_no), _int_field(fields, "copies", line_no))
+        return Restore(line.int("addr"), line.int("copies"))
     if verb == "sampletail":
-        return SampleTail(_int_field(fields, "target", line_no), _int_field(fields, "tail", line_no))
-    raise ParseError(f"unknown instruction verb {verb!r}", line_no, 1)
+        return SampleTail(line.int("target"), line.int("tail"))
+    if verb is None:
+        raise line.error("instruction line must start with a verb")
+    raise line.error(f"unknown instruction verb {verb!r}")
 
 
 def parse_schedule(text, shots=1, seed=0) -> Schedule:
-    instructions = []
-    for line_no, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        instructions.append(parse_instruction(line, line_no))
-    return Schedule(tuple(instructions), shots=shots, seed=seed)
+    return Schedule(tuple(parse_instruction(line) for line in lines(text)), shots=shots, seed=seed)

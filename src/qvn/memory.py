@@ -2,9 +2,9 @@
 consumption on use, restoration from classical descriptions, and the
 QVN1 text format.
 
-A QVN1 program document is line oriented:
+A QVN1 program document, in the line grammar of `qvn.text`:
 
-    QVN1 name=<text> n=<int>
+    QVN1 name=<text> n=<1..MAX_QUBITS>
     t=<slot> g=<tag> q=<i[,j[,k]]>
     t=<slot> g=custom q=<...> rows=<d> data=<re,im;re,im;...>
 
@@ -27,11 +27,16 @@ from .errors import (
     ValidationError,
 )
 from .kernel import DEFAULT_TOL, UnitaryOp
+from .text import format_complex_data, lines
 from .uqt import StoredProgram, stored_program
 
 GATE_ARITY = {"H": 1, "T": 1, "Tdg": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2, "CCX": 3}
 
 PROGRAM = "program"
+
+# Widest stored program a QVN1 document may describe: synthesis and
+# composition build dense d²-sized objects, d = 2ⁿ.
+MAX_QUBITS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +97,18 @@ class ProgramDescription:
         if self.n < 1:
             raise ValidationError("qubit count must be >= 1")
         object.__setattr__(self, "gate_list", tuple(self.gate_list))
-        last = None
+        previous = None
         for g in self.gate_list:
-            if any(t < 0 or t >= self.n for t in g.targets):
-                raise ValidationError(f"gate targets {g.targets} out of range for n={self.n}")
-            if last is not None and g.time < last:
-                raise ValidationError("time slots must be nondecreasing")
-            last = g.time
+            self.check_gate(g, previous)
+            previous = g
+
+    def check_gate(self, gate: GateRecord, previous: GateRecord | None):
+        """Raise unless `gate` acts within the n wires and, following
+        `previous`, keeps the time slots nondecreasing."""
+        if any(t < 0 or t >= self.n for t in gate.targets):
+            raise ValidationError(f"gate targets {gate.targets} out of range for n={self.n}")
+        if previous is not None and gate.time < previous.time:
+            raise ValidationError("time slots must be nondecreasing")
 
     def unitary(self) -> np.ndarray:
         """Ordered product of the gate sequence (first slot acts first)."""
@@ -136,122 +146,49 @@ def synthesize(desc: ProgramDescription, tol=DEFAULT_TOL) -> StoredProgram:
 # ---------------------------------------------------------------------------
 
 
-def format_complex_data(matrix) -> str:
-    m = np.asarray(matrix, dtype=complex).reshape(-1)
-    return ";".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in m)
-
-
-def parse_complex_data(text, rows, cols, line_no, col_no):
-    entries = text.split(";")
-    if len(entries) != rows * cols:
-        raise ParseError(
-            f"expected {rows * cols} complex entries, got {len(entries)}", line_no, col_no
-        )
-    out = np.empty(rows * cols, dtype=complex)
-    for i, entry in enumerate(entries):
-        parts = entry.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"bad complex entry {entry!r}", line_no, col_no)
-        try:
-            out[i] = complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ParseError(f"bad number in entry {entry!r}", line_no, col_no) from None
-    return out.reshape(rows, cols)
-
-
-def _tokenize(line, line_no):
-    tokens = []
-    col = 0
-    for raw in line.split(" "):
-        if raw:
-            tokens.append((raw, col + 1))
-        col += len(raw) + 1
-    out = []
-    for raw, col in tokens:
-        if "=" not in raw:
-            out.append((None, raw, col))
-        else:
-            key, val = raw.split("=", 1)
-            out.append((key, val, col))
-    return out
-
-
 def serialize(desc: ProgramDescription) -> str:
-    lines = [f"QVN1 name={desc.name} n={desc.n}"]
+    out = [f"QVN1 name={desc.name} n={desc.n}"]
     for g in desc.gate_list:
         line = f"t={g.time} g={g.tag} q={','.join(str(t) for t in g.targets)}"
         if g.tag == "custom":
             d = g.matrix.shape[0]
             line += f" rows={d} data={format_complex_data(g.matrix)}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        out.append(line)
+    return "\n".join(out) + "\n"
 
 
 def deserialize(text: str) -> ProgramDescription:
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    header = None
-    records = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        tokens = _tokenize(line, line_no)
-        if header is None:
-            if not tokens or tokens[0][1] != "QVN1" or tokens[0][0] is not None:
-                raise ParseError("document must start with a QVN1 header", line_no, 1)
-            fields = {k: (v, c) for k, v, c in tokens[1:]}
-            if "name" not in fields or "n" not in fields:
-                raise ParseError("header needs name= and n=", line_no, 1)
-            try:
-                n = int(fields["n"][0])
-            except ValueError:
-                raise ParseError(f"bad qubit count {fields['n'][0]!r}", line_no, fields["n"][1]) from None
-            header = (fields["name"][0], n)
-            continue
-        records.append(_parse_gate_line(tokens, line_no))
-    if header is None:
+    return description_of_lines(lines(text))
+
+
+def description_of_lines(doc) -> ProgramDescription:
+    """Description read from the `Line`s of a QVN1 document; each gate is
+    checked as it is read, so an error names the gate's own line."""
+    doc = iter(doc)
+    head = next(doc, None)
+    if head is None:
         raise ParseError("empty document", 1, 1)
-    try:
-        return ProgramDescription(header[0], header[1], tuple(records))
-    except ValidationError as exc:
-        raise ParseError(str(exc), 1, 1) from exc
-
-
-def _parse_gate_line(tokens, line_no):
-    fields = {}
-    for k, v, c in tokens:
-        if k is None:
-            raise ParseError(f"stray token {v!r}", line_no, c)
-        fields[k] = (v, c)
-    for key in ("t", "g", "q"):
-        if key not in fields:
-            raise ParseError(f"gate line missing {key}=", line_no, 1)
-    try:
-        time = int(fields["t"][0])
-    except ValueError:
-        raise ParseError(f"bad time slot {fields['t'][0]!r}", line_no, fields["t"][1]) from None
-    tag = fields["g"][0]
-    try:
-        targets = tuple(int(x) for x in fields["q"][0].split(","))
-    except ValueError:
-        raise ParseError(f"bad target list {fields['q'][0]!r}", line_no, fields["q"][1]) from None
-    if tag == "custom":
-        if "rows" not in fields or "data" not in fields:
-            raise ParseError("custom gate needs rows= and data=", line_no, 1)
-        try:
-            rows = int(fields["rows"][0])
-        except ValueError:
-            raise ParseError(f"bad rows {fields['rows'][0]!r}", line_no, fields["rows"][1]) from None
-        matrix = parse_complex_data(fields["data"][0], rows, rows, line_no, fields["data"][1])
-        try:
-            return GateRecord(time, tag, targets, matrix)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no, 1) from exc
-    if tag not in GATE_ARITY:
-        raise ParseError(f"unknown gate tag {tag!r}", line_no, fields["g"][1])
-    try:
-        return GateRecord(time, tag, targets)
-    except ValidationError as exc:
-        raise ParseError(str(exc), line_no, 1) from exc
+    if head.verb != "QVN1":
+        raise head.error("document must start with a QVN1 header")
+    name, n = head.str("name"), head.int("n", low=1, high=MAX_QUBITS)
+    with head.located():
+        desc = ProgramDescription(name, n)
+    gate_list = []
+    for line in doc:
+        if line.verb is not None:
+            raise line.error(f"stray token {line.verb!r}")
+        time, tag, targets = line.int("t"), line.str("g"), line.ints("q")
+        matrix = None
+        if tag == "custom":
+            rows = line.int("rows", low=1)
+            matrix = line.matrix(rows, rows)
+        elif tag not in GATE_ARITY:
+            raise line.error(f"unknown gate tag {tag!r}", "g")
+        with line.located():
+            gate = GateRecord(time, tag, targets, matrix)
+            desc.check_gate(gate, gate_list[-1] if gate_list else None)
+        gate_list.append(gate)
+    return ProgramDescription(name, n, tuple(gate_list))
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +198,20 @@ def _parse_gate_line(tokens, line_no):
 
 @dataclass
 class MemorySlot:
-    """One address: its description, its live copies, and the program
-    synthesized from the description, which every restore copies."""
+    """One address: its description, its live copies, the program
+    synthesized from the description, which every restore copies, and the
+    balance of copies put in less copies taken out."""
 
     address: int
     description: ProgramDescription | None
     copies: list
     kind: str = PROGRAM
     program: StoredProgram | None = None
-
-
-@dataclass(frozen=True)
-class AuditRecord:
-    op: str
-    address: int
-    count: int
-    copies_after: int
+    balance: int = 0
 
 
 class MemoryUnit:
-    """Addressed storage of program and data copies with an audit log.
+    """Addressed storage of program and data copies with per-slot balances.
 
     Single-writer: all mutations go through this object; the stored copies
     themselves are immutable values. A slot synthesizes its description
@@ -291,7 +222,6 @@ class MemoryUnit:
 
     def __init__(self, tol=DEFAULT_TOL):
         self.slots: dict[int, MemorySlot] = {}
-        self.audit_log: list[AuditRecord] = []
         self.tol = tol
         self._next_address = 0
 
@@ -309,22 +239,22 @@ class MemoryUnit:
             raise ValidationError("store needs at least one copy")
         address = self._claim_address(address)
         program = synthesize(desc, tol=self.tol)
-        self.slots[address] = MemorySlot(address, desc, [program] * copies, kind, program)
-        self.audit_log.append(AuditRecord("store", address, copies, copies))
+        self.slots[address] = MemorySlot(address, desc, [program] * copies, kind, program, copies)
         return address
 
     def store_copies(self, programs, description=None, kind=PROGRAM, address=None) -> int:
         """Slot from pre-built copies (e.g. composition results)."""
         programs = list(programs)
         address = self._claim_address(address)
-        self.slots[address] = MemorySlot(address, description, programs, kind)
-        self.audit_log.append(AuditRecord("store", address, len(programs), len(programs)))
+        self.slots[address] = MemorySlot(
+            address, description, programs, kind, balance=len(programs)
+        )
         return address
 
     def append_copy(self, address, program) -> int:
         slot = self._slot(address)
         slot.copies.append(program)
-        self.audit_log.append(AuditRecord("store", address, 1, len(slot.copies)))
+        slot.balance += 1
         return len(slot.copies)
 
     def _slot(self, address) -> MemorySlot:
@@ -338,7 +268,7 @@ class MemoryUnit:
         if not slot.copies:
             raise OutOfCopiesError(address)
         program = slot.copies.pop()
-        self.audit_log.append(AuditRecord("fetch", address, 1, len(slot.copies)))
+        slot.balance -= 1
         return program
 
     def restore(self, address, copies) -> int:
@@ -354,19 +284,13 @@ class MemoryUnit:
         if slot.program is None:
             slot.program = synthesize(slot.description, tol=self.tol)
         slot.copies.extend([slot.program] * copies)
-        self.audit_log.append(AuditRecord("restore", address, copies, len(slot.copies)))
+        slot.balance += copies
         return len(slot.copies)
 
     def copy_count(self, address) -> int:
         return len(self._slot(address).copies)
 
     def verify_conservation(self) -> bool:
-        """Audit-log balance: stores + restores − fetches per slot."""
-        balance: dict[int, int] = {}
-        for rec in self.audit_log:
-            delta = rec.count if rec.op in ("store", "restore") else -rec.count
-            balance[rec.address] = balance.get(rec.address, 0) + delta
-        for address, slot in self.slots.items():
-            if balance.get(address, 0) != len(slot.copies):
-                return False
-        return all(addr in self.slots for addr in balance)
+        """Every slot holds as many copies as its balance of stores and
+        restores less fetches."""
+        return all(slot.balance == len(slot.copies) for slot in self.slots.values())

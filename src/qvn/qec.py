@@ -1,5 +1,11 @@
 """Quantum error correction toolkit: correctability and detection checks,
 recovery construction, logical ebits, and toy-scale logical composition.
+
+A code document, in the line grammar of `qvn.text`, is a QVN1 header with
+`k=` (and optionally `distance=`) and one `isometry` line:
+
+    QVN1 name=<text> n=<int> k=<int> distance=<int>
+    isometry rows=<2^n> cols=<2^k> data=<re,im;re,im;...>
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .kernel import DEFAULT_TOL, KrausChannel, PureState, RngStream, kron_all
-from .memory import format_complex_data, parse_complex_data, _tokenize
+from .text import format_complex_data, lines
 from .uqt import BellBasis, ByproductStrategy, teleport
 
 
@@ -307,47 +313,21 @@ def serialize_code(code: Code) -> str:
 
 
 def parse_code(text: str) -> Code:
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    header = None
-    iso = None
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        tokens = _tokenize(line, line_no)
+    header = iso_line = None
+    for line in lines(text):
         if header is None:
-            if not tokens or tokens[0][1] != "QVN1":
-                raise ParseError("code document must start with a QVN1 header", line_no, 1)
-            fields = {k: (v, c) for k, v, c in tokens[1:]}
-            for key in ("name", "n", "k"):
-                if key not in fields:
-                    raise ParseError(f"code header needs {key}=", line_no, 1)
-            try:
-                header = (
-                    fields["name"][0],
-                    int(fields["n"][0]),
-                    int(fields["k"][0]),
-                    int(fields.get("distance", ("1", 1))[0]),
-                )
-            except ValueError:
-                raise ParseError("bad integer in code header", line_no, 1) from None
-            continue
-        if tokens[0][1] != "isometry" or tokens[0][0] is not None:
-            raise ParseError(f"unexpected line {line.strip()!r}", line_no, 1)
-        fields = {k: (v, c) for k, v, c in tokens[1:]}
-        for key in ("rows", "cols", "data"):
-            if key not in fields:
-                raise ParseError(f"isometry block needs {key}=", line_no, 1)
-        try:
-            rows, cols = int(fields["rows"][0]), int(fields["cols"][0])
-        except ValueError:
-            raise ParseError("bad isometry shape", line_no, 1) from None
-        iso = parse_complex_data(fields["data"][0], rows, cols, line_no, fields["data"][1])
+            if line.verb != "QVN1":
+                raise line.error("code document must start with a QVN1 header")
+            header = (line.str("name"), line.int("n"), line.int("k"), line.int("distance", 1))
+        elif line.verb == "isometry":
+            iso_line = line
+            iso = line.matrix(line.int("rows", low=1), line.int("cols", low=1))
+        else:
+            raise line.error("expected an isometry line")
     if header is None:
         raise ParseError("empty code document", 1, 1)
-    if iso is None:
+    if iso_line is None:
         raise ParseError("code document lacks an isometry block", 1, 1)
     name, n, k, distance = header
-    try:
+    with iso_line.located():
         return Code(n, k, iso, distance=distance, name=name)
-    except ValidationError as exc:
-        raise ParseError(str(exc), 1, 1) from exc

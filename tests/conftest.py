@@ -1,7 +1,25 @@
+import tempfile
+
 import numpy as np
 import pytest
 
 from qvn.kernel import RngStream
+
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # hypothesis is a test extra; tests/test_properties.py skips without it
+    pass
+else:
+    # deterministic, no example database, few examples per property
+    settings.register_profile(
+        "qvn", derandomize=True, database=None, deadline=None, max_examples=100
+    )
+    settings.load_profile("qvn")
+    # Hypothesis also caches the constants it finds in source files; keep
+    # that cache in a temporary directory removed at exit, out of the tree.
+    _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="qvn-hypothesis-")
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

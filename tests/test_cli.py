@@ -273,3 +273,89 @@ class TestTopoEval:
         assert err.count("\n") == 1
         assert err.startswith("error[E_VALIDATION]")
         assert "53 einsum labels" in err and "52" in err
+
+
+class TestLocatedFaults:
+    """Malformed input ends in one `error[E_PARSE]` line at the line and
+    column of the fault, never in a traceback."""
+
+    COMMANDS = {
+        "qvn": lambda p: ["compose", p, p],
+        "topo": lambda p: ["topo-eval", p],
+        "code": lambda p: ["qec-check", p, "--errors", "I"],
+        "run": lambda p: ["run", p],
+    }
+
+    @pytest.mark.parametrize(
+        "kind, text, line, col",
+        [
+            # rows= and cols= must be >= 1
+            pytest.param(
+                "qvn", "QVN1 name=C n=1\nt=0 g=custom q=0 rows=-1 data=1,0\n",
+                2, 18, id="qvn1-rows",
+            ),
+            pytest.param(
+                "topo", "vertex g=custom rows=-1 data=1,0\nsegment a=0.h0 b=0.t0\n",
+                1, 17, id="topo-rows",
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=0\nisometry rows=-1 cols=1 data=1,0\n",
+                2, 10, id="code-rows",
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=0\nisometry rows=2 cols=0 data=1,0\n",
+                2, 17, id="code-cols",
+            ),
+            pytest.param(
+                "run", "schedule\nreadout target=0 obs=custom rows=-1 data=1,0\nendschedule\n",
+                2, 29, id="schedule-rows",
+            ),
+            # a bare token after the first
+            pytest.param("run", "run shots=5 seed=1 garbage\n", 1, 20, id="run-stray"),
+            pytest.param("qvn", "QVN1 name=C n=1 junk\n", 1, 17, id="qvn1-header-stray"),
+            pytest.param(
+                "topo", "vertex g=T legs=1 extra\nsegment a=0.h0 b=0.t0\n",
+                1, 19, id="vertex-stray",
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=0 junk\nisometry rows=2 cols=1 data=1,0;0,0\n",
+                1, 21, id="code-header-stray",
+            ),
+            # a key given twice
+            pytest.param(
+                "run", "schedule\nrestore addr=0 copies=1 copies=2\nendschedule\n",
+                2, 25, id="duplicate-key",
+            ),
+            # QVN1 gates are checked at their own line
+            pytest.param(
+                "qvn", "QVN1 name=C n=2\n\nt=0 g=H q=0\nt=1 g=CX q=0,2\n",
+                4, 1, id="qvn1-target-range",
+            ),
+            pytest.param(
+                "qvn", "QVN1 name=C n=2\nt=1 g=H q=0\nt=0 g=H q=1\n",
+                3, 1, id="qvn1-time-order",
+            ),
+            # a slot's QVN1 document keeps the run file's line numbers
+            pytest.param(
+                "run", "run shots=5\nslot addr=0\nQVN1 name=H n=1\nt=0 g=Q q=0\nendslot\n",
+                4, 5, id="run-slot-tag",
+            ),
+            # a stored program is at most MAX_QUBITS wide
+            pytest.param("qvn", "QVN1 name=W n=40\n", 1, 13, id="qvn1-width-limit"),
+            # bytes that are not UTF-8
+            pytest.param("qvn", b"QVN1 name=H n=1\nt=0 g=H q=0 \xff\xfe\n", 2, 13, id="not-utf8"),
+        ],
+    )
+    def test_one_located_error(self, tmp_path, capsys, kind, text, line, col):
+        path = tmp_path / f"bad.{kind}"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, out, err = run_cli(self.COMMANDS[kind](str(path)), capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_PARSE]")
+        assert f"(line {line}, col {col})" in err
+        assert "Traceback" not in err

@@ -172,13 +172,6 @@ class TestMemoryUnit:
         b = mem.store(desc_h(), 1)
         assert a != b
 
-    def test_audit_log_grows(self):
-        mem = MemoryUnit()
-        mem.store(desc_h(), 2)
-        assert len(mem.audit_log) == 1
-        mem.store(desc_th(), 1)
-        assert len(mem.audit_log) == 2
-
     def test_out_of_copies(self):
         mem = MemoryUnit()
         addr = mem.store(desc_h(), 1)
@@ -227,6 +220,20 @@ class TestMemoryUnit:
         assert mem.copy_count(a) == 4
         assert mem.copy_count(b) == 0
 
+    @pytest.mark.parametrize("tamper", ["append", "pop"])
+    def test_conservation_detects_direct_copy_edits(self, tamper):
+        mem = MemoryUnit()
+        a = mem.store(desc_h(), 2)
+        mem.store_copies([synthesize(desc_th())], description=desc_th())
+        mem.fetch_consume(a)
+        assert mem.verify_conservation()
+        copies = mem.slots[a].copies
+        if tamper == "append":
+            copies.append(copies[0])
+        else:
+            copies.pop()
+        assert not mem.verify_conservation()
+
     def test_restore_synthesizes_once_per_slot(self, monkeypatch):
         real = memory.synthesize
         calls = []
@@ -249,7 +256,7 @@ class TestMemoryUnit:
             mem.restore(c, 1)
         assert calls == ["H", "TH", "H"]
         assert (mem.copy_count(a), mem.copy_count(b), mem.copy_count(c)) == (5, 1, 1)
-        assert len(mem.audit_log) == 3 + 3 * 6
+        assert [mem.slots[x].balance for x in (a, b, c)] == [5, 1, 1]
         assert mem.verify_conservation()
         mem.fetch_consume(b)
         with pytest.raises(OutOfCopiesError):

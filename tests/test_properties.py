@@ -1,0 +1,194 @@
+"""Property tests of the five text formats: serialize/parse round trips are
+byte exact, and any line-shaped text given to a parser either parses or
+raises a QvnError."""
+
+import string
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qvn import cli, control, gates, memory, qec
+from qvn.control import Compose, Inject, Readout, Restore, SampleTail, Schedule
+from qvn.errors import QvnError
+from qvn.kernel import Observable, RngStream, haar_random_unitary
+from qvn.memory import GATE_ARITY, GateRecord, ProgramDescription
+from qvn.uqt import ByproductStrategy
+
+NAMES = st.text(string.ascii_letters + string.digits + "_-;.#=", min_size=1, max_size=8)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def haar(dim, seed):
+    return haar_random_unitary(dim, RngStream(seed)).matrix
+
+
+@st.composite
+def descriptions(draw):
+    n = draw(st.integers(1, 3))
+    time = draw(st.integers(-2, 2))
+    gate_list = []
+    for _ in range(draw(st.integers(0, 4))):
+        time += draw(st.integers(0, 2))
+        tag = draw(st.sampled_from(sorted(t for t, a in GATE_ARITY.items() if a <= n) + ["custom"]))
+        arity = GATE_ARITY[tag] if tag != "custom" else draw(st.integers(1, n))
+        targets = tuple(draw(st.permutations(range(n)))[:arity])
+        matrix = haar(2**arity, draw(SEEDS)) if tag == "custom" else None
+        gate_list.append(GateRecord(time, tag, targets, matrix))
+    return ProgramDescription(draw(NAMES), n, tuple(gate_list))
+
+
+@st.composite
+def schedules(draw):
+    addrs = st.integers(0, 9)
+    instructions = []
+    dests = set()
+    readout = False
+    for _ in range(draw(st.integers(0, 6))):
+        verb = draw(st.sampled_from(["compose", "inject", "readout", "restore", "sampletail"]))
+        if verb == "compose":
+            dest = draw(addrs.filter(lambda a: a not in dests))
+            dests.add(dest)
+            strategy = draw(st.sampled_from(list(ByproductStrategy)))
+            instructions.append(Compose(draw(addrs), draw(addrs), strategy, dest))
+        elif verb == "inject":
+            instructions.append(Inject(draw(addrs), draw(st.text("01", max_size=3))))
+        elif verb == "readout" and not readout:
+            readout = True
+            label = draw(st.sampled_from(["Z", "XY", "IZ", "custom"]))
+            if label == "custom":
+                a = haar(2, draw(SEEDS))
+                obs = Observable((a + a.conj().T) / 2)
+            else:
+                obs = Observable(gates.pauli_string_matrix(label))
+            instructions.append(Readout(draw(addrs), obs, label))
+        elif verb == "restore":
+            instructions.append(Restore(draw(addrs), draw(st.integers(1, 5))))
+        elif verb == "sampletail":
+            instructions.append(SampleTail(draw(addrs), draw(st.integers(0, 3))))
+    return Schedule(tuple(instructions))
+
+
+@st.composite
+def codes(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n))
+    isometry = haar(2**n, draw(SEEDS))[:, : 2**k]
+    return qec.Code(n, k, isometry, distance=draw(st.integers(1, 3)), name=draw(NAMES))
+
+
+@given(descriptions())
+def test_qvn1_round_trip_byte_exact(desc):
+    text = memory.serialize(desc)
+    back = memory.deserialize(text)
+    assert back == desc
+    assert memory.serialize(back) == text
+
+
+@given(schedules())
+def test_schedule_round_trip_byte_exact(sched):
+    text = control.serialize_schedule(sched)
+    assert control.serialize_schedule(control.parse_schedule(text)) == text
+
+
+@given(codes())
+def test_code_round_trip_byte_exact(code):
+    text = qec.serialize_code(code)
+    assert qec.serialize_code(qec.parse_code(text)) == text
+
+
+# Line-shaped fuzzing. A document is built from each format's line
+# templates (verb, keys); a key takes a small, negative or non-numeric
+# value, or is left out, and a line may end in a stray token, a comment or
+# a repeated key. Run files nest QVN1 and schedule documents in blocks.
+INTEGERS = ["-1", "0", "1", "2", "x"]
+VALUES = {
+    "n": ["1", "-1", "0", "2", "40", "x"],
+    "name": ["a", ""],
+    "g": ["custom", "H", "CX", "Q"],
+    "q": ["0", "0,1", "x"],
+    "data": ["1,0", "1,0;0,0;0,0;1,0", "x,0"],
+    "obs": ["custom", "Z", "W"],
+    "strategy": ["correction_table", "magic"],
+    "bits": ["1", "2"],
+    "kind": ["program"],
+    "a": ["0", "0.h0", "0.t0", "x"],
+    "b": ["0", "0.h0", "0.t0", "x"],
+}
+GATE = ("", ["t", "g", "q", "rows", "data"])
+HEADERS = {
+    "qvn1": ("QVN1", ["name", "n"]),
+    "code": ("QVN1", ["name", "n", "k", "distance"]),
+    "diagram": ("QVN1", ["name"]),
+    "run": ("run", ["shots", "seed"]),
+}
+BODIES = {
+    "qvn1": [GATE],
+    "code": [("isometry", ["rows", "cols", "data"])],
+    "diagram": [("vertex", ["g", "legs", "rows", "data"]), ("segment", ["a", "b"])],
+    "schedule": [
+        ("compose", ["a", "b", "strategy", "dest"]),
+        ("inject", ["target", "bits"]),
+        ("readout", ["target", "obs", "rows", "data"]),
+        ("restore", ["addr", "copies"]),
+        ("sampletail", ["target", "tail"]),
+    ],
+}
+PARSERS = {
+    "qvn1": memory.deserialize,
+    "schedule": control.parse_schedule,
+    "run": cli.parse_run_file,
+    "diagram": cli.parse_diagram,
+    "code": qec.parse_code,
+}
+
+
+def line_of(template):
+    verb, keys = template
+    fields = [
+        st.sampled_from(VALUES.get(k, INTEGERS) + [None]).map(
+            lambda v, k=k: "" if v is None else f"{k}={v}"
+        )
+        for k in keys
+    ]
+    tails = ["", "", "", " junk", " # note", f" {keys[0] if keys else 'x'}=0"]
+    return st.builds(
+        lambda fs, tail: " ".join(t for t in (verb, *fs) if t) + tail,
+        st.tuples(*fields),
+        st.sampled_from(tails),
+    )
+
+
+def lines_of(fmt):
+    """Strategy for the list of lines of one `fmt` document."""
+    head = line_of(HEADERS[fmt]).map(lambda x: [x]) if fmt in HEADERS else st.just([])
+    if fmt == "run":
+        block = st.one_of(
+            st.tuples(line_of(("slot", ["addr", "copies", "kind"])), lines_of("qvn1")).map(
+                lambda b: [b[0], *b[1], "endslot"]
+            ),
+            lines_of("schedule").map(lambda b: ["schedule", *b, "endschedule"]),
+        )
+    else:
+        block = st.one_of([line_of(t) for t in BODIES[fmt]]).map(lambda x: [x])
+    body = st.lists(block, max_size=3).map(lambda bs: [x for b in bs for x in b])
+    return st.builds(lambda h, b: h + b, head, body)
+
+
+DOCUMENTS = {
+    fmt: st.builds(lambda eol, lines: eol.join(lines), st.sampled_from(["\n", "\r\n", "\r"]),
+                   lines_of(fmt))
+    for fmt in PARSERS
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PARSERS))
+@given(data=st.data())
+def test_parser_raises_only_qvn_errors(fmt, data):
+    text = data.draw(DOCUMENTS[fmt])
+    try:
+        PARSERS[fmt](text)
+    except QvnError:
+        pass
