@@ -22,6 +22,7 @@ schedule lines:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -276,25 +277,31 @@ def parse_diagram(text) -> tailed.TopoDiagram:
             with line.located():
                 vertices.append(tailed.TopoVertex(UnitaryOp(gate).matrix, legs, site_dim))
         elif line.verb == "segment":
-            segments.append((_endpoint(line, "a"), _endpoint(line, "b")))
+            segments.append((line, _endpoint(line, "a"), _endpoint(line, "b")))
         else:
             raise line.error("expected a vertex or segment line")
-    try:
-        return tailed.TopoDiagram(tuple(vertices), tuple(segments), site_dim)
-    except ValidationError as exc:
-        raise ParseError(f"bad diagram: {exc}", 1, 1) from exc
+    # a segment may name a vertex given further down, so endpoints are
+    # checked once every vertex is read, each at its own line and key
+    unwired = tailed.TopoDiagram(tuple(vertices), (), site_dim)
+    seen = set()
+    for line, a, b in segments:
+        for key, ep in (("a", a), ("b", b)):
+            with line.located(key):
+                unwired.check_endpoint(ep, seen)
+    return tailed.TopoDiagram(tuple(vertices), tuple((a, b) for _, a, b in segments), site_dim)
 
 
 def cmd_topo_eval(args):
     diagram = parse_diagram(_read_file(args.diagram))
     value = tailed.eval_topological(diagram)
+    closed = diagram.closed
     canonical = {
         "command": "topo-eval",
         "vertices": len(diagram.vertices),
         "segments": len(diagram.segments),
-        "closed": diagram.closed,
+        "closed": closed,
     }
-    if diagram.closed:
+    if closed:
         canonical["amplitude"] = {
             "re": f"{value.real:.15e}",
             "im": f"{value.imag:.15e}",
@@ -310,7 +317,10 @@ def cmd_topo_eval(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The `qvn` argument parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="qvn", description="Stored-program quantum architecture simulator."
     )

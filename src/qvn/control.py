@@ -123,6 +123,13 @@ class _ShotState:
             self.states[address] = tailed.program_state(prog)
         return self.states[address]
 
+    def width(self, address) -> int:
+        """Qubit count n of the program `load` gives, read without
+        consuming a copy."""
+        if address in self.states:
+            return len(self.states[address].subsystem_dims) // 2
+        return self.mem.peek(address).d.bit_length() - 1
+
 
 def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
     if isinstance(ins, Compose):
@@ -158,9 +165,13 @@ def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
         mem.restore(ins.addr, ins.copies)
         return
     if isinstance(ins, SampleTail):
-        state = shot.load(ins.target)
-        n = len(state.subsystem_dims) // 2
-        bit, post = tailed.sample_tail_z(state, n + ins.tail, shot.rng)
+        n = shot.width(ins.target)
+        if not 0 <= ins.tail < n:
+            raise ValidationError(
+                f"sampletail tail={ins.tail} is out of range: the program at address "
+                f"{ins.target} has {n} tails (0..{n - 1})"
+            )
+        bit, post = tailed.sample_tail_z(shot.load(ins.target), n + ins.tail, shot.rng)
         shot.states[ins.target] = post
         shot.bells.append(bit)
         return

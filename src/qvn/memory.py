@@ -262,12 +262,19 @@ class MemoryUnit:
             raise SlotNotFoundError(f"no slot at address {address}")
         return self.slots[address]
 
-    def fetch_consume(self, address) -> StoredProgram:
-        """Remove and return one copy; empty slots signal a restore is due."""
+    def peek(self, address) -> StoredProgram:
+        """The copy `fetch_consume` returns next, left in place; empty
+        slots signal a restore is due."""
         slot = self._slot(address)
         if not slot.copies:
             raise OutOfCopiesError(address)
-        program = slot.copies.pop()
+        return slot.copies[-1]
+
+    def fetch_consume(self, address) -> StoredProgram:
+        """Remove and return one copy; empty slots signal a restore is due."""
+        program = self.peek(address)
+        slot = self.slots[address]
+        slot.copies.pop()
         slot.balance -= 1
         return program
 

@@ -10,6 +10,7 @@ and tail groups, so a program state is literally (U ⊗ I)|ω⟩.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -434,15 +435,19 @@ class TopoDiagram:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "segments", tuple(self.segments))
+        for v, vert in enumerate(self.vertices):
+            if vert.site_dim != self.site_dim:
+                raise DimensionMismatchError(
+                    f"vertex {v} has legs of dim {vert.site_dim}, the diagram {self.site_dim}"
+                )
         seen = set()
-        for a, b in self.segments:
-            for ep in (a, b):
-                self._check_endpoint(ep)
-                if ep in seen:
-                    raise ValidationError(f"endpoint {ep} used by two segments")
-                seen.add(ep)
+        for segment in self.segments:
+            for ep in segment:
+                self.check_endpoint(ep, seen)
 
-    def _check_endpoint(self, ep):
+    def check_endpoint(self, ep, seen):
+        """Raise unless `ep` names a leg of a vertex and is not in `seen`,
+        the endpoints of earlier segments; then add it to `seen`."""
         if len(ep) != 3 or ep[1] not in ("h", "t"):
             raise ValidationError(f"malformed endpoint {ep!r}")
         v, kind, leg = ep
@@ -450,6 +455,9 @@ class TopoDiagram:
             raise ValidationError(f"endpoint {ep!r} names a missing vertex")
         if not 0 <= leg < self.vertices[v].legs:
             raise ValidationError(f"endpoint {ep!r} names a missing leg")
+        if ep in seen:
+            raise ValidationError(f"endpoint {ep!r} used by two segments")
+        seen.add(ep)
 
     def endpoints(self):
         out = []
@@ -468,14 +476,109 @@ class TopoDiagram:
         return not self.open_endpoints()
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+MAX_INTERMEDIATE_ENTRIES = 2**26
+
+
+def _self_loops(labels):
+    """Axis pairs (p, q) that share a label, in the order np.trace removes
+    them, and the labels left after."""
+    labels = list(labels)
+    loops = []
+    for label in list(labels):
+        if labels.count(label) == 2:
+            p = labels.index(label)
+            q = labels.index(label, p + 1)
+            loops.append((p, q))
+            del labels[q], labels[p]
+    return loops, tuple(labels)
+
+
+def _check_size(labels, d):
+    size = d ** len(labels)
+    if size > MAX_INTERMEDIATE_ENTRIES:
+        raise ValidationError(
+            f"diagram contraction needs a tensor of {size} entries; the limit is "
+            f"MAX_INTERMEDIATE_ENTRIES = {MAX_INTERMEDIATE_ENTRIES}"
+        )
+
+
+def _contraction_plan(terms, d):
+    """Pairwise contraction order for tensors with integer axis labels, on
+    labels alone.
+
+    `terms` lists each tensor's labels, every axis of dimension d; a label
+    names at most two axes in all. Self-loops are traced out first. Then
+    each step greedily joins the two live tensors that share a label and
+    give the smallest result, contracting all their shared labels at once;
+    only when no live tensors share a label does it take the outer product
+    of the two smallest. Results get fresh ids len(terms), len(terms)+1, ...
+    Candidate pairs wait in a heap, so planning E labels takes O(E log E).
+
+    Returns (loops, steps, labels): loops[t] are the self-loop axis pairs of
+    tensor t, a step is (a, b, axes_a, axes_b) over tensor ids, and labels
+    are the final tensor's. Every tensor is checked against
+    MAX_INTERMEDIATE_ENTRIES before any is made.
+    """
+    loops, live = [], {}
+    for t, labels in enumerate(terms):
+        pairs, live[t] = _self_loops(labels)
+        loops.append(pairs)
+        _check_size(live[t], d)
+    owners = {}  # label -> ids of the live tensors that carry it
+    for t, labels in live.items():
+        for label in labels:
+            owners.setdefault(label, []).append(t)
+    steps = []
+
+    def join(a, b):
+        la, lb = live.pop(a), live.pop(b)
+        shared = [x for x in la if x in lb]
+        labels = tuple(x for x in la if x not in shared) + tuple(x for x in lb if x not in shared)
+        _check_size(labels, d)
+        new = len(terms) + len(steps)
+        steps.append((a, b, [la.index(x) for x in shared], [lb.index(x) for x in shared]))
+        live[new] = labels
+        for x in shared:
+            del owners[x]
+        for x in labels:
+            owners[x] = [new if t in (a, b) else t for t in owners[x]]
+        return new
+
+    def candidate(a, b):  # result label count first, then the ids
+        return len(set(live[a]) ^ set(live[b])), a, b
+
+    # A pair's score depends only on its two tensors, which never change
+    # while both are live, so a heap whose stale entries are skipped on pop
+    # gives the greedy order.
+    heap = [candidate(*ids) for ids in owners.values() if len(ids) == 2]
+    heapq.heapify(heap)
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a in live and b in live:
+            new = join(a, b)
+            for x in live[new]:
+                if len(owners[x]) == 2:
+                    heapq.heappush(heap, candidate(min(owners[x]), new))
+    # no two live tensors share a label, and outer products keep it so
+    sizes = [(len(labels), t) for t, labels in live.items()]
+    heapq.heapify(sizes)
+    while len(sizes) > 1:
+        (_, a), (_, b) = heapq.heappop(sizes), heapq.heappop(sizes)
+        new = join(min(a, b), max(a, b))
+        heapq.heappush(sizes, (len(live[new]), new))
+    (labels,) = live.values()
+    return loops, steps, labels
 
 
 def eval_topological(diagram: TopoDiagram):
     """Exact value of a diagram as an overlap of dual states with ebits.
 
     Closed diagrams return a complex amplitude (a single circle with gate
-    U gives tr(U)/d); open diagrams return the normalized prepared state.
+    U gives tr(U)/d); open diagrams return the normalized prepared state,
+    its wires in `open_endpoints()` order. The vertex tensors are
+    contracted pairwise in the order of `_contraction_plan`; a diagram whose
+    plan needs a tensor of more than MAX_INTERMEDIATE_ENTRIES entries is a
+    ValidationError raised before any contraction.
     """
     if not diagram.vertices:
         raise ValidationError("empty diagram")
@@ -483,22 +586,26 @@ def eval_topological(diagram: TopoDiagram):
     open_eps = diagram.open_endpoints()
     # one label per segment (shared by its two endpoints) and per open endpoint
     groups = [*diagram.segments, *((ep,) for ep in open_eps)]
-    if len(groups) > len(_LETTERS):
-        raise ValidationError(
-            f"diagram needs {len(groups)} einsum labels; at most {len(_LETTERS)} are supported"
-        )
-    letters = {ep: label for label, group in zip(_LETTERS, groups) for ep in group}
+    label_of = {ep: label for label, group in enumerate(groups) for ep in group}
     terms = []
-    tensors = []
     for v, vert in enumerate(diagram.vertices):
         axes = [(v, "h", leg) for leg in range(vert.legs)]
         axes += [(v, "t", leg) for leg in range(vert.legs)]
-        terms.append("".join(letters[ep] for ep in axes))
-        tensors.append(vert.tensor())
-    out = "".join(letters[ep] for ep in open_eps)
-    spec = ",".join(terms) + "->" + out
-    value = np.einsum(spec, *tensors) * d ** (-len(diagram.segments) / 2.0)
-    if diagram.closed:
+        terms.append([label_of[ep] for ep in axes])
+    loops, steps, labels = _contraction_plan(terms, d)
+    tensors = []
+    for vert, pairs in zip(diagram.vertices, loops):
+        tensor = vert.tensor()
+        for p, q in pairs:
+            tensor = np.trace(tensor, axis1=p, axis2=q)
+        tensors.append(tensor)
+    for a, b, axes_a, axes_b in steps:
+        tensors.append(np.tensordot(tensors[a], tensors[b], axes=(axes_a, axes_b)))
+        tensors[a] = tensors[b] = None
+    out = [label_of[ep] for ep in open_eps]
+    value = np.transpose(tensors[-1], [labels.index(x) for x in out])
+    value = value * d ** (-len(diagram.segments) / 2.0)
+    if not open_eps:
         return complex(value)
     flat = np.asarray(value).reshape(-1)
     norm = np.linalg.norm(flat)

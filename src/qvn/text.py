@@ -71,12 +71,13 @@ class Line:
         return ParseError(message, self.no, self.fields[key][1] if key else 1)
 
     @contextmanager
-    def located(self):
-        """Report a ValidationError raised inside as a ParseError at this line."""
+    def located(self, key=None):
+        """Report a ValidationError raised inside as a ParseError at this
+        line, at the column of `key` (column 1 without one)."""
         try:
             yield
         except ValidationError as exc:
-            raise ParseError(str(exc), self.no, 1) from exc
+            raise self.error(str(exc), key) from exc
 
     def str(self, key, default=None):
         """Value of `key=`; a missing key gives `default`, or is an error

@@ -54,3 +54,24 @@ def matrix_units(d):
 def kraus_action(kraus_ops, mat):
     """Direct Kraus-sum action on an arbitrary matrix (the dense oracle)."""
     return sum(k @ mat @ k.conj().T for k in kraus_ops)
+
+
+EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def einsum_oracle(diagram):
+    """Unnormalized value of a diagram from one single-pass np.einsum, the
+    oracle for `tailed.eval_topological`: a scalar for a closed diagram, a
+    tensor with axes in `open_endpoints()` order for an open one. Its cost
+    doubles per segment, so keep to m <= 12 segments."""
+    assert len(diagram.segments) <= 12
+    open_eps = diagram.open_endpoints()
+    groups = [*diagram.segments, *((ep,) for ep in open_eps)]
+    letters = {ep: c for c, group in zip(EINSUM_LETTERS, groups) for ep in group}
+    terms = [
+        "".join(letters[(v, kind, leg)] for kind in "ht" for leg in range(vert.legs))
+        for v, vert in enumerate(diagram.vertices)
+    ]
+    spec = ",".join(terms) + "->" + "".join(letters[ep] for ep in open_eps)
+    tensors = [vert.tensor() for vert in diagram.vertices]
+    return np.einsum(spec, *tensors) * diagram.site_dim ** (-len(diagram.segments) / 2.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qvn import gates
 from qvn.cli import main
 
 H_DOC = "QVN1 name=H n=1\nt=0 g=H q=0\n"
@@ -261,18 +262,84 @@ class TestTopoEval:
         assert "(line 2," in err
         assert "Traceback" not in err
 
-    def test_label_limit_named(self, workdir, capsys):
+    def test_53_segment_ring_evaluates(self, workdir, capsys):
+        # past the 52 labels a single-pass einsum could name
         m = 53
         lines = ["QVN1 name=ring"] + ["vertex g=T"] * m
         lines += [f"segment a={v}.h0 b={(v + 1) % m}.t0" for v in range(m)]
         ring = workdir / "ring.topo"
         ring.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(["topo-eval", str(ring)], capsys)
+        assert code == 0 and err == ""
+        amp = canonical(out)["amplitude"]
+        value = complex(float(amp["re"]), float(amp["im"]))
+        expected = np.trace(np.linalg.matrix_power(gates.T, m)) / 2**m
+        assert abs(value - expected) <= 1e-10 * abs(expected)
+
+    def test_size_bound_named(self, workdir, capsys):
+        # 14 unconnected T vertices prepare a state of 2^28 amplitudes
+        diagram = workdir / "wide.topo"
+        diagram.write_text("QVN1 name=wide\n" + "vertex g=T\n" * 14)
+        code, out, err = run_cli(["topo-eval", str(diagram)], capsys)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error[E_VALIDATION]")
-        assert "53 einsum labels" in err and "52" in err
+        assert "MAX_INTERMEDIATE_ENTRIES = 67108864" in err and "268435456" in err
+
+    @pytest.mark.parametrize(
+        "segment, line, col, fault",
+        [
+            ("segment a=0.h0 b=1.h0", 5, 9, "used by two segments"),
+            ("segment a=1.h0 b=3.t0", 5, 16, "missing vertex"),
+            ("segment a=1.h2 b=1.t0", 5, 9, "missing leg"),
+        ],
+    )
+    def test_bad_segment_located(self, workdir, capsys, segment, line, col, fault):
+        bad = workdir / "bad.topo"
+        bad.write_text(
+            "QVN1 name=bad\nvertex g=T\nvertex g=H\nsegment a=0.h0 b=1.t0\n" + segment + "\n"
+        )
+        code, out, err = run_cli(["topo-eval", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_PARSE]")
+        assert fault in err
+        assert f"(line {line}, col {col})" in err
+        assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_consecutive_calls_independent(self, workdir, capsys):
+        run_out, topo_out = workdir / "run.json", workdir / "topo.json"
+        assert main(["run", str(workdir / "demo.run"), "--seed", "3", "--out", str(run_out)]) == 0
+        assert main(["topo-eval", str(workdir / "circle.topo"), "--out", str(topo_out)]) == 0
+        assert capsys.readouterr().out == ""
+        run_report = json.loads(run_out.read_text())["canonical"]
+        topo_report = json.loads(topo_out.read_text())["canonical"]
+        assert run_report["command"] == "run" and run_report["seed"] == 3
+        assert run_report["shots"] == 120
+        assert topo_report["command"] == "topo-eval" and topo_report["closed"] is True
+        # a third call without --out or --seed sees neither earlier value
+        code, out, _ = run_cli(["run", str(workdir / "demo.run")], capsys)
+        assert code == 0 and canonical(out)["seed"] == 11
+
+
+class TestSampleTailRange:
+    @pytest.mark.parametrize("tail", [5, -3])
+    def test_tail_outside_program_rejected(self, workdir, capsys, tail):
+        bad = workdir / "tail.run"
+        bad.write_text(
+            RUN_DOC.replace("readout target=2 obs=Z", f"sampletail target=2 tail={tail}")
+        )
+        code, out, err = run_cli(["run", str(bad)], capsys)
+        assert code != 0
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]")
+        assert f"tail={tail}" in err and "has 1 tails" in err
+        assert "Traceback" not in err
 
 
 class TestLocatedFaults:

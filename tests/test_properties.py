@@ -1,20 +1,24 @@
-"""Property tests of the five text formats: serialize/parse round trips are
-byte exact, and any line-shaped text given to a parser either parses or
-raises a QvnError."""
+"""Property tests: serialize/parse round trips of the five text formats are
+byte exact, any line-shaped text given to a parser either parses or raises
+a QvnError, and the pairwise diagram contraction agrees with the
+single-pass einsum."""
 
 import string
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import einsum_oracle
 from qvn import cli, control, gates, memory, qec
 from qvn.control import Compose, Inject, Readout, Restore, SampleTail, Schedule
 from qvn.errors import QvnError
 from qvn.kernel import Observable, RngStream, haar_random_unitary
 from qvn.memory import GATE_ARITY, GateRecord, ProgramDescription
+from qvn.tailed import TopoDiagram, TopoVertex, eval_topological
 from qvn.uqt import ByproductStrategy
 
 NAMES = st.text(string.ascii_letters + string.digits + "_-;.#=", min_size=1, max_size=8)
@@ -192,3 +196,30 @@ def test_parser_raises_only_qvn_errors(fmt, data):
         PARSERS[fmt](text)
     except QvnError:
         pass
+
+
+@st.composite
+def diagrams(draw):
+    """1-6 vertices of 1-2 legs with Haar gates; a random pairing of their
+    endpoints into segments (self-loops, multi-edges and disjoint
+    components among them) leaves the rest open. At most 16 einsum labels
+    keep the oracle fast."""
+    legs = draw(st.lists(st.integers(1, 2), min_size=1, max_size=6))
+    vertices = tuple(TopoVertex(haar(2**k, draw(SEEDS)), k) for k in legs)
+    endpoints = [(v, kind, leg) for v, k in enumerate(legs) for kind in "ht" for leg in range(k)]
+    order = draw(st.permutations(endpoints))
+    count = draw(st.integers(max(0, len(order) - 16), len(order) // 2))
+    segments = tuple((order[2 * i], order[2 * i + 1]) for i in range(count))
+    return TopoDiagram(vertices, segments)
+
+
+@given(diagrams())
+def test_pairwise_contraction_matches_einsum(diagram):
+    value, oracle = eval_topological(diagram), einsum_oracle(diagram)
+    if diagram.closed:
+        assert abs(value - oracle) <= 1e-10
+    else:
+        expected = oracle.reshape(-1) / np.linalg.norm(oracle)
+        overlap = np.vdot(expected, value.amplitudes)
+        phase = overlap / abs(overlap)
+        assert np.abs(value.amplitudes - phase * expected).max() <= 1e-10

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qvn import gates
+from conftest import einsum_oracle
+from qvn import gates, tailed
 from qvn.duality import bell_state, choi_of_unitary
 from qvn.errors import ValidationError
 from qvn.kernel import (
@@ -370,24 +371,43 @@ class TestTopological:
         expected = np.kron(u, np.eye(2)) @ bell_state(2)
         assert abs(abs(np.vdot(state.amplitudes, expected)) - 1.0) < 1e-12
 
-    def test_ring_labels_one_per_segment(self, monkeypatch):
-        # capture the spec instead of running the 2^27-step contraction
-        specs = []
-
-        def fake_einsum(spec, *operands):
-            specs.append(spec)
-            return np.complex128(1.0)
-
-        monkeypatch.setattr(np, "einsum", fake_einsum)
-        m = 27
-        vertices = tuple(TopoVertex(gates.T, 1) for _ in range(m))
+    @pytest.mark.parametrize("kind", ["T", "haar"])
+    def test_200_vertex_ring_matches_trace(self, rng, kind):
+        m = 200
+        gate_list = [
+            gates.T if kind == "T" else haar_random_unitary(2, rng).matrix for _ in range(m)
+        ]
+        vertices = tuple(TopoVertex(g, 1) for g in gate_list)
+        # vertex v's head feeds vertex v+1's tail: the value is tr(U_{m-1} ... U_0) / 2^m
         segments = tuple(((v, "h", 0), ((v + 1) % m, "t", 0)) for v in range(m))
-        eval_topological(TopoDiagram(vertices, segments))
-        inputs, output = specs[0].split("->")
-        labels = inputs.replace(",", "")
-        assert output == ""
-        assert len(set(labels)) == m
-        assert all(labels.count(c) == 2 for c in set(labels))
+        product = np.eye(2, dtype=complex)
+        for g in gate_list:
+            product = g @ product
+        expected = np.trace(product) / 2**m
+        value = eval_topological(TopoDiagram(vertices, segments))
+        assert abs(value - expected) <= 1e-10 * abs(expected)
+
+    def test_ring_matches_einsum_oracle(self, rng):
+        m = 12
+        vertices = tuple(TopoVertex(haar_random_unitary(2, rng).matrix, 1) for _ in range(m))
+        segments = tuple(((v, "h", 0), ((v + 1) % m, "t", 0)) for v in range(m))
+        diagram = TopoDiagram(vertices, segments)
+        assert abs(eval_topological(diagram) - einsum_oracle(diagram)) < 1e-14
+
+    def test_size_bound_checked_before_contraction(self, monkeypatch):
+        # 14 open 1-leg vertices prepare a state of 2^28 > 2^26 amplitudes
+        def no_contraction(*args, **kwargs):
+            raise AssertionError("contracted before the size check")
+
+        monkeypatch.setattr(np, "tensordot", no_contraction)
+        diagram = TopoDiagram(tuple(TopoVertex(gates.T, 1) for _ in range(14)), ())
+        with pytest.raises(ValidationError, match="MAX_INTERMEDIATE_ENTRIES = 67108864"):
+            eval_topological(diagram)
+        assert tailed.MAX_INTERMEDIATE_ENTRIES == 2**26
+
+    def test_vertex_dim_must_match_diagram(self):
+        with pytest.raises(ValidationError):
+            TopoDiagram((TopoVertex(np.eye(3), 1, site_dim=3),), (), site_dim=2)
 
     def test_malformed_endpoint_rejected(self):
         with pytest.raises(ValidationError):
