@@ -112,8 +112,6 @@ from .uqt import (
     bell_probabilities,
     byproduct_correction,
     compose,
-    composition_unitary,
-    identity_program,
     stored_program,
     symmetric_decompose,
     teleport,

@@ -42,6 +42,11 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INPUT = 2
 
+# Most repeats `compose` and `qec-check` loop over.
+MAX_REPEATS = 10_000
+# Most amplitudes of the open-diagram state `topo-eval` writes into its report.
+MAX_REPORT_AMPLITUDES = 2**16
+
 
 def _fail(code, message, exit_code):
     print(f"error[{code}] {message}", file=sys.stderr)
@@ -63,6 +68,14 @@ def _complex_entry(z):
 
 def _matrix_entry(m):
     return [[_complex_entry(z) for z in row] for row in np.asarray(m)]
+
+
+def _check_repeats(repeats):
+    """A ValidationError naming the limit unless 1 <= repeats <= MAX_REPEATS."""
+    if repeats < 1:
+        raise ValidationError(f"--repeats must be >= 1, got {repeats}")
+    if repeats > MAX_REPEATS:
+        raise ValidationError(f"--repeats {repeats} exceeds the limit MAX_REPEATS = {MAX_REPEATS}")
 
 
 def _read_file(path):
@@ -101,9 +114,11 @@ def parse_run_file(text):
             else:
                 instructions.append(control.parse_instruction(line))
         elif line.verb == "run":
-            shots, seed = line.int("shots", 1), line.int("seed", 0)
+            shots = line.int("shots", 1, low=1, high=control.MAX_SHOTS)
+            seed = line.int("seed", 0)
         elif line.verb == "slot":
-            slot = (line.int("addr"), line.int("copies", 1), line.str("kind", memory.PROGRAM))
+            copies = line.int("copies", 1, low=1, high=memory.MAX_COPIES)
+            slot = (line.int("addr"), copies, line.str("kind", memory.PROGRAM))
             doc = []
             mode, opened = "slot", line
         elif line.verb == "schedule":
@@ -158,8 +173,7 @@ def cmd_run(args):
 
 
 def cmd_compose(args):
-    if args.repeats < 1:
-        raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
+    _check_repeats(args.repeats)
     desc1 = memory.deserialize(_read_file(args.program1))
     desc2 = memory.deserialize(_read_file(args.program2))
     if desc1.n != desc2.n:
@@ -199,6 +213,7 @@ def cmd_compose(args):
 
 
 def cmd_qec_check(args):
+    _check_repeats(args.repeats)
     code = qec.parse_code(_read_file(args.code))
     tokens = [t for t in args.errors.split(",") if t]
     if not tokens:
@@ -293,8 +308,15 @@ def parse_diagram(text) -> tailed.TopoDiagram:
 
 def cmd_topo_eval(args):
     diagram = parse_diagram(_read_file(args.diagram))
+    open_endpoints = diagram.open_endpoints()
+    size = diagram.site_dim ** len(open_endpoints)
+    if size > MAX_REPORT_AMPLITUDES:
+        raise ValidationError(
+            f"the open diagram's state has {size} amplitudes; the report limit is "
+            f"MAX_REPORT_AMPLITUDES = {MAX_REPORT_AMPLITUDES}"
+        )
     value = tailed.eval_topological(diagram)
-    closed = diagram.closed
+    closed = not open_endpoints
     canonical = {
         "command": "topo-eval",
         "vertices": len(diagram.vertices),

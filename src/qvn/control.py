@@ -35,7 +35,7 @@ from .kernel import (
     UnitaryOp,
     partial_trace_matrix,
 )
-from .memory import MemoryUnit
+from .memory import MAX_COPIES, MemoryUnit
 from .text import Line, format_complex_data, lines
 from .tailed import InjectionSpec, ReadoutSpec, RunRecord
 from .uqt import ByproductStrategy
@@ -74,6 +74,11 @@ class SampleTail:
     tail: int
 
 
+# Most shots one schedule may run: `execute` loops over them and keeps one
+# record per shot.
+MAX_SHOTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class Schedule:
     instructions: tuple
@@ -82,8 +87,10 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        if self.shots < 1:
-            raise ValidationError("schedule needs shots >= 1")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValidationError(
+                f"schedule needs 1 <= shots <= MAX_SHOTS = {MAX_SHOTS}, got {self.shots}"
+            )
         dests = [i.dest for i in self.instructions if isinstance(i, Compose)]
         if len(dests) != len(set(dests)):
             raise ValidationError("compose destinations must be unique per schedule")
@@ -358,7 +365,7 @@ def parse_instruction(line: Line):
                 raise line.error(f"bad observable {label!r}", "obs") from None
         return Readout(line.int("target"), obs, label)
     if verb == "restore":
-        return Restore(line.int("addr"), line.int("copies"))
+        return Restore(line.int("addr"), line.int("copies", low=1, high=MAX_COPIES))
     if verb == "sampletail":
         return SampleTail(line.int("target"), line.int("tail"))
     if verb is None:

@@ -142,9 +142,24 @@ def choi_of_channel(ch: KrausChannel, tol=DEFAULT_TOL) -> ChoiState:
 
 
 def choi_of_unitary(u, tol=DEFAULT_TOL) -> ChoiState:
-    m = u.matrix if isinstance(u, UnitaryOp) else np.asarray(u, dtype=complex)
-    v = vec(m)
-    return ChoiState(np.outer(v, v.conj()), tol=tol, pure_amplitudes=v)
+    """Dual state vec(U)vec(U)† of a unitary.
+
+    For a validated `UnitaryOp` the result is a dual state by construction
+    (rank 1, trace ‖U‖²/d = 1, tail marginal UᵀŪ/d = I/d), so it is not
+    checked again; a raw matrix is validated as a `ChoiState`.
+    """
+    if not isinstance(u, UnitaryOp):
+        v = vec(np.asarray(u, dtype=complex))
+        return ChoiState(np.outer(v, v.conj()), tol=tol, pure_amplitudes=v)
+    v = vec(u.matrix)
+    matrix = np.outer(v, v.conj())
+    v.setflags(write=False)
+    matrix.setflags(write=False)
+    choi = object.__new__(ChoiState)
+    object.__setattr__(choi, "d", u.dim)
+    object.__setattr__(choi, "matrix", matrix)
+    object.__setattr__(choi, "pure_amplitudes", v)
+    return choi
 
 
 def apply_via_choi(choi: ChoiState, rho: DensityOperator) -> DensityOperator:

@@ -1,4 +1,4 @@
-"""Standard gate matrices, qudit Weyl operators, and embedding helpers."""
+"""Standard gate matrices and embedding helpers."""
 
 from __future__ import annotations
 
@@ -77,43 +77,6 @@ def nfold_toffoli(n):
     m[a, a] = m[b, b] = 0.0
     m[a, b] = m[b, a] = 1.0
     return m
-
-
-def weyl_ops(d):
-    """Generalized Pauli (Weyl) unitaries X^a Z^b, ordered k = a*d + b.
-
-    X|j> = |j+1 mod d>, Z|j> = ω^j |j> with ω = exp(2πi/d); the k = 0
-    element is the identity and tr(σ_k† σ_l) = d δ_kl.
-    """
-    omega = np.exp(2j * math.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    clock = np.diag(omega ** np.arange(d))
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return ops
-
-
-def pauli_product_ops(n):
-    """Tensor-product qubit basis from per-qubit Weyl factors {I, Z, X, XZ}.
-
-    Ordered so that index 0 is the identity; the natural basis for circuit
-    wires when the dimension is 2^n.
-    """
-    single = weyl_ops(2)
-    ops = []
-    for k in range(4**n):
-        digits = []
-        kk = k
-        for _ in range(n):
-            digits.append(kk % 4)
-            kk //= 4
-        digits.reverse()
-        ops.append(kron_all([single[dd] for dd in digits]))
-    return ops
 
 
 def embed_operator(op, targets, dims):

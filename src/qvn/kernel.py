@@ -186,6 +186,10 @@ class KrausChannel:
         return len(self.kraus_ops)
 
 
+# `Generator.choice` accepts p whose sum is within √eps of 1
+_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Seeded random stream; identical (seed, stream_id) replays outcomes.
@@ -209,12 +213,25 @@ class RngStream:
         return self._gen.random(size)
 
     def choice(self, probabilities):
-        """Sample an index from an explicit probability vector."""
+        """Sample an index from an explicit probability vector.
+
+        Draws exactly as `Generator.choice(p.size, p=p / total)`: the same
+        cdf, the same one double from the stream and the same checks, so
+        seeded results are unchanged, without its per-call overhead.
+        """
         p = np.asarray(probabilities, dtype=float)
         total = p.sum()
         if total <= 0:
             raise NumericalError("all probabilities vanish")
-        return int(self._gen.choice(p.size, p=p / total))
+        p = p / total
+        cdf = p.cumsum()
+        # the minimum is NaN, so fails the test, if any entry is not finite
+        if p.ndim != 1 or not p.min() >= 0.0 or abs(cdf[-1] - 1.0) > _CHOICE_ATOL:
+            raise NumericalError(
+                "probabilities must be a finite, non-negative vector that sums to 1"
+            )
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(self._gen.random(), side="right"))
 
     def choices(self, probabilities, size):
         p = np.asarray(probabilities, dtype=float)

@@ -34,9 +34,14 @@ GATE_ARITY = {"H": 1, "T": 1, "Tdg": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2, "CCX":
 
 PROGRAM = "program"
 
-# Widest stored program a QVN1 document may describe: synthesis and
-# composition build dense d²-sized objects, d = 2ⁿ.
-MAX_QUBITS = 6
+# Widest stored program a QVN1 document may describe. Synthesis and
+# composition keep d×d matrices, d = 2ⁿ, and the Bell measurement of a
+# composition never builds the d⁴-amplitude joint state.
+MAX_QUBITS = 8
+
+# Most live copies one slot may hold: a slot keeps one list entry per copy,
+# and `store` and `restore` extend that list.
+MAX_COPIES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,6 +201,13 @@ def description_of_lines(doc) -> ProgramDescription:
 # ---------------------------------------------------------------------------
 
 
+def _check_live_copies(slot_name, count):
+    if count > MAX_COPIES:
+        raise ValidationError(
+            f"{slot_name} would hold {count} live copies; the limit is MAX_COPIES = {MAX_COPIES}"
+        )
+
+
 @dataclass
 class MemorySlot:
     """One address: its description, its live copies, the program
@@ -237,6 +249,7 @@ class MemoryUnit:
         """Create a slot holding freshly synthesized copies; returns its address."""
         if copies < 1:
             raise ValidationError("store needs at least one copy")
+        _check_live_copies("a new slot" if address is None else f"slot {address}", copies)
         address = self._claim_address(address)
         program = synthesize(desc, tol=self.tol)
         self.slots[address] = MemorySlot(address, desc, [program] * copies, kind, program, copies)
@@ -288,6 +301,7 @@ class MemoryUnit:
             raise NotRestorableError(
                 f"slot {address} holds no classical description and cannot be restored"
             )
+        _check_live_copies(f"slot {address}", len(slot.copies) + copies)
         if slot.program is None:
             slot.program = synthesize(slot.description, tol=self.tol)
         slot.copies.extend([slot.program] * copies)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates
 from .duality import ChoiState, choi_of_unitary, unvec, vec
 from .errors import (
     ConfigurationError,
@@ -35,31 +34,26 @@ class ByproductStrategy(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class BellBasis:
-    """Complete orthogonal basis of generalized-Pauli ebit rotations.
+    """Generalized-Pauli Bell basis, held as index tables only.
 
-    Projector k is onto (σ_k ⊗ I)|ω⟩ with σ_0 = I; `vectors` holds the
-    normalized amplitude of each basis state.
+    Outcome k is the Bell state (σ_k ⊗ I)|ω⟩ with σ_k = X^a Z^b, where
+    X^a|j⟩ = |shift[a, j]⟩ and Z^b|j⟩ = chars[b, j]|j⟩, and σ_0 = I. For
+    d = 2ⁿ the shift is XOR on n-bit indices with characters (−1)^{b·j},
+    and k interleaves the per-qubit digits 2a_q + b_q, qubit 0 most
+    significant. Any other d uses the Weyl group: addition mod d, characters
+    ω^{bj} with ω = exp(2πi/d), and k = a·d + b. `order[k]` is the flat
+    index a·d + b of outcome k. No Pauli matrix is built: σ_k acts as a
+    row gather times a phase (the symplectic picture of the Pauli group).
     """
 
     d: int
-    paulis: tuple[np.ndarray, ...]
-    vectors: np.ndarray
+    shift: np.ndarray
+    chars: np.ndarray
+    order: np.ndarray
 
-    def __init__(self, paulis):
-        paulis = tuple(np.asarray(p, dtype=complex) for p in paulis)
-        d = paulis[0].shape[0]
-        if len(paulis) != d * d:
-            raise ValidationError(f"need d²={d*d} basis unitaries, got {len(paulis)}")
-        if np.abs(paulis[0] - np.eye(d)).max() > 1e-12:
-            raise ValidationError("basis element 0 must be the identity")
-        vectors = np.stack([p.reshape(-1) / math.sqrt(d) for p in paulis])
-        gram = vectors.conj() @ vectors.T
-        if np.abs(gram - np.eye(d * d)).max() > 1e-10:
-            raise ValidationError("basis states are not orthonormal")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "paulis", paulis)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+    def __post_init__(self):
+        for table in (self.shift, self.chars, self.order):
+            table.setflags(write=False)
 
     @classmethod
     def weyl(cls, d):
@@ -77,18 +71,43 @@ class BellBasis:
             return _qubit_basis(n)
         return _weyl_basis(d)
 
-    def projectors(self):
-        return [np.outer(v, v.conj()) for v in self.vectors]
+    def apply(self, k, x, adjoint=False):
+        """σ_k·x, or σ_k†·x with `adjoint`, for an array x of d rows."""
+        a, b = divmod(int(self.order[k]), self.d)
+        # σ_k|j⟩ = phases[j]·|rows[j]⟩
+        rows, phases = self.shift[a], self.chars[b].reshape((-1,) + (1,) * (x.ndim - 1))
+        if adjoint:
+            return phases.conj() * x[rows]
+        out = np.empty(x.shape, dtype=complex)
+        out[rows] = phases * x
+        return out
 
 
 @functools.lru_cache(maxsize=32)
 def _weyl_basis(d):
-    return BellBasis(gates.weyl_ops(d))
+    j = np.arange(d)
+    shift = (j[:, None] + j) % d
+    chars = np.exp(2j * math.pi * (np.outer(j, j) % d) / d)
+    return BellBasis(d, shift, chars, np.arange(d * d))
 
 
 @functools.lru_cache(maxsize=32)
 def _qubit_basis(n):
-    return BellBasis(gates.pauli_product_ops(n))
+    d = 2**n
+    j = np.arange(d)
+    shift = j[:, None] ^ j
+    parity = np.bitwise_count(j[:, None] & j).astype(int) & 1
+    chars = (1 - 2 * parity).astype(complex)
+    # base-4 digit q of k, counted from the least significant, belongs to
+    # qubit n-1-q, which is bit q of a and b
+    k = np.arange(d * d)
+    a = np.zeros_like(k)
+    b = np.zeros_like(k)
+    for q in range(n):
+        digit = (k >> (2 * q)) & 3
+        a |= (digit >> 1) << q
+        b |= (digit & 1) << q
+    return BellBasis(d, shift, chars, a * d + b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,16 +202,14 @@ def stored_program(
     )
 
 
-def identity_program(d, basis=None) -> StoredProgram:
-    return stored_program(np.eye(d, dtype=complex), basis=basis)
-
-
 def bell_probabilities(joint: PureState, wire_a, wire_b, basis: BellBasis):
     """Exact outcome distribution of a Bell measurement on a wire pair.
 
     Returns (probabilities, residual tensors): entry k of the residual list
     is the unnormalized amplitude array over the surviving wires after
-    projecting (wire_a, wire_b) onto basis state k.
+    projecting (wire_a, wire_b) onto basis state k. With the pair first,
+    residual k is Σ_j χ̄_b(j)·T[s_a(j), j]/√d: one gather along the shift
+    for every a, then one character transform over j.
     """
     dims = joint.subsystem_dims
     d = basis.d
@@ -202,9 +219,10 @@ def bell_probabilities(joint: PureState, wire_a, wire_b, basis: BellBasis):
         )
     if wire_a == wire_b:
         raise ValidationError("Bell measurement needs two distinct wires")
-    tensor = joint.tensor()
-    moved = np.moveaxis(tensor, (wire_a, wire_b), (0, 1)).reshape(d * d, -1)
-    residuals = basis.vectors.conj() @ moved
+    tensor = np.moveaxis(joint.tensor(), (wire_a, wire_b), (0, 1)).reshape(d, d, -1)
+    gathered = tensor[basis.shift, np.arange(d)]  # [a, j, rest] = T[s_a(j), j, rest]
+    residuals = (basis.chars.conj() @ gathered).reshape(d * d, -1)[basis.order]
+    residuals /= math.sqrt(d)
     probs = np.clip((np.abs(residuals) ** 2).sum(axis=1), 0.0, None)
     return probs, residuals
 
@@ -227,14 +245,29 @@ def bell_measure_pair(joint: PureState, wire_a, wire_b, basis: BellBasis, rng: R
     return k, float(probs[k]), post
 
 
-def outcome_is_trivial(k) -> bool:
-    """Binary coarse-graining of the Bell outcome: heralded branch or not."""
-    return k == 0
-
-
 def byproduct_correction(u2, basis: BellBasis, k) -> np.ndarray:
     """C_k = U2 σ_k U2†: removes Bell outcome k's byproduct from the head."""
-    return u2 @ basis.paulis[k] @ u2.conj().T
+    return u2 @ basis.apply(k, u2.conj().T)
+
+
+def fusion_probabilities(m1, m2, basis: BellBasis) -> np.ndarray:
+    """All d² outcome probabilities of the Bell measurement in `teleport`.
+
+    For dual states M1 = unvec(amp1)/√d and M2 = unvec(amp2)/√d,
+    p_k = tr(σ̄_k A σ_kᵀ B)/d with A = M2ᵀM̄2 and B = M̄1M1ᵀ. For
+    σ_k = X^a Z^b the trace is Σ_g χ_b(g)·F_a(g) over the group difference
+    g, where F_a(g) = Σ_j A[j, s_g(j)]·B[s_g(s_a(j)), s_a(j)] is a
+    correlation over j for each g. Both sums are character transforms, so
+    all d² probabilities take six d×d products: O(d³) time, O(d²) memory.
+    """
+    d = basis.d
+    chi = basis.chars
+    cols = np.arange(d)
+    x = (m2.T @ m2.conj())[cols, basis.shift]  # x[g, j] = A[j, s_g(j)]
+    y = (m1.conj() @ m1.T)[basis.shift, cols]  # y[g, j] = B[s_g(j), j]
+    corr = ((x @ chi.conj()) * (y @ chi)) @ chi.conj()  # d·F_a(g) at [g, a]
+    probs = (chi @ corr).real.T.reshape(-1)[basis.order] / (d * d)
+    return np.clip(probs, 0.0, None)
 
 
 # Repeat-until-success gives up after this many rounds per Bell outcome. For
@@ -249,15 +282,26 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
     `amp1` and `amp2` are (head, tail) amplitudes of dimension d² each and
     `u2` is the gate the second state carries. Returns (state, rounds), the
     state on the fused (head, tail) pair. Repeat-until-success redraws the
-    pair until the trivial outcome, at most 64·d² rounds; every other
-    strategy takes one round and applies C_k for the sampled outcome k.
+    pair until the trivial outcome, at most 64·d² rounds; every round sees
+    fresh copies of the same states, so all rounds draw from one
+    probability vector, computed once. Every other strategy takes one
+    round and applies C_k for the sampled outcome k. The joint state is
+    never built.
     """
     d = basis.d
-    joint = PureState(np.kron(amp1, amp2), (d, d, d, d))
+    m1 = np.asarray(amp1, dtype=complex).reshape(d, d)
+    m2 = np.asarray(amp2, dtype=complex).reshape(d, d)
+    probs = fusion_probabilities(m1, m2, basis)
+    norm = math.sqrt(probs.sum())
+    if abs(norm - 1.0) > DEFAULT_TOL:
+        raise ValidationError(f"joint state norm {norm} differs from 1 beyond {DEFAULT_TOL}")
     repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
     max_rounds = MAX_ROUNDS_PER_OUTCOME * d * d if repeat else 1
+    # a repeated round only asks whether the trivial outcome was heralded:
+    # draw from the coarse-grained pair (p_0, 1 - p_0), k = 0 on its first entry
+    draw_from = np.array([probs[0], probs.sum() - probs[0]]) if repeat else probs
     for rounds in range(1, max_rounds + 1):
-        k, _, post = bell_measure_pair(joint, 0, 3, basis, rng)
+        k = rng.choice(draw_from)
         if k == 0 or not repeat:
             break
     else:
@@ -265,10 +309,10 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
             f"no trivial Bell outcome in {max_rounds} rounds "
             f"(repeat-until-success bound {MAX_ROUNDS_PER_OUTCOME}·d² at d={d})"
         )
-    # surviving wires are (t1, h2); swap into (head, tail) order
-    mat = post.tensor().transpose(1, 0)
+    # the residual on (t1, h2) is M1ᵀσ̄_kM2ᵀ/√d; its transpose is in (head, tail) order
+    mat = m2 @ basis.apply(k, m1, adjoint=True) / math.sqrt(d * probs[k])
     if k != 0:
-        mat = byproduct_correction(u2, basis, k) @ mat
+        mat = u2 @ basis.apply(k, u2.conj().T @ mat)
     return PureState(mat.reshape(-1), (d, d)), rounds
 
 
@@ -314,55 +358,3 @@ def compose(
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     return _program_from_state(state, p2.basis, description, tol), shots
-
-
-def composition_unitary(p2_factors: SymmetricFactors, basis: BellBasis | None = None) -> UnitaryOp:
-    """Coherent composition operator U_UQT on (h1, t1, h2, t2, flag).
-
-    Rotates the (h1, t2) pair from the Bell basis into the computational
-    basis, marks nontrivial outcomes on a flag qubit, and applies the
-    outcome-controlled correction to the new head. Applied to
-    |ω_{U1}⟩|ω_{U2}⟩|0⟩ and discarding (h1, t2, flag), the remaining
-    (h2, t1) pair holds |ω_{U2·U1}⟩ deterministically.
-    """
-    u2 = p2_factors.s1.matrix @ p2_factors.s2.matrix
-    d = u2.shape[0]
-    if basis is None:
-        basis = BellBasis.for_dim(d)
-    if basis.d != d:
-        raise DimensionMismatchError(f"basis dim {basis.d} != factor dim {d}")
-    dims = (d, d, d, d, 2)
-    total = d**4 * 2
-    # W maps Bell state k on (h1, t2) to computational |k⟩
-    w_pair = basis.vectors.conj()  # rows: <ω_k|
-    w_full = gates.embed_operator(w_pair, [0, 3], dims)
-    flag = np.zeros((2 * d * d, 2 * d * d), dtype=complex)
-    corr = np.zeros((d**3, d**3), dtype=complex)  # on (h1... pair index ⊗ h2)
-    eye_flag = np.eye(2, dtype=complex)
-    x_flag = gates.X
-    for k in range(d * d):
-        ek = np.zeros((d * d, d * d), dtype=complex)
-        ek[k, k] = 1.0
-        flag += np.kron(ek, eye_flag if k == 0 else x_flag)
-        c_k = np.eye(d) if k == 0 else byproduct_correction(u2, basis, k)
-        corr += np.kron(ek, c_k)
-    # embed: flag touches the measured pair and the flag qubit, corrections
-    # touch the pair and the new head h2
-    flag_full = gates.embed_operator(flag, [0, 3, 4], dims)
-    corr_full = gates.embed_operator(corr, [0, 3, 2], dims)
-    mat = corr_full @ flag_full @ w_full
-    return UnitaryOp(mat, tol=1e-9)
-
-
-def apply_composition_unitary(u_uqt: UnitaryOp, p1: StoredProgram, p2: StoredProgram):
-    """Run the coherent composition; returns the reduced (h2, t1) state."""
-    d = p1.d
-    amp = np.kron(np.kron(p1.amplitudes, p2.amplitudes), np.array([1.0, 0.0]))
-    out = u_uqt.matrix @ amp
-    tensor = out.reshape(d, d, d, d, 2)
-    # reduced state on (h2, t1): contract out h1, t2, flag
-    moved = np.moveaxis(tensor, (2, 1), (0, 1)).reshape(d * d, -1)
-    rho = moved @ moved.conj().T
-    from .kernel import DensityOperator
-
-    return DensityOperator(rho, (d, d))

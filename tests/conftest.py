@@ -75,3 +75,81 @@ def einsum_oracle(diagram):
     spec = ",".join(terms) + "->" + "".join(letters[ep] for ep in open_eps)
     tensors = [vert.tensor() for vert in diagram.vertices]
     return np.einsum(spec, *tensors) * diagram.site_dim ** (-len(diagram.segments) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Dense Bell-basis oracles for `uqt`, at d <= 8
+# ---------------------------------------------------------------------------
+
+
+def weyl_ops(d):
+    """Dense generalized Pauli (Weyl) unitaries X^a Z^b, ordered k = a*d + b.
+
+    X|j> = |j+1 mod d>, Z|j> = ω^j |j> with ω = exp(2πi/d); the k = 0
+    element is the identity and tr(σ_k† σ_l) = d δ_kl.
+    """
+    omega = np.exp(2j * np.pi / d)
+    shift = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        shift[(j + 1) % d, j] = 1.0
+    clock = np.diag(omega ** np.arange(d))
+    return [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(d)
+        for b in range(d)
+    ]
+
+
+def pauli_product_ops(n):
+    """Dense tensor-product qubit basis from per-qubit factors {I, Z, X, XZ},
+    one base-4 digit per qubit, qubit 0 most significant."""
+    single = weyl_ops(2)
+    ops = []
+    for k in range(4**n):
+        digits = [(k >> (2 * (n - 1 - q))) & 3 for q in range(n)]
+        op = np.eye(1, dtype=complex)
+        for digit in digits:
+            op = np.kron(op, single[digit])
+        ops.append(op)
+    return ops
+
+
+def dense_paulis(d):
+    """The d² dense σ_k of `BellBasis.for_dim(d)`, in outcome order."""
+    assert d <= 8
+    n = d.bit_length() - 1
+    return pauli_product_ops(n) if 2**n == d else weyl_ops(d)
+
+
+def dense_bell_vectors(d):
+    """Rows are the normalized Bell states (σ_k ⊗ I)|ω> = vec(σ_k)/√d."""
+    return np.stack([p.reshape(-1) / np.sqrt(d) for p in dense_paulis(d)])
+
+
+def dense_bell_probabilities(tensor, wire_a, wire_b, d):
+    """Bell outcome probabilities and residuals of an amplitude tensor, by
+    the dense d²×d² basis matrix acting on the measured pair."""
+    moved = np.moveaxis(tensor, (wire_a, wire_b), (0, 1)).reshape(d * d, -1)
+    residuals = dense_bell_vectors(d).conj() @ moved
+    return (np.abs(residuals) ** 2).sum(axis=1), residuals
+
+
+def dense_teleport(amp1, amp2, u2, strategy, rng):
+    """`uqt.teleport` on the d⁴-amplitude joint state: one dense Bell
+    measurement of (h1, t2) per round, redrawn from the recomputed
+    distribution. Returns (state amplitudes, rounds, outcome k)."""
+    from qvn.uqt import MAX_ROUNDS_PER_OUTCOME, ByproductStrategy
+
+    u2 = np.asarray(u2)
+    d = u2.shape[0]
+    joint = np.kron(amp1, amp2).reshape(d, d, d, d)
+    repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
+    for rounds in range(1, MAX_ROUNDS_PER_OUTCOME * d * d + 1):
+        probs, residuals = dense_bell_probabilities(joint, 0, 3, d)
+        k = rng.choice(probs)
+        if k == 0 or not repeat:
+            break
+    mat = (residuals[k] / np.sqrt(probs[k])).reshape(d, d).T  # (t1, h2) -> (h2, t1)
+    if k != 0:
+        mat = u2 @ dense_paulis(d)[k] @ u2.conj().T @ mat
+    return mat.reshape(-1), rounds, k

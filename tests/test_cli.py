@@ -177,6 +177,84 @@ class TestCompose:
         assert 3.0 < mean < 5.2  # geometric with mean d² = 4
 
 
+def wide_program(name, n, shift):
+    """A QVN1 document on n qubits: H on every wire, a CX chain, T gates."""
+    lines = [f"QVN1 name={name} n={n}"]
+    lines += [f"t=0 g=H q={q}" for q in range(n)]
+    lines += [f"t={1 + q} g=CX q={q},{q + 1}" for q in range(n - 1)]
+    lines += [f"t={n} g=T q={q}" for q in range(shift % 2, n, 2)]
+    return "\n".join(lines) + "\n"
+
+
+class TestWideCompose:
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("strategy", ["correction_table", "symmetric_pair"])
+    def test_exact_at_width(self, tmp_path, capsys, n, strategy):
+        (tmp_path / "a.qvn").write_text(wide_program("A", n, 0))
+        (tmp_path / "b.qvn").write_text(wide_program("B", n, 1))
+        code, out, err = run_cli(
+            ["compose", str(tmp_path / "a.qvn"), str(tmp_path / "b.qvn"),
+             "--strategy", strategy, "--repeats", "2"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert canonical(out)["strategies"][strategy]["min_fidelity"] >= 1 - 1e-10
+
+    def test_width_past_limit_located(self, tmp_path, capsys):
+        (tmp_path / "w.qvn").write_text(wide_program("W", 9, 0))
+        code, out, err = run_cli(["compose", str(tmp_path / "w.qvn"), str(tmp_path / "w.qvn")], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_PARSE]")
+        assert "n=9 exceeds the limit 8 (line 1, col 13)" in err
+
+
+class TestCountBounds:
+    """Every integer that sizes a loop or a list has a named upper bound,
+    checked before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "change, fault",
+        [
+            (("run shots=120 seed=11", "run shots=1000001 seed=11"),
+             "shots=1000001 exceeds the limit 1000000 (line 1, col 5)"),
+            (("slot addr=0 copies=1", "slot addr=0 copies=1048577"),
+             "copies=1048577 exceeds the limit 1048576 (line 2, col 13)"),
+            (("restore addr=0 copies=1", "restore addr=0 copies=1048577"),
+             "copies=1048577 exceeds the limit 1048576 (line 11, col 16)"),
+            (("restore addr=0 copies=1", "restore addr=0 copies=0"),
+             "copies=0 is below 1 (line 11, col 16)"),
+        ],
+    )
+    def test_run_file_fields(self, tmp_path, capsys, change, fault):
+        bad = tmp_path / "bad.run"
+        bad.write_text(RUN_DOC.replace(*change, 1))
+        code, out, err = run_cli(["run", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_PARSE]") and fault in err
+
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            (["run", "demo.run", "--shots", "1000001"], "shots <= MAX_SHOTS = 1000000, got 1000001"),
+            (["run", "demo.run", "--shots", "0"], "shots <= MAX_SHOTS = 1000000, got 0"),
+            (["compose", "h.qvn", "t.qvn", "--repeats", "10001"],
+             "--repeats 10001 exceeds the limit MAX_REPEATS = 10000"),
+            (["qec-check", "bitflip.code", "--errors", "I", "--recovery", "--repeats", "10001"],
+             "--repeats 10001 exceeds the limit MAX_REPEATS = 10000"),
+            (["qec-check", "bitflip.code", "--errors", "I", "--repeats", "-1"],
+             "--repeats must be >= 1"),
+        ],
+    )
+    def test_flags(self, workdir, capsys, argv, fault):
+        argv = [str(workdir / a) if (workdir / a).exists() else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]") and fault in err
+
+
 class TestQecCheck:
     def test_repetition_code_x_errors(self, workdir, capsys):
         code, out, _ = run_cli(
@@ -277,15 +355,45 @@ class TestTopoEval:
         assert abs(value - expected) <= 1e-10 * abs(expected)
 
     def test_size_bound_named(self, workdir, capsys):
-        # 14 unconnected T vertices prepare a state of 2^28 amplitudes
-        diagram = workdir / "wide.topo"
-        diagram.write_text("QVN1 name=wide\n" + "vertex g=T\n" * 14)
+        # a closed diagram, so no report limit applies: 40 CCX vertices with
+        # their 240 endpoints paired at random; the contraction plan needs a
+        # tensor of 2^28 entries
+        gen = np.random.default_rng(7)
+        endpoints = [f"{v}.{kind}{leg}" for v in range(40) for kind in "ht" for leg in range(3)]
+        order = gen.permutation(len(endpoints))
+        lines = ["QVN1 name=dense"] + ["vertex g=CCX legs=3"] * 40
+        lines += [
+            f"segment a={endpoints[order[i]]} b={endpoints[order[i + 1]]}"
+            for i in range(0, len(order), 2)
+        ]
+        diagram = workdir / "dense.topo"
+        diagram.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(["topo-eval", str(diagram)], capsys)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error[E_VALIDATION]")
         assert "MAX_INTERMEDIATE_ENTRIES = 67108864" in err and "268435456" in err
+
+    def test_report_bound_named(self, workdir, capsys):
+        # 9 unconnected T vertices leave 18 open endpoints, 2^18 amplitudes
+        diagram = workdir / "open9.topo"
+        diagram.write_text("QVN1 name=open9\n" + "vertex g=T\n" * 9)
+        code, out, err = run_cli(["topo-eval", str(diagram)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]")
+        assert "MAX_REPORT_AMPLITUDES = 65536" in err and "262144" in err
+
+    def test_report_at_bound_prints_state(self, workdir, capsys):
+        diagram = workdir / "open8.topo"
+        diagram.write_text("QVN1 name=open8\n" + "vertex g=T\n" * 8)
+        code, out, err = run_cli(["topo-eval", str(diagram)], capsys)
+        assert code == 0 and err == ""
+        state = np.array(canonical(out)["state"])
+        assert state.shape == (2**16, 2)
+        assert abs((state**2).sum() - 1.0) <= 1e-10
 
     @pytest.mark.parametrize(
         "segment, line, col, fault",

@@ -193,13 +193,18 @@ class TestMeasure:
 
     def test_bell_basis_uniform_on_product_of_mixed(self):
         # h1 and t2 of two stored programs reduce to I/2 ⊗ I/2; every Bell
-        # outcome probability is exactly 1/d² = 1/4
-        from qvn.uqt import BellBasis
+        # outcome probability is exactly 1/d² = 1/4, both for the dense
+        # projectors and for the index-only basis on a purification
+        from conftest import dense_bell_vectors
+        from qvn.duality import bell_state
+        from qvn.uqt import BellBasis, bell_probabilities
 
-        basis = BellBasis.weyl(2)
         rho = DensityOperator(np.eye(4) / 4, (2, 2))
-        probs = [np.trace(p @ rho.matrix).real for p in basis.projectors()]
+        probs = [np.real(v.conj() @ rho.matrix @ v) for v in dense_bell_vectors(2)]
         assert np.abs(np.array(probs) - 0.25).max() < 1e-12
+        pair = PureState(np.kron(bell_state(2), bell_state(2)), (2, 2, 2, 2))
+        probs, _ = bell_probabilities(pair, 0, 2, BellBasis.weyl(2))
+        assert np.abs(probs - 0.25).max() < 1e-12
 
     def test_incomplete_projector_set_rejected(self, rng):
         with pytest.raises(ValidationError):
@@ -287,3 +292,23 @@ class TestRngStream:
     def test_choice_rejects_vanishing(self):
         with pytest.raises(NumericalError):
             RngStream(1).choice([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [np.nan, 1.0], [[0.5, 0.5]]])
+    def test_choice_rejects_what_generator_choice_rejects(self, bad):
+        with pytest.raises(NumericalError):
+            RngStream(1).choice(bad)
+
+    def test_choice_draws_as_generator_choice(self):
+        # same index and same next draw as Generator.choice on a twin stream,
+        # over 20,000 distributions of size 1-4096 with zero entries
+        meta = np.random.default_rng(2024)
+        ours, twin = RngStream(11, 4), RngStream(11, 4)
+        for i in range(20_000):
+            size = int(meta.integers(1, 4097 if i % 4 == 0 else 17))
+            p = meta.random(size) * meta.uniform(0.1, 10.0)
+            p[meta.random(size) < 0.3] = 0.0
+            if not p.any():
+                p[meta.integers(size)] = 1.0
+            expected = int(twin._gen.choice(size, p=p / p.sum()))
+            assert ours.choice(p) == expected
+            assert ours.random() == twin.random()

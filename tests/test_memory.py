@@ -193,6 +193,17 @@ class TestMemoryUnit:
         fid = abs(np.vdot(restored.choi.pure_amplitudes, target.pure_amplitudes)) ** 2
         assert fid > 1 - 1e-9
 
+    def test_live_copies_bounded(self):
+        # both calls fail before a copy list is built or extended
+        mem = MemoryUnit()
+        with pytest.raises(ValidationError, match="MAX_COPIES = 1048576"):
+            mem.store(desc_h(), memory.MAX_COPIES + 1)
+        assert mem.slots == {}
+        addr = mem.store(desc_h(), 1)
+        with pytest.raises(ValidationError, match="1048577 live copies"):
+            mem.restore(addr, memory.MAX_COPIES)
+        assert mem.copy_count(addr) == 1 and mem.verify_conservation()
+
     def test_restore_preserves_description(self):
         mem = MemoryUnit()
         addr = mem.store(desc_th(), 1)

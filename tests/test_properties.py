@@ -1,7 +1,7 @@
 """Property tests: serialize/parse round trips of the five text formats are
 byte exact, any line-shaped text given to a parser either parses or raises
-a QvnError, and the pairwise diagram contraction agrees with the
-single-pass einsum."""
+a QvnError, the pairwise diagram contraction agrees with the single-pass
+einsum, and the index-only Bell measurement agrees with the dense basis."""
 
 import string
 
@@ -12,14 +12,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import einsum_oracle
+from conftest import dense_bell_probabilities, einsum_oracle
 from qvn import cli, control, gates, memory, qec
 from qvn.control import Compose, Inject, Readout, Restore, SampleTail, Schedule
 from qvn.errors import QvnError
-from qvn.kernel import Observable, RngStream, haar_random_unitary
+from qvn.kernel import Observable, PureState, RngStream, haar_random_unitary
 from qvn.memory import GATE_ARITY, GateRecord, ProgramDescription
 from qvn.tailed import TopoDiagram, TopoVertex, eval_topological
-from qvn.uqt import ByproductStrategy
+from qvn.uqt import BellBasis, ByproductStrategy, bell_probabilities, fusion_probabilities
 
 NAMES = st.text(string.ascii_letters + string.digits + "_-;.#=", min_size=1, max_size=8)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -223,3 +223,38 @@ def test_pairwise_contraction_matches_einsum(diagram):
         overlap = np.vdot(expected, value.amplitudes)
         phase = overlap / abs(overlap)
         assert np.abs(value.amplitudes - phase * expected).max() <= 1e-10
+
+
+def random_amplitudes(shape, seed):
+    """A normalized complex Gaussian tensor: no unitary structure."""
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    return z / np.linalg.norm(z)
+
+
+# qubit bases at d = 2, 4, 8 and Weyl bases at d = 3, 5
+BELL_DIMS = st.sampled_from([2, 3, 4, 5, 8])
+
+
+@given(BELL_DIMS, st.lists(st.integers(1, 3), max_size=2), st.data())
+def test_bell_probabilities_match_dense_basis(d, extra, data):
+    dims = [d, d, *extra]
+    order = data.draw(st.permutations(range(len(dims))))
+    dims = [dims[i] for i in order]
+    wire_a, wire_b = order.index(0), order.index(1)
+    tensor = random_amplitudes(dims, data.draw(SEEDS))
+    probs, residuals = bell_probabilities(
+        PureState(tensor.reshape(-1), dims), wire_a, wire_b, BellBasis.for_dim(d)
+    )
+    oracle_probs, oracle_residuals = dense_bell_probabilities(tensor, wire_a, wire_b, d)
+    assert np.abs(probs - oracle_probs).max() <= 1e-12
+    assert np.abs(residuals - oracle_residuals).max() <= 1e-12
+
+
+@given(BELL_DIMS, SEEDS)
+def test_fusion_probabilities_match_dense_basis(d, seed):
+    m1, m2 = random_amplitudes((d, d), seed), random_amplitudes((d, d), seed + 1)
+    probs = fusion_probabilities(m1, m2, BellBasis.for_dim(d))
+    joint = np.kron(m1.reshape(-1), m2.reshape(-1)).reshape(d, d, d, d)
+    oracle, _ = dense_bell_probabilities(joint, 0, 3, d)
+    assert np.abs(probs - oracle).max() <= 1e-12

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qvn import gates
 from qvn.duality import ChoiState, bell_state, choi_of_unitary
-from qvn.errors import NumericalError
+from qvn.errors import NumericalError, ValidationError
 from qvn.kernel import (
+    DensityOperator,
     PureState,
     RngStream,
     UnitaryOp,
@@ -18,16 +20,26 @@ from qvn.uqt import (
     MAX_ROUNDS_PER_OUTCOME,
     BellBasis,
     ByproductStrategy,
-    apply_composition_unitary,
+    SymmetricFactors,
     bell_measure_pair,
     bell_probabilities,
     compose,
-    composition_unitary,
-    identity_program,
-    outcome_is_trivial,
     stored_program,
     symmetric_decompose,
+    teleport,
 )
+
+from conftest import dense_bell_vectors, dense_paulis, dense_teleport
+
+
+def identity_program(d):
+    return stored_program(np.eye(d, dtype=complex))
+
+
+def basis_paulis(basis):
+    """σ_k of an index-only basis, rebuilt densely by acting on I."""
+    eye = np.eye(basis.d, dtype=complex)
+    return [basis.apply(k, eye) for k in range(basis.d**2)]
 
 
 def program_pair_state(p1, p2):
@@ -55,22 +67,40 @@ def teleported_oracle(u1, u2, sigma, d):
 class TestBellBasis:
     def test_weyl_orthonormal(self):
         for d in (2, 3, 4):
-            basis = BellBasis.weyl(d)
-            gram = basis.vectors.conj() @ basis.vectors.T
+            paulis = basis_paulis(BellBasis.weyl(d))
+            vectors = np.stack([p.reshape(-1) / math.sqrt(d) for p in paulis])
+            gram = vectors.conj() @ vectors.T
             assert np.abs(gram - np.eye(d * d)).max() < 1e-12
 
     def test_projectors_complete(self):
         basis = BellBasis.qubit_product(2)
-        total = sum(basis.projectors())
+        vectors = [p.reshape(-1) / 2 for p in basis_paulis(basis)]
+        total = sum(np.outer(v, v.conj()) for v in vectors)
         assert np.abs(total - np.eye(16)).max() < 1e-12
 
     def test_first_element_is_identity(self):
         for basis in (BellBasis.weyl(3), BellBasis.qubit_product(2)):
-            assert np.abs(basis.paulis[0] - np.eye(basis.d)).max() < 1e-14
+            assert np.abs(basis_paulis(basis)[0] - np.eye(basis.d)).max() < 1e-14
 
     def test_for_dim_picks_qubit_structure(self):
         assert BellBasis.for_dim(4).d == 4
         assert BellBasis.for_dim(3).d == 3
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_apply_matches_dense_paulis(self, d, rng):
+        basis = BellBasis.for_dim(d)
+        x = rng.normal((d, 3)) + 1j * rng.normal((d, 3))
+        for k, sigma in enumerate(dense_paulis(d)):
+            assert np.abs(basis.apply(k, x) - sigma @ x).max() < 1e-14
+            assert np.abs(basis.apply(k, x, adjoint=True) - sigma.conj().T @ x).max() < 1e-14
+
+    def test_tables_stay_quadratic_at_n8(self):
+        basis = BellBasis.for_dim(256)
+        assert basis.shift.shape == basis.chars.shape == (256, 256)
+        assert basis.order.shape == (256**2,)
+        # one base-4 digit per qubit: k = 1, 2, 3 are Z, X, XZ on the last
+        # qubit and k = 4 is Z on the qubit before it
+        assert list(basis.order[:5]) == [0, 1, 256, 257, 2]
 
 
 class TestSymmetricDecompose:
@@ -100,8 +130,7 @@ class TestStoredProgram:
         for n in (1, 2):
             p = stored_program(haar_random_unitary(2**n, rng))
             u = p.unitary()
-            for k in range(1, p.d**2):
-                sigma = p.basis.paulis[k]
+            for k, sigma in enumerate(dense_paulis(p.d)):
                 assert np.abs(p.correction(k) @ u @ sigma.conj().T - u).max() < 1e-10
 
     def test_symmetric_flag(self):
@@ -163,7 +192,7 @@ class TestBellMeasurePair:
             p2 = stored_program(u2)
             joint = program_pair_state(stored_program(u1), p2)
             probs, residuals = bell_probabilities(joint, 0, 3, p2.basis)
-            for k, sigma in enumerate(p2.basis.paulis):
+            for k, sigma in enumerate(dense_paulis(d)):
                 target = np.kron(
                     u2.matrix @ sigma.conj().T @ u1.matrix, np.eye(d)
                 ) @ bell_state(d)
@@ -181,7 +210,7 @@ class TestBellMeasurePair:
         )
         assert abs(prob - 0.25) < 1e-12
         assert post.subsystem_dims == (2, 2)
-        assert outcome_is_trivial(k) == (k == 0)
+        assert 0 <= k < 4
 
 
 class TestCompose:
@@ -283,6 +312,44 @@ class TestCompose:
             assert fid > 1 - 1e-9
 
 
+def composition_unitary(p2_factors: SymmetricFactors) -> UnitaryOp:
+    """Dense coherent composition operator U_UQT on (h1, t1, h2, t2, flag),
+    of dimension 2d⁴; the oracle for deterministic composition.
+
+    Rotates the (h1, t2) pair from the Bell basis into the computational
+    basis, marks nontrivial outcomes on a flag qubit, and applies the
+    outcome-controlled correction to the new head. Applied to
+    |ω_{U1}⟩|ω_{U2}⟩|0⟩ and discarding (h1, t2, flag), the remaining
+    (h2, t1) pair holds |ω_{U2·U1}⟩ deterministically.
+    """
+    u2 = p2_factors.s1.matrix @ p2_factors.s2.matrix
+    d = u2.shape[0]
+    dims = (d, d, d, d, 2)
+    w_full = gates.embed_operator(dense_bell_vectors(d).conj(), [0, 3], dims)
+    flag = np.zeros((2 * d * d, 2 * d * d), dtype=complex)
+    corr = np.zeros((d**3, d**3), dtype=complex)
+    for k, sigma in enumerate(dense_paulis(d)):
+        ek = np.zeros((d * d, d * d), dtype=complex)
+        ek[k, k] = 1.0
+        flag += np.kron(ek, np.eye(2) if k == 0 else gates.X)
+        corr += np.kron(ek, u2 @ sigma @ u2.conj().T)
+    # flag touches the measured pair and the flag qubit, corrections touch
+    # the pair and the new head h2
+    flag_full = gates.embed_operator(flag, [0, 3, 4], dims)
+    corr_full = gates.embed_operator(corr, [0, 3, 2], dims)
+    return UnitaryOp(corr_full @ flag_full @ w_full, tol=1e-9)
+
+
+def apply_composition_unitary(u_uqt: UnitaryOp, p1, p2) -> DensityOperator:
+    """Run the coherent composition; returns the reduced (h2, t1) state."""
+    d = p1.d
+    amp = np.kron(np.kron(p1.amplitudes, p2.amplitudes), np.array([1.0, 0.0]))
+    tensor = (u_uqt.matrix @ amp).reshape(d, d, d, d, 2)
+    # reduced state on (h2, t1): contract out h1, t2, flag
+    moved = np.moveaxis(tensor, (2, 1), (0, 1)).reshape(d * d, -1)
+    return DensityOperator(moved @ moved.conj().T, (d, d))
+
+
 class TestCompositionUnitary:
     def test_unitarity(self, rng):
         f = symmetric_decompose(haar_random_unitary(2, rng))
@@ -318,3 +385,53 @@ class TestCompositionUnitary:
         target = choi_of_unitary(u2.matrix @ u1.matrix).pure_amplitudes
         fid = float(np.real(target.conj() @ red.matrix @ target))
         assert fid > 1 - 1e-10
+
+
+class RecordingRng(RngStream):
+    """An RngStream that keeps every index `choice` returns."""
+
+    def choice(self, probabilities):
+        k = super().choice(probabilities)
+        self.__dict__.setdefault("draws", []).append(k)
+        return k
+
+
+class TestTeleport:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_oracle(self, n):
+        d = 2**n
+        for seed in range(4):
+            u1 = haar_random_unitary(d, RngStream(seed, 1)).matrix
+            u2 = haar_random_unitary(d, RngStream(seed, 2)).matrix
+            amp1, amp2 = u1.reshape(-1) / math.sqrt(d), u2.reshape(-1) / math.sqrt(d)
+            for strategy in ByproductStrategy:
+                rng, oracle_rng = RecordingRng(seed), RecordingRng(seed)
+                state, rounds = teleport(amp1, amp2, BellBasis.for_dim(d), u2, strategy, rng)
+                amp, oracle_rounds, k = dense_teleport(amp1, amp2, u2, strategy, oracle_rng)
+                # repeat-until-success draws only whether the round heralded k = 0
+                assert [x == 0 for x in rng.draws] == [x == 0 for x in oracle_rng.draws]
+                assert rounds == oracle_rounds == len(rng.draws)
+                if strategy is not ByproductStrategy.REPEAT_UNTIL_SUCCESS:
+                    assert rng.draws == oracle_rng.draws == [k]
+                assert np.abs(state.amplitudes - amp).max() <= 1e-10
+
+    def test_rejects_unnormalized_states(self):
+        amp = np.eye(2, dtype=complex).reshape(-1)  # norm √2
+        with pytest.raises(ValidationError, match="norm"):
+            teleport(amp, amp / math.sqrt(2), BellBasis.for_dim(2), np.eye(2),
+                     ByproductStrategy.CORRECTION_TABLE, RngStream(0))
+
+    def test_compose_n7_peak_memory(self, rng):
+        # one d⁴ array alone would be 2²⁸ amplitudes, 4.3 GB
+        d = 2**7
+        p1 = stored_program(haar_random_unitary(d, rng))
+        p2 = stored_program(haar_random_unitary(d, rng))
+        tracemalloc.start()
+        try:
+            result, shots = compose(p1, p2, ByproductStrategy.CORRECTION_TABLE, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        target = p2.op.matrix @ p1.op.matrix
+        assert abs(np.trace(target.conj().T @ result.op.matrix)) / d >= 1 - 1e-10
