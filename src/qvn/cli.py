@@ -281,7 +281,8 @@ def parse_diagram(text) -> tailed.TopoDiagram:
         if line.verb == "QVN1" and not saw_header:
             saw_header = True
         elif line.verb == "vertex":
-            legs, tag = line.int("legs", 1), line.str("g")
+            legs = line.int("legs", 1, low=1, high=tailed.MAX_VERTEX_LEGS)
+            tag = line.str("g")
             if tag == "custom":
                 rows = line.int("rows", low=1)
                 gate = line.matrix(rows, rows)

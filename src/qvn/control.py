@@ -15,6 +15,7 @@ Schedule text format, one instruction per line in the line grammar of
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,14 @@ from .kernel import (
     DensityOperator,
     KrausChannel,
     Observable,
+    OutcomeTable,
     PureState,
+    Retention,
     RngStream,
     UnitaryOp,
     partial_trace_matrix,
 )
-from .memory import MAX_COPIES, MemoryUnit
+from .memory import MAX_COPIES, MAX_QUBITS, MemoryUnit
 from .text import Line, format_complex_data, lines
 from .tailed import InjectionSpec, ReadoutSpec, RunRecord
 from .uqt import ByproductStrategy
@@ -110,14 +113,66 @@ class ExecutionResult:
     audit_consistent: bool
 
 
+# Entries (complex numbers) of built outcome results that the tables of one
+# `execute` call may keep between shots: 4 MiB, four times the 4^MAX_QUBITS
+# entries of one widest program. Past it results are built on every draw.
+MAX_RETAINED_ENTRIES = 4 * 4**MAX_QUBITS
+
+
+class _Tables:
+    """The exact outcome tables of one `execute` call.
+
+    Each table is built on the first shot that needs it and then only
+    sampled: a composition per (p1, p2, instruction), an injection, readout
+    or tail measurement per (state, instruction), and the circuit state of
+    each program. Programs and states are keys held weakly, and no table
+    refers to them, so a table goes when its inputs go: a schedule that
+    composes into its own input slot makes a new program every shot, and
+    its tables do not pile up. The results the tables keep for later draws
+    share one `Retention` of MAX_RETAINED_ENTRIES, so a schedule whose
+    outcomes rarely repeat, such as a wide composition, keeps no more than
+    that however many shots it runs.
+    """
+
+    def __init__(self):
+        self.keep = Retention(MAX_RETAINED_ENTRIES)
+        self._states = weakref.WeakKeyDictionary()  # program -> circuit state
+        self._compositions = weakref.WeakKeyDictionary()  # p1 -> p2 -> instruction -> table
+        self._measurements = weakref.WeakKeyDictionary()  # state -> instruction -> table
+
+    def state(self, program) -> PureState:
+        state = self._states.get(program)
+        if state is None:
+            state = self._states[program] = tailed.program_state(program)
+        return state
+
+    def composition(self, p1, p2, ins: Compose) -> uqt.Composition:
+        by_p2 = self._compositions.get(p1)
+        if by_p2 is None:
+            by_p2 = self._compositions[p1] = weakref.WeakKeyDictionary()
+        tables = by_p2.setdefault(p2, {})
+        table = tables.get(ins)
+        if table is None:
+            table = tables[ins] = uqt.Composition(p1, p2, ins.strategy, keep=self.keep)
+        return table
+
+    def measurement(self, state, ins, build) -> OutcomeTable:
+        """The table `build()` makes for `ins` on `state`, made once."""
+        tables = self._measurements.setdefault(state, {})
+        table = tables.get(ins)
+        if table is None:
+            table = tables[ins] = build()
+        return table
+
+
 class _ShotState:
     """Working registers of one shot: live states fetched from memory."""
 
-    def __init__(self, mem: MemoryUnit, rng: RngStream):
+    def __init__(self, mem: MemoryUnit, rng: RngStream, tables: _Tables):
         self.mem = mem
         self.rng = rng
+        self.tables = tables
         self.states: dict[int, PureState] = {}
-        self.programs: dict[int, uqt.StoredProgram] = {}
         self.branch = None
         self.injected_tails = 0
         self.bells: list[int] = []
@@ -125,9 +180,7 @@ class _ShotState:
 
     def load(self, address) -> PureState:
         if address not in self.states:
-            prog = self.mem.fetch_consume(address)
-            self.programs[address] = prog
-            self.states[address] = tailed.program_state(prog)
+            self.states[address] = self.tables.state(self.mem.fetch_consume(address))
         return self.states[address]
 
     def width(self, address) -> int:
@@ -138,11 +191,26 @@ class _ShotState:
         return self.mem.peek(address).d.bit_length() - 1
 
 
+def _injection_table(state: PureState, ins: Inject, keep) -> tailed.Injection:
+    n = len(state.subsystem_dims) // 2
+    spec = InjectionSpec(tuple(range(n)), ins.bits or "1" * n)
+    return tailed.Injection(state, spec, num_ebits=n, keep=keep)
+
+
+def _readout_table(state: PureState, ins: Readout, keep) -> OutcomeTable:
+    n = len(state.subsystem_dims) // 2
+    vals, probs = tailed._observable_distribution(state, ReadoutSpec(ins.observable, tuple(range(n))))
+    if probs.sum() <= 0:
+        raise EstimationError("readout distribution vanished")
+    return OutcomeTable(probs, lambda k: float(vals[k].real), keep, 1)
+
+
 def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
+    tables, rng = shot.tables, shot.rng
     if isinstance(ins, Compose):
         p1 = mem.fetch_consume(ins.addr1)
         p2 = mem.fetch_consume(ins.addr2)
-        result, shots_used = uqt.compose(p1, p2, ins.strategy, shot.rng)
+        result, shots_used = tables.composition(p1, p2, ins).sample(rng)
         shot.bells.append(shots_used)
         if ins.dest in mem.slots:
             mem.append_copy(ins.dest, result)
@@ -151,22 +219,14 @@ def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
         return
     if isinstance(ins, Inject):
         state = shot.load(ins.target)
-        n = len(state.subsystem_dims) // 2
-        spec = InjectionSpec(tuple(range(n)), ins.bits or "1" * n)
-        branch, _, post = tailed.inject(state, spec, shot.rng, num_ebits=n)
-        shot.states[ins.target] = post
-        shot.branch = branch
-        shot.injected_tails = n
+        table = tables.measurement(state, ins, lambda: _injection_table(state, ins, tables.keep))
+        shot.branch, (_, shot.states[ins.target]) = table.sample(rng)
+        shot.injected_tails = len(state.subsystem_dims) // 2
         return
     if isinstance(ins, Readout):
         state = shot.load(ins.target)
-        n = len(state.subsystem_dims) // 2
-        spec = ReadoutSpec(ins.observable, tuple(range(n)))
-        vals, probs = tailed._observable_distribution(state, spec)
-        if probs.sum() <= 0:
-            raise EstimationError("readout distribution vanished")
-        k = shot.rng.choice(probs)
-        shot.value = float(vals[k].real)
+        table = tables.measurement(state, ins, lambda: _readout_table(state, ins, tables.keep))
+        _, shot.value = table.sample(rng)
         return
     if isinstance(ins, Restore):
         mem.restore(ins.addr, ins.copies)
@@ -178,8 +238,11 @@ def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
                 f"sampletail tail={ins.tail} is out of range: the program at address "
                 f"{ins.target} has {n} tails (0..{n - 1})"
             )
-        bit, post = tailed.sample_tail_z(shot.load(ins.target), n + ins.tail, shot.rng)
-        shot.states[ins.target] = post
+        state = shot.load(ins.target)
+        table = tables.measurement(
+            state, ins, lambda: tailed.tail_outcomes(state, n + ins.tail, tables.keep)
+        )
+        bit, shot.states[ins.target] = table.sample(rng)
         shot.bells.append(bit)
         return
     raise ValidationError(f"unknown instruction {ins!r}")
@@ -188,17 +251,24 @@ def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
 def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     """Run the schedule once per shot, mutating memory, and aggregate.
 
+    Each shot draws from its own `RngStream(seed, stream_id=shot)`, fetches
+    and restores copies as the schedule says, and samples each instruction
+    from its exact outcome table (see `_Tables`), which this call builds
+    once per distinct input. The draws, and so the results, are those of
+    running every instruction's one-shot kernel afresh each shot.
+
     Readout samples are combined by `tailed.combine_branch_estimates`, as
     in `tailed.run_algorithm`: the branch that saw the desired input
     estimates tr(Oρ_f) directly, the complement branch is inverted through
     tr(O) − (2^n − 1)·mean.
     """
+    tables = _Tables()
     records = []
     grouped = {"P0": [], "P1": [], "none": []}
     n_tails = 0
-    trace_of_o = None
+    observable = None  # of the readout run, whose trace is taken once, at the end
     for shot_idx in range(sched.shots):
-        shot = _ShotState(mem, RngStream(sched.seed, stream_id=shot_idx))
+        shot = _ShotState(mem, RngStream(sched.seed, stream_id=shot_idx), tables)
         for idx, ins in enumerate(sched.instructions):
             try:
                 _run_instruction(ins, shot, mem)
@@ -207,7 +277,7 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
                     exc.address, f"instruction {idx} ({type(ins).__name__}): {exc}"
                 ) from exc
             if isinstance(ins, Readout):
-                trace_of_o = ins.observable.trace
+                observable = ins.observable
         branch = "none" if shot.branch is None else f"P{shot.branch}"
         if shot.value is not None:
             grouped[branch].append(shot.value)
@@ -223,11 +293,11 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     estimate = stderr = None
     n1 = len(grouped["P1"]) + len(grouped["none"])
     n0 = len(grouped["P0"])
-    if trace_of_o is not None and (n0 or n1):
+    if observable is not None and (n0 or n1):
         estimate, stderr = tailed.combine_branch_estimates(
             np.array(grouped["P1"] + grouped["none"]),
             np.array(grouped["P0"]),
-            trace_of_o,
+            observable.trace,
             n_tails,
         )
     copies_after = {addr: len(slot.copies) for addr, slot in mem.slots.items()}

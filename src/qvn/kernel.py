@@ -70,6 +70,17 @@ class PureState:
         object.__setattr__(self, "amplitudes", _freeze(vec))
         object.__setattr__(self, "subsystem_dims", dims)
 
+    @classmethod
+    def _trusted(cls, amplitudes, subsystem_dims):
+        """State from a complex vector that qvn computed from validated
+        inputs and normalized itself, without re-checking it; the caller
+        owns `amplitudes` and gives up writing to it."""
+        state = object.__new__(cls)
+        amplitudes.setflags(write=False)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "subsystem_dims", tuple(subsystem_dims))
+        return state
+
     @property
     def dim(self):
         return self.amplitudes.size
@@ -190,6 +201,74 @@ class KrausChannel:
 _CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
 
 
+def checked_cdf(probabilities):
+    """The cdf `Generator.choice(p.size, p=p / total)` draws from, with the
+    same checks: a `RngStream.draw` on it samples as `RngStream.choice(p)`.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    total = p.sum()
+    if total <= 0:
+        raise NumericalError("all probabilities vanish")
+    p = p / total
+    cdf = p.cumsum()
+    # the minimum is NaN, so fails the test, if any entry is not finite
+    if p.ndim != 1 or not p.min() >= 0.0 or abs(cdf[-1] - 1.0) > _CHOICE_ATOL:
+        raise NumericalError(
+            "probabilities must be a finite, non-negative vector that sums to 1"
+        )
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
+
+
+class Retention:
+    """Entries (complex numbers) that the outcome tables sharing it may
+    still keep in built results. Spent entries are not returned, so the
+    tables of one run never keep more than the count it starts with."""
+
+    def __init__(self, entries):
+        self.left = entries
+
+    def take(self, entries) -> bool:
+        """Spend `entries` if that many are left; False, spending none, if not."""
+        if entries > self.left:
+            return False
+        self.left -= entries
+        return True
+
+
+class OutcomeTable:
+    """Exact distribution of one measurement, made once and sampled often.
+
+    Holds the `checked_cdf` of the outcome probabilities, kept whatever
+    happens, and makes the result of outcome k with `result(k)`. A result
+    of `entries` entries is kept for later draws of the same k only while
+    `keep`, a `Retention`, admits it; past that, and with no `keep`, it is
+    made afresh on every draw. Sampling from the table draws as
+    `RngStream.choice(probabilities)` does.
+    """
+
+    def __init__(self, probabilities, result, keep: Retention | None = None, entries=0):
+        self.cdf = checked_cdf(probabilities)
+        self._make = result
+        self._keep = keep
+        self._entries = entries
+        self._results = {}
+
+    def result(self, k):
+        if k in self._results:
+            return self._results[k]
+        value = self._make(k)
+        if self._keep is not None and self._keep.take(self._entries):
+            self._results[k] = value
+        return value
+
+    def sample(self, rng: "RngStream"):
+        """(outcome k, its result) for one draw from `rng`."""
+        k = rng.draw(self.cdf)
+        return k, self.result(k)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Seeded random stream; identical (seed, stream_id) replays outcomes.
@@ -212,6 +291,10 @@ class RngStream:
     def uniforms(self, size):
         return self._gen.random(size)
 
+    def draw(self, cdf):
+        """Index sampled from a `checked_cdf`, on one double from the stream."""
+        return int(cdf.searchsorted(self._gen.random(), side="right"))
+
     def choice(self, probabilities):
         """Sample an index from an explicit probability vector.
 
@@ -219,19 +302,7 @@ class RngStream:
         cdf, the same one double from the stream and the same checks, so
         seeded results are unchanged, without its per-call overhead.
         """
-        p = np.asarray(probabilities, dtype=float)
-        total = p.sum()
-        if total <= 0:
-            raise NumericalError("all probabilities vanish")
-        p = p / total
-        cdf = p.cumsum()
-        # the minimum is NaN, so fails the test, if any entry is not finite
-        if p.ndim != 1 or not p.min() >= 0.0 or abs(cdf[-1] - 1.0) > _CHOICE_ATOL:
-            raise NumericalError(
-                "probabilities must be a finite, non-negative vector that sums to 1"
-            )
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(self._gen.random(), side="right"))
+        return self.draw(checked_cdf(probabilities))
 
     def choices(self, probabilities, size):
         p = np.asarray(probabilities, dtype=float)
@@ -409,23 +480,35 @@ def apply_to_subsystems(amplitudes, dims, op, targets):
     return shaped.transpose(inv).reshape(-1)
 
 
-def measure_wire_computational(amplitudes, dims, wire, rng: RngStream):
-    """Computational-basis measurement on one subsystem.
-
-    Returns (outcome, probability, collapsed amplitudes). The measured wire
-    is kept in place, collapsed onto the outcome basis state.
-    """
+def wire_outcomes(amplitudes, dims, wire):
+    """Exact outcome distribution of a computational-basis measurement on
+    one subsystem: (probabilities, collapse), where `collapse(k)` gives the
+    amplitudes collapsed onto outcome k, the measured wire kept in place."""
     dims = tuple(dims)
     tensor = np.asarray(amplitudes, dtype=complex).reshape(dims)
     moved = np.moveaxis(tensor, wire, 0).reshape(dims[wire], -1)
     probs = np.clip((np.abs(moved) ** 2).sum(axis=1), 0.0, None)
     if probs.sum() <= 0:
         raise NumericalError("state has vanished; no outcome possible")
+
+    def collapse(k):
+        collapsed = np.zeros_like(moved)
+        collapsed[k] = moved[k] / math.sqrt(probs[k])
+        rest = [dims[i] for i in range(len(dims)) if i != wire]
+        return np.moveaxis(collapsed.reshape([dims[wire]] + rest), 0, wire).reshape(-1)
+
+    return probs, collapse
+
+
+def measure_wire_computational(amplitudes, dims, wire, rng: RngStream):
+    """Computational-basis measurement on one subsystem.
+
+    Returns (outcome, probability, collapsed amplitudes). The measured wire
+    is kept in place, collapsed onto the outcome basis state.
+    """
+    probs, collapse = wire_outcomes(amplitudes, dims, wire)
     k = rng.choice(probs)
-    collapsed = np.zeros_like(moved)
-    collapsed[k] = moved[k] / math.sqrt(probs[k])
-    out = np.moveaxis(collapsed.reshape([dims[wire]] + [dims[i] for i in range(len(dims)) if i != wire]), 0, wire)
-    return k, float(probs[k]), out.reshape(-1)
+    return k, float(probs[k]), collapse(k)
 
 
 def haar_random_unitary(dim, rng: RngStream) -> UnitaryOp:

@@ -40,7 +40,7 @@ PROGRAM = "program"
 MAX_QUBITS = 8
 
 # Most live copies one slot may hold: a slot keeps one list entry per copy,
-# and `store` and `restore` extend that list.
+# and `store`, `restore` and `append_copy` extend that list.
 MAX_COPIES = 2**20
 
 
@@ -265,7 +265,10 @@ class MemoryUnit:
         return address
 
     def append_copy(self, address, program) -> int:
+        """Add one pre-built copy (a composition result) to a slot; returns
+        the new total."""
         slot = self._slot(address)
+        _check_live_copies(f"slot {address}", len(slot.copies) + 1)
         slot.copies.append(program)
         slot.balance += 1
         return len(slot.copies)

@@ -4,7 +4,7 @@ recovery construction, logical ebits, and toy-scale logical composition.
 A code document, in the line grammar of `qvn.text`, is a QVN1 header with
 `k=` (and optionally `distance=`) and one `isometry` line:
 
-    QVN1 name=<text> n=<int> k=<int> distance=<int>
+    QVN1 name=<text> n=<1..MAX_CODE_QUBITS> k=<0..MAX_CODE_QUBITS> distance=<int>
     isometry rows=<2^n> cols=<2^k> data=<re,im;re,im;...>
 """
 
@@ -302,6 +302,12 @@ def logical_compose(
 # Code documents (QVN1 with an isometry block)
 # ---------------------------------------------------------------------------
 
+# Widest code a document may give, in `n=` and `k=`: the header sizes the
+# 2ⁿ×2ᵏ isometry before its data is read, and every error operator checked
+# against the code is a dense 2ⁿ×2ⁿ matrix, 16 MiB at n = 10. Shor's
+# [[9, 1, 3]] code fits.
+MAX_CODE_QUBITS = 10
+
 
 def serialize_code(code: Code) -> str:
     header = f"QVN1 name={code.name} n={code.n} k={code.k} distance={code.distance}"
@@ -318,7 +324,9 @@ def parse_code(text: str) -> Code:
         if header is None:
             if line.verb != "QVN1":
                 raise line.error("code document must start with a QVN1 header")
-            header = (line.str("name"), line.int("n"), line.int("k"), line.int("distance", 1))
+            n = line.int("n", low=1, high=MAX_CODE_QUBITS)
+            k = line.int("k", low=0, high=MAX_CODE_QUBITS)
+            header = (line.str("name"), n, k, line.int("distance", 1))
         elif line.verb == "isometry":
             iso_line = line
             iso = line.matrix(line.int("rows", low=1), line.int("cols", low=1))

@@ -26,10 +26,11 @@ from .errors import (
 )
 from .kernel import (
     Observable,
+    OutcomeTable,
     PureState,
     RngStream,
     apply_to_subsystems,
-    measure_wire_computational,
+    wire_outcomes,
 )
 from .uqt import BellBasis, StoredProgram, bell_measure_pair, bell_probabilities
 
@@ -250,26 +251,46 @@ def injection_branches(state: PureState, spec: InjectionSpec, num_ebits=None):
     P1 projects the target tails onto the desired bitstring, collapsing the
     heads of a program state onto U|bits⟩.
     """
-    wires = _resolve_tails(state, spec, num_ebits)
-    dims = state.subsystem_dims
-    tensor = state.tensor()
-    idx = [slice(None)] * len(dims)
-    for w, bit in zip(wires, spec.bitstring):
-        idx[w] = int(bit)
-    sub = tensor[tuple(idx)]
-    p1 = float(np.clip((np.abs(sub) ** 2).sum(), 0.0, 1.0))
-    p0 = 1.0 - p1
-    post1 = post0 = None
-    if p1 > 1e-14:
-        proj = np.zeros_like(tensor)
-        proj[tuple(idx)] = sub
-        post1 = PureState(proj.reshape(-1) / math.sqrt(p1), dims)
-    if p0 > 1e-14:
-        proj = np.zeros_like(tensor)
-        proj[tuple(idx)] = sub
-        rem = tensor - proj
-        post0 = PureState(rem.reshape(-1) / math.sqrt(p0), dims)
-    return p1, post1, p0, post0
+    table = Injection(state, spec, num_ebits)
+    post1 = table.result(1)[1] if table.p1 > 1e-14 else None
+    post0 = table.result(0)[1] if table.p0 > 1e-14 else None
+    return table.p1, post1, table.p0, post0
+
+
+class Injection(OutcomeTable):
+    """Exact branch table of the heralded injection measurement.
+
+    P1 is read from the sub-tensor that the desired bitstring indexes.
+    Branch b's result is (its probability, its post state), made when it is
+    drawn and kept, as `OutcomeTable` says, while `keep` admits it; so one
+    `inject` builds the sampled branch alone.
+    """
+
+    def __init__(self, state: PureState, spec: InjectionSpec, num_ebits=None, keep=None):
+        wires = _resolve_tails(state, spec, num_ebits)
+        dims = state.subsystem_dims
+        tensor = state.tensor()
+        idx = [slice(None)] * len(dims)
+        for w, bit in zip(wires, spec.bitstring):
+            idx[w] = int(bit)
+        idx = tuple(idx)
+        sub = tensor[idx]
+        self.p1 = p1 = float(np.clip((np.abs(sub) ** 2).sum(), 0.0, 1.0))
+        self.p0 = p0 = 1.0 - p1
+
+        def branch(b):
+            prob = p1 if b else p0
+            if prob <= 1e-14:
+                raise NumericalError(f"sampled branch P{b} has vanishing probability")
+            if b:
+                post = np.zeros_like(tensor)
+                post[idx] = sub
+            else:
+                post = tensor.copy()
+                post[idx] = 0.0
+            return prob, PureState._trusted(post.reshape(-1) / math.sqrt(prob), dims)
+
+        super().__init__([p0, p1], branch, keep, state.dim)
 
 
 def inject(state: PureState, spec: InjectionSpec, rng: RngStream, num_ebits=None):
@@ -282,11 +303,7 @@ def inject(state: PureState, spec: InjectionSpec, rng: RngStream, num_ebits=None
     """
     if not spec.target_tails:
         raise ValidationError("injection needs at least one target tail")
-    p1, post1, p0, post0 = injection_branches(state, spec, num_ebits)
-    branch = rng.choice([p0, p1])
-    prob, post = (p1, post1) if branch else (p0, post0)
-    if post is None:
-        raise NumericalError(f"sampled branch P{branch} has vanishing probability")
+    branch, (prob, post) = Injection(state, spec, num_ebits).sample(rng)
     return branch, prob, post
 
 
@@ -349,16 +366,21 @@ def toffoli_cascade(n) -> ToffoliCascade:
 # ---------------------------------------------------------------------------
 
 
+def tail_outcomes(state: PureState, tail_wire, keep=None) -> OutcomeTable:
+    """Exact outcome table of a Z measurement on a tail: bit k's result is
+    the state collapsed onto it, the wire kept in place."""
+    dims = state.subsystem_dims
+    probs, collapse = wire_outcomes(state.amplitudes, dims, tail_wire)
+    return OutcomeTable(probs, lambda k: PureState(collapse(k), dims), keep, state.dim)
+
+
 def sample_tail_z(state: PureState, tail_wire, rng: RngStream):
     """Z measurement on a tail; the wire stays in place, collapsed.
 
     For a program ebit the outcomes are equiprobable and inject |0⟩ or
     |1⟩; the outcome bit is the X-frame record relative to a |1⟩ input.
     """
-    bit, _, amp = measure_wire_computational(
-        state.amplitudes, state.subsystem_dims, tail_wire, rng
-    )
-    return bit, PureState(amp, state.subsystem_dims)
+    return tail_outcomes(state, tail_wire).sample(rng)
 
 
 def contract(
@@ -477,6 +499,9 @@ class TopoDiagram:
 
 
 MAX_INTERMEDIATE_ENTRIES = 2**26
+# Most legs a diagram file may give one vertex: its tensor has d^(2·legs)
+# entries, which at d = 2 reaches MAX_INTERMEDIATE_ENTRIES at 13 legs.
+MAX_VERTEX_LEGS = 13
 
 
 def _self_loops(labels):
@@ -493,11 +518,10 @@ def _self_loops(labels):
     return loops, tuple(labels)
 
 
-def _check_size(labels, d):
-    size = d ** len(labels)
-    if size > MAX_INTERMEDIATE_ENTRIES:
+def _check_entries(entries, what):
+    if entries > MAX_INTERMEDIATE_ENTRIES:
         raise ValidationError(
-            f"diagram contraction needs a tensor of {size} entries; the limit is "
+            f"diagram contraction needs {entries} {what}; the limit is "
             f"MAX_INTERMEDIATE_ENTRIES = {MAX_INTERMEDIATE_ENTRIES}"
         )
 
@@ -516,14 +540,15 @@ def _contraction_plan(terms, d):
 
     Returns (loops, steps, labels): loops[t] are the self-loop axis pairs of
     tensor t, a step is (a, b, axes_a, axes_b) over tensor ids, and labels
-    are the final tensor's. Every tensor is checked against
-    MAX_INTERMEDIATE_ENTRIES before any is made.
+    are the final tensor's. Every tensor, and every step's two operands and
+    result together, are checked against MAX_INTERMEDIATE_ENTRIES before
+    any is made.
     """
     loops, live = [], {}
     for t, labels in enumerate(terms):
         pairs, live[t] = _self_loops(labels)
         loops.append(pairs)
-        _check_size(live[t], d)
+        _check_entries(d ** len(live[t]), "entries in one tensor")
     owners = {}  # label -> ids of the live tensors that carry it
     for t, labels in live.items():
         for label in labels:
@@ -534,7 +559,11 @@ def _contraction_plan(terms, d):
         la, lb = live.pop(a), live.pop(b)
         shared = [x for x in la if x in lb]
         labels = tuple(x for x in la if x not in shared) + tuple(x for x in lb if x not in shared)
-        _check_size(labels, d)
+        # np.tensordot holds both operands while it makes the result
+        _check_entries(
+            d ** len(la) + d ** len(lb) + d ** len(labels),
+            "live entries in one step (both operands and the result)",
+        )
         new = len(terms) + len(steps)
         steps.append((a, b, [la.index(x) for x in shared], [lb.index(x) for x in shared]))
         live[new] = labels
@@ -577,8 +606,9 @@ def eval_topological(diagram: TopoDiagram):
     U gives tr(U)/d); open diagrams return the normalized prepared state,
     its wires in `open_endpoints()` order. The vertex tensors are
     contracted pairwise in the order of `_contraction_plan`; a diagram whose
-    plan needs a tensor of more than MAX_INTERMEDIATE_ENTRIES entries is a
-    ValidationError raised before any contraction.
+    plan needs a tensor, or a step whose operands and result together, of
+    more than MAX_INTERMEDIATE_ENTRIES entries is a ValidationError raised
+    before any contraction.
     """
     if not diagram.vertices:
         raise ValidationError("empty diagram")

@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .kernel import DEFAULT_TOL, PureState, RngStream, UnitaryOp
+from .kernel import DEFAULT_TOL, OutcomeTable, PureState, Retention, RngStream, UnitaryOp
 
 
 class ByproductStrategy(enum.Enum):
@@ -276,6 +276,68 @@ def fusion_probabilities(m1, m2, basis: BellBasis) -> np.ndarray:
 MAX_ROUNDS_PER_OUTCOME = 64
 
 
+class Fusion(OutcomeTable):
+    """Exact outcome table of the Bell fusion that `teleport` performs.
+
+    The d² outcome probabilities are computed once, by
+    `fusion_probabilities`. The fused state of outcome k, corrected by C_k,
+    is made for the sampled k only and passed through `finish`; the result,
+    of `entries` entries, is kept for later draws of the same k while
+    `keep` admits it. Repeat-until-success draws from the coarse-grained
+    pair (p_0, 1 − p_0) until its first entry, the trivial outcome, at most
+    64·d² rounds.
+    """
+
+    def __init__(
+        self,
+        amp1,
+        amp2,
+        basis: BellBasis,
+        u2,
+        strategy: ByproductStrategy,
+        finish=None,
+        keep: Retention | None = None,
+        entries=0,
+    ):
+        d = basis.d
+        m1 = np.asarray(amp1, dtype=complex).reshape(d, d)
+        m2 = np.asarray(amp2, dtype=complex).reshape(d, d)
+        probs = fusion_probabilities(m1, m2, basis)
+        norm = math.sqrt(probs.sum())
+        if abs(norm - 1.0) > DEFAULT_TOL:
+            raise ValidationError(f"joint state norm {norm} differs from 1 beyond {DEFAULT_TOL}")
+        self.d = d
+        self.repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
+
+        def fused(k):
+            # the residual on (t1, h2) is M1ᵀσ̄_kM2ᵀ/√d; its transpose is in (head, tail) order
+            mat = m2 @ basis.apply(k, m1, adjoint=True) / math.sqrt(d * probs[k])
+            if k != 0:
+                mat = u2 @ basis.apply(k, u2.conj().T @ mat)
+            state = PureState(mat.reshape(-1), (d, d))
+            return state if finish is None else finish(state)
+
+        if self.repeat:
+            # a repeated round only asks whether the trivial outcome was
+            # heralded, and it always ends on it
+            super().__init__([probs[0], probs.sum() - probs[0]], lambda _: fused(0), keep, entries)
+        else:
+            super().__init__(probs, fused, keep, entries)
+
+    def fuse(self, rng: RngStream):
+        """(outcome k, rounds drawn, result of k) of one fusion."""
+        d = self.d
+        max_rounds = MAX_ROUNDS_PER_OUTCOME * d * d if self.repeat else 1
+        for rounds in range(1, max_rounds + 1):
+            k = rng.draw(self.cdf)
+            if k == 0 or not self.repeat:
+                return k, rounds, self.result(k)
+        raise NumericalError(
+            f"no trivial Bell outcome in {max_rounds} rounds "
+            f"(repeat-until-success bound {MAX_ROUNDS_PER_OUTCOME}·d² at d={d})"
+        )
+
+
 def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng: RngStream):
     """Fuse two dual states by a Bell measurement of head1 against tail2.
 
@@ -288,32 +350,8 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
     round and applies C_k for the sampled outcome k. The joint state is
     never built.
     """
-    d = basis.d
-    m1 = np.asarray(amp1, dtype=complex).reshape(d, d)
-    m2 = np.asarray(amp2, dtype=complex).reshape(d, d)
-    probs = fusion_probabilities(m1, m2, basis)
-    norm = math.sqrt(probs.sum())
-    if abs(norm - 1.0) > DEFAULT_TOL:
-        raise ValidationError(f"joint state norm {norm} differs from 1 beyond {DEFAULT_TOL}")
-    repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
-    max_rounds = MAX_ROUNDS_PER_OUTCOME * d * d if repeat else 1
-    # a repeated round only asks whether the trivial outcome was heralded:
-    # draw from the coarse-grained pair (p_0, 1 - p_0), k = 0 on its first entry
-    draw_from = np.array([probs[0], probs.sum() - probs[0]]) if repeat else probs
-    for rounds in range(1, max_rounds + 1):
-        k = rng.choice(draw_from)
-        if k == 0 or not repeat:
-            break
-    else:
-        raise NumericalError(
-            f"no trivial Bell outcome in {max_rounds} rounds "
-            f"(repeat-until-success bound {MAX_ROUNDS_PER_OUTCOME}·d² at d={d})"
-        )
-    # the residual on (t1, h2) is M1ᵀσ̄_kM2ᵀ/√d; its transpose is in (head, tail) order
-    mat = m2 @ basis.apply(k, m1, adjoint=True) / math.sqrt(d * probs[k])
-    if k != 0:
-        mat = u2 @ basis.apply(k, u2.conj().T @ mat)
-    return PureState(mat.reshape(-1), (d, d)), rounds
+    _, rounds, state = Fusion(amp1, amp2, basis, u2, strategy).fuse(rng)
+    return state, rounds
 
 
 def _program_from_state(state: PureState, basis, description, tol) -> StoredProgram:
@@ -327,6 +365,64 @@ def _combined_description(p1: StoredProgram, p2: StoredProgram):
         return None
     combine = getattr(d1, "then", None)  # composed program runs p1's gates first
     return combine(d2) if combine is not None else None
+
+
+def _fusion_chain(amp, factors, basis, strategy, finish, keep, entries):
+    """Fusion of `amp` with the first (amplitudes, gate) factor whose every
+    outcome goes on to the fusion with the next factor; the last one's
+    fused state goes to `finish`, whose results hold `entries` entries."""
+    (amp2, u2), *rest = factors
+    if rest:
+        def finish_here(state):
+            return _fusion_chain(state.amplitudes, rest, basis, strategy, finish, keep, entries)
+
+        # a nested fusion holds its first state, probabilities and cdf
+        return Fusion(amp, amp2, basis, u2, strategy, finish_here, keep, 3 * basis.d**2)
+    return Fusion(amp, amp2, basis, u2, strategy, finish, keep, entries)
+
+
+class Composition:
+    """Exact outcome table of `compose(p1, p2, strategy, ·)`.
+
+    One `Fusion` per teleportation round: SymmetricPair nests a fusion
+    through S1 under each outcome of the fusion through S2. The composed
+    program of an outcome path is built on its draw and kept for later
+    draws of the same path while `keep` admits 5·d² entries for it: its
+    unitary, amplitudes and two symmetric factors, and a circuit state made
+    from it. The table holds the input programs' amplitudes and gates,
+    never the programs.
+    """
+
+    def __init__(
+        self,
+        p1: StoredProgram,
+        p2: StoredProgram,
+        strategy: ByproductStrategy,
+        tol=DEFAULT_TOL,
+        keep: Retention | None = None,
+    ):
+        if p1.d != p2.d:
+            raise DimensionMismatchError(f"program dims differ: {p1.d} vs {p2.d}")
+        description = _combined_description(p1, p2)
+        if strategy is ByproductStrategy.SYMMETRIC_PAIR:
+            factors = [(vec(f.matrix), f.matrix) for f in (p2.symmetric_factors.s2, p2.symmetric_factors.s1)]
+        elif strategy in (ByproductStrategy.REPEAT_UNTIL_SUCCESS, ByproductStrategy.CORRECTION_TABLE):
+            factors = [(p2.amplitudes, p2.op.matrix)]
+        else:
+            raise ConfigurationError(f"unknown strategy {strategy!r}")
+        basis = p2.basis
+
+        def program(state):
+            return _program_from_state(state, basis, description, tol)
+
+        self._root = _fusion_chain(p1.amplitudes, factors, basis, strategy, program, keep, 5 * p1.d**2)
+
+    def sample(self, rng: RngStream):
+        """(composed program, Bell rounds of its last teleportation)."""
+        table = self._root
+        while isinstance(table, Fusion):
+            _, rounds, table = table.fuse(rng)
+        return table, rounds
 
 
 def compose(
@@ -344,17 +440,4 @@ def compose(
     SymmetricPair teleports through S2 and then S1, with one corrected
     round each.
     """
-    if p1.d != p2.d:
-        raise DimensionMismatchError(f"program dims differ: {p1.d} vs {p2.d}")
-    description = _combined_description(p1, p2)
-    if strategy is ByproductStrategy.SYMMETRIC_PAIR:
-        amp = p1.amplitudes
-        for factor in (p2.symmetric_factors.s2, p2.symmetric_factors.s1):
-            state, _ = teleport(amp, vec(factor.matrix), p2.basis, factor.matrix, strategy, rng)
-            amp = state.amplitudes
-        shots = 1
-    elif strategy in (ByproductStrategy.REPEAT_UNTIL_SUCCESS, ByproductStrategy.CORRECTION_TABLE):
-        state, shots = teleport(p1.amplitudes, p2.amplitudes, p2.basis, p2.op.matrix, strategy, rng)
-    else:
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
-    return _program_from_state(state, p2.basis, description, tol), shots
+    return Composition(p1, p2, strategy, tol).sample(rng)

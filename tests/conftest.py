@@ -1,8 +1,12 @@
+import math
 import tempfile
 
 import numpy as np
 import pytest
 
+from qvn import tailed, uqt
+from qvn.control import Compose, ExecutionResult, Inject, Readout, Restore, SampleTail
+from qvn.errors import EstimationError, OutOfCopiesError, ValidationError
 from qvn.kernel import RngStream
 
 try:
@@ -153,3 +157,101 @@ def dense_teleport(amp1, amp2, u2, strategy, rng):
     if k != 0:
         mat = u2 @ dense_paulis(d)[k] @ u2.conj().T @ mat
     return mat.reshape(-1), rounds, k
+
+
+# ---------------------------------------------------------------------------
+# Per-shot schedule executor, the oracle for `control.execute`
+# ---------------------------------------------------------------------------
+
+
+def per_shot_execute(mem, sched):
+    """`control.execute` without outcome tables: every shot runs each
+    instruction's one-shot kernel afresh (`uqt.compose`, `tailed.inject`,
+    the readout distribution and `tailed.sample_tail_z`), on the same
+    `RngStream(seed, stream_id=shot)`."""
+    records = []
+    grouped = {"P0": [], "P1": [], "none": []}
+    n_tails = 0
+    trace_of_o = None
+    for shot_idx in range(sched.shots):
+        rng = RngStream(sched.seed, stream_id=shot_idx)
+        states, branch, injected, bells, value = {}, None, 0, [], None
+
+        def load(address):
+            if address not in states:
+                states[address] = tailed.program_state(mem.fetch_consume(address))
+            return states[address]
+
+        for idx, ins in enumerate(sched.instructions):
+            try:
+                if isinstance(ins, Compose):
+                    p1 = mem.fetch_consume(ins.addr1)
+                    p2 = mem.fetch_consume(ins.addr2)
+                    result, used = uqt.compose(p1, p2, ins.strategy, rng)
+                    bells.append(used)
+                    if ins.dest in mem.slots:
+                        mem.append_copy(ins.dest, result)
+                    else:
+                        mem.store_copies([result], description=result.description, address=ins.dest)
+                elif isinstance(ins, Inject):
+                    state = load(ins.target)
+                    n = len(state.subsystem_dims) // 2
+                    spec = tailed.InjectionSpec(tuple(range(n)), ins.bits or "1" * n)
+                    branch, _, states[ins.target] = tailed.inject(state, spec, rng, num_ebits=n)
+                    injected = n
+                elif isinstance(ins, Readout):
+                    state = load(ins.target)
+                    n = len(state.subsystem_dims) // 2
+                    spec = tailed.ReadoutSpec(ins.observable, tuple(range(n)))
+                    vals, probs = tailed._observable_distribution(state, spec)
+                    if probs.sum() <= 0:
+                        raise EstimationError("readout distribution vanished")
+                    value = float(vals[rng.choice(probs)].real)
+                    trace_of_o = ins.observable.trace
+                elif isinstance(ins, Restore):
+                    mem.restore(ins.addr, ins.copies)
+                elif isinstance(ins, SampleTail):
+                    if ins.target in states:
+                        n = len(states[ins.target].subsystem_dims) // 2
+                    else:
+                        n = mem.peek(ins.target).d.bit_length() - 1
+                    if not 0 <= ins.tail < n:
+                        raise ValidationError(
+                            f"sampletail tail={ins.tail} is out of range: the program at "
+                            f"address {ins.target} has {n} tails (0..{n - 1})"
+                        )
+                    bit, states[ins.target] = tailed.sample_tail_z(load(ins.target), n + ins.tail, rng)
+                    bells.append(bit)
+            except OutOfCopiesError as exc:
+                raise OutOfCopiesError(
+                    exc.address, f"instruction {idx} ({type(ins).__name__}): {exc}"
+                ) from exc
+        name = "none" if branch is None else f"P{branch}"
+        if value is not None:
+            grouped[name].append(value)
+            n_tails = max(n_tails, injected)
+        records.append(
+            tailed.RunRecord(
+                shot=shot_idx,
+                injection_branch=name,
+                observable_value=math.nan if value is None else value,
+                bell_outcomes=tuple(bells),
+            )
+        )
+    estimate = stderr = None
+    n1 = len(grouped["P1"]) + len(grouped["none"])
+    n0 = len(grouped["P0"])
+    if trace_of_o is not None and (n0 or n1):
+        estimate, stderr = tailed.combine_branch_estimates(
+            np.array(grouped["P1"] + grouped["none"]), np.array(grouped["P0"]), trace_of_o, n_tails
+        )
+    return ExecutionResult(
+        estimate=estimate,
+        standard_error=stderr,
+        shots=sched.shots,
+        n_p0=n0,
+        n_p1=n1,
+        records=tuple(records),
+        copies_after={addr: len(slot.copies) for addr, slot in mem.slots.items()},
+        audit_consistent=mem.verify_conservation(),
+    )

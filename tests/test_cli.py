@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,45 @@ class TestRun:
         assert err.startswith("error[E_PARSE]")
         assert f"(line {line_no}, col {col})" in err
         assert "Traceback" not in err
+
+
+DEMO_RUN = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "demo.run"
+
+# SHA-256 of the canonical report (JSON with sorted keys) of `qvn run` on
+# bench/inputs/demo.run under each strategy, taken from the per-shot executor
+# that outcome tables replaced: seeded output must not move.
+RUN_DIGESTS = {
+    "correction_table": {
+        0: "57215f7de1b8ee2b3634eaf3edc583e4487763d27c2ab6a634671f164d70f641",
+        1: "62ba908c72aa1d62ecc95b43b7e152bdc705131a72c0c78f53afc6597f44c661",
+        7: "5bdeee7c946603b6f05fe6081ad44c7b76b478041c7ed27bd041fde6732d5bbf",
+        42: "aa998c7ac533460af3418537c6d501ae47462dc52c8ca199b96d1fa531cd0f02",
+    },
+    "repeat_until_success": {
+        0: "4533c4c5148fb9dc52aec3eca8f2f1e6c35773bacefa6864dda31fbd5499db1c",
+        1: "f5ec24a93452a337e33db4e3e93d561e722593e324247d37df1a4dae134b3060",
+        7: "c19a4acaea6850ce68f7bda18cf14d38b1ad0cdc9787c138a3f7aa042235b155",
+        42: "478272d3643bd4286921206b0155203a840695617bfaa6c3ea7f1317a05d1d27",
+    },
+    "symmetric_pair": {
+        0: "98475abdeb87f7e4fb7068f8ac367903a801e9baa3eaa13011893e5723697e17",
+        1: "b4f15a79a0433a5327f1db5d1133ef5be186b26b0526de59bd2359afd06b167e",
+        7: "9f906c6ce5a7f754266a9572492d26406a6a1fa6ba446f497bce35112493070a",
+        42: "7bb0af1cd631296b59fef11f6aba25d9f3d2c899cef21745523d2bee3c243046",
+    },
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(RUN_DIGESTS))
+def test_seeded_run_report_pinned(tmp_path, capsys, strategy):
+    demo = DEMO_RUN.read_text().replace("strategy=correction_table", f"strategy={strategy}")
+    path = tmp_path / "demo.run"
+    path.write_text(demo)
+    for seed, digest in RUN_DIGESTS[strategy].items():
+        code, out, _ = run_cli(["run", str(path), "--seed", str(seed)], capsys)
+        assert code == 0
+        blob = json.dumps(canonical(out), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, (strategy, seed)
 
 
 class TestCompose:
@@ -234,6 +275,21 @@ class TestCountBounds:
         assert err.count("\n") == 1
         assert err.startswith("error[E_PARSE]") and fault in err
 
+    def test_compose_into_full_slot(self, tmp_path, capsys):
+        # slot 2 already holds MAX_COPIES copies when the compose adds one
+        full = RUN_DOC.replace(
+            "endslot\nschedule",
+            "endslot\nslot addr=2 copies=1048576\nQVN1 name=I n=1\nendslot\nschedule",
+            1,
+        )
+        bad = tmp_path / "full.run"
+        bad.write_text(full)
+        code, out, err = run_cli(["run", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]")
+        assert "slot 2 would hold 1048577 live copies; the limit is MAX_COPIES = 1048576" in err
+
     @pytest.mark.parametrize(
         "argv, fault",
         [
@@ -356,8 +412,8 @@ class TestTopoEval:
 
     def test_size_bound_named(self, workdir, capsys):
         # a closed diagram, so no report limit applies: 40 CCX vertices with
-        # their 240 endpoints paired at random; the contraction plan needs a
-        # tensor of 2^28 entries
+        # their 240 endpoints paired at random; the contraction plan has a
+        # step whose operands and result hold 67436544 entries
         gen = np.random.default_rng(7)
         endpoints = [f"{v}.{kind}{leg}" for v in range(40) for kind in "ht" for leg in range(3)]
         order = gen.permutation(len(endpoints))
@@ -373,7 +429,26 @@ class TestTopoEval:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error[E_VALIDATION]")
-        assert "MAX_INTERMEDIATE_ENTRIES = 67108864" in err and "268435456" in err
+        assert "MAX_INTERMEDIATE_ENTRIES = 67108864" in err and "67436544" in err
+
+    def test_live_entries_bound_named(self, workdir, capsys):
+        # 30 CCX vertices paired as above: no planned tensor passes 2^26
+        # entries, but one step holds 84148224 (1.25 GiB) with its operands
+        gen = np.random.default_rng(7)
+        endpoints = [f"{v}.{kind}{leg}" for v in range(30) for kind in "ht" for leg in range(3)]
+        order = gen.permutation(len(endpoints))
+        lines = ["QVN1 name=dense"] + ["vertex g=CCX legs=3"] * 30
+        lines += [
+            f"segment a={endpoints[order[i]]} b={endpoints[order[i + 1]]}"
+            for i in range(0, len(order), 2)
+        ]
+        diagram = workdir / "dense30.topo"
+        diagram.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["topo-eval", str(diagram)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]")
+        assert "84148224 live entries" in err and "MAX_INTERMEDIATE_ENTRIES = 67108864" in err
 
     def test_report_bound_named(self, workdir, capsys):
         # 9 unconnected T vertices leave 18 open endpoints, 2^18 amplitudes
@@ -517,6 +592,20 @@ class TestLocatedFaults:
             ),
             # a stored program is at most MAX_QUBITS wide
             pytest.param("qvn", "QVN1 name=W n=40\n", 1, 13, id="qvn1-width-limit"),
+            # header fields that size data yet to be read: 1 <= legs <= 13,
+            # a code's n <= 10 and k <= 10
+            pytest.param("topo", "vertex g=H legs=0\nsegment a=0.h0 b=0.t0\n", 1, 12,
+                         id="vertex-legs-zero"),
+            pytest.param("topo", "vertex g=H legs=-3\n", 1, 12, id="vertex-legs-negative"),
+            pytest.param("topo", "vertex g=H legs=10000000\n", 1, 12, id="vertex-legs-limit"),
+            pytest.param(
+                "code", "QVN1 name=c n=11 k=1\nisometry rows=2 cols=1 data=1,0;0,0\n",
+                1, 13, id="code-n-limit",
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=11\nisometry rows=2 cols=1 data=1,0;0,0\n",
+                1, 17, id="code-k-limit",
+            ),
             # bytes that are not UTF-8
             pytest.param("qvn", b"QVN1 name=H n=1\nt=0 g=H q=0 \xff\xfe\n", 2, 13, id="not-utf8"),
         ],

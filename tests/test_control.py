@@ -1,8 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import spanning_pure_states
-from qvn import gates
+from conftest import per_shot_execute, spanning_pure_states
+from qvn import control, gates, uqt
 from qvn.control import (
     Compose,
     Inject,
@@ -23,13 +26,14 @@ from qvn.kernel import (
     DensityOperator,
     Observable,
     PureState,
+    RngStream,
     UnitaryOp,
     apply_channel,
     haar_random_unitary,
     trace_distance,
 )
 from qvn.memory import GateRecord, MemoryUnit, ProgramDescription
-from qvn.uqt import ByproductStrategy
+from qvn.uqt import ByproductStrategy, stored_program
 
 
 def fresh_memory(copies=64):
@@ -132,6 +136,89 @@ class TestExecute:
         result = execute(mem, sched)
         assert all(len(r.bell_outcomes) == 1 for r in result.records)
         assert {r.bell_outcomes[0] for r in result.records} <= {0, 1}
+
+
+def chain_memory(n):
+    """Slot 0: one copy of a Haar program without a description; slot 1:
+    one copy of H on every wire."""
+    mem = MemoryUnit()
+    mem.store_copies([stored_program(haar_random_unitary(2**n, RngStream(5)))], address=0)
+    gate_list = tuple(GateRecord(0, "H", (q,)) for q in range(n))
+    mem.store(ProgramDescription("H", n, gate_list), 1, address=1)
+    return mem
+
+
+# a shot composes slot 0 with slot 1 back into slot 0: a new program every shot
+CHAIN = (Restore(1, 1), Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 0))
+
+
+class TestOutcomeTables:
+    def test_demo_builds_one_program_per_bell_outcome(self, monkeypatch):
+        built = []
+        counted = uqt.stored_program
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return counted(*args, **kwargs)
+
+        mem, a, b = fresh_memory(copies=200)
+        monkeypatch.setattr(uqt, "stored_program", counting)
+        result = execute(mem, th_schedule(a, b, shots=200, seed=4))
+        assert result.n_p0 + result.n_p1 == 200
+        assert 1 <= len(built) <= 4  # at most one per Bell outcome, d² = 4
+
+    def test_chain_matches_oracle(self):
+        # slot 1's second copy is injected and read out after the compose
+        zx = Readout(1, Observable(np.kron(gates.Z, gates.X)))
+        sched = Schedule((Restore(1, 2), CHAIN[1], Inject(1), zx), shots=30, seed=2)
+        mem, oracle_mem = chain_memory(2), chain_memory(2)
+        assert execute(mem, sched) == per_shot_execute(oracle_mem, sched)
+        # the last program of the chain, made on shot 30
+        last, oracle_last = mem.peek(0).op.matrix, oracle_mem.peek(0).op.matrix
+        assert np.array_equal(last, oracle_last)
+
+    def test_chain_memory_flat(self):
+        # 2000 shots at n = 4 each make a program and its table. The tables go
+        # with their programs, so the peak stays that of the per-shot oracle
+        # plus one table (16 KiB bounds its 2·d² doubles and one composed
+        # program), where keeping every table would add tens of MiB. A full
+        # collection before each run empties the interpreter's free lists,
+        # whose contents tracemalloc would count otherwise.
+        sched = Schedule(CHAIN, shots=2000, seed=3)
+        peaks = {}
+        for executor in (per_shot_execute, execute):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                executor(chain_memory(4), sched)
+                peaks[executor] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[execute] <= peaks[per_shot_execute] + 16 * 1024
+
+    def test_wide_fresh_slot_memory_bounded(self):
+        # Each shot composes the same two n = 6 programs into a fresh slot and
+        # injects the result, which consumes it. Nearly every shot draws a new
+        # one of the d² = 4096 Bell outcomes, so keeping every composed
+        # program, its circuit state and its injection posts would add about
+        # 250 KiB a shot (38 MiB here). What the tables keep stays within
+        # MAX_RETAINED_ENTRIES complex numbers, plus the tables themselves.
+        n, shots = 6, 150
+        sched = Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 2), Inject(2)), shots=shots, seed=3)
+        peaks = {}
+        for executor in (per_shot_execute, execute):
+            mem = MemoryUnit()
+            mem.store_copies([stored_program(haar_random_unitary(2**n, RngStream(5)))] * shots, address=0)
+            mem.store(ProgramDescription("H", n, tuple(GateRecord(0, "H", (q,)) for q in range(n))), shots, address=1)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                executor(mem, sched)
+                peaks[executor] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        kept = control.MAX_RETAINED_ENTRIES * np.dtype(complex).itemsize
+        assert peaks[execute] <= peaks[per_shot_execute] + kept + 256 * 1024
 
 
 class TestControlledUnknown:

@@ -1,9 +1,11 @@
 """Property tests: serialize/parse round trips of the five text formats are
 byte exact, any line-shaped text given to a parser either parses or raises
 a QvnError, the pairwise diagram contraction agrees with the single-pass
-einsum, and the index-only Bell measurement agrees with the dense basis."""
+einsum, the index-only Bell measurement agrees with the dense basis, and
+the table-driven schedule executor agrees with the per-shot one."""
 
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_bell_probabilities, einsum_oracle
+from conftest import dense_bell_probabilities, einsum_oracle, per_shot_execute
 from qvn import cli, control, gates, memory, qec
 from qvn.control import Compose, Inject, Readout, Restore, SampleTail, Schedule
 from qvn.errors import QvnError
@@ -30,8 +32,8 @@ def haar(dim, seed):
 
 
 @st.composite
-def descriptions(draw):
-    n = draw(st.integers(1, 3))
+def descriptions(draw, n=None):
+    n = n or draw(st.integers(1, 3))
     time = draw(st.integers(-2, 2))
     gate_list = []
     for _ in range(draw(st.integers(0, 4))):
@@ -258,3 +260,75 @@ def test_fusion_probabilities_match_dense_basis(d, seed):
     joint = np.kron(m1.reshape(-1), m2.reshape(-1)).reshape(d, d, d, d)
     oracle, _ = dense_bell_probabilities(joint, 0, 3, d)
     assert np.abs(probs - oracle).max() <= 1e-12
+
+
+@st.composite
+def runnable_schedules(draw):
+    """Two n-qubit slots (n = 1-3) of 1-3 copies and a schedule over them
+    of up to seven instructions of all five kinds and 1-40 shots. Most
+    schedules restore slot 1 and compose slot 0 with it, into a fresh slot
+    or back into slot 0, so that slot 0 holds a new program every shot
+    (a chain). One in five drops the restores, and some tail indices are
+    out of range, so errors are covered too."""
+    n = draw(st.integers(1, 3))
+    slots = [(draw(descriptions(n)), draw(st.integers(1, 3))) for _ in range(2)]
+    addrs = [0, 1]
+    instructions = [Restore(1, 2)]
+    dest = None
+    if draw(st.integers(0, 3)):
+        dest = draw(st.sampled_from([0, 2]))
+        instructions.append(Compose(0, 1, draw(st.sampled_from(list(ByproductStrategy))), dest))
+    if dest != 0:
+        instructions.insert(0, Restore(0, 2))
+    if dest == 2:
+        addrs.append(2)
+    if not draw(st.integers(0, 4)):
+        instructions = [i for i in instructions if not isinstance(i, Restore)]
+    readout = False
+    for _ in range(draw(st.integers(0, 5))):
+        verb = draw(st.sampled_from(["compose", "inject", "readout", "restore", "sampletail"]))
+        if verb == "compose":
+            a, b = draw(st.sampled_from(addrs)), draw(st.sampled_from(addrs))
+            dests = {i.dest for i in instructions if isinstance(i, Compose)}
+            dest = draw(st.sampled_from([a, b, len(addrs)]).filter(lambda x: x not in dests))
+            strategy = draw(st.sampled_from(list(ByproductStrategy)))
+            instructions.append(Compose(a, b, strategy, dest))
+            if dest == len(addrs):
+                addrs.append(dest)
+        elif verb == "inject":
+            bits = draw(st.one_of(st.just(""), st.text("01", min_size=n, max_size=n)))
+            instructions.append(Inject(draw(st.sampled_from(addrs)), bits))
+        elif verb == "readout" and not readout:
+            readout = True
+            label = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+            obs = Observable(gates.pauli_string_matrix(label))
+            instructions.append(Readout(draw(st.sampled_from(addrs)), obs, label))
+        elif verb == "restore":
+            instructions.append(Restore(draw(st.sampled_from(addrs)), draw(st.integers(1, 3))))
+        elif verb == "sampletail":
+            tail = draw(st.sampled_from([*range(n)] * 3 + [n]))
+            instructions.append(SampleTail(draw(st.sampled_from(addrs)), tail))
+    sched = Schedule(tuple(instructions), shots=draw(st.integers(1, 40)), seed=draw(SEEDS))
+    return slots, sched
+
+
+def run_or_error(executor, slots, sched):
+    """The executor's result and the gates of every copy left in memory, or
+    the type and message of the error it raised."""
+    mem = memory.MemoryUnit()
+    for address, (desc, copies) in enumerate(slots):
+        mem.store(desc, copies, address=address)
+    try:
+        result = executor(mem, sched)
+    except QvnError as exc:
+        return type(exc), str(exc)
+    programs = {a: [p.op.matrix.tobytes() for p in slot.copies] for a, slot in mem.slots.items()}
+    return result, programs
+
+
+@given(runnable_schedules(), st.sampled_from([control.MAX_RETAINED_ENTRIES, 64, 0]))
+def test_execute_matches_per_shot_oracle(case, retained):
+    # with 64 entries some results are kept and the rest rebuilt per draw
+    with mock.patch.object(control, "MAX_RETAINED_ENTRIES", retained):
+        got = run_or_error(control.execute, *case)
+    assert got == run_or_error(per_shot_execute, *case)

@@ -281,11 +281,11 @@ class TestLogicalCompose:
     def test_rus_bounded(self, monkeypatch):
         draws = []
 
-        def nontrivial(self, probabilities):
+        def nontrivial(self, cdf):
             draws.append(1)
             return 1
 
-        monkeypatch.setattr(RngStream, "choice", nontrivial)
+        monkeypatch.setattr(RngStream, "draw", nontrivial)
         p = logical_program(Code(1, 1, np.eye(2)), gates.T)
         with pytest.raises(NumericalError, match="64·d²"):
             logical_compose(p, p, ByproductStrategy.REPEAT_UNTIL_SUCCESS, RngStream(0))

@@ -279,11 +279,11 @@ class TestCompose:
     def test_rus_bounded(self, monkeypatch):
         draws = []
 
-        def nontrivial(self, probabilities):
+        def nontrivial(self, cdf):
             draws.append(1)
             return 1
 
-        monkeypatch.setattr(RngStream, "choice", nontrivial)
+        monkeypatch.setattr(RngStream, "draw", nontrivial)
         p1, p2 = stored_program(gates.H), stored_program(gates.T)
         with pytest.raises(NumericalError, match="64·d²"):
             compose(p1, p2, ByproductStrategy.REPEAT_UNTIL_SUCCESS, RngStream(0))
@@ -388,10 +388,10 @@ class TestCompositionUnitary:
 
 
 class RecordingRng(RngStream):
-    """An RngStream that keeps every index `choice` returns."""
+    """An RngStream that keeps every index it draws."""
 
-    def choice(self, probabilities):
-        k = super().choice(probabilities)
+    def draw(self, cdf):
+        k = super().draw(cdf)
         self.__dict__.setdefault("draws", []).append(k)
         return k
 
