@@ -70,6 +70,13 @@ def _matrix_entry(m):
     return [[_complex_entry(z) for z in row] for row in np.asarray(m)]
 
 
+def _check_seed(seed):
+    """A ValidationError unless the --seed is non-negative, as a SeedSequence
+    entropy must be."""
+    if seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
+
+
 def _check_repeats(repeats):
     """A ValidationError naming the limit unless 1 <= repeats <= MAX_REPEATS."""
     if repeats < 1:
@@ -115,7 +122,7 @@ def parse_run_file(text):
                 instructions.append(control.parse_instruction(line))
         elif line.verb == "run":
             shots = line.int("shots", 1, low=1, high=control.MAX_SHOTS)
-            seed = line.int("seed", 0)
+            seed = line.int("seed", 0, low=0)
         elif line.verb == "slot":
             copies = line.int("copies", 1, low=1, high=memory.MAX_COPIES)
             slot = (line.int("addr"), copies, line.str("kind", memory.PROGRAM))
@@ -135,6 +142,7 @@ def cmd_run(args):
     if args.shots is not None:
         shots = args.shots
     if args.seed is not None:
+        _check_seed(args.seed)
         seed = args.seed
     mem = MemoryUnit() if args.tolerance is None else MemoryUnit(tol=args.tolerance)
     slot_names = {}
@@ -173,6 +181,7 @@ def cmd_run(args):
 
 
 def cmd_compose(args):
+    _check_seed(args.seed)
     _check_repeats(args.repeats)
     desc1 = memory.deserialize(_read_file(args.program1))
     desc2 = memory.deserialize(_read_file(args.program2))
@@ -213,6 +222,7 @@ def cmd_compose(args):
 
 
 def cmd_qec_check(args):
+    _check_seed(args.seed)
     _check_repeats(args.repeats)
     code = qec.parse_code(_read_file(args.code))
     tokens = [t for t in args.errors.split(",") if t]

@@ -37,6 +37,7 @@ from .kernel import (
     RngStream,
     UnitaryOp,
     partial_trace_matrix,
+    shot_streams,
 )
 from .memory import MAX_COPIES, MAX_QUBITS, MemoryUnit
 from .text import Line, format_complex_data, lines
@@ -94,6 +95,8 @@ class Schedule:
             raise ValidationError(
                 f"schedule needs 1 <= shots <= MAX_SHOTS = {MAX_SHOTS}, got {self.shots}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"schedule needs a seed >= 0, got {self.seed}")
         dests = [i.dest for i in self.instructions if isinstance(i, Compose)]
         if len(dests) != len(set(dests)):
             raise ValidationError("compose destinations must be unique per schedule")
@@ -251,8 +254,9 @@ def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
 def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     """Run the schedule once per shot, mutating memory, and aggregate.
 
-    Each shot draws from its own `RngStream(seed, stream_id=shot)`, fetches
-    and restores copies as the schedule says, and samples each instruction
+    Each shot draws from its own stream, that of `RngStream(seed,
+    stream_id=shot)` (made by `kernel.shot_streams`), fetches and restores
+    copies as the schedule says, and samples each instruction
     from its exact outcome table (see `_Tables`), which this call builds
     once per distinct input. The draws, and so the results, are those of
     running every instruction's one-shot kernel afresh each shot.
@@ -267,8 +271,8 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     grouped = {"P0": [], "P1": [], "none": []}
     n_tails = 0
     observable = None  # of the readout run, whose trace is taken once, at the end
-    for shot_idx in range(sched.shots):
-        shot = _ShotState(mem, RngStream(sched.seed, stream_id=shot_idx), tables)
+    for shot_idx, rng in enumerate(shot_streams(sched.seed, sched.shots)):
+        shot = _ShotState(mem, rng, tables)
         for idx, ins in enumerate(sched.instructions):
             try:
                 _run_instruction(ins, shot, mem)

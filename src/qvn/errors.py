@@ -21,6 +21,10 @@ class NumericalError(QvnError):
     """A numerical procedure failed (convergence, vanishing probability)."""
 
 
+class StreamDerivationError(QvnError):
+    """Shot streams derived in a batch differ from numpy's own seeding."""
+
+
 class ConfigurationError(QvnError):
     """A strategy or operation lacks required data."""
 

@@ -9,6 +9,7 @@ matching ``numpy.kron``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatchError,
     NumericalError,
+    StreamDerivationError,
     ValidationError,
 )
 
@@ -285,6 +287,16 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         object.__setattr__(self, "_gen", np.random.Generator(np.random.PCG64(seq)))
 
+    @classmethod
+    def _over(cls, seed, stream_id, generator):
+        """Stream (seed, stream_id) drawing from `generator`, which the
+        caller has seeded as `__post_init__` would."""
+        stream = object.__new__(cls)
+        object.__setattr__(stream, "seed", seed)
+        object.__setattr__(stream, "stream_id", stream_id)
+        object.__setattr__(stream, "_gen", generator)
+        return stream
+
     def random(self):
         return float(self._gen.random())
 
@@ -313,6 +325,126 @@ class RngStream:
 
     def normal(self, shape):
         return self._gen.normal(size=shape)
+
+
+# numpy's seeding of `PCG64(SeedSequence(seed, spawn_key=(shot,)))`: the
+# SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq_fe) of the seed's 32-bit words, zero-padded to the pool size, then
+# the shot word, and PCG64's srandom step (O'Neill, "PCG", HMC-CS-2014-0905).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+# Shots whose seeds `shot_streams` derives in one vectorized pass: the
+# pass keeps four uint64 words per shot, 8 KiB a block.
+SHOT_BLOCK = 256
+
+
+def _hashmix(value, hash_const):
+    """SeedSequence's hashmix of a uint32 (a Python int or a uint32 array):
+    (mixed value, next hash constant)."""
+    hash_const_next = hash_const * _MULT_A & _MASK32
+    value = (value ^ hash_const) * hash_const_next & _MASK32
+    return value ^ (value >> 16), hash_const_next
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_pool(seed):
+    """SeedSequence pool of `seed` with every entropy word mixed in but the
+    spawn key, which comes last, and the hash constant that word starts at."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, hash_const
+
+
+def _block_seeds(pool, hash_const, shots):
+    """PCG64 seed words (initstate high, low, initseq high, low) of the
+    shot ids in the uint32 array `shots`, one uint64 row per shot."""
+    pool = list(pool)
+    for dst in range(_POOL_SIZE):
+        value, hash_const = _hashmix(shots, hash_const)
+        pool[dst] = _mix(pool[dst], value)
+    # generate_state(4, uint64): 8 words cycling over the pool, paired low first
+    seeds = np.empty((shots.size, 4), dtype=np.uint64)
+    hash_const = _INIT_B
+    for i in range(8):
+        hash_const_next = hash_const * _MULT_B & _MASK32
+        value = (pool[i % _POOL_SIZE] ^ hash_const) * hash_const_next
+        value ^= value >> 16
+        hash_const = hash_const_next
+        if i % 2:
+            seeds[:, i // 2] |= value.astype(np.uint64) << np.uint64(32)
+        else:
+            seeds[:, i // 2] = value
+    return seeds
+
+
+def _pcg64_state(seed_words):
+    """(state, inc) of PCG64 seeded from one row of `_block_seeds`."""
+    high, low, seq_high, seq_low = seed_words.tolist()
+    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+    state = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _MASK128
+    return state, inc
+
+
+def shot_streams(seed, shots):
+    """For each shot s in range(shots), in order, an `RngStream` whose draws
+    equal those of `RngStream(seed, stream_id=s)` bit for bit.
+
+    Only the spawn-key word of the SeedSequence differs between shots, so
+    the seed's own words are mixed once per call, the rest of the hash runs
+    vectorized over blocks of SHOT_BLOCK shots, and each shot re-seeds one
+    PCG64 in place. The streams share that generator: draw from each only
+    before taking the next. Before the first is given, shot 0's derived
+    state is checked against numpy's seeding, and a mismatch raises
+    `StreamDerivationError`.
+    """
+    if shots > 2**32:
+        raise ValidationError(f"shot ids must fit one 32-bit word, got {shots} shots")
+    pool, hash_const = _seed_pool(seed)
+    bit_generator = np.random.PCG64()
+    generator = np.random.Generator(bit_generator)
+    expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state["state"]
+    for first in range(0, shots, SHOT_BLOCK):
+        block = np.arange(first, min(first + SHOT_BLOCK, shots), dtype=np.uint32)
+        seeds = _block_seeds(pool, hash_const, block)
+        if first == 0 and _pcg64_state(seeds[0]) != (expected["state"], expected["inc"]):
+            raise StreamDerivationError(
+                f"the derived PCG64 state of seed {seed}, shot 0 differs from numpy's seeding"
+            )
+        for row, shot in enumerate(range(first, first + block.size)):
+            state, inc = _pcg64_state(seeds[row])
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield RngStream._over(seed, shot, generator)
 
 
 # ---------------------------------------------------------------------------

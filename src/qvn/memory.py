@@ -14,6 +14,7 @@ row-major with full-precision decimal floats, so a round trip is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,13 +124,27 @@ class ProgramDescription:
             u = gates.embed_operator(g.gate_matrix(), list(g.targets), dims) @ u
         return u
 
+    @property
+    def start(self) -> int | None:
+        """Time slot of the first gate; None without gates."""
+        return self.gate_list[0].time if self.gate_list else None
+
+    @property
+    def span(self) -> int:
+        """Time slots before the first gate of a circuit run after this one."""
+        return self.gate_list[-1].time + 1 if self.gate_list else 0
+
     def then(self, later: "ProgramDescription") -> "ProgramDescription":
-        """Description of running this circuit first, then `later`."""
+        """Description of running this circuit first, then `later`, with
+        `later`'s time slots shifted past this one's. Made in O(1); its name
+        and gate list are flattened on first read."""
         if later.n != self.n:
             raise ValidationError("cannot concatenate descriptions of different widths")
-        offset = (self.gate_list[-1].time + 1) if self.gate_list else 0
-        shifted = tuple(replace(g, time=g.time + offset) for g in later.gate_list)
-        return ProgramDescription(f"{self.name};{later.name}", self.n, self.gate_list + shifted)
+        # later's first gate lands at its time + span, before this circuit's
+        # last slot, span - 1, only if that time is below -1
+        if self.start is not None and later.start is not None and later.start < -1:
+            raise ValidationError("time slots must be nondecreasing")
+        return _Concatenation(self, later)
 
     def __eq__(self, other):
         if not isinstance(other, ProgramDescription):
@@ -139,6 +154,50 @@ class ProgramDescription:
             and self.n == other.n
             and self.gate_list == other.gate_list
         )
+
+
+class _Concatenation(ProgramDescription):
+    """`first.then(later)` of two valid descriptions of one width, which
+    needs no checks. A chain of compositions nests these one deep per step,
+    so the flattening walks the nesting with a stack, not by recursion, and
+    keeps its result in place of the parts."""
+
+    def __init__(self, first: ProgramDescription, later: ProgramDescription):
+        object.__setattr__(self, "n", first.n)
+        object.__setattr__(self, "_parts", (first, later))
+        object.__setattr__(self, "_span", first.span + later.span)
+        object.__setattr__(self, "_start", later.start if first.start is None else first.start)
+
+    @property
+    def start(self) -> int | None:
+        return self._start
+
+    @property
+    def span(self) -> int:
+        return self._span
+
+    @functools.cached_property
+    def name(self) -> str:
+        return self._flatten()[0]
+
+    @functools.cached_property
+    def gate_list(self) -> tuple[GateRecord, ...]:
+        return self._flatten()[1]
+
+    def _flatten(self):
+        names, gate_list, offset = [], [], 0
+        stack = [self]
+        while stack:
+            desc = stack.pop()
+            if isinstance(desc, _Concatenation) and desc._parts is not None:
+                stack.extend(reversed(desc._parts))
+                continue
+            names.append(desc.name)
+            gate_list.extend(g if offset == 0 else replace(g, time=g.time + offset) for g in desc.gate_list)
+            offset += desc.span
+        flat = ";".join(names), tuple(gate_list)
+        self.__dict__.update(name=flat[0], gate_list=flat[1], _parts=None)
+        return flat
 
 
 def synthesize(desc: ProgramDescription, tol=DEFAULT_TOL) -> StoredProgram:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +155,72 @@ def test_seeded_run_report_pinned(tmp_path, capsys, strategy):
         assert code == 0
         blob = json.dumps(canonical(out), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest, (strategy, seed)
+
+
+# The same digest for runs that take more than one block of shot streams
+# or a seed of more than four 32-bit words, taken from the executor that
+# made one RngStream(seed, stream_id=shot) per shot.
+BLOCK_RUN_DIGESTS = [
+    # many draws per shot, 700 shots: three blocks
+    ("repeat_until_success", ["--shots", "700", "--seed", "3"],
+     "d113877b23740545e27e9619ea70a8821bc55a26d8be0c4c1029db792377f469"),
+    # 3**90 > 2**128: five seed words, mixed past the pool without padding
+    ("correction_table", ["--seed", str(3**90)],
+     "b8600d7e176c7d94af303862d4682ca9003495bc1ca1a478cc9ccad657c234c2"),
+    ("symmetric_pair", ["--seed", str(2**32)],
+     "464cb4ae7dcd1295a3203be04313d976b1a29c6f13b192a2a29fc8365fc122f6"),
+    ("correction_table", ["--seed", str(2**32 - 1)],
+     "89ab73d6b2300f9240c5fe68b1a378123308f4c1fa20769a2b7675ac8c8d7a8d"),
+]
+
+
+@pytest.mark.parametrize("strategy, argv, digest", BLOCK_RUN_DIGESTS)
+def test_seeded_run_report_pinned_across_blocks(tmp_path, capsys, strategy, argv, digest):
+    demo = DEMO_RUN.read_text().replace("strategy=correction_table", f"strategy={strategy}")
+    path = tmp_path / "demo.run"
+    path.write_text(demo)
+    code, out, _ = run_cli(["run", str(path), *argv], capsys)
+    assert code == 0
+    blob = json.dumps(canonical(out), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestNegativeSeed:
+    """A SeedSequence takes no negative entropy: a negative seed is one
+    error line and exit 2, not a numpy ValueError traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "demo.run", "--seed", "-1"],
+            ["compose", "h.qvn", "t.qvn", "--seed", "-1"],
+            ["qec-check", "bitflip.code", "--errors", "I,X0", "--recovery", "--seed", "-1"],
+        ],
+        ids=["run", "compose", "qec-check"],
+    )
+    def test_flag(self, workdir, capsys, argv):
+        argv = [str(workdir / a) if (workdir / a).exists() else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error[E_VALIDATION] --seed must be >= 0, got -1\n"
+
+    def test_run_file_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.run"
+        bad.write_text(RUN_DOC.replace("run shots=120 seed=11", "run shots=120 seed=-5", 1))
+        code, out, err = run_cli(["run", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error[E_PARSE] seed=-5 is below 0 (line 1, col 15)\n"
+
+
+def test_python_m_qvn(workdir):
+    # a source checkout runs the CLI as `python -m qvn` with src/ on the path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    base = [sys.executable, "-m", "qvn", "run", str(workdir / "demo.run")]
+    ok = subprocess.run(base + ["--shots", "3"], capture_output=True, text=True, env=env, timeout=120)
+    assert ok.returncode == 0 and canonical(ok.stdout)["shots"] == 3
+    bad = subprocess.run(base + ["--seed", "-1"], capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == 2 and bad.stderr.startswith("error[E_VALIDATION]")
 
 
 class TestCompose:

@@ -1,11 +1,12 @@
 import gc
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import per_shot_execute, spanning_pure_states
-from qvn import control, gates, uqt
+from qvn import control, gates, kernel, uqt
 from qvn.control import (
     Compose,
     Inject,
@@ -21,7 +22,7 @@ from qvn.control import (
     parse_schedule,
     serialize_schedule,
 )
-from qvn.errors import OutOfCopiesError, ParseError, ValidationError
+from qvn.errors import OutOfCopiesError, ParseError, StreamDerivationError, ValidationError
 from qvn.kernel import (
     DensityOperator,
     Observable,
@@ -64,6 +65,10 @@ class TestScheduleValidation:
                     Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 5),
                 )
             )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed >= 0, got -5"):
+            Schedule((), seed=-5)
 
     def test_two_readouts_rejected(self):
         with pytest.raises(ValidationError):
@@ -130,6 +135,28 @@ class TestExecute:
         assert result.copies_after[b] == 6
         assert result.copies_after[10] == 0
 
+    @pytest.mark.parametrize("strategy", list(ByproductStrategy))
+    def test_matches_oracle_across_stream_blocks(self, strategy):
+        # 600 shots take their streams from three blocks of shot_streams
+        sched = Schedule(
+            (
+                Compose(0, 1, strategy, 10),
+                Inject(10, "1"),
+                Readout(10, Observable(gates.Z), "Z"),
+            ),
+            shots=600,
+            seed=12,
+        )
+        assert sched.shots > 2 * kernel.SHOT_BLOCK
+        assert execute(fresh_memory(600)[0], sched) == per_shot_execute(fresh_memory(600)[0], sched)
+
+    def test_stream_drift_stops_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_PCG_MULT", kernel._PCG_MULT + 2)
+        mem, a, b = fresh_memory(copies=3)
+        with pytest.raises(StreamDerivationError):
+            execute(mem, th_schedule(a, b, shots=3))
+        assert (mem.copy_count(a), mem.copy_count(b)) == (3, 3)
+
     def test_sample_tail_instruction(self):
         mem, a, _ = fresh_memory(4)
         sched = Schedule((SampleTail(a, 0),), shots=4, seed=5)
@@ -195,6 +222,26 @@ class TestOutcomeTables:
             finally:
                 tracemalloc.stop()
         assert peaks[execute] <= peaks[per_shot_execute] + 16 * 1024
+
+    def test_described_chain_cost_flat(self):
+        # With both slots described, each shot's program carries the
+        # description of H followed by one T per shot so far. Composing
+        # descriptions is O(1), so a shot costs the same at 2000 shots as
+        # at 250; copying the gate list made it grow with the shot index.
+        def run(shots):
+            mem = MemoryUnit()
+            mem.store(ProgramDescription("H", 1, (GateRecord(0, "H", (0,)),)), 1, address=0)
+            mem.store(ProgramDescription("T", 1, (GateRecord(0, "T", (0,)),)), 1, address=1)
+            sched = Schedule((Restore(1, 1), Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 0)), shots=shots, seed=3)
+            start = time.perf_counter()
+            execute(mem, sched)
+            return (time.perf_counter() - start) / shots, mem.peek(0).description
+
+        per_shot_250 = min(run(250)[0] for _ in range(3))
+        per_shot_2000, last = min((run(2000) for _ in range(2)), key=lambda r: r[0])
+        assert per_shot_2000 <= 2 * per_shot_250
+        assert last.name == "H" + ";T" * 2000
+        assert [g.time for g in last.gate_list] == list(range(2001))
 
     def test_wide_fresh_slot_memory_bounded(self):
         # Each shot composes the same two n = 6 programs into a fresh slot and

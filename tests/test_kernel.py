@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qvn import gates
-from qvn.errors import NumericalError, ValidationError
+from qvn import gates, kernel
+from qvn.control import MAX_SHOTS
+from qvn.errors import NumericalError, StreamDerivationError, ValidationError
 from qvn.kernel import (
     DensityOperator,
     KrausChannel,
@@ -23,6 +24,7 @@ from qvn.kernel import (
     random_cptp_channel,
     random_density,
     random_pure_state,
+    shot_streams,
 )
 
 
@@ -312,3 +314,34 @@ class TestRngStream:
             expected = int(twin._gen.choice(size, p=p / p.sum()))
             assert ours.choice(p) == expected
             assert ours.random() == twin.random()
+
+
+def numpy_pcg64_state(seed, shot):
+    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(shot,))).state["state"]
+    return state["state"], state["inc"]
+
+
+class TestShotStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**127 + 3, 3**90])
+    def test_block_derivation_reaches_max_shot(self, seed):
+        # the shot ids a Schedule may have, first and last, across block edges
+        shots = np.array([0, 1, kernel.SHOT_BLOCK - 1, kernel.SHOT_BLOCK, MAX_SHOTS - 1], dtype=np.uint32)
+        pool, hash_const = kernel._seed_pool(seed)
+        rows = kernel._block_seeds(pool, hash_const, shots)
+        for row, shot in zip(rows, shots.tolist()):
+            assert kernel._pcg64_state(row) == numpy_pcg64_state(seed, shot)
+
+    def test_streams_are_labelled_in_order(self):
+        streams = list(stream.stream_id for stream in shot_streams(9, kernel.SHOT_BLOCK + 2))
+        assert streams == list(range(kernel.SHOT_BLOCK + 2))
+
+    def test_drift_guard_raises_before_the_first_stream(self, monkeypatch):
+        # a derivation that no longer matches numpy's seeding gives no stream
+        monkeypatch.setattr(kernel, "_PCG_MULT", kernel._PCG_MULT + 2)
+        with pytest.raises(StreamDerivationError, match="shot 0 differs from numpy"):
+            next(shot_streams(7, 3))
+
+    @pytest.mark.parametrize("seed, shots", [(-1, 1), (0, 2**32 + 1)])
+    def test_rejects_seed_or_shots_out_of_range(self, seed, shots):
+        with pytest.raises(ValidationError):
+            next(shot_streams(seed, shots))

@@ -80,6 +80,23 @@ class TestDescription:
         )
         assert np.abs(combined.unitary() - gates.T @ gates.H).max() < 1e-14
 
+    def test_deep_chain_flattens_without_recursion(self):
+        # a chain composing into its own slot nests one `then` per shot
+        t = ProgramDescription("T", 1, (GateRecord(0, "T", (0,)),))
+        chain = desc_h()
+        for _ in range(5000):
+            chain = chain.then(t)
+        assert chain.name == "H" + ";T" * 5000
+        assert [g.time for g in chain.gate_list] == list(range(5001))
+        assert serialize(chain).count("\n") == 5002
+
+    def test_then_keeps_time_slots_ordered(self):
+        # a later circuit starting below slot -1 would land before the last gate
+        early = ProgramDescription("E", 1, (GateRecord(-2, "X", (0,)),))
+        with pytest.raises(ValidationError, match="nondecreasing"):
+            desc_h().then(early)
+        assert ProgramDescription("I", 1).then(early).gate_list == early.gate_list
+
 
 class TestSynthesize:
     def test_identity(self):

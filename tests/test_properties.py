@@ -1,24 +1,35 @@
 """Property tests: serialize/parse round trips of the five text formats are
 byte exact, any line-shaped text given to a parser either parses or raises
 a QvnError, the pairwise diagram contraction agrees with the single-pass
-einsum, the index-only Bell measurement agrees with the dense basis, and
-the table-driven schedule executor agrees with the per-shot one."""
+einsum, the index-only Bell measurement agrees with the dense basis, the
+table-driven schedule executor agrees with the per-shot one, batch-derived
+shot streams draw as numpy seeds them, and lazily concatenated program
+descriptions flatten to the eager concatenation."""
 
 import string
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import dense_bell_probabilities, einsum_oracle, per_shot_execute
 from qvn import cli, control, gates, memory, qec
 from qvn.control import Compose, Inject, Readout, Restore, SampleTail, Schedule
-from qvn.errors import QvnError
-from qvn.kernel import Observable, PureState, RngStream, haar_random_unitary
+from qvn.errors import QvnError, ValidationError
+from qvn.kernel import (
+    SHOT_BLOCK,
+    Observable,
+    PureState,
+    RngStream,
+    checked_cdf,
+    haar_random_unitary,
+    shot_streams,
+)
 from qvn.memory import GATE_ARITY, GateRecord, ProgramDescription
 from qvn.tailed import TopoDiagram, TopoVertex, eval_topological
 from qvn.uqt import BellBasis, ByproductStrategy, bell_probabilities, fusion_probabilities
@@ -332,3 +343,84 @@ def test_execute_matches_per_shot_oracle(case, retained):
     with mock.patch.object(control, "MAX_RETAINED_ENTRIES", retained):
         got = run_or_error(control.execute, *case)
     assert got == run_or_error(per_shot_execute, *case)
+
+
+# ---------------------------------------------------------------------------
+# Shot streams
+# ---------------------------------------------------------------------------
+
+STREAM_CALLS = st.lists(
+    st.sampled_from(["random", "draw", "uniforms", "choices", "normal"]), min_size=1, max_size=6
+)
+CDF = checked_cdf([0.1, 0.0, 0.3, 0.6])
+
+
+def stream_draws(stream, calls):
+    out = []
+    for call in calls:
+        if call == "random":
+            out.append(stream.random())
+        elif call == "draw":
+            out.append(stream.draw(CDF))
+        elif call == "uniforms":
+            out.append(stream.uniforms(3).tolist())
+        elif call == "choices":
+            out.append(stream.choices([1.0, 2.0, 0.0, 5.0], 2).tolist())
+        else:
+            out.append(stream.normal((2,)).tolist())
+    return out
+
+
+@given(
+    st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**160)),
+    st.sampled_from([1, 2, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 3]),
+    STREAM_CALLS,
+)
+@example(2**160 - 1, SHOT_BLOCK + 1, ["random", "normal", "draw"])
+def test_shot_streams_draw_as_rng_stream(seed, shots, calls):
+    # 2**160 - 1 has five 32-bit words: more than the pool, so no padding
+    count = 0
+    for shot, stream in enumerate(shot_streams(seed, shots)):
+        oracle = RngStream(seed, stream_id=shot)
+        assert stream._gen.bit_generator.state == oracle._gen.bit_generator.state
+        assert stream_draws(stream, calls) == stream_draws(oracle, calls)
+        count += 1
+    assert count == shots
+
+
+# ---------------------------------------------------------------------------
+# Lazily concatenated descriptions
+# ---------------------------------------------------------------------------
+
+
+def eager_then(first, later):
+    """`ProgramDescription.then` as a copy of both gate lists, re-checked."""
+    offset = (first.gate_list[-1].time + 1) if first.gate_list else 0
+    shifted = tuple(replace(g, time=g.time + offset) for g in later.gate_list)
+    return ProgramDescription(f"{first.name};{later.name}", first.n, first.gate_list + shifted)
+
+
+def then_or_error(combine, a, b):
+    try:
+        return combine(a, b)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(st.lists(descriptions(n=2), min_size=2, max_size=6), st.data())
+def test_then_flattens_to_eager_concatenation(parts, data):
+    # fold the parts in a drawn bracketing, reading some middle results early
+    lazy, eager = list(parts), list(parts)
+    while len(lazy) > 1:
+        i = data.draw(st.integers(0, len(lazy) - 2))
+        got = then_or_error(lambda a, b: a.then(b), lazy[i], lazy[i + 1])
+        want = then_or_error(eager_then, eager[i], eager[i + 1])
+        if isinstance(want, str):
+            assert got == want
+            return
+        lazy[i : i + 2], eager[i : i + 2] = [got], [want]
+        if data.draw(st.booleans()):
+            assert got.gate_list == want.gate_list
+    assert lazy[0] == eager[0]
+    assert (lazy[0].start, lazy[0].span) == (eager[0].start, eager[0].span)
+    assert memory.serialize(lazy[0]) == memory.serialize(eager[0])
