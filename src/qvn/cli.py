@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -54,12 +55,14 @@ def _fail(code, message, exit_code):
 
 
 def _emit(report, out_path):
+    """Write the report to `out_path`, or to stdout and flush it, so that a
+    failed write raises here."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 def _complex_entry(z):
@@ -101,7 +104,7 @@ def _read_file(path):
 
 def parse_run_file(text):
     """Returns (shots, seed, slots, instructions); a slot is
-    (addr, copies, kind, description)."""
+    (addr, copies, description)."""
     shots, seed = 1, 0
     slots = []
     instructions = []
@@ -109,6 +112,7 @@ def parse_run_file(text):
     for line in lines(text):
         if mode == "slot":
             if line.verb == "endslot":
+                line.done()
                 if not doc:
                     raise line.error("slot holds no QVN1 document")
                 slots.append(slot + (memory.description_of_lines(doc),))
@@ -117,18 +121,21 @@ def parse_run_file(text):
                 doc.append(line)
         elif mode == "schedule":
             if line.verb == "endschedule":
+                line.done()
                 mode = "top"
             else:
                 instructions.append(control.parse_instruction(line))
         elif line.verb == "run":
             shots = line.int("shots", 1, low=1, high=control.MAX_SHOTS)
             seed = line.int("seed", 0, low=0)
+            line.done()
         elif line.verb == "slot":
-            copies = line.int("copies", 1, low=1, high=memory.MAX_COPIES)
-            slot = (line.int("addr"), copies, line.str("kind", memory.PROGRAM))
+            slot = (line.int("addr"), line.int("copies", 1, low=1, high=memory.MAX_COPIES))
+            line.done()
             doc = []
             mode, opened = "slot", line
         elif line.verb == "schedule":
+            line.done()
             mode, opened = "schedule", line
         else:
             raise line.error("expected a run, slot or schedule line")
@@ -144,10 +151,10 @@ def cmd_run(args):
     if args.seed is not None:
         _check_seed(args.seed)
         seed = args.seed
-    mem = MemoryUnit() if args.tolerance is None else MemoryUnit(tol=args.tolerance)
+    mem = MemoryUnit()
     slot_names = {}
-    for addr, copies, kind, desc in slots:
-        mem.store(desc, copies, kind=kind, address=addr)
+    for addr, copies, desc in slots:
+        mem.store(desc, copies, address=addr)
         slot_names[addr] = desc.name
     sched = control.Schedule(tuple(instructions), shots=shots, seed=seed)
     result = control.execute(mem, sched)
@@ -289,6 +296,8 @@ def parse_diagram(text) -> tailed.TopoDiagram:
     saw_header = False
     for line in lines(text):
         if line.verb == "QVN1" and not saw_header:
+            line.str("name", "")  # a diagram may be named; the name is not kept
+            line.done()
             saw_header = True
         elif line.verb == "vertex":
             legs = line.int("legs", 1, low=1, high=tailed.MAX_VERTEX_LEGS)
@@ -300,10 +309,12 @@ def parse_diagram(text) -> tailed.TopoDiagram:
                 gate = GATE_MATRICES[tag]
             else:
                 raise line.error(f"unknown vertex gate {tag!r}", "g")
+            line.done()
             with line.located():
                 vertices.append(tailed.TopoVertex(UnitaryOp(gate).matrix, legs, site_dim))
         elif line.verb == "segment":
             segments.append((line, _endpoint(line, "a"), _endpoint(line, "b")))
+            line.done()
         else:
             raise line.error("expected a vertex or segment line")
     # a segment may name a vertex given further down, so endpoints are
@@ -364,7 +375,6 @@ def build_parser():
     p_run.add_argument("file")
     p_run.add_argument("--shots", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--tolerance", type=float, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -418,7 +428,17 @@ def main(argv=None):
             "runtime_seconds": round(time.time() - start, 6),
         },
     }
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except BrokenPipeError:
+        # the reader has gone; stdout now writes to nowhere, so the flush at
+        # exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail("E_IO", "stdout was closed before the report was written", EXIT_RUNTIME)
+    except OSError as exc:
+        return _fail("E_IO", f"cannot write the report: {exc}", EXIT_RUNTIME)
     return EXIT_OK
 
 

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, tailed, uqt
-from .errors import (
-    EstimationError,
-    OutOfCopiesError,
-    ValidationError,
-)
+from .errors import OutOfCopiesError, ValidationError
 from .kernel import (
     DEFAULT_TOL,
     DensityOperator,
@@ -196,16 +192,13 @@ class _ShotState:
 
 def _injection_table(state: PureState, ins: Inject, keep) -> tailed.Injection:
     n = len(state.subsystem_dims) // 2
-    spec = InjectionSpec(tuple(range(n)), ins.bits or "1" * n)
+    spec = InjectionSpec(tuple(range(n)), ins.bits)
     return tailed.Injection(state, spec, num_ebits=n, keep=keep)
 
 
 def _readout_table(state: PureState, ins: Readout, keep) -> OutcomeTable:
     n = len(state.subsystem_dims) // 2
-    vals, probs = tailed._observable_distribution(state, ReadoutSpec(ins.observable, tuple(range(n))))
-    if probs.sum() <= 0:
-        raise EstimationError("readout distribution vanished")
-    return OutcomeTable(probs, lambda k: float(vals[k].real), keep, 1)
+    return tailed.readout_outcomes(state, ReadoutSpec(ins.observable, tuple(range(n))), keep)
 
 
 def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
@@ -414,6 +407,12 @@ def serialize_schedule(sched: Schedule) -> str:
 
 def parse_instruction(line: Line):
     """The instruction of one schedule line."""
+    instruction = _read_instruction(line)
+    line.done()
+    return instruction
+
+
+def _read_instruction(line: Line):
     verb = line.verb
     if verb == "compose":
         name = line.str("strategy", "correction_table")

@@ -275,8 +275,8 @@ class OutcomeTable:
 class RngStream:
     """Seeded random stream; identical (seed, stream_id) replays outcomes.
 
-    Independent stream_ids give statistically independent streams, which is
-    the contract parallel shot execution relies on.
+    Distinct stream_ids give statistically independent streams: each shot
+    of `control.execute` draws from its own.
     """
 
     seed: int
@@ -317,11 +317,12 @@ class RngStream:
         return self.draw(checked_cdf(probabilities))
 
     def choices(self, probabilities, size):
-        p = np.asarray(probabilities, dtype=float)
-        total = p.sum()
-        if total <= 0:
-            raise NumericalError("all probabilities vanish")
-        return self._gen.choice(p.size, size=size, p=p / total)
+        """`size` indices sampled from an explicit probability vector.
+
+        Draws exactly as `Generator.choice(p.size, size, p=p / total)`: the
+        `checked_cdf` searched on `size` doubles from the stream.
+        """
+        return checked_cdf(probabilities).searchsorted(self._gen.random(size), side="right")
 
     def normal(self, shape):
         return self._gen.normal(size=shape)

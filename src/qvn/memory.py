@@ -27,13 +27,11 @@ from .errors import (
     SlotNotFoundError,
     ValidationError,
 )
-from .kernel import DEFAULT_TOL, UnitaryOp
+from .kernel import UnitaryOp
 from .text import format_complex_data, lines
 from .uqt import StoredProgram, stored_program
 
 GATE_ARITY = {"H": 1, "T": 1, "Tdg": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2, "CCX": 3}
-
-PROGRAM = "program"
 
 # Widest stored program a QVN1 document may describe. Synthesis and
 # composition keep d×d matrices, d = 2ⁿ, and the Bell measurement of a
@@ -200,9 +198,9 @@ class _Concatenation(ProgramDescription):
         return flat
 
 
-def synthesize(desc: ProgramDescription, tol=DEFAULT_TOL) -> StoredProgram:
+def synthesize(desc: ProgramDescription) -> StoredProgram:
     """Fresh stored-program copy from a classical description."""
-    return stored_program(desc.unitary(), description=desc, tol=tol)
+    return stored_program(desc.unitary(), description=desc)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +233,7 @@ def description_of_lines(doc) -> ProgramDescription:
     if head.verb != "QVN1":
         raise head.error("document must start with a QVN1 header")
     name, n = head.str("name"), head.int("n", low=1, high=MAX_QUBITS)
+    head.done()
     with head.located():
         desc = ProgramDescription(name, n)
     gate_list = []
@@ -248,6 +247,7 @@ def description_of_lines(doc) -> ProgramDescription:
             matrix = line.matrix(rows, rows)
         elif tag not in GATE_ARITY:
             raise line.error(f"unknown gate tag {tag!r}", "g")
+        line.done()
         with line.located():
             gate = GateRecord(time, tag, targets, matrix)
             desc.check_gate(gate, gate_list[-1] if gate_list else None)
@@ -276,24 +276,21 @@ class MemorySlot:
     address: int
     description: ProgramDescription | None
     copies: list
-    kind: str = PROGRAM
     program: StoredProgram | None = None
     balance: int = 0
 
 
 class MemoryUnit:
-    """Addressed storage of program and data copies with per-slot balances.
+    """Addressed storage of stored-program copies with per-slot balances.
 
     Single-writer: all mutations go through this object; the stored copies
     themselves are immutable values. A slot synthesizes its description
     once and holds that one program as each of its copies; consumption is
-    counted by the slot, not by the copies. `tol` feeds the validation of
-    every synthesized program.
+    counted by the slot, not by the copies.
     """
 
-    def __init__(self, tol=DEFAULT_TOL):
+    def __init__(self):
         self.slots: dict[int, MemorySlot] = {}
-        self.tol = tol
         self._next_address = 0
 
     def _claim_address(self, address=None):
@@ -304,23 +301,21 @@ class MemoryUnit:
         self._next_address = max(self._next_address, address + 1)
         return address
 
-    def store(self, desc: ProgramDescription, copies, kind=PROGRAM, address=None) -> int:
+    def store(self, desc: ProgramDescription, copies, address=None) -> int:
         """Create a slot holding freshly synthesized copies; returns its address."""
         if copies < 1:
             raise ValidationError("store needs at least one copy")
         _check_live_copies("a new slot" if address is None else f"slot {address}", copies)
         address = self._claim_address(address)
-        program = synthesize(desc, tol=self.tol)
-        self.slots[address] = MemorySlot(address, desc, [program] * copies, kind, program, copies)
+        program = synthesize(desc)
+        self.slots[address] = MemorySlot(address, desc, [program] * copies, program, copies)
         return address
 
-    def store_copies(self, programs, description=None, kind=PROGRAM, address=None) -> int:
+    def store_copies(self, programs, description=None, address=None) -> int:
         """Slot from pre-built copies (e.g. composition results)."""
         programs = list(programs)
         address = self._claim_address(address)
-        self.slots[address] = MemorySlot(
-            address, description, programs, kind, balance=len(programs)
-        )
+        self.slots[address] = MemorySlot(address, description, programs, balance=len(programs))
         return address
 
     def append_copy(self, address, program) -> int:
@@ -365,7 +360,7 @@ class MemoryUnit:
             )
         _check_live_copies(f"slot {address}", len(slot.copies) + copies)
         if slot.program is None:
-            slot.program = synthesize(slot.description, tol=self.tol)
+            slot.program = synthesize(slot.description)
         slot.copies.extend([slot.program] * copies)
         slot.balance += copies
         return len(slot.copies)

@@ -332,6 +332,7 @@ def parse_code(text: str) -> Code:
             iso = line.matrix(line.int("rows", low=1), line.int("cols", low=1))
         else:
             raise line.error("expected an isometry line")
+        line.done()
     if header is None:
         raise ParseError("empty code document", 1, 1)
     if iso_line is None:

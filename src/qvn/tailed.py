@@ -55,11 +55,10 @@ class InjectionSpec:
 
 @dataclass(frozen=True, eq=False)
 class ReadoutSpec:
-    """Observable supported on a set of heads; tr(O) rides along."""
+    """Observable supported on a set of heads."""
 
     observable: Observable
     target_heads: tuple[int, ...]
-    trace_of_o: float = None
 
     def __post_init__(self):
         heads = tuple(int(h) for h in self.target_heads)
@@ -68,8 +67,6 @@ class ReadoutSpec:
             raise DimensionMismatchError(
                 f"observable dim {self.observable.dim} != 2^{len(heads)} head wires"
             )
-        if self.trace_of_o is None:
-            object.__setattr__(self, "trace_of_o", self.observable.trace)
 
 
 @dataclass(frozen=True)
@@ -116,14 +113,9 @@ class TailedCircuit:
     qubit_wires: int
     ebit_wires: int
     gates: tuple[CircuitGate, ...] = ()
-    injection: InjectionSpec | None = None
-    readout: ReadoutSpec | None = None
-    contractions: tuple[tuple[Endpoint, Endpoint], ...] = ()
-    postselected_topological: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "contractions", tuple(self.contractions))
         for g in self.gates:
             for kind, idx in g.targets:
                 if kind == "t":
@@ -134,52 +126,16 @@ class TailedCircuit:
                     raise ValidationError(f"qubit index {idx} out of range")
                 if kind not in ("h", "q"):
                     raise ValidationError(f"unknown endpoint kind {kind!r}")
-        seen = set()
-        for a, b in self.contractions:
-            for ep in (a, b):
-                if ep in seen:
-                    raise ValidationError(f"endpoint {ep} contracted twice")
-                seen.add(ep)
-        if not self.postselected_topological:
-            self._check_time_flow()
-
-    def _check_time_flow(self):
-        """Reject head→tail contraction cycles (closed time loops)."""
-        edges = {}
-        for a, b in self.contractions:
-            pair = {a[0]: a, b[0]: b}
-            if set(pair) == {"h", "t"}:
-                src = pair["h"][1]
-                dst = pair["t"][1]
-                edges.setdefault(src, []).append(dst)
-        state = {}
-
-        def visit(node):
-            if state.get(node) == 1:
-                raise ValidationError(
-                    "contraction graph has a directed cycle; "
-                    "flag the circuit postselected-topological to allow it"
-                )
-            if state.get(node) == 2:
-                return
-            state[node] = 1
-            for nxt in edges.get(node, []):
-                visit(nxt)
-            state[node] = 2
-
-        for node in list(edges):
-            visit(node)
 
     @property
     def num_wires(self):
         return 2 * self.ebit_wires + self.qubit_wires
 
     def wire(self, endpoint) -> int:
+        """Wire index of a gate target: a head or a plain qubit."""
         kind, idx = endpoint
         if kind == "h":
             return idx
-        if kind == "t":
-            return self.ebit_wires + idx
         if kind == "q":
             return 2 * self.ebit_wires + idx
         raise ValidationError(f"unknown endpoint kind {kind!r}")
@@ -389,7 +345,6 @@ def contract(
     wire_b,
     rng: RngStream | None,
     postselect_trivial=False,
-    basis: BellBasis | None = None,
 ):
     """Bell-measurement fusion of two endpoints.
 
@@ -402,8 +357,7 @@ def contract(
         raise ValidationError("contraction needs two distinct endpoints")
     if dims[wire_a] != dims[wire_b]:
         raise DimensionMismatchError("contracted endpoints must share a dimension")
-    if basis is None:
-        basis = BellBasis.for_dim(dims[wire_a])
+    basis = BellBasis.for_dim(dims[wire_a])
     if not postselect_trivial:
         if rng is None:
             raise ValidationError("sampled contraction needs an RngStream")
@@ -662,6 +616,14 @@ def _observable_distribution(state: PureState, readout: ReadoutSpec):
     return vals, probs
 
 
+def readout_outcomes(state: PureState, readout: ReadoutSpec, keep) -> OutcomeTable:
+    """Exact outcome table of measuring O on the head wires: outcome k's
+    result is O's k-th eigenvalue, kept while the `Retention` `keep` admits
+    it."""
+    vals, probs = _observable_distribution(state, readout)
+    return OutcomeTable(probs, lambda k: float(vals[k].real), keep, 1)
+
+
 def _branch_estimate(values, trace_of_o, scale, invert):
     n = values.size
     mean = float(values.mean())
@@ -723,31 +685,21 @@ def run_algorithm(
         else len(state.subsystem_dims) // 2
     )
     n = len(injection.target_tails)
-    p1, post1, p0, post0 = injection_branches(state, injection, num_ebits)
-
-    dists = {}
-    if post1 is not None:
-        dists[1] = _observable_distribution(post1, readout)
-    if post0 is not None:
-        dists[0] = _observable_distribution(post0, readout)
-
-    branches = (rng.uniforms(shots) < p1).astype(int)
+    table = Injection(state, injection, num_ebits)
+    branches = (rng.uniforms(shots) < table.p1).astype(int)
     values = np.empty(shots, dtype=float)
     for b in (0, 1):
         mask = branches == b
         count = int(mask.sum())
-        if count == 0:
-            continue
-        if b not in dists:
-            raise NumericalError(f"sampled branch P{b} has vanishing probability")
-        vals, probs = dists[b]
-        picks = rng.choices(probs, count)
-        values[mask] = vals[picks].real
+        if count:
+            _, post = table.result(b)
+            vals, probs = _observable_distribution(post, readout)
+            values[mask] = vals[rng.choices(probs, count)].real
 
     n1 = int(branches.sum())
     n0 = shots - n1
     est, err = combine_branch_estimates(
-        values[branches == 1], values[branches == 0], readout.trace_of_o, n
+        values[branches == 1], values[branches == 0], readout.observable.trace, n
     )
     records = ()
     if collect_records:
@@ -761,6 +713,6 @@ def run_algorithm(
         shots=shots,
         n_p0=n0,
         n_p1=n1,
-        p1_exact=p1,
+        p1_exact=table.p1,
         records=records,
     )

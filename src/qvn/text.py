@@ -5,8 +5,9 @@ A document is split into lines at LF, CRLF or a lone CR, numbered from 1.
 Blank lines and lines whose first non-space character is `#` are skipped.
 A content line is a list of tokens separated by spaces: an optional
 leading bare token (the verb), then `key=value` fields. A bare token after
-the first one and a key given twice are errors. Every error is a
-`ParseError` carrying the line and column of the token at fault.
+the first one, a key given twice and a key the reader of the line does not
+take are errors. Every error is a `ParseError` carrying the line and column
+of the token at fault.
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ def lines(text):
 
 
 class Line:
-    """One content line: its number, its verb (or None) and its fields,
-    a map from key to (value, column)."""
+    """One content line: its number, its verb (or None), its fields, a map
+    from key to (value, column), and the keys its getters have read."""
 
-    __slots__ = ("no", "verb", "fields")
+    __slots__ = ("no", "verb", "fields", "read")
 
     def __init__(self, no, raw):
         self.no = no
         self.verb = None
         self.fields = {}
+        self.read = set()
         col = 1
         for token in raw.split(" "):
             if token:
@@ -79,10 +81,21 @@ class Line:
         except ValidationError as exc:
             raise self.error(str(exc), key) from exc
 
+    def done(self):
+        """Raise a ParseError at the first key that no getter has read: the
+        reader of this line does not take it."""
+        if len(self.read) == len(self.fields):  # the read keys are fields
+            return
+        for key in self.fields:
+            if key not in self.read:
+                where = f" on a {self.verb} line" if self.verb else ""
+                raise self.error(f"unknown key {key}={where}", key)
+
     def str(self, key, default=None):
         """Value of `key=`; a missing key gives `default`, or is an error
         when there is none."""
         if key in self.fields:
+            self.read.add(key)
             return self.fields[key][0]
         if default is None:
             raise self.error(f"{self.verb} needs {key}=" if self.verb else f"missing {key}=")

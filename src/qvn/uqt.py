@@ -150,9 +150,7 @@ class StoredProgram:
 
     op: UnitaryOp
     basis: BellBasis
-    is_symmetric: bool
     description: object | None = None
-    tol: float = DEFAULT_TOL
 
     @property
     def d(self) -> int:
@@ -166,40 +164,28 @@ class StoredProgram:
 
     @functools.cached_property
     def choi(self) -> ChoiState:
-        return choi_of_unitary(self.op, tol=self.tol)
+        return choi_of_unitary(self.op)
 
     def correction(self, k) -> np.ndarray:
         return byproduct_correction(self.op.matrix, self.basis, k)
 
     @functools.cached_property
     def symmetric_factors(self) -> SymmetricFactors:
-        return symmetric_decompose(self.op, tol=self.tol)
+        return symmetric_decompose(self.op)
 
     def unitary(self) -> np.ndarray:
         return unvec(self.amplitudes)
 
 
-def stored_program(
-    u,
-    basis: BellBasis | None = None,
-    description=None,
-    tol=DEFAULT_TOL,
-) -> StoredProgram:
-    """Build a stored program from a unitary."""
-    uop = u if isinstance(u, UnitaryOp) else UnitaryOp(u, tol=tol)
+def stored_program(u, basis: BellBasis | None = None, description=None) -> StoredProgram:
+    """Build a stored program from a unitary, validated at DEFAULT_TOL."""
+    uop = u if isinstance(u, UnitaryOp) else UnitaryOp(u)
     d = uop.dim
     if basis is None:
         basis = BellBasis.for_dim(d)
     if basis.d != d:
         raise DimensionMismatchError(f"basis dim {basis.d} != unitary dim {d}")
-    m = uop.matrix
-    return StoredProgram(
-        op=uop,
-        basis=basis,
-        is_symmetric=bool(np.abs(m - m.T).max() <= tol),
-        description=description,
-        tol=tol,
-    )
+    return StoredProgram(op=uop, basis=basis, description=description)
 
 
 def bell_probabilities(joint: PureState, wire_a, wire_b, basis: BellBasis):
@@ -354,9 +340,9 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
     return state, rounds
 
 
-def _program_from_state(state: PureState, basis, description, tol) -> StoredProgram:
+def _program_from_state(state: PureState, basis, description) -> StoredProgram:
     u = unvec(state.amplitudes)
-    return stored_program(UnitaryOp(u, tol=1e-8), basis=basis, description=description, tol=tol)
+    return stored_program(UnitaryOp(u, tol=1e-8), basis=basis, description=description)
 
 
 def _combined_description(p1: StoredProgram, p2: StoredProgram):
@@ -398,7 +384,6 @@ class Composition:
         p1: StoredProgram,
         p2: StoredProgram,
         strategy: ByproductStrategy,
-        tol=DEFAULT_TOL,
         keep: Retention | None = None,
     ):
         if p1.d != p2.d:
@@ -413,7 +398,7 @@ class Composition:
         basis = p2.basis
 
         def program(state):
-            return _program_from_state(state, basis, description, tol)
+            return _program_from_state(state, basis, description)
 
         self._root = _fusion_chain(p1.amplitudes, factors, basis, strategy, program, keep, 5 * p1.d**2)
 
@@ -430,7 +415,6 @@ def compose(
     p2: StoredProgram,
     strategy: ByproductStrategy,
     rng: RngStream,
-    tol=DEFAULT_TOL,
 ):
     """Compose two stored programs into the program of U2·U1.
 
@@ -440,4 +424,4 @@ def compose(
     SymmetricPair teleports through S2 and then S1, with one corrected
     round each.
     """
-    return Composition(p1, p2, strategy, tol).sample(rng)
+    return Composition(p1, p2, strategy).sample(rng)

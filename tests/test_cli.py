@@ -212,15 +212,44 @@ class TestNegativeSeed:
         assert err == "error[E_PARSE] seed=-5 is below 0 (line 1, col 15)\n"
 
 
+def source_env():
+    """Environment in which `python -m qvn` imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_python_m_qvn(workdir):
     # a source checkout runs the CLI as `python -m qvn` with src/ on the path
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = source_env()
     base = [sys.executable, "-m", "qvn", "run", str(workdir / "demo.run")]
     ok = subprocess.run(base + ["--shots", "3"], capture_output=True, text=True, env=env, timeout=120)
     assert ok.returncode == 0 and canonical(ok.stdout)["shots"] == 3
     bad = subprocess.run(base + ["--seed", "-1"], capture_output=True, text=True, env=env, timeout=120)
     assert bad.returncode == 2 and bad.stderr.startswith("error[E_VALIDATION]")
+
+
+class TestReportWrite:
+    """A report that cannot be written is one E_IO line and exit 1."""
+
+    def test_closed_stdout(self, workdir):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qvn", "run", str(workdir / "demo.run"), "--shots", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=source_env(), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "error[E_IO] stdout was closed before the report was written\n"
+
+    def test_unwritable_out(self, workdir, capsys):
+        target = workdir / "missing" / "r.json"
+        code, out, err = run_cli(["run", str(workdir / "demo.run"), "--out", str(target)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error[E_IO] cannot write the report:") and err.count("\n") == 1
+        assert str(target) in err
 
 
 class TestCompose:
@@ -677,6 +706,51 @@ class TestLocatedFaults:
             ),
             # bytes that are not UTF-8
             pytest.param("qvn", b"QVN1 name=H n=1\nt=0 g=H q=0 \xff\xfe\n", 2, 13, id="not-utf8"),
+            # a key the line's reader does not take, in each of the five formats
+            pytest.param("qvn", "QVN1 name=H n=1 extra=1\n", 1, 17, id="qvn1-header-unknown-key"),
+            pytest.param(
+                "qvn", "QVN1 name=H n=1\nt=0 g=H q=0 rows=9\n", 2, 13, id="qvn1-gate-unknown-key"
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=0 bogus=1\nisometry rows=2 cols=1 data=1,0;0,0\n",
+                1, 21, id="code-header-unknown-key",
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=0\nisometry rows=2 cols=1 data=1,0;0,0 k=1\n",
+                2, 37, id="code-isometry-unknown-key",
+            ),
+            pytest.param(
+                "run", "schedule\nreadout target=2 obs=Z bogus=1\nendschedule\n",
+                2, 24, id="schedule-unknown-key",
+            ),
+            pytest.param(
+                "run", "slot addr=0 copeis=3\nQVN1 name=H n=1\nt=0 g=H q=0\nendslot\n",
+                1, 13, id="run-slot-misspelled-key",
+            ),
+            pytest.param(
+                "run", "slot addr=0 kind=program\nQVN1 name=H n=1\nendslot\n",
+                1, 13, id="run-slot-kind",
+            ),
+            pytest.param("run", "run shots=5 seed=1 bogus=1\n", 1, 20, id="run-unknown-key"),
+            pytest.param("run", "schedule x=1\nendschedule\n", 1, 10, id="run-schedule-key"),
+            pytest.param(
+                "run", "schedule\nendschedule x=1\n", 2, 13, id="run-endschedule-key"
+            ),
+            pytest.param(
+                "run", "slot addr=0\nQVN1 name=H n=1\nendslot x=1\n", 3, 9, id="run-endslot-key"
+            ),
+            pytest.param(
+                "topo", "QVN1 name=c extra=1\nvertex g=T\nsegment a=0.h0 b=0.t0\n",
+                1, 13, id="topo-header-unknown-key",
+            ),
+            pytest.param(
+                "topo", "vertex g=T rows=2\nsegment a=0.h0 b=0.t0\n", 1, 12,
+                id="topo-vertex-unknown-key",
+            ),
+            pytest.param(
+                "topo", "vertex g=T\nsegment a=0.h0 b=0.t0 c=0.h0\n", 2, 23,
+                id="topo-segment-unknown-key",
+            ),
         ],
     )
     def test_one_located_error(self, tmp_path, capsys, kind, text, line, col):

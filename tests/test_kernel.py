@@ -300,9 +300,16 @@ class TestRngStream:
         with pytest.raises(NumericalError):
             RngStream(1).choice(bad)
 
+    @pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [np.nan, 1.0]])
+    def test_choices_raise_numerical_error(self, bad):
+        # Generator.choice raises a ValueError here
+        with pytest.raises(NumericalError):
+            RngStream(1).choices(bad, 3)
+
     def test_choice_draws_as_generator_choice(self):
         # same index and same next draw as Generator.choice on a twin stream,
-        # over 20,000 distributions of size 1-4096 with zero entries
+        # over 20,000 distributions of size 1-4096 with zero entries; every
+        # eighth one is also drawn 2-64 times at once by `choices`
         meta = np.random.default_rng(2024)
         ours, twin = RngStream(11, 4), RngStream(11, 4)
         for i in range(20_000):
@@ -313,6 +320,10 @@ class TestRngStream:
                 p[meta.integers(size)] = 1.0
             expected = int(twin._gen.choice(size, p=p / p.sum()))
             assert ours.choice(p) == expected
+            if i % 8 == 0:
+                draws = int(meta.integers(2, 65))
+                expected = twin._gen.choice(size, draws, p=p / p.sum())
+                assert np.array_equal(ours.choices(p, draws), expected)
             assert ours.random() == twin.random()
 
 

@@ -242,7 +242,7 @@ class TestMemoryUnit:
     def test_descriptionless_slot_not_restorable(self):
         mem = MemoryUnit()
         prog = synthesize(desc_h())
-        addr = mem.store_copies([prog], description=None, kind="data")
+        addr = mem.store_copies([prog], description=None)
         mem.fetch_consume(addr)
         with pytest.raises(NotRestorableError):
             mem.restore(addr, 1)
@@ -277,9 +277,9 @@ class TestMemoryUnit:
         real = memory.synthesize
         calls = []
 
-        def counting(desc, tol=1e-10):
+        def counting(desc):
             calls.append(desc.name)
-            return real(desc, tol=tol)
+            return real(desc)
 
         monkeypatch.setattr(memory, "synthesize", counting)
         mem = MemoryUnit()

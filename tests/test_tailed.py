@@ -32,7 +32,7 @@ from qvn.tailed import (
     simulate,
     toffoli_cascade,
 )
-from qvn.uqt import stored_program
+from qvn.uqt import ByproductStrategy, compose, stored_program
 
 MONOLITHIC = "monolithic"
 CASCADE = "cascade"
@@ -85,27 +85,6 @@ class TestCircuitIR:
     def test_gate_on_tail_rejected(self):
         with pytest.raises(ValidationError):
             TailedCircuit(0, 1, gates=(CircuitGate(gates.H, (("t", 0),)),))
-
-    def test_duplicate_contraction_endpoint_rejected(self):
-        with pytest.raises(ValidationError):
-            TailedCircuit(
-                0,
-                2,
-                contractions=(
-                    (("h", 0), ("t", 1)),
-                    (("h", 0), ("t", 0)),
-                ),
-            )
-
-    def test_cycle_needs_topological_flag(self):
-        with pytest.raises(ValidationError):
-            TailedCircuit(0, 1, contractions=((("h", 0), ("t", 0)),))
-        TailedCircuit(
-            0, 1, contractions=((("h", 0), ("t", 0)),), postselected_topological=True
-        )
-
-    def test_two_ebit_chain_is_acyclic(self):
-        TailedCircuit(0, 2, contractions=((("h", 0), ("t", 1)),))
 
 
 class TestSimulate:
@@ -456,7 +435,39 @@ def _link_oracle(a, b):
     return total
 
 
+def tour_case():
+    """The README's library tour: |1> into the composed T·H, Z read out."""
+    p_th, _ = compose(
+        stored_program(gates.H), stored_program(gates.T), ByproductStrategy.CORRECTION_TABLE,
+        RngStream(7),
+    )
+    return p_th, ReadoutSpec(Observable(gates.Z), (0,)), InjectionSpec((0,)), RngStream(7)
+
+
+def su4_case(seed):
+    """Acceptance criterion 08's SU4 case: Z⊗Z after a Haar 4×4 on |11>."""
+    u4 = haar_random_unitary(4, RngStream(808))
+    readout = ReadoutSpec(Observable(np.kron(gates.Z, gates.Z)), (0, 1))
+    return stored_program(u4), readout, InjectionSpec((0, 1)), RngStream(seed, 882)
+
+
 class TestRunAlgorithm:
+    # (estimate, standard_error, n_p0, n_p1) of 10,000 shots, as drawn when
+    # readouts were sampled through numpy's Generator.choice
+    @pytest.mark.parametrize(
+        "case, pinned",
+        [
+            (tour_case, (-0.011400019660648427, 0.010000346335658803, 5050, 4950)),
+            (lambda: su4_case(0), (0.09155470434706799, 0.017251943030258864, 7491, 2509)),
+            (lambda: su4_case(57), (0.08166462843697046, 0.017275589311466954, 7495, 2505)),
+        ],
+        ids=["tour", "su4-seed0", "su4-seed57"],
+    )
+    def test_seeded_results_pinned(self, case, pinned):
+        program, readout, injection, rng = case()
+        r = run_algorithm(program, readout, injection, 10_000, rng)
+        assert (r.estimate, r.standard_error, r.n_p0, r.n_p1) == pinned
+
     def test_identity_program_z_on_one(self):
         result = run_algorithm(
             stored_program(np.eye(2)),

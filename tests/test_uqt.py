@@ -133,10 +133,6 @@ class TestStoredProgram:
             for k, sigma in enumerate(dense_paulis(p.d)):
                 assert np.abs(p.correction(k) @ u @ sigma.conj().T - u).max() < 1e-10
 
-    def test_symmetric_flag(self):
-        assert stored_program(gates.CZ).is_symmetric
-        assert not stored_program(gates.Y).is_symmetric
-
     def test_dim_mismatch_basis(self):
         with pytest.raises(Exception):
             stored_program(gates.H, basis=BellBasis.weyl(3))
