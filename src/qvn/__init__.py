@@ -15,12 +15,10 @@ from .duality import (
     Superchannel,
     apply_comb,
     apply_superchannel,
-    apply_superchannel_choi,
     apply_via_choi,
     bell_state,
     choi_of_channel,
     choi_of_unitary,
-    dilate,
     kraus_from_choi,
     unvec,
     vectorize,
@@ -52,7 +50,6 @@ from .kernel import (
     expectation,
     haar_random_unitary,
     kron,
-    measure,
     partial_trace,
     purity,
     random_cptp_channel,
@@ -86,21 +83,16 @@ from .qec import (
     serialize_code,
 )
 from .tailed import (
-    CircuitGate,
     InjectionSpec,
     ReadoutSpec,
     RunRecord,
     RunResult,
-    TailedCircuit,
     TopoDiagram,
     TopoVertex,
     contract,
     eval_topological,
     inject,
-    injection_branches,
     run_algorithm,
-    sample_tail_z,
-    simulate,
     toffoli_cascade,
 )
 from .uqt import (
@@ -128,6 +120,4 @@ from .control import (
     controlled_unknown_channel,
     execute,
     ideal_controlled,
-    parse_schedule,
-    serialize_schedule,
 )

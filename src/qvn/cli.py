@@ -361,11 +361,23 @@ def cmd_topo_eval(args):
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A malformed command line, in argparse's words."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise `_UsageError`, so that `main`
+    reports one `error[E_USAGE]` line and exits 2, with no usage block."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     """The `qvn` argument parser, built once per process: parse_args keeps
-    no state between calls."""
-    parser = argparse.ArgumentParser(
+    no state between calls. Subcommand parsers are `_Parser`s too."""
+    parser = _Parser(
         prog="qvn", description="Stored-program quantum architecture simulator."
     )
     parser.add_argument("--version", action="version", version=f"qvn {__version__}")
@@ -407,8 +419,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail("E_USAGE", str(exc), EXIT_INPUT)
     start = time.time()
     try:
         canonical = args.func(args)

@@ -2,8 +2,9 @@
 injection, and readout against a memory unit, plus the qubit-controlled
 unknown-gate primitive.
 
-Schedule text format, one instruction per line in the line grammar of
-`qvn.text`:
+Schedules have no document of their own: a run file's schedule block
+(`cli.parse_run_file`) holds one instruction per line, in the line grammar
+of `qvn.text`, each read by `parse_instruction`:
 
     compose a=<addr> b=<addr> strategy=<name> dest=<addr>
     inject target=<addr> bits=<bitstring>
@@ -36,7 +37,7 @@ from .kernel import (
     shot_streams,
 )
 from .memory import MAX_COPIES, MAX_QUBITS, MemoryUnit
-from .text import Line, format_complex_data, lines
+from .text import Line
 from .tailed import InjectionSpec, ReadoutSpec, RunRecord
 from .uqt import ByproductStrategy
 
@@ -193,7 +194,7 @@ class _ShotState:
 def _injection_table(state: PureState, ins: Inject, keep) -> tailed.Injection:
     n = len(state.subsystem_dims) // 2
     spec = InjectionSpec(tuple(range(n)), ins.bits)
-    return tailed.Injection(state, spec, num_ebits=n, keep=keep)
+    return tailed.Injection(state, spec, keep=keep)
 
 
 def _readout_table(state: PureState, ins: Readout, keep) -> OutcomeTable:
@@ -372,37 +373,10 @@ def ideal_controlled(u: UnitaryOp, eigenvalue) -> UnitaryOp:
 
 
 # ---------------------------------------------------------------------------
-# Schedule text format
+# Schedule lines
 # ---------------------------------------------------------------------------
 
 _STRATEGY_NAMES = {s.value: s for s in ByproductStrategy}
-
-
-def serialize_schedule(sched: Schedule) -> str:
-    out = []
-    for ins in sched.instructions:
-        if isinstance(ins, Compose):
-            out.append(
-                f"compose a={ins.addr1} b={ins.addr2} strategy={ins.strategy.value} dest={ins.dest}"
-            )
-        elif isinstance(ins, Inject):
-            out.append(f"inject target={ins.target}" + (f" bits={ins.bits}" if ins.bits else ""))
-        elif isinstance(ins, Readout):
-            if ins.label != "custom":
-                out.append(f"readout target={ins.target} obs={ins.label}")
-            else:
-                d = ins.observable.dim
-                out.append(
-                    f"readout target={ins.target} obs=custom rows={d} "
-                    f"data={format_complex_data(ins.observable.matrix)}"
-                )
-        elif isinstance(ins, Restore):
-            out.append(f"restore addr={ins.addr} copies={ins.copies}")
-        elif isinstance(ins, SampleTail):
-            out.append(f"sampletail target={ins.target} tail={ins.tail}")
-        else:
-            raise ValidationError(f"unknown instruction {ins!r}")
-    return "\n".join(out) + "\n"
 
 
 def parse_instruction(line: Line):
@@ -444,7 +418,3 @@ def _read_instruction(line: Line):
     if verb is None:
         raise line.error("instruction line must start with a verb")
     raise line.error(f"unknown instruction verb {verb!r}")
-
-
-def parse_schedule(text, shots=1, seed=0) -> Schedule:
-    return Schedule(tuple(parse_instruction(line) for line in lines(text)), shots=shots, seed=seed)

@@ -1,5 +1,5 @@
 """Channel-state duality: dual states, vectorization, Kraus extraction,
-unitary dilation, superchannels, and comb application.
+superchannels, and comb application.
 
 Conventions: the dual state of a channel E is (E ⊗ I) applied to the
 normalized maximally entangled state |ω⟩ = Σ|ii⟩/√d. Site A (output,
@@ -187,31 +187,6 @@ def kraus_from_choi(choi: ChoiState, tol=DEFAULT_TOL) -> KrausChannel:
     return KrausChannel(kraus, tol=max(tol, 1e-9))
 
 
-def dilate(ch: KrausChannel):
-    """Unitary dilation (U, ancilla_dim) with K_i = ⟨i|U|0⟩ on the ancilla.
-
-    The Kraus operators are stacked into an isometry which is completed to
-    a unitary on system ⊗ ancilla by an orthonormal basis of its column
-    complement. E(ρ) = tr_a U(ρ ⊗ |0⟩⟨0|)U† holds by construction.
-    """
-    d = ch.dim_in
-    r = len(ch.kraus_ops)
-    a = max(r, 1)
-    iso = np.zeros((d * a, d), dtype=complex)
-    for i, k in enumerate(ch.kraus_ops):
-        # row block (s', i) of the isometry holds K_i
-        for sp in range(d):
-            iso[sp * a + i, :] = k[sp, :]
-    u_svd, _, _ = np.linalg.svd(iso, full_matrices=True)
-    complement = u_svd[:, d:]
-    full = np.zeros((d * a, d * a), dtype=complex)
-    cols = [s * a for s in range(d)]
-    full[:, cols] = iso
-    rest = [c for c in range(d * a) if c not in cols]
-    full[:, rest] = complement
-    return UnitaryOp(full), a
-
-
 @dataclass(frozen=True, eq=False)
 class Superchannel:
     """Channel-to-channel map realized by pre/post unitaries and a memory wire."""
@@ -261,32 +236,6 @@ def apply_superchannel(s: Superchannel, ch: KrausChannel, tol=DEFAULT_TOL) -> Kr
         for row in outs:
             kraus.append(row @ post)
     return KrausChannel(kraus, tol=tol)
-
-
-def apply_superchannel_choi(s: Superchannel, choi: ChoiState, tol=DEFAULT_TOL) -> ChoiState:
-    """Dual-state form: the Choi state of the transformed channel."""
-    return choi_of_channel(apply_superchannel(s, kraus_from_choi(choi), tol=tol), tol=tol)
-
-
-def superchannel_bent_action(s: Superchannel, choi: ChoiState, rho: DensityOperator) -> DensityOperator:
-    """Bent-wire evaluation used as the dual route to `apply_superchannel`.
-
-    The input wire of the stored dual state is connected by a partial
-    transpose on the system wire: (E ⊗ I)(χ) = d tr_S[(ω_E ⊗ I)(I ⊗ χ^{T_S})]
-    for a joint state χ of system and memory.
-    """
-    d, a = s.system_dim, s.ancilla_dim
-    if rho.dim != d or choi.d != d:
-        raise DimensionMismatchError("system dims disagree")
-    embed = _embed_column(d, a)
-    chi = s.pre_unitary.matrix @ embed @ rho.matrix @ embed.conj().T @ s.pre_unitary.matrix.conj().T
-    # partial transpose on the system factor of chi (dims d, a)
-    chi_t = chi.reshape(d, a, d, a).transpose(2, 1, 0, 3).reshape(d * a, d * a)
-    big = np.kron(choi.matrix, np.eye(a)) @ np.kron(np.eye(d), chi_t)
-    bent = d * partial_trace_matrix(big, (d, d, a), [0, 2])
-    out = s.post_unitary.matrix @ bent @ s.post_unitary.matrix.conj().T
-    reduced = partial_trace_matrix(out, (d, a), [0])
-    return DensityOperator(reduced)
 
 
 @dataclass(frozen=True, eq=False)

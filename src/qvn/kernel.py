@@ -1,7 +1,7 @@
 """Dense complex linear algebra and exact quantum-state semantics.
 
-States, unitaries, channels, and projective measurement over explicit
-numpy arrays. Subsystem ordering is big-endian: the leftmost factor of a
+States, unitaries, channels, exact outcome tables and seeded sampling
+over explicit numpy arrays. Subsystem ordering is big-endian: the leftmost factor of a
 tensor product owns the most significant digits of a composite index,
 matching ``numpy.kron``.
 """
@@ -510,57 +510,6 @@ def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
 def purity(rho: DensityOperator) -> float:
     """tr(ρ²); equals 1 only for pure states."""
     return float(np.trace(rho.matrix @ rho.matrix).real)
-
-
-def _validate_projectors(projectors, dim, tol):
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in projectors:
-        m = _as_matrix(p, "projector")
-        if m.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"projector shape {m.shape} does not match dimension {dim}"
-            )
-        if np.abs(m - m.conj().T).max() > tol * dim:
-            raise ValidationError("projector is not Hermitian within tolerance")
-        if np.abs(m @ m - m).max() > tol * dim:
-            raise ValidationError("projector is not idempotent within tolerance")
-        total += m
-    if np.abs(total - np.eye(dim)).max() > tol * dim:
-        raise ValidationError("projector set does not sum to the identity")
-
-
-def measure(state, projectors, rng: RngStream, tol=DEFAULT_TOL):
-    """Projective measurement.
-
-    Samples outcome k with probability tr(P_k ρ) and returns
-    (outcome index, its exact probability, post-measurement state).
-    """
-    projs = [np.asarray(p, dtype=complex) for p in projectors]
-    if isinstance(state, PureState):
-        dim = state.dim
-        _validate_projectors(projs, dim, tol)
-        probs = np.array(
-            [np.vdot(state.amplitudes, p @ state.amplitudes).real for p in projs]
-        )
-        probs = np.clip(probs, 0.0, None)
-        if probs.sum() < tol:
-            raise NumericalError("all outcome probabilities below tolerance")
-        k = rng.choice(probs)
-        post_vec = projs[k] @ state.amplitudes
-        post = PureState(post_vec / np.linalg.norm(post_vec), state.subsystem_dims)
-        return k, float(probs[k]), post
-    if isinstance(state, DensityOperator):
-        dim = state.dim
-        _validate_projectors(projs, dim, tol)
-        probs = np.array([np.trace(p @ state.matrix).real for p in projs])
-        probs = np.clip(probs, 0.0, None)
-        if probs.sum() < tol:
-            raise NumericalError("all outcome probabilities below tolerance")
-        k = rng.choice(probs)
-        post_m = projs[k] @ state.matrix @ projs[k]
-        post = DensityOperator(post_m / np.trace(post_m).real, state.subsystem_dims)
-        return k, float(probs[k]), post
-    raise ValidationError(f"cannot measure object of type {type(state).__name__}")
 
 
 def eig_unitary(u: UnitaryOp, tol=DEFAULT_TOL):

@@ -226,7 +226,6 @@ class LogicalProgram:
     gate: np.ndarray
     state: PureState
     basis: BellBasis
-    is_symmetric: bool
 
 
 def logical_program(code: Code, gate, tol=DEFAULT_TOL) -> LogicalProgram:
@@ -247,13 +246,11 @@ def logical_program(code: Code, gate, tol=DEFAULT_TOL) -> LogicalProgram:
     if np.abs(u @ p - p @ u).max() > tol * n_dim:
         raise ValidationError("gate does not commute with the code projector")
     amp = np.kron(u @ code.isometry, code.isometry) @ bell_state(code.logical_dim)
-    sym = bool(np.abs(u - u.T).max() <= tol)
     return LogicalProgram(
         code=code,
         gate=u,
         state=PureState(amp, (n_dim, n_dim)),
         basis=BellBasis.qubit_product(code.n),
-        is_symmetric=sym,
     )
 
 
@@ -280,21 +277,14 @@ def logical_compose(
     """
     if p1.code is not p2.code and not np.array_equal(p1.code.isometry, p2.code.isometry):
         raise ValidationError("programs live on different codes")
-    if not p2.is_symmetric:
+    if not np.abs(p2.gate - p2.gate.T).max() <= tol:
         raise ConfigurationError(
             "logical composition needs a symmetric logical gate on the second program"
         )
     state, shots = teleport(
         p1.state.amplitudes, p2.state.amplitudes, p2.basis, p2.gate, strategy, rng
     )
-    gate = p2.gate @ p1.gate
-    result = LogicalProgram(
-        code=p1.code,
-        gate=gate,
-        state=state,
-        basis=p2.basis,
-        is_symmetric=bool(np.abs(gate - gate.T).max() <= tol),
-    )
+    result = LogicalProgram(code=p1.code, gate=p2.gate @ p1.gate, state=state, basis=p2.basis)
     return result, shots
 
 

@@ -1,11 +1,11 @@
-"""Tailed quantum circuits: gates on qubit wires and ebit heads, input
-injection by measurement, observable readout, contraction, and topological
-diagram evaluation.
+"""Tailed quantum circuits: input injection by measurement on the tails of
+a program state, observable readout on its heads, contraction, and
+topological diagram evaluation.
 
-Wire layout of a circuit state, all wires qubit-sized: heads of the e
-ebits first, then their tails, then the q plain qubit wires. With this
-block order the e ebits form one high-dimensional ebit between the head
-and tail groups, so a program state is literally (U ⊗ I)|ω⟩.
+Wire layout of a program state, all wires qubit-sized: the n heads first,
+then their n tails. With this block order the n ebits form one
+high-dimensional ebit between the head and tail groups, so a program state
+is literally (U ⊗ I)|ω⟩.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .duality import bell_state
 from .errors import (
     DimensionMismatchError,
     EstimationError,
@@ -34,7 +33,7 @@ from .kernel import (
 )
 from .uqt import BellBasis, StoredProgram, bell_measure_pair, bell_probabilities
 
-Endpoint = tuple  # ("h"|"t"|"q", index)
+Endpoint = tuple  # (vertex, "h"|"t", leg)
 
 
 @dataclass(frozen=True)
@@ -92,75 +91,6 @@ class RunResult:
     records: tuple[RunRecord, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class CircuitGate:
-    matrix: np.ndarray
-    targets: tuple[Endpoint, ...]
-
-    def __init__(self, matrix, targets):
-        m = np.asarray(matrix, dtype=complex)
-        targets = tuple((str(kind), int(idx)) for kind, idx in targets)
-        if m.shape != (2 ** len(targets),) * 2:
-            raise ValidationError(
-                f"gate shape {m.shape} does not fit {len(targets)} qubit targets"
-            )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "targets", targets)
-
-
-@dataclass(frozen=True, eq=False)
-class TailedCircuit:
-    qubit_wires: int
-    ebit_wires: int
-    gates: tuple[CircuitGate, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            for kind, idx in g.targets:
-                if kind == "t":
-                    raise ValidationError("gates may not target tails")
-                if kind == "h" and not 0 <= idx < self.ebit_wires:
-                    raise ValidationError(f"head index {idx} out of range")
-                if kind == "q" and not 0 <= idx < self.qubit_wires:
-                    raise ValidationError(f"qubit index {idx} out of range")
-                if kind not in ("h", "q"):
-                    raise ValidationError(f"unknown endpoint kind {kind!r}")
-
-    @property
-    def num_wires(self):
-        return 2 * self.ebit_wires + self.qubit_wires
-
-    def wire(self, endpoint) -> int:
-        """Wire index of a gate target: a head or a plain qubit."""
-        kind, idx = endpoint
-        if kind == "h":
-            return idx
-        if kind == "q":
-            return 2 * self.ebit_wires + idx
-        raise ValidationError(f"unknown endpoint kind {kind!r}")
-
-
-def simulate(circuit: TailedCircuit) -> PureState:
-    """Global state of the gate network over ebits and fresh qubits."""
-    e, q = circuit.ebit_wires, circuit.qubit_wires
-    if e == 0 and q == 0:
-        raise ValidationError("circuit has no wires")
-    parts = []
-    if e:
-        parts.append(bell_state(2**e))
-    if q:
-        zero = np.zeros(2**q, dtype=complex)
-        zero[0] = 1.0
-        parts.append(zero)
-    amp = parts[0] if len(parts) == 1 else np.kron(parts[0], parts[1])
-    dims = (2,) * circuit.num_wires
-    for g in circuit.gates:
-        wires = [circuit.wire(ep) for ep in g.targets]
-        amp = apply_to_subsystems(amp, dims, g.matrix, wires)
-    return PureState(amp, dims)
-
-
 def program_state(program: StoredProgram) -> PureState:
     """A stored program's dual state laid out as a 2n-wire circuit state."""
     d = program.d
@@ -170,47 +100,23 @@ def program_state(program: StoredProgram) -> PureState:
     return PureState(program.amplitudes, (2,) * (2 * n))
 
 
-def circuit_of_description(desc) -> TailedCircuit:
-    """Tailed circuit of a serialized gate sequence: every gate on heads.
-
-    Simulating the result reproduces the program state synthesized from
-    the same description, tying the QVN1 format to the circuit IR.
-    """
-    gate_list = tuple(
-        CircuitGate(g.gate_matrix(), tuple(("h", t) for t in g.targets))
-        for g in desc.gate_list
-    )
-    return TailedCircuit(qubit_wires=0, ebit_wires=desc.n, gates=gate_list)
-
-
 # ---------------------------------------------------------------------------
 # Injection
 # ---------------------------------------------------------------------------
 
 
-def _resolve_tails(state: PureState, spec: InjectionSpec, num_ebits):
-    if num_ebits is None:
-        if len(state.subsystem_dims) % 2:
-            raise ValidationError("cannot infer ebit count; pass num_ebits")
-        num_ebits = len(state.subsystem_dims) // 2
-    wires = [num_ebits + t for t in spec.target_tails]
+def _tail_wires(state: PureState, spec: InjectionSpec):
+    """Wires of the target tails of a 2n-wire state: n heads, then n tails."""
+    if len(state.subsystem_dims) % 2:
+        raise ValidationError(
+            f"a state of {len(state.subsystem_dims)} wires has no equal head and tail halves"
+        )
+    n = len(state.subsystem_dims) // 2
+    wires = [n + t for t in spec.target_tails]
     for w in wires:
-        if not num_ebits <= w < 2 * num_ebits:
+        if not n <= w < 2 * n:
             raise ValidationError(f"tail wire {w} out of range")
     return wires
-
-
-def injection_branches(state: PureState, spec: InjectionSpec, num_ebits=None):
-    """Exact branch data for the binary injection measurement.
-
-    Returns (p1, post1, p0, post0); posts are None for vanishing branches.
-    P1 projects the target tails onto the desired bitstring, collapsing the
-    heads of a program state onto U|bits⟩.
-    """
-    table = Injection(state, spec, num_ebits)
-    post1 = table.result(1)[1] if table.p1 > 1e-14 else None
-    post0 = table.result(0)[1] if table.p0 > 1e-14 else None
-    return table.p1, post1, table.p0, post0
 
 
 class Injection(OutcomeTable):
@@ -222,8 +128,8 @@ class Injection(OutcomeTable):
     `inject` builds the sampled branch alone.
     """
 
-    def __init__(self, state: PureState, spec: InjectionSpec, num_ebits=None, keep=None):
-        wires = _resolve_tails(state, spec, num_ebits)
+    def __init__(self, state: PureState, spec: InjectionSpec, keep=None):
+        wires = _tail_wires(state, spec)
         dims = state.subsystem_dims
         tensor = state.tensor()
         idx = [slice(None)] * len(dims)
@@ -255,11 +161,16 @@ def inject(state: PureState, spec: InjectionSpec, rng: RngStream, num_ebits=None
     Samples the binary outcome of the projector onto the desired bitstring
     from its exact branches, with the single draw an ancilla read-out would
     make. Returns (branch, probability, post state); branch 1 collapses
-    the tails onto the desired bitstring.
+    the tails onto the desired bitstring. `num_ebits`, if given, must be
+    the state's n: callers that name the ebit count keep working.
     """
     if not spec.target_tails:
         raise ValidationError("injection needs at least one target tail")
-    branch, (prob, post) = Injection(state, spec, num_ebits).sample(rng)
+    if num_ebits is not None and 2 * num_ebits != len(state.subsystem_dims):
+        raise ValidationError(
+            f"num_ebits={num_ebits} does not fit a state of {len(state.subsystem_dims)} wires"
+        )
+    branch, (prob, post) = Injection(state, spec).sample(rng)
     return branch, prob, post
 
 
@@ -328,15 +239,6 @@ def tail_outcomes(state: PureState, tail_wire, keep=None) -> OutcomeTable:
     dims = state.subsystem_dims
     probs, collapse = wire_outcomes(state.amplitudes, dims, tail_wire)
     return OutcomeTable(probs, lambda k: PureState(collapse(k), dims), keep, state.dim)
-
-
-def sample_tail_z(state: PureState, tail_wire, rng: RngStream):
-    """Z measurement on a tail; the wire stays in place, collapsed.
-
-    For a program ebit the outcomes are equiprobable and inject |0⟩ or
-    |1⟩; the outcome bit is the X-frame record relative to a |1⟩ input.
-    """
-    return tail_outcomes(state, tail_wire).sample(rng)
 
 
 def contract(
@@ -674,18 +576,11 @@ def run_algorithm(
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    state = program_state(program) if isinstance(program, StoredProgram) else (
-        simulate(program) if isinstance(program, TailedCircuit) else program
-    )
+    state = program_state(program) if isinstance(program, StoredProgram) else program
     if not isinstance(state, PureState):
         raise ValidationError(f"cannot run object of type {type(program).__name__}")
-    num_ebits = (
-        program.ebit_wires
-        if isinstance(program, TailedCircuit)
-        else len(state.subsystem_dims) // 2
-    )
     n = len(injection.target_tails)
-    table = Injection(state, injection, num_ebits)
+    table = Injection(state, injection)
     branches = (rng.uniforms(shots) < table.p1).astype(int)
     values = np.empty(shots, dtype=float)
     for b in (0, 1):

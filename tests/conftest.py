@@ -167,8 +167,8 @@ def dense_teleport(amp1, amp2, u2, strategy, rng):
 def per_shot_execute(mem, sched):
     """`control.execute` without outcome tables: every shot runs each
     instruction's one-shot kernel afresh (`uqt.compose`, `tailed.inject`,
-    the readout distribution and `tailed.sample_tail_z`), on the same
-    `RngStream(seed, stream_id=shot)`."""
+    the readout distribution and a draw from `tailed.tail_outcomes`), on the
+    same `RngStream(seed, stream_id=shot)`."""
     records = []
     grouped = {"P0": [], "P1": [], "none": []}
     n_tails = 0
@@ -197,7 +197,7 @@ def per_shot_execute(mem, sched):
                     state = load(ins.target)
                     n = len(state.subsystem_dims) // 2
                     spec = tailed.InjectionSpec(tuple(range(n)), ins.bits or "1" * n)
-                    branch, _, states[ins.target] = tailed.inject(state, spec, rng, num_ebits=n)
+                    branch, _, states[ins.target] = tailed.inject(state, spec, rng)
                     injected = n
                 elif isinstance(ins, Readout):
                     state = load(ins.target)
@@ -220,7 +220,8 @@ def per_shot_execute(mem, sched):
                             f"sampletail tail={ins.tail} is out of range: the program at "
                             f"address {ins.target} has {n} tails (0..{n - 1})"
                         )
-                    bit, states[ins.target] = tailed.sample_tail_z(load(ins.target), n + ins.tail, rng)
+                    tail = tailed.tail_outcomes(load(ins.target), n + ins.tail)
+                    bit, states[ins.target] = tail.sample(rng)
                     bells.append(bit)
             except OutOfCopiesError as exc:
                 raise OutOfCopiesError(

@@ -30,6 +30,7 @@ from qvn.kernel import (
     KrausChannel,
     Observable,
     PureState,
+    Retention,
     RngStream,
     UnitaryOp,
     apply_channel,
@@ -49,13 +50,12 @@ from qvn.qec import (
     phase_flip_code,
 )
 from qvn.tailed import (
+    Injection,
     InjectionSpec,
     ReadoutSpec,
     TopoDiagram,
     TopoVertex,
     eval_topological,
-    inject,
-    injection_branches,
     program_state,
     run_algorithm,
     toffoli_cascade,
@@ -239,13 +239,13 @@ def test_criterion_07_injection_probability():
     details = []
     for n in (1, 2, 3, 4):
         state = program_state(stored_program(np.eye(2**n)))
-        spec = InjectionSpec(tuple(range(n)))
-        p_exact, _, _, _ = injection_branches(state, spec)
-        exact_ok = abs(p_exact - 2.0**-n) <= 1e-12
+        # one table, both branches kept; each draw is the one `inject` makes
+        table = Injection(state, InjectionSpec(tuple(range(n))), keep=Retention(2 * state.dim))
+        exact_ok = abs(table.p1 - 2.0**-n) <= 1e-12
         rng = RngStream(707, n)
         hits = 0
         for _ in range(shots):
-            branch, _, _ = inject(state, spec, rng, num_ebits=n)
+            branch, _ = table.sample(rng)
             hits += branch
         p = 2.0**-n
         sigma = math.sqrt(p * (1 - p) / shots)

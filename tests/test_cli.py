@@ -212,6 +212,36 @@ class TestNegativeSeed:
         assert err == "error[E_PARSE] seed=-5 is below 0 (line 1, col 15)\n"
 
 
+class TestUsageErrors:
+    """A malformed command line is one error[E_USAGE] line and exit 2, not
+    argparse's usage block and SystemExit."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "demo.run", "--shots", "abc"],
+             "qvn run: argument --shots: invalid int value: 'abc'"),
+            (["bogus"], "qvn: argument command: invalid choice: 'bogus'"),
+            (["run"], "qvn run: the following arguments are required: file"),
+            (["run", "demo.run", "--tolerance", "1"], "qvn: unrecognized arguments: --tolerance 1"),
+        ],
+        ids=["bad-int", "unknown-subcommand", "missing-positional", "unknown-flag"],
+    )
+    def test_one_line(self, workdir, capsys, argv, message):
+        argv = [str(workdir / a) if (workdir / a).exists() else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error[E_USAGE] {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["--version"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out = capsys.readouterr()
+        assert out.out and out.err == ""
+
+
 def source_env():
     """Environment in which `python -m qvn` imports this checkout's src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -706,7 +736,7 @@ class TestLocatedFaults:
             ),
             # bytes that are not UTF-8
             pytest.param("qvn", b"QVN1 name=H n=1\nt=0 g=H q=0 \xff\xfe\n", 2, 13, id="not-utf8"),
-            # a key the line's reader does not take, in each of the five formats
+            # a key the line's reader does not take, in each format and in schedule lines
             pytest.param("qvn", "QVN1 name=H n=1 extra=1\n", 1, 17, id="qvn1-header-unknown-key"),
             pytest.param(
                 "qvn", "QVN1 name=H n=1\nt=0 g=H q=0 rows=9\n", 2, 13, id="qvn1-gate-unknown-key"

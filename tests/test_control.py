@@ -19,9 +19,8 @@ from qvn.control import (
     controlled_unknown_mixed_output,
     execute,
     ideal_controlled,
-    parse_schedule,
-    serialize_schedule,
 )
+from qvn.cli import parse_run_file
 from qvn.errors import OutOfCopiesError, ParseError, StreamDerivationError, ValidationError
 from qvn.kernel import (
     DensityOperator,
@@ -34,6 +33,7 @@ from qvn.kernel import (
     trace_distance,
 )
 from qvn.memory import GateRecord, MemoryUnit, ProgramDescription
+from qvn.text import format_complex_data
 from qvn.uqt import ByproductStrategy, stored_program
 
 
@@ -349,34 +349,24 @@ class TestControlledUnknown:
 
 
 class TestScheduleText:
-    def test_round_trip(self):
-        sched = Schedule(
-            (
-                Compose(0, 1, ByproductStrategy.SYMMETRIC_PAIR, 7),
-                Inject(7, "1"),
-                Readout(7, Observable(gates.Z), "Z"),
-                Restore(0, 2),
-                SampleTail(1, 0),
-            ),
-            shots=5,
-            seed=1,
-        )
-        text = serialize_schedule(sched)
-        back = parse_schedule(text, shots=5, seed=1)
-        assert len(back.instructions) == 5
-        assert serialize_schedule(back) == text
+    """Schedule lines as a run file's schedule block holds them."""
 
     def test_custom_observable_round_trip(self):
         obs = Observable((gates.Z + gates.X) / np.sqrt(2))
-        sched = Schedule((Readout(0, obs, "custom"),))
-        back = parse_schedule(serialize_schedule(sched))
-        assert np.abs(back.instructions[0].observable.matrix - obs.matrix).max() < 1e-15
+        data = format_complex_data(obs.matrix)
+        (back,) = parse_run_file(schedule_block(f"readout target=0 obs=custom rows=2 data={data}"))[3]
+        assert back.label == "custom"
+        assert np.array_equal(back.observable.matrix, obs.matrix)
 
     def test_unknown_verb(self):
-        with pytest.raises(ParseError):
-            parse_schedule("teleport target=0\n")
+        with pytest.raises(ParseError, match="unknown instruction verb 'teleport'"):
+            parse_run_file(schedule_block("teleport target=0"))
 
     def test_bad_strategy_named(self):
         with pytest.raises(ParseError) as err:
-            parse_schedule("compose a=0 b=1 strategy=magic dest=2\n")
+            parse_run_file(schedule_block("compose a=0 b=1 strategy=magic dest=2"))
         assert "magic" in str(err.value)
+
+
+def schedule_block(*instructions):
+    return "\n".join(["run shots=1", "schedule", *instructions, "endschedule"]) + "\n"

@@ -11,15 +11,12 @@ from qvn.duality import (
     Superchannel,
     apply_comb,
     apply_superchannel,
-    apply_superchannel_choi,
     apply_via_choi,
     bell_state,
     choi_of_channel,
     choi_of_unitary,
-    dilate,
     kraus_from_choi,
     reversal_permutation,
-    superchannel_bent_action,
     unvec,
     vec,
     vectorize,
@@ -172,47 +169,6 @@ class TestVectorize:
             vectorize(np.ones((2, 3)))
 
 
-class TestDilate:
-    def test_unitary_channel(self, rng):
-        u = haar_random_unitary(3, rng)
-        dil, anc = dilate(KrausChannel([u.matrix]))
-        assert anc == 1
-        assert np.abs(dil.matrix - u.matrix).max() < 1e-12
-
-    def test_dephasing_on_pauli_inputs(self):
-        ch = KrausChannel([gates.P0, gates.P1])
-        dil, anc = dilate(ch)
-        assert anc == 2
-        for m in (np.eye(2) / 2, gates.X, gates.Y, gates.Z):
-            rho_big = np.kron(m, np.diag([1.0, 0.0]))
-            out = dil.matrix @ rho_big @ dil.matrix.conj().T
-            reduced = partial_trace_matrix(out, (2, anc), [0])
-            assert np.abs(reduced - kraus_action(ch.kraus_ops, m)).max() < 1e-10
-
-    def test_amplitude_damping_rank_two(self, rng):
-        g = 0.37
-        k0 = np.array([[1, 0], [0, math.sqrt(1 - g)]], dtype=complex)
-        k1 = np.array([[0, math.sqrt(g)], [0, 0]], dtype=complex)
-        ch = KrausChannel([k0, k1])
-        dil, anc = dilate(ch)
-        assert anc == 2
-        resid = np.abs(dil.matrix.conj().T @ dil.matrix - np.eye(4)).max()
-        assert resid < 1e-10
-        rho = random_density(2, rng)
-        big = np.kron(rho.matrix, np.diag([1.0, 0.0]))
-        out = dil.matrix @ big @ dil.matrix.conj().T
-        reduced = partial_trace_matrix(out, (2, anc), [0])
-        assert np.abs(reduced - kraus_action(ch.kraus_ops, rho.matrix)).max() < 1e-10
-
-    def test_kraus_recovered_from_blocks(self, rng):
-        ch = random_cptp_channel(2, 2, rng)
-        dil, anc = dilate(ch)
-        d = 2
-        big = dil.matrix.reshape(d, anc, d, anc)
-        for i, k in enumerate(ch.kraus_ops):
-            assert np.abs(big[:, i, :, 0] - k).max() < 1e-12
-
-
 class TestSuperchannel:
     def test_identity_superchannel(self, rng):
         s = Superchannel(UnitaryOp(np.eye(2)), UnitaryOp(np.eye(2)), 2, 1)
@@ -276,14 +232,14 @@ class TestSuperchannelChoi:
         s = Superchannel(UnitaryOp(np.eye(2)), UnitaryOp(np.eye(2)), 2, 1)
         ch = random_cptp_channel(2, 2, rng)
         choi = choi_of_channel(ch)
-        out = apply_superchannel_choi(s, choi)
+        out = choi_of_channel(apply_superchannel(s, kraus_from_choi(choi)))
         assert np.abs(out.matrix - choi.matrix).max() < 1e-9
 
     def test_pauli_conjugation(self):
         pre, post = gates.X, gates.Z
         s = Superchannel(UnitaryOp(pre), UnitaryOp(post), 2, 1)
         choi = choi_of_unitary(gates.H)
-        out = apply_superchannel_choi(s, choi)
+        out = choi_of_channel(apply_superchannel(s, kraus_from_choi(choi)))
         expected = choi_of_unitary(post @ gates.H @ pre)
         assert np.abs(out.matrix - expected.matrix).max() < 1e-9
 
@@ -293,7 +249,7 @@ class TestSuperchannelChoi:
         )
         ch = random_cptp_channel(2, 3, rng)
         choi_in = choi_of_channel(ch)
-        out_choi = apply_superchannel_choi(s, choi_in)
+        out_choi = choi_of_channel(apply_superchannel(s, kraus_from_choi(choi_in)))
         # oracle: Choi assembled entry by entry from the bent-wire action
         units = matrix_units(2)
         assembled = np.zeros((4, 4), dtype=complex)
@@ -303,6 +259,25 @@ class TestSuperchannelChoi:
                 out_ij = _bent_on_matrix(s, choi_in, rho_ij)
                 assembled += np.kron(out_ij, rho_ij) / 2
         assert np.abs(out_choi.matrix - assembled).max() < 1e-9
+
+
+def superchannel_bent_action(s, choi, rho):
+    """Bent-wire evaluation, the dual route to `apply_superchannel`.
+
+    The input wire of the stored dual state is connected by a partial
+    transpose on the system wire: (E ⊗ I)(χ) = d tr_S[(ω_E ⊗ I)(I ⊗ χ^{T_S})]
+    for a joint state χ of system and memory.
+    """
+    d, a = s.system_dim, s.ancilla_dim
+    embed = np.kron(np.eye(d), np.eye(a)[:, :1])  # ρ ↦ ρ ⊗ |0⟩⟨0|
+    pre = s.pre_unitary.matrix @ embed
+    chi = pre @ rho.matrix @ pre.conj().T
+    # partial transpose on the system factor of chi (dims d, a)
+    chi_t = chi.reshape(d, a, d, a).transpose(2, 1, 0, 3).reshape(d * a, d * a)
+    big = np.kron(choi.matrix, np.eye(a)) @ np.kron(np.eye(d), chi_t)
+    bent = d * partial_trace_matrix(big, (d, d, a), [0, 2])
+    out = s.post_unitary.matrix @ bent @ s.post_unitary.matrix.conj().T
+    return DensityOperator(partial_trace_matrix(out, (d, a), [0]))
 
 
 def _bent_on_matrix(s, choi, mat):

@@ -18,7 +18,7 @@ from qvn.kernel import (
     expectation,
     haar_random_unitary,
     kron,
-    measure,
+    measure_wire_computational,
     partial_trace,
     purity,
     random_cptp_channel,
@@ -177,18 +177,17 @@ class TestPurity:
 
 class TestMeasure:
     def test_deterministic_outcome(self, rng):
-        psi = PureState([1, 0])
-        k, p, post = measure(psi, [gates.P0, gates.P1], rng)
+        k, p, post = measure_wire_computational([1, 0], (2,), 0, rng)
         assert k == 0 and abs(p - 1.0) < 1e-12
-        assert np.abs(post.amplitudes - psi.amplitudes).max() < 1e-12
+        assert np.abs(post - [1, 0]).max() < 1e-12
 
     def test_plus_state_is_unbiased(self):
-        psi = PureState(np.array([1, 1]) / math.sqrt(2))
+        plus = np.array([1, 1]) / math.sqrt(2)
         counts = [0, 0]
         n = 10_000
         rng = RngStream(7)
         for _ in range(n):
-            k, p, _ = measure(psi, [gates.P0, gates.P1], rng)
+            k, p, _ = measure_wire_computational(plus, (2,), 0, rng)
             assert abs(p - 0.5) < 1e-12
             counts[k] += 1
         assert abs(counts[0] / n - 0.5) < 4 / math.sqrt(n)
@@ -208,30 +207,18 @@ class TestMeasure:
         probs, _ = bell_probabilities(pair, 0, 2, BellBasis.weyl(2))
         assert np.abs(probs - 0.25).max() < 1e-12
 
-    def test_incomplete_projector_set_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            measure(PureState([1, 0]), [gates.P0], rng)
-
-    def test_density_operator_collapse(self, rng):
-        rho = DensityOperator(np.diag([0.25, 0.75]))
-        k, p, post = measure(rho, [gates.P0, gates.P1], rng)
-        assert abs(p - (0.25 if k == 0 else 0.75)) < 1e-12
-        expected = np.zeros((2, 2))
-        expected[k, k] = 1.0
-        assert np.abs(post.matrix - expected).max() < 1e-12
-
     def test_frequencies_match_probabilities(self, rng):
+        # wire 1 of a random two-qubit state, which is entangled with wire 0
         psi = random_pure_state(4, rng)
-        projs = [np.zeros((4, 4)) for _ in range(4)]
-        u = haar_random_unitary(4, rng).matrix
-        projs = [np.outer(u[:, i], u[:, i].conj()) for i in range(4)]
-        exact = np.array([np.vdot(psi.amplitudes, p @ psi.amplitudes).real for p in projs])
+        exact = (np.abs(psi.amplitudes.reshape(2, 2)) ** 2).sum(axis=0)
         n = 20_000
-        counts = np.zeros(4)
+        counts = np.zeros(2)
         sampler = RngStream(99)
         for _ in range(n):
-            k, _, _ = measure(psi, projs, sampler)
+            k, p, post = measure_wire_computational(psi.amplitudes, (2, 2), 1, sampler)
             counts[k] += 1
+        assert abs(p - exact[k]) < 1e-12
+        assert abs(np.linalg.norm(post.reshape(2, 2)[:, k]) - 1.0) < 1e-12
         assert np.abs(counts / n - exact).max() < 4 / math.sqrt(n)
 
 

@@ -1,6 +1,7 @@
-"""Property tests: serialize/parse round trips of the five text formats are
-byte exact, any line-shaped text given to a parser either parses or raises
-a QvnError, the pairwise diagram contraction agrees with the single-pass
+"""Property tests: serialize/parse round trips of the program and code
+formats are byte exact, any line-shaped text given to a parser (run files
+nest program documents and schedule lines) either parses or raises a
+QvnError, the pairwise diagram contraction agrees with the single-pass
 einsum, the index-only Bell measurement agrees with the dense basis, the
 table-driven schedule executor agrees with the per-shot one, batch-derived
 shot streams draw as numpy seeds them, and lazily concatenated program
@@ -58,37 +59,6 @@ def descriptions(draw, n=None):
 
 
 @st.composite
-def schedules(draw):
-    addrs = st.integers(0, 9)
-    instructions = []
-    dests = set()
-    readout = False
-    for _ in range(draw(st.integers(0, 6))):
-        verb = draw(st.sampled_from(["compose", "inject", "readout", "restore", "sampletail"]))
-        if verb == "compose":
-            dest = draw(addrs.filter(lambda a: a not in dests))
-            dests.add(dest)
-            strategy = draw(st.sampled_from(list(ByproductStrategy)))
-            instructions.append(Compose(draw(addrs), draw(addrs), strategy, dest))
-        elif verb == "inject":
-            instructions.append(Inject(draw(addrs), draw(st.text("01", max_size=3))))
-        elif verb == "readout" and not readout:
-            readout = True
-            label = draw(st.sampled_from(["Z", "XY", "IZ", "custom"]))
-            if label == "custom":
-                a = haar(2, draw(SEEDS))
-                obs = Observable((a + a.conj().T) / 2)
-            else:
-                obs = Observable(gates.pauli_string_matrix(label))
-            instructions.append(Readout(draw(addrs), obs, label))
-        elif verb == "restore":
-            instructions.append(Restore(draw(addrs), draw(st.integers(1, 5))))
-        elif verb == "sampletail":
-            instructions.append(SampleTail(draw(addrs), draw(st.integers(0, 3))))
-    return Schedule(tuple(instructions))
-
-
-@st.composite
 def codes(draw):
     n = draw(st.integers(1, 3))
     k = draw(st.integers(0, n))
@@ -102,12 +72,6 @@ def test_qvn1_round_trip_byte_exact(desc):
     back = memory.deserialize(text)
     assert back == desc
     assert memory.serialize(back) == text
-
-
-@given(schedules())
-def test_schedule_round_trip_byte_exact(sched):
-    text = control.serialize_schedule(sched)
-    assert control.serialize_schedule(control.parse_schedule(text)) == text
 
 
 @given(codes())
@@ -155,7 +119,6 @@ BODIES = {
 }
 PARSERS = {
     "qvn1": memory.deserialize,
-    "schedule": control.parse_schedule,
     "run": cli.parse_run_file,
     "diagram": cli.parse_diagram,
     "code": qec.parse_code,

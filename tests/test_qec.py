@@ -295,9 +295,20 @@ class TestLogicalCompose:
         code = Code(1, 1, np.eye(2))
         p1 = logical_program(code, gates.H)
         p2 = logical_program(code, gates.Y)  # Y^t = -Y
-        assert not p2.is_symmetric
         with pytest.raises(ConfigurationError):
             logical_compose(p1, p2, ByproductStrategy.CORRECTION_TABLE, rng)
+
+    def test_nearly_symmetric_gate_judged_at_compose_tol(self, rng):
+        # a rotation by 5e-9 rad is symmetric only to 1e-8, past the default
+        # 1e-10; logical_compose's own tol decides
+        code = Code(1, 1, np.eye(2))
+        c, s = math.cos(5e-9), math.sin(5e-9)
+        p1 = logical_program(code, gates.Z)
+        p2 = logical_program(code, np.array([[c, -s], [s, c]]))
+        with pytest.raises(ConfigurationError):
+            logical_compose(p1, p2, ByproductStrategy.CORRECTION_TABLE, rng)
+        out, _ = logical_compose(p1, p2, ByproductStrategy.CORRECTION_TABLE, rng, tol=1e-7)
+        assert np.abs(out.gate - p2.gate @ gates.Z).max() < 1e-15
 
     def test_non_logical_gate_rejected(self):
         code = bit_flip_code()

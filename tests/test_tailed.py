@@ -16,20 +16,17 @@ from qvn.kernel import (
     measure_wire_computational,
 )
 from qvn.tailed import (
-    CircuitGate,
+    Injection,
     InjectionSpec,
     ReadoutSpec,
-    TailedCircuit,
     TopoDiagram,
     TopoVertex,
     contract,
     eval_topological,
     inject,
-    injection_branches,
     program_state,
     run_algorithm,
-    sample_tail_z,
-    simulate,
+    tail_outcomes,
     toffoli_cascade,
 )
 from qvn.uqt import ByproductStrategy, compose, stored_program
@@ -81,64 +78,13 @@ def inject_by_ancilla(state, spec, rng, num_ebits, mode):
     return branch, float(prob), PureState(amp, tuple(dims))
 
 
-class TestCircuitIR:
-    def test_gate_on_tail_rejected(self):
-        with pytest.raises(ValidationError):
-            TailedCircuit(0, 1, gates=(CircuitGate(gates.H, (("t", 0),)),))
-
-
-class TestSimulate:
-    def test_bare_ebit(self):
-        state = simulate(TailedCircuit(0, 1))
-        assert np.abs(state.amplitudes - bell_state(2)).max() < 1e-14
-
-    def test_h_on_head_is_vectorization(self):
-        circ = TailedCircuit(0, 1, gates=(CircuitGate(gates.H, (("h", 0),)),))
-        expected = np.kron(gates.H, np.eye(2)) @ bell_state(2)
-        assert np.abs(simulate(circ).amplitudes - expected).max() < 1e-14
-
-    def test_two_program_network_matches_dense_product(self):
-        # H and T heads joined by CZ: equals ((CZ)(H⊗T) ⊗ I)|ω(4)⟩
-        circ = TailedCircuit(
-            0,
-            2,
-            gates=(
-                CircuitGate(gates.H, (("h", 0),)),
-                CircuitGate(gates.T, (("h", 1),)),
-                CircuitGate(gates.CZ, (("h", 0), ("h", 1))),
-            ),
-        )
-        u = gates.CZ @ np.kron(gates.H, gates.T)
-        expected = np.kron(u, np.eye(4)) @ bell_state(4)
-        assert np.abs(simulate(circ).amplitudes - expected).max() < 1e-12
-
-    def test_qubit_wires_start_at_zero(self):
-        circ = TailedCircuit(1, 1, gates=(CircuitGate(gates.X, (("q", 0),)),))
-        state = simulate(circ)
-        tensor = state.tensor()
-        # qubit wire is the last axis and was flipped to |1>
-        assert abs(np.linalg.norm(tensor[:, :, 1]) - 1.0) < 1e-12
-
-    def test_normalized(self, rng):
-        circ = TailedCircuit(
-            1,
-            2,
-            gates=(
-                CircuitGate(haar_random_unitary(4, rng).matrix, (("h", 0), ("q", 0))),
-                CircuitGate(haar_random_unitary(2, rng).matrix, (("h", 1),)),
-            ),
-        )
-        assert abs(np.linalg.norm(simulate(circ).amplitudes) - 1.0) < 1e-12
-
-
 class TestInjection:
     def test_single_tail_probability_half(self, rng):
         state = program_state(stored_program(gates.H))
-        spec = InjectionSpec((0,))
-        p1, post1, p0, post0 = injection_branches(state, spec)
-        assert abs(p1 - 0.5) < 1e-12
+        table = Injection(state, InjectionSpec((0,)))
+        assert abs(table.p1 - 0.5) < 1e-12
         # P1 branch holds H|1> = |-> on the head
-        head = post1.tensor()[:, 1]
+        head = table.result(1)[1].tensor()[:, 1]
         minus = np.array([1, -1]) / math.sqrt(2)
         assert abs(abs(np.vdot(head, minus)) - 1.0) < 1e-12
 
@@ -146,7 +92,7 @@ class TestInjection:
         for n in (1, 2, 3, 4):
             u = np.eye(2**n, dtype=complex)
             state = program_state(stored_program(u))
-            p1, _, _, _ = injection_branches(state, InjectionSpec(tuple(range(n))))
+            p1 = Injection(state, InjectionSpec(tuple(range(n)))).p1
             assert abs(p1 - 2.0**-n) < 1e-12
 
     def test_bitstring_frame_equivalence(self, rng):
@@ -154,10 +100,9 @@ class TestInjection:
         # collapses the tails onto |10⟩
         u = haar_random_unitary(4, rng)
         state = program_state(stored_program(u))
-        spec = InjectionSpec((0, 1), "10")
-        p1, post1, _, _ = injection_branches(state, spec)
-        assert abs(p1 - 0.25) < 1e-12
-        tensor = post1.tensor()
+        table = Injection(state, InjectionSpec((0, 1), "10"))
+        assert abs(table.p1 - 0.25) < 1e-12
+        tensor = table.result(1)[1].tensor()
         mass = np.linalg.norm(tensor[:, :, 1, 0])
         assert abs(mass - 1.0) < 1e-12
         head = tensor[:, :, 1, 0].reshape(-1)
@@ -173,7 +118,7 @@ class TestInjection:
             spec = InjectionSpec(tuple(range(n)), bits[:n])
             for mode in (MONOLITHIC, CASCADE):
                 for seed in range(8):
-                    branch, prob, post = inject(state, spec, RngStream(seed), num_ebits=n)
+                    branch, prob, post = inject(state, spec, RngStream(seed))
                     ref = inject_by_ancilla(state, spec, RngStream(seed), n, mode)
                     assert branch == ref[0]
                     assert abs(prob - ref[1]) < 1e-10
@@ -187,7 +132,7 @@ class TestInjection:
             mode: inject_by_ancilla(state, spec, RngStream(5), 3, mode)
             for mode in (MONOLITHIC, CASCADE)
         }
-        outs["inject"] = inject(state, spec, RngStream(5), num_ebits=3)
+        outs["inject"] = inject(state, spec, RngStream(5))
         for mode in (MONOLITHIC, CASCADE):
             assert outs[mode][0] == outs["inject"][0]
             assert abs(outs[mode][1] - outs["inject"][1]) < 1e-10
@@ -201,10 +146,25 @@ class TestInjection:
         rng = RngStream(123)
         hits = 0
         for _ in range(n):
-            branch, _, _ = inject(state, spec, rng, num_ebits=2)
+            branch, _, _ = inject(state, spec, rng)
             hits += branch
         p = 0.25
         assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+    def test_odd_wire_count_rejected(self):
+        # a program state has n heads and n tails; three wires have no halves
+        state = PureState(np.kron(bell_state(2), [1, 0]), (2, 2, 2))
+        with pytest.raises(ValidationError, match="3 wires"):
+            Injection(state, InjectionSpec((0,)))
+
+    def test_named_ebit_count_must_fit(self):
+        state = program_state(stored_program(np.eye(4)))
+        spec = InjectionSpec((0, 1))
+        named = inject(state, spec, RngStream(3), num_ebits=2)
+        plain = inject(state, spec, RngStream(3))
+        assert named[:2] == plain[:2]
+        with pytest.raises(ValidationError, match="num_ebits=1"):
+            inject(state, spec, RngStream(3), num_ebits=1)
 
 
 class TestToffoliCascade:
@@ -245,14 +205,14 @@ class TestSampleTail:
         counts = [0, 0]
         n = 10_000
         for _ in range(n):
-            bit, _ = sample_tail_z(state, 1, rng)
+            bit, _ = tail_outcomes(state, 1).sample(rng)
             counts[bit] += 1
         assert abs(counts[0] / n - 0.5) < 4 * math.sqrt(0.25 / n)
 
     def test_collapse_injects_basis_state(self):
         state = program_state(stored_program(gates.H))
         rng = RngStream(2)
-        bit, post = sample_tail_z(state, 1, rng)
+        bit, post = tail_outcomes(state, 1).sample(rng)
         head = post.tensor()[:, bit]
         expected = gates.H @ np.eye(2)[:, bit]
         assert abs(abs(np.vdot(head, expected)) - 1.0) < 1e-12
@@ -467,6 +427,12 @@ class TestRunAlgorithm:
         program, readout, injection, rng = case()
         r = run_algorithm(program, readout, injection, 10_000, rng)
         assert (r.estimate, r.standard_error, r.n_p0, r.n_p1) == pinned
+
+    def test_other_program_types_rejected(self):
+        # a stored program or its circuit state runs; a bare matrix does not
+        readout = ReadoutSpec(Observable(gates.Z), (0,))
+        with pytest.raises(ValidationError, match="cannot run object of type ndarray"):
+            run_algorithm(np.eye(2), readout, InjectionSpec((0,)), 10, RngStream(0))
 
     def test_identity_program_z_on_one(self):
         result = run_algorithm(
