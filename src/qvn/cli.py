@@ -106,6 +106,7 @@ def parse_run_file(text):
     """Returns (shots, seed, slots, instructions); a slot is
     (addr, copies, description)."""
     shots, seed = 1, 0
+    run_line = None
     slots = []
     instructions = []
     mode = "top"
@@ -126,11 +127,16 @@ def parse_run_file(text):
             else:
                 instructions.append(control.parse_instruction(line))
         elif line.verb == "run":
+            if run_line is not None:
+                raise line.error(f"a second run line; line {run_line.no} is the run line")
+            run_line = line
             shots = line.int("shots", 1, low=1, high=control.MAX_SHOTS)
             seed = line.int("seed", 0, low=0)
             line.done()
         elif line.verb == "slot":
             slot = (line.int("addr"), line.int("copies", 1, low=1, high=memory.MAX_COPIES))
+            if any(addr == slot[0] for addr, _, _ in slots):
+                raise line.error(f"address {slot[0]} already in use", "addr")
             line.done()
             doc = []
             mode, opened = "slot", line
@@ -206,12 +212,13 @@ def cmd_compose(args):
     )
     strategies = {}
     for pos, name in enumerate(names):
-        strat = uqt.ByproductStrategy(name)
+        # building the exact outcome table draws nothing; each repeat samples it
+        table = uqt.Composition(p1, p2, uqt.ByproductStrategy(name))
         rng = RngStream(args.seed, stream_id=pos)
         fidelities = []
         trials = []
         for _ in range(args.repeats):
-            result, used = uqt.compose(p1, p2, strat, rng)
+            result, used = table.sample(rng)
             fid = abs(np.vdot(result.amplitudes, target)) ** 2
             fidelities.append(float(fid))
             trials.append(used)
@@ -290,7 +297,6 @@ def _endpoint(line, key):
 
 
 def parse_diagram(text) -> tailed.TopoDiagram:
-    site_dim = 2
     vertices = []
     segments = []
     saw_header = False
@@ -311,7 +317,7 @@ def parse_diagram(text) -> tailed.TopoDiagram:
                 raise line.error(f"unknown vertex gate {tag!r}", "g")
             line.done()
             with line.located():
-                vertices.append(tailed.TopoVertex(UnitaryOp(gate).matrix, legs, site_dim))
+                vertices.append(tailed.TopoVertex(UnitaryOp(gate).matrix, legs))
         elif line.verb == "segment":
             segments.append((line, _endpoint(line, "a"), _endpoint(line, "b")))
             line.done()
@@ -319,19 +325,19 @@ def parse_diagram(text) -> tailed.TopoDiagram:
             raise line.error("expected a vertex or segment line")
     # a segment may name a vertex given further down, so endpoints are
     # checked once every vertex is read, each at its own line and key
-    unwired = tailed.TopoDiagram(tuple(vertices), (), site_dim)
+    unwired = tailed.TopoDiagram(tuple(vertices), ())
     seen = set()
     for line, a, b in segments:
         for key, ep in (("a", a), ("b", b)):
             with line.located(key):
                 unwired.check_endpoint(ep, seen)
-    return tailed.TopoDiagram(tuple(vertices), tuple((a, b) for _, a, b in segments), site_dim)
+    return tailed.TopoDiagram(tuple(vertices), tuple((a, b) for _, a, b in segments))
 
 
 def cmd_topo_eval(args):
     diagram = parse_diagram(_read_file(args.diagram))
     open_endpoints = diagram.open_endpoints()
-    size = diagram.site_dim ** len(open_endpoints)
+    size = 2 ** len(open_endpoints)
     if size > MAX_REPORT_AMPLITUDES:
         raise ValidationError(
             f"the open diagram's state has {size} amplitudes; the report limit is "

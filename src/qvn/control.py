@@ -316,7 +316,7 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
 # ---------------------------------------------------------------------------
 
 
-def controlled_unknown(u: UnitaryOp, eigenstate: PureState, eigenvalue, tol=DEFAULT_TOL) -> UnitaryOp:
+def controlled_unknown(u: UnitaryOp, eigenstate: PureState, eigenvalue) -> UnitaryOp:
     """CSWAP · (I ⊗ U on the ancilla) · CSWAP on control ⊗ target ⊗ ancilla.
 
     The declared eigenpair pins the phase gauge of the black box: with the
@@ -325,23 +325,21 @@ def controlled_unknown(u: UnitaryOp, eigenstate: PureState, eigenvalue, tol=DEFA
     """
     d = u.dim
     lam = complex(eigenvalue)
-    if abs(abs(lam) - 1.0) > tol:
+    if abs(abs(lam) - 1.0) > DEFAULT_TOL:
         raise ValidationError(f"eigenvalue {lam} is not a phase")
     if eigenstate.dim != d:
         raise ValidationError(f"eigenstate dim {eigenstate.dim} != gate dim {d}")
     resid = np.linalg.norm(u.matrix @ eigenstate.amplitudes - lam * eigenstate.amplitudes)
-    if resid > tol * d:
+    if resid > DEFAULT_TOL * d:
         raise ValidationError(f"declared eigenstate misses by {resid}")
     cs = gates.cswap(d)
     mid = np.kron(np.eye(2 * d, dtype=complex), u.matrix)
     return UnitaryOp(cs @ mid @ cs)
 
 
-def controlled_unknown_channel(
-    u: UnitaryOp, eigenstate: PureState, eigenvalue, tol=DEFAULT_TOL
-) -> KrausChannel:
+def controlled_unknown_channel(u: UnitaryOp, eigenstate: PureState, eigenvalue) -> KrausChannel:
     """Reduced control-target dynamics with the ancilla in the eigenstate."""
-    circuit = controlled_unknown(u, eigenstate, eigenvalue, tol=tol)
+    circuit = controlled_unknown(u, eigenstate, eigenvalue)
     d = u.dim
     phi = eigenstate.amplitudes
     kraus = []
@@ -349,7 +347,7 @@ def controlled_unknown_channel(
     embedded = np.einsum("amby,y->amb", big, phi)
     for m in range(d):
         kraus.append(embedded[:, m, :])
-    return KrausChannel(kraus, tol=max(tol, 1e-9))
+    return KrausChannel(kraus, tol=1e-9)
 
 
 def controlled_unknown_mixed_output(u: UnitaryOp, rho_ct: DensityOperator) -> DensityOperator:

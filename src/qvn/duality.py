@@ -97,16 +97,16 @@ class ChoiState:
     matrix: np.ndarray
     pure_amplitudes: np.ndarray | None
 
-    def __init__(self, matrix, tol=DEFAULT_TOL, pure_amplitudes=None):
+    def __init__(self, matrix, pure_amplitudes=None):
         m = np.asarray(matrix, dtype=complex)
         dim = m.shape[0]
         d = math.isqrt(dim)
         if d * d != dim or m.shape != (dim, dim):
             raise ValidationError(f"Choi matrix shape {m.shape} is not d²×d²")
-        rho = DensityOperator(m, (d, d), tol=tol)
+        rho = DensityOperator(m, (d, d))
         tail = partial_trace_matrix(rho.matrix, (d, d), [1])
         resid = np.abs(tail - np.eye(d) / d).max()
-        if resid > tol:
+        if resid > DEFAULT_TOL:
             raise NotCptpError(f"tr_A deviates from I/d by {resid}: not trace preserving")
         if pure_amplitudes is not None:
             pure_amplitudes = np.asarray(pure_amplitudes, dtype=complex).reshape(-1)
@@ -118,17 +118,17 @@ class ChoiState:
     def density(self) -> DensityOperator:
         return DensityOperator(self.matrix, (self.d, self.d))
 
-    def unitary(self, tol=DEFAULT_TOL) -> np.ndarray:
+    def unitary(self) -> np.ndarray:
         """Recover U from a rank-1 dual state of a unitary channel."""
         if self.pure_amplitudes is not None:
             return unvec(self.pure_amplitudes)
         vals, vecs = np.linalg.eigh(self.matrix)
-        if vals[-2] > tol * self.d:
+        if vals[-2] > DEFAULT_TOL * self.d:
             raise ValidationError("Choi state is not rank 1")
         return unvec(vecs[:, -1])
 
 
-def choi_of_channel(ch: KrausChannel, tol=DEFAULT_TOL) -> ChoiState:
+def choi_of_channel(ch: KrausChannel) -> ChoiState:
     """(E ⊗ I)(ω) built by conjugating the ebit with each Kraus operator."""
     if ch.dim_in != ch.dim_out:
         raise ValidationError("dual states are defined for dimension-preserving maps")
@@ -138,10 +138,10 @@ def choi_of_channel(ch: KrausChannel, tol=DEFAULT_TOL) -> ChoiState:
         v = vec(k)
         acc += np.outer(v, v.conj())
     pure = vec(ch.kraus_ops[0]) if len(ch.kraus_ops) == 1 else None
-    return ChoiState(acc, tol=tol, pure_amplitudes=pure)
+    return ChoiState(acc, pure_amplitudes=pure)
 
 
-def choi_of_unitary(u, tol=DEFAULT_TOL) -> ChoiState:
+def choi_of_unitary(u) -> ChoiState:
     """Dual state vec(U)vec(U)† of a unitary.
 
     For a validated `UnitaryOp` the result is a dual state by construction
@@ -150,7 +150,7 @@ def choi_of_unitary(u, tol=DEFAULT_TOL) -> ChoiState:
     """
     if not isinstance(u, UnitaryOp):
         v = vec(np.asarray(u, dtype=complex))
-        return ChoiState(np.outer(v, v.conj()), tol=tol, pure_amplitudes=v)
+        return ChoiState(np.outer(v, v.conj()), pure_amplitudes=v)
     v = vec(u.matrix)
     matrix = np.outer(v, v.conj())
     v.setflags(write=False)
@@ -172,7 +172,7 @@ def apply_via_choi(choi: ChoiState, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(out, rho.subsystem_dims)
 
 
-def kraus_from_choi(choi: ChoiState, tol=DEFAULT_TOL) -> KrausChannel:
+def kraus_from_choi(choi: ChoiState) -> KrausChannel:
     """Kraus operators from the eigenvalue decomposition of the dual state."""
     d = choi.d
     vals, vecs = np.linalg.eigh(choi.matrix)
@@ -184,7 +184,7 @@ def kraus_from_choi(choi: ChoiState, tol=DEFAULT_TOL) -> KrausChannel:
     ]
     if not kraus:
         raise NotCptpError("Choi state has no spectrum above the rank tolerance")
-    return KrausChannel(kraus, tol=max(tol, 1e-9))
+    return KrausChannel(kraus, tol=1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,38 +204,19 @@ class Superchannel:
             )
 
 
-def _embed_column(d, a):
-    """Isometry ρ ↦ ρ ⊗ |0⟩⟨0| as a (d·a × d) matrix."""
-    e0 = np.zeros((a, 1), dtype=complex)
-    e0[0, 0] = 1.0
-    return np.kron(np.eye(d, dtype=complex), e0)
-
-
-def _trace_out_rows(d, a):
-    """List of (d × d·a) matrices I ⊗ ⟨j| implementing the ancilla trace."""
-    rows = []
-    for j in range(a):
-        ej = np.zeros((1, a), dtype=complex)
-        ej[0, j] = 1.0
-        rows.append(np.kron(np.eye(d, dtype=complex), ej))
-    return rows
-
-
-def apply_superchannel(s: Superchannel, ch: KrausChannel, tol=DEFAULT_TOL) -> KrausChannel:
+def apply_superchannel(s: Superchannel, ch: KrausChannel) -> KrausChannel:
     """ρ ↦ tr_a V (E ⊗ I_mem)(U (ρ ⊗ |0⟩⟨0|) U†) V† with E on the system wire."""
     d, a = s.system_dim, s.ancilla_dim
     if ch.dim_in != d or ch.dim_out != d:
         raise DimensionMismatchError(f"input channel dim {ch.dim_in} != system dim {d}")
-    embed = _embed_column(d, a)
-    outs = _trace_out_rows(d, a)
-    pre = s.pre_unitary.matrix @ embed
+    # the ancilla is the fast index: columns ::a of an operator act on
+    # ρ ⊗ |0⟩⟨0|, and rows j::a take ⟨j| of the ancilla, one term of its trace
+    pre = s.pre_unitary.matrix[:, ::a]
     kraus = []
     for k in ch.kraus_ops:
-        mid = np.kron(k, np.eye(a)) @ pre
-        post = s.post_unitary.matrix @ mid
-        for row in outs:
-            kraus.append(row @ post)
-    return KrausChannel(kraus, tol=tol)
+        post = s.post_unitary.matrix @ (np.kron(k, np.eye(a)) @ pre)
+        kraus.extend(post[j::a] for j in range(a))
+    return KrausChannel(kraus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +251,7 @@ class Comb:
         return len(self.teeth) - 1
 
 
-def apply_comb(c: Comb, inputs, tol=DEFAULT_TOL) -> KrausChannel:
+def apply_comb(c: Comb, inputs) -> KrausChannel:
     """Thread the input channels through the comb's slots."""
     inputs = list(inputs)
     if len(inputs) != c.slots:
@@ -279,10 +260,8 @@ def apply_comb(c: Comb, inputs, tol=DEFAULT_TOL) -> KrausChannel:
     for ch in inputs:
         if ch.dim_in != d or ch.dim_out != d:
             raise DimensionMismatchError(f"slot channel dim {ch.dim_in} != system dim {d}")
-    ops = [c.teeth[0].matrix @ _embed_column(d, m)]
+    ops = [c.teeth[0].matrix[:, ::m]]  # memory at |0⟩, as in apply_superchannel
     for slot, ch in enumerate(inputs):
         tooth = c.teeth[slot + 1].matrix
         ops = [tooth @ np.kron(k, np.eye(m)) @ op for op in ops for k in ch.kraus_ops]
-    rows = _trace_out_rows(d, m)
-    kraus = [row @ op for op in ops for row in rows]
-    return KrausChannel(kraus, tol=tol)
+    return KrausChannel([op[j::m] for op in ops for j in range(m)])

@@ -59,7 +59,7 @@ class PureState:
     amplitudes: np.ndarray
     subsystem_dims: tuple[int, ...]
 
-    def __init__(self, amplitudes, subsystem_dims=None, tol=DEFAULT_TOL):
+    def __init__(self, amplitudes, subsystem_dims=None):
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if not np.all(np.isfinite(vec)):
             raise ValidationError("amplitudes contain non-finite entries")
@@ -67,8 +67,8 @@ class PureState:
             subsystem_dims = (vec.size,)
         dims = _check_subsystems(vec.size, subsystem_dims)
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > tol:
-            raise ValidationError(f"state norm {norm} differs from 1 beyond {tol}")
+        if abs(norm - 1.0) > DEFAULT_TOL:
+            raise ValidationError(f"state norm {norm} differs from 1 beyond {DEFAULT_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(vec))
         object.__setattr__(self, "subsystem_dims", dims)
 
@@ -103,7 +103,7 @@ class DensityOperator:
     matrix: np.ndarray
     subsystem_dims: tuple[int, ...]
 
-    def __init__(self, matrix, subsystem_dims=None, tol=DEFAULT_TOL):
+    def __init__(self, matrix, subsystem_dims=None):
         m = _as_matrix(matrix, "density matrix")
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
@@ -111,13 +111,13 @@ class DensityOperator:
             subsystem_dims = (m.shape[0],)
         dims = _check_subsystems(m.shape[0], subsystem_dims)
         scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > tol * scale:
+        if np.abs(m - m.conj().T).max() > DEFAULT_TOL * scale:
             raise ValidationError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol * m.shape[0]:
+        if abs(tr - 1.0) > DEFAULT_TOL * m.shape[0]:
             raise ValidationError(f"trace {tr} differs from 1 beyond tolerance")
         lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -tol * scale * m.shape[0]:
+        if lo < -DEFAULT_TOL * scale * m.shape[0]:
             raise ValidationError(f"density matrix has negative eigenvalue {lo}")
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "subsystem_dims", dims)
@@ -153,12 +153,12 @@ class Observable:
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, tol=DEFAULT_TOL):
+    def __init__(self, matrix):
         m = _as_matrix(matrix, "observable")
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"observable must be square, got {m.shape}")
         scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > tol * scale:
+        if np.abs(m - m.conj().T).max() > DEFAULT_TOL * scale:
             raise ValidationError("observable is not Hermitian within tolerance")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -281,7 +281,7 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
-    _gen: np.random.Generator = field(repr=False, compare=False, default=None)
+    _gen: np.random.Generator = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -512,7 +512,7 @@ def purity(rho: DensityOperator) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
-def eig_unitary(u: UnitaryOp, tol=DEFAULT_TOL):
+def eig_unitary(u: UnitaryOp):
     """Diagonalize a unitary as U = V D V† with V genuinely unitary.
 
     Uses the complex Schur form, which for normal matrices is diagonal and
@@ -520,14 +520,14 @@ def eig_unitary(u: UnitaryOp, tol=DEFAULT_TOL):
     """
     t, v = scipy.linalg.schur(u.matrix, output="complex")
     off = np.abs(t - np.diag(np.diag(t))).max() if t.shape[0] > 1 else 0.0
-    if off > tol * u.dim * 10:
+    if off > DEFAULT_TOL * u.dim * 10:
         raise NumericalError(f"Schur form not diagonal (off-diagonal {off})")
     eigvals = np.diag(t).copy()
     eigvals /= np.abs(eigvals)  # snap onto the unit circle
     recon = np.abs(v @ np.diag(eigvals) @ v.conj().T - u.matrix).max()
-    if recon > tol * u.dim * 10:
+    if recon > DEFAULT_TOL * u.dim * 10:
         raise NumericalError(f"eigendecomposition residual {recon}")
-    return eigvals, UnitaryOp(v, tol=tol)
+    return eigvals, UnitaryOp(v)
 
 
 def expectation(obs: Observable, rho: DensityOperator) -> float:
@@ -609,16 +609,15 @@ def random_cptp_channel(dim, rank, rng: RngStream) -> KrausChannel:
     return KrausChannel(kraus)
 
 
-def random_density(dim, rng: RngStream, rank=None) -> DensityOperator:
-    rank = rank or dim
-    z = (rng.normal((dim, rank)) + 1j * rng.normal((dim, rank))) / math.sqrt(2.0)
+def random_density(dim, rng: RngStream) -> DensityOperator:
+    z = (rng.normal((dim, dim)) + 1j * rng.normal((dim, dim))) / math.sqrt(2.0)
     m = z @ z.conj().T
     return DensityOperator(m / np.trace(m).real)
 
 
-def random_pure_state(dim, rng: RngStream, subsystem_dims=None) -> PureState:
+def random_pure_state(dim, rng: RngStream) -> PureState:
     v = rng.normal((dim,)) + 1j * rng.normal((dim,))
-    return PureState(v / np.linalg.norm(v), subsystem_dims)
+    return PureState(v / np.linalg.norm(v))
 
 
 def trace_distance(a, b) -> float:

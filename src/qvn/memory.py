@@ -54,6 +54,8 @@ class GateRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        if len(set(self.targets)) != len(self.targets):
+            raise ValidationError(f"gate targets {self.targets} name a wire twice")
         if self.tag == "custom":
             if self.matrix is None:
                 raise ValidationError("custom gate record needs a matrix")
@@ -269,11 +271,10 @@ def _check_live_copies(slot_name, count):
 
 @dataclass
 class MemorySlot:
-    """One address: its description, its live copies, the program
-    synthesized from the description, which every restore copies, and the
-    balance of copies put in less copies taken out."""
+    """The contents of one address: its description, its live copies, the
+    program synthesized from the description, which every restore copies,
+    and the balance of copies put in less copies taken out."""
 
-    address: int
     description: ProgramDescription | None
     copies: list
     program: StoredProgram | None = None
@@ -308,14 +309,14 @@ class MemoryUnit:
         _check_live_copies("a new slot" if address is None else f"slot {address}", copies)
         address = self._claim_address(address)
         program = synthesize(desc)
-        self.slots[address] = MemorySlot(address, desc, [program] * copies, program, copies)
+        self.slots[address] = MemorySlot(desc, [program] * copies, program, copies)
         return address
 
     def store_copies(self, programs, description=None, address=None) -> int:
         """Slot from pre-built copies (e.g. composition results)."""
         programs = list(programs)
         address = self._claim_address(address)
-        self.slots[address] = MemorySlot(address, description, programs, balance=len(programs))
+        self.slots[address] = MemorySlot(description, programs, balance=len(programs))
         return address
 
     def append_copy(self, address, program) -> int:

@@ -40,14 +40,14 @@ class Code:
     distance: int = 1
     name: str = "code"
 
-    def __init__(self, n, k, isometry, distance=1, name="code", tol=DEFAULT_TOL):
+    def __init__(self, n, k, isometry, distance=1, name="code"):
         v = np.asarray(isometry, dtype=complex)
         if v.shape != (2**n, 2**k):
             raise ValidationError(
                 f"isometry shape {v.shape} does not match [[{n},{k}]] code"
             )
         resid = np.abs(v.conj().T @ v - np.eye(2**k)).max()
-        if resid > tol * 2**k:
+        if resid > DEFAULT_TOL * 2**k:
             raise ValidationError(f"V†V deviates from identity by {resid}")
         v = v.copy()
         v.setflags(write=False)
@@ -139,7 +139,7 @@ def _proportionality(m, p, tr_p):
     return coeff, resid
 
 
-def check_kl(code: Code, errors, tol=DEFAULT_TOL) -> KlResult:
+def check_kl(code: Code, errors) -> KlResult:
     """Test P E_i† E_j P = c_ij P for every error pair."""
     p = code.projector
     tr_p = float(np.trace(p).real)
@@ -155,10 +155,10 @@ def check_kl(code: Code, errors, tol=DEFAULT_TOL) -> KlResult:
             block = p @ errors[i].conj().T @ errors[j] @ p
             c[i, j], resid = _proportionality(block, p, tr_p)
             worst = max(worst, resid)
-    return KlResult(worst <= tol, c, worst)
+    return KlResult(worst <= DEFAULT_TOL, c, worst)
 
 
-def check_detection(code: Code, errors, tol=DEFAULT_TOL) -> DetectionResult:
+def check_detection(code: Code, errors) -> DetectionResult:
     """Test the weaker detection condition P E_i P = e_i P."""
     p = code.projector
     tr_p = float(np.trace(p).real)
@@ -170,17 +170,17 @@ def check_detection(code: Code, errors, tol=DEFAULT_TOL) -> DetectionResult:
             raise DimensionMismatchError("error operator does not match code dimension")
         coeffs[i], resid = _proportionality(p @ e @ p, p, tr_p)
         worst = max(worst, resid)
-    return DetectionResult(worst <= tol, coeffs, worst)
+    return DetectionResult(worst <= DEFAULT_TOL, coeffs, worst)
 
 
-def build_recovery(code: Code, errors, tol=DEFAULT_TOL) -> Recovery:
+def build_recovery(code: Code, errors) -> Recovery:
     """Recovery Kraus R_k = P F_k†/√d_k from the diagonalized c matrix.
 
     The F_k = Σ_i W_ik E_i orthogonalize the errors on the code space; the
     map is completed to trace preserving by √(I − Σ R†R), which is
     supported only off the correctable subspace.
     """
-    res = check_kl(code, errors, tol=tol)
+    res = check_kl(code, errors)
     if not res.satisfied:
         raise KlConditionError(
             f"error set violates the correctability condition (residual {res.max_residual})",
@@ -199,11 +199,11 @@ def build_recovery(code: Code, errors, tol=DEFAULT_TOL) -> Recovery:
     n_corr = len(kraus)
     acc = sum(r.conj().T @ r for r in kraus)
     gap = np.eye(p.shape[0]) - acc
-    if np.abs(gap).max() > tol:
+    if np.abs(gap).max() > DEFAULT_TOL:
         gvals, gvecs = np.linalg.eigh(gap)
         gvals = np.clip(gvals, 0.0, None)
         kraus.append(gvecs @ np.diag(np.sqrt(gvals)) @ gvecs.conj().T)
-    return Recovery(KrausChannel(kraus, tol=max(tol, 1e-9)), n_corr)
+    return Recovery(KrausChannel(kraus, tol=1e-9), n_corr)
 
 
 def logical_ebit(code: Code) -> PureState:
@@ -225,10 +225,13 @@ class LogicalProgram:
     code: Code
     gate: np.ndarray
     state: PureState
-    basis: BellBasis
+
+    @property
+    def basis(self) -> BellBasis:
+        return BellBasis.qubit_product(self.code.n)
 
 
-def logical_program(code: Code, gate, tol=DEFAULT_TOL) -> LogicalProgram:
+def logical_program(code: Code, gate) -> LogicalProgram:
     """Encoded program for a physical-level logical gate ([U, P] = 0).
 
     The encoding isometry must be real: a complex code basis reintroduces
@@ -238,20 +241,15 @@ def logical_program(code: Code, gate, tol=DEFAULT_TOL) -> LogicalProgram:
     n_dim = code.physical_dim
     if u.shape != (n_dim, n_dim):
         raise DimensionMismatchError(f"gate shape {u.shape} != physical dim {n_dim}")
-    if np.abs(code.isometry.imag).max() > tol:
+    if np.abs(code.isometry.imag).max() > DEFAULT_TOL:
         raise ValidationError(
             "logical composition needs a real encoding isometry"
         )
     p = code.projector
-    if np.abs(u @ p - p @ u).max() > tol * n_dim:
+    if np.abs(u @ p - p @ u).max() > DEFAULT_TOL * n_dim:
         raise ValidationError("gate does not commute with the code projector")
     amp = np.kron(u @ code.isometry, code.isometry) @ bell_state(code.logical_dim)
-    return LogicalProgram(
-        code=code,
-        gate=u,
-        state=PureState(amp, (n_dim, n_dim)),
-        basis=BellBasis.qubit_product(code.n),
-    )
+    return LogicalProgram(code=code, gate=u, state=PureState(amp, (n_dim, n_dim)))
 
 
 def decode_program(lp: LogicalProgram) -> np.ndarray:
@@ -284,7 +282,7 @@ def logical_compose(
     state, shots = teleport(
         p1.state.amplitudes, p2.state.amplitudes, p2.basis, p2.gate, strategy, rng
     )
-    result = LogicalProgram(code=p1.code, gate=p2.gate @ p1.gate, state=state, basis=p2.basis)
+    result = LogicalProgram(code=p1.code, gate=p2.gate @ p1.gate, state=state)
     return result, shots
 
 
@@ -318,6 +316,8 @@ def parse_code(text: str) -> Code:
             k = line.int("k", low=0, high=MAX_CODE_QUBITS)
             header = (line.str("name"), n, k, line.int("distance", 1))
         elif line.verb == "isometry":
+            if iso_line is not None:
+                raise line.error(f"a second isometry line; line {iso_line.no} is the isometry")
             iso_line = line
             iso = line.matrix(line.int("rows", low=1), line.int("cols", low=1))
         else:

@@ -138,7 +138,7 @@ class Injection(OutcomeTable):
         idx = tuple(idx)
         sub = tensor[idx]
         self.p1 = p1 = float(np.clip((np.abs(sub) ** 2).sum(), 0.0, 1.0))
-        self.p0 = p0 = 1.0 - p1
+        p0 = 1.0 - p1
 
         def branch(b):
             prob = p1 if b else p0
@@ -279,45 +279,34 @@ def contract(
 
 @dataclass(frozen=True, eq=False)
 class TopoVertex:
-    """Diagram vertex: a gate over k heads with k matching tails."""
+    """Diagram vertex: a gate over k qubit heads with k matching tails."""
 
     gate: np.ndarray
     legs: int
-    site_dim: int = 2
 
-    def __init__(self, gate, legs=None, site_dim=2):
+    def __init__(self, gate, legs):
         m = np.asarray(gate, dtype=complex)
-        if legs is None:
-            legs = round(math.log(m.shape[0], site_dim))
-        if m.shape != (site_dim**legs,) * 2:
-            raise ValidationError(
-                f"vertex gate shape {m.shape} does not fit {legs} legs of dim {site_dim}"
-            )
+        if m.shape != (2**legs,) * 2:
+            raise ValidationError(f"vertex gate shape {m.shape} does not fit {legs} qubit legs")
         object.__setattr__(self, "gate", m)
         object.__setattr__(self, "legs", int(legs))
-        object.__setattr__(self, "site_dim", int(site_dim))
 
     def tensor(self):
-        d, k = self.site_dim, self.legs
-        return self.gate.reshape((d,) * (2 * k)) / d ** (k / 2.0)
+        k = self.legs
+        return self.gate.reshape((2,) * (2 * k)) / 2 ** (k / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class TopoDiagram:
-    """Vertices wired by Bell-segment contractions; value is an overlap."""
+    """Vertices wired by Bell-segment contractions; value is an overlap.
+    Every leg is a qubit."""
 
     vertices: tuple[TopoVertex, ...]
     segments: tuple[tuple[Endpoint, Endpoint], ...]
-    site_dim: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "segments", tuple(self.segments))
-        for v, vert in enumerate(self.vertices):
-            if vert.site_dim != self.site_dim:
-                raise DimensionMismatchError(
-                    f"vertex {v} has legs of dim {vert.site_dim}, the diagram {self.site_dim}"
-                )
         seen = set()
         for segment in self.segments:
             for ep in segment:
@@ -355,8 +344,8 @@ class TopoDiagram:
 
 
 MAX_INTERMEDIATE_ENTRIES = 2**26
-# Most legs a diagram file may give one vertex: its tensor has d^(2·legs)
-# entries, which at d = 2 reaches MAX_INTERMEDIATE_ENTRIES at 13 legs.
+# Most legs a diagram file may give one vertex: its tensor has 2^(2·legs)
+# entries, which reaches MAX_INTERMEDIATE_ENTRIES at 13 legs.
 MAX_VERTEX_LEGS = 13
 
 
@@ -468,7 +457,7 @@ def eval_topological(diagram: TopoDiagram):
     """
     if not diagram.vertices:
         raise ValidationError("empty diagram")
-    d = diagram.site_dim
+    d = 2  # every leg is a qubit
     open_eps = diagram.open_endpoints()
     # one label per segment (shared by its two endpoints) and per open endpoint
     groups = [*diagram.segments, *((ep,) for ep in open_eps)]

@@ -118,7 +118,7 @@ class SymmetricFactors:
     s2: UnitaryOp
 
 
-def symmetric_decompose(u: UnitaryOp, tol=DEFAULT_TOL) -> SymmetricFactors:
+def symmetric_decompose(u: UnitaryOp) -> SymmetricFactors:
     """Split U into symmetric unitary factors S1·S2 = U.
 
     From U = V D V†: S1 = V D V^t and S2 = V* V† are both symmetric and
@@ -127,13 +127,13 @@ def symmetric_decompose(u: UnitaryOp, tol=DEFAULT_TOL) -> SymmetricFactors:
     from .kernel import eig_unitary
 
     m = u.matrix
-    if np.abs(m - m.T).max() <= tol:
+    if np.abs(m - m.T).max() <= DEFAULT_TOL:
         return SymmetricFactors(u, UnitaryOp(np.eye(u.dim)))
-    vals, v = eig_unitary(u, tol=tol)
+    vals, v = eig_unitary(u)
     vm = v.matrix
     s1 = vm @ np.diag(vals) @ vm.T
     s2 = vm.conj() @ vm.conj().T
-    return SymmetricFactors(UnitaryOp(s1, tol=tol * 10), UnitaryOp(s2, tol=tol * 10))
+    return SymmetricFactors(UnitaryOp(s1, tol=DEFAULT_TOL * 10), UnitaryOp(s2, tol=DEFAULT_TOL * 10))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,12 +149,15 @@ class StoredProgram:
     """
 
     op: UnitaryOp
-    basis: BellBasis
     description: object | None = None
 
     @property
     def d(self) -> int:
         return self.op.dim
+
+    @property
+    def basis(self) -> BellBasis:
+        return BellBasis.for_dim(self.d)
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -177,15 +180,10 @@ class StoredProgram:
         return unvec(self.amplitudes)
 
 
-def stored_program(u, basis: BellBasis | None = None, description=None) -> StoredProgram:
+def stored_program(u, description=None) -> StoredProgram:
     """Build a stored program from a unitary, validated at DEFAULT_TOL."""
     uop = u if isinstance(u, UnitaryOp) else UnitaryOp(u)
-    d = uop.dim
-    if basis is None:
-        basis = BellBasis.for_dim(d)
-    if basis.d != d:
-        raise DimensionMismatchError(f"basis dim {basis.d} != unitary dim {d}")
-    return StoredProgram(op=uop, basis=basis, description=description)
+    return StoredProgram(op=uop, description=description)
 
 
 def bell_probabilities(joint: PureState, wire_a, wire_b, basis: BellBasis):
@@ -340,9 +338,9 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
     return state, rounds
 
 
-def _program_from_state(state: PureState, basis, description) -> StoredProgram:
+def _program_from_state(state: PureState, description) -> StoredProgram:
     u = unvec(state.amplitudes)
-    return stored_program(UnitaryOp(u, tol=1e-8), basis=basis, description=description)
+    return stored_program(UnitaryOp(u, tol=1e-8), description=description)
 
 
 def _combined_description(p1: StoredProgram, p2: StoredProgram):
@@ -398,7 +396,7 @@ class Composition:
         basis = p2.basis
 
         def program(state):
-            return _program_from_state(state, basis, description)
+            return _program_from_state(state, description)
 
         self._root = _fusion_chain(p1.amplitudes, factors, basis, strategy, program, keep, 5 * p1.d**2)
 

@@ -78,7 +78,7 @@ def einsum_oracle(diagram):
     ]
     spec = ",".join(terms) + "->" + "".join(letters[ep] for ep in open_eps)
     tensors = [vert.tensor() for vert in diagram.vertices]
-    return np.einsum(spec, *tensors) * diagram.site_dim ** (-len(diagram.segments) / 2.0)
+    return np.einsum(spec, *tensors) * 2 ** (-len(diagram.segments) / 2.0)
 
 
 # ---------------------------------------------------------------------------

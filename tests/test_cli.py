@@ -713,6 +713,20 @@ class TestLocatedFaults:
                 "qvn", "QVN1 name=C n=2\nt=1 g=H q=0\nt=0 g=H q=1\n",
                 3, 1, id="qvn1-time-order",
             ),
+            pytest.param("qvn", "QVN1 name=C n=2\nt=0 g=CX q=1,1\n", 2, 1, id="qvn1-repeated-target"),
+            # a field given once per document is not given twice
+            pytest.param("run", "run shots=5 seed=1\nrun shots=7 seed=2\n", 2, 1, id="run-twice"),
+            pytest.param(
+                "run",
+                "slot addr=0\nQVN1 name=H n=1\nendslot\nslot addr=0\nQVN1 name=X n=1\nendslot\n",
+                4, 6, id="run-slot-address-twice",
+            ),
+            pytest.param(
+                "code",
+                "QVN1 name=c n=1 k=0\nisometry rows=2 cols=1 data=1,0;0,0\n"
+                "isometry rows=2 cols=1 data=0,0;1,0\n",
+                3, 1, id="code-isometry-twice",
+            ),
             # a slot's QVN1 document keeps the run file's line numbers
             pytest.param(
                 "run", "run shots=5\nslot addr=0\nQVN1 name=H n=1\nt=0 g=Q q=0\nendslot\n",

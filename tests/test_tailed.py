@@ -344,10 +344,6 @@ class TestTopological:
             eval_topological(diagram)
         assert tailed.MAX_INTERMEDIATE_ENTRIES == 2**26
 
-    def test_vertex_dim_must_match_diagram(self):
-        with pytest.raises(ValidationError):
-            TopoDiagram((TopoVertex(np.eye(3), 1, site_dim=3),), (), site_dim=2)
-
     def test_malformed_endpoint_rejected(self):
         with pytest.raises(ValidationError):
             TopoDiagram((TopoVertex(np.eye(2), 1),), (((0, "h", 0), (0, "x", 0)),))

@@ -133,10 +133,6 @@ class TestStoredProgram:
             for k, sigma in enumerate(dense_paulis(p.d)):
                 assert np.abs(p.correction(k) @ u @ sigma.conj().T - u).max() < 1e-10
 
-    def test_dim_mismatch_basis(self):
-        with pytest.raises(Exception):
-            stored_program(gates.H, basis=BellBasis.weyl(3))
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_derived_choi_validates_and_matches_amplitudes(self, n, rng):
         def custom(name):
