@@ -202,9 +202,9 @@ def cmd_compose(args):
         raise ValidationError(
             f"programs act on {desc1.n} and {desc2.n} qubits; composition needs equal widths"
         )
-    target = duality.vec(desc2.unitary() @ desc1.unitary())
     # copies are immutable values: one synthesis per program serves every repeat
     p1, p2 = memory.synthesize(desc1), memory.synthesize(desc2)
+    target = duality.vec(p2.op.matrix @ p1.op.matrix)
     names = (
         [s.value for s in uqt.ByproductStrategy]
         if args.strategy == "all"

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .duality import reversal_permutation
 from .errors import ValidationError
 from .kernel import kron_all
 
@@ -46,18 +47,9 @@ GATE_MATRICES = {
 }
 
 
-def swap_d(d):
-    """SWAP on two d-dimensional factors."""
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[j * d + i, i * d + j] = 1.0
-    return m
-
-
 def cswap(d):
     """Qubit-controlled SWAP of two d-dimensional targets."""
-    return np.kron(P0, np.eye(d * d)) + np.kron(P1, swap_d(d))
+    return np.kron(P0, np.eye(d * d)) + np.kron(P1, reversal_permutation(d, 2))
 
 
 def controlled(u):

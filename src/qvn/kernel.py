@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -515,13 +514,17 @@ def purity(rho: DensityOperator) -> float:
 def eig_unitary(u: UnitaryOp):
     """Diagonalize a unitary as U = V D V† with V genuinely unitary.
 
-    Uses the complex Schur form, which for normal matrices is diagonal and
-    returns an orthonormal eigenbasis even in degenerate subspaces.
+    Orthonormalizes numpy's eigenvectors with one QR. Eigenspaces of a
+    normal matrix are orthogonal, so Gram–Schmidt mixes each column only
+    with earlier columns of its own eigenspace, which also makes a
+    degenerate eigenspace orthonormal.
     """
-    t, v = scipy.linalg.schur(u.matrix, output="complex")
+    _, vecs = np.linalg.eig(u.matrix)
+    v, _ = np.linalg.qr(vecs)
+    t = v.conj().T @ u.matrix @ v
     off = np.abs(t - np.diag(np.diag(t))).max() if t.shape[0] > 1 else 0.0
     if off > DEFAULT_TOL * u.dim * 10:
-        raise NumericalError(f"Schur form not diagonal (off-diagonal {off})")
+        raise NumericalError(f"V†UV not diagonal (off-diagonal {off})")
     eigvals = np.diag(t).copy()
     eigvals /= np.abs(eigvals)  # snap onto the unit circle
     recon = np.abs(v @ np.diag(eigvals) @ v.conj().T - u.matrix).max()

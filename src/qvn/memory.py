@@ -31,7 +31,8 @@ from .kernel import UnitaryOp
 from .text import format_complex_data, lines
 from .uqt import StoredProgram, stored_program
 
-GATE_ARITY = {"H": 1, "T": 1, "Tdg": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2, "CCX": 3}
+# Wires each named gate acts on: log₂ of its matrix size.
+GATE_ARITY = {tag: len(m).bit_length() - 1 for tag, m in gates.GATE_MATRICES.items()}
 
 # Widest stored program a QVN1 document may describe. Synthesis and
 # composition keep d×d matrices, d = 2ⁿ, and the Bell measurement of a

@@ -4,7 +4,7 @@ recovery construction, logical ebits, and toy-scale logical composition.
 A code document, in the line grammar of `qvn.text`, is a QVN1 header with
 `k=` (and optionally `distance=`) and one `isometry` line:
 
-    QVN1 name=<text> n=<1..MAX_CODE_QUBITS> k=<0..MAX_CODE_QUBITS> distance=<int>
+    QVN1 name=<text> n=<1..MAX_CODE_QUBITS> k=<0..MAX_CODE_QUBITS> distance=<int >= 1>
     isometry rows=<2^n> cols=<2^k> data=<re,im;re,im;...>
 """
 
@@ -314,7 +314,7 @@ def parse_code(text: str) -> Code:
                 raise line.error("code document must start with a QVN1 header")
             n = line.int("n", low=1, high=MAX_CODE_QUBITS)
             k = line.int("k", low=0, high=MAX_CODE_QUBITS)
-            header = (line.str("name"), n, k, line.int("distance", 1))
+            header = (line.str("name"), n, k, line.int("distance", 1, low=1))
         elif line.verb == "isometry":
             if iso_line is not None:
                 raise line.error(f"a second isometry line; line {iso_line.no} is the isometry")

@@ -748,6 +748,11 @@ class TestLocatedFaults:
                 "code", "QVN1 name=c n=1 k=11\nisometry rows=2 cols=1 data=1,0;0,0\n",
                 1, 17, id="code-k-limit",
             ),
+            # a code's distance is at least 1
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=0 distance=-3\nisometry rows=2 cols=1 data=1,0;0,0\n",
+                1, 21, id="code-distance-below-one",
+            ),
             # bytes that are not UTF-8
             pytest.param("qvn", b"QVN1 name=H n=1\nt=0 g=H q=0 \xff\xfe\n", 2, 13, id="not-utf8"),
             # a key the line's reader does not take, in each format and in schedule lines

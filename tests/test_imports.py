@@ -1,17 +1,26 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module it imports is the standard library's, its own, or a declared
+dependency.
 
-A stand-in for a linter's unused-import rule, on the standard library's
-`ast` alone: deleting code must not leave imports behind. `__init__.py`
-is left out, since its imports are the package's public names.
+Stand-ins for a linter's unused-import rule and a dependency check, on the
+standard library's `ast` alone and without importing the package: deleting
+code must not leave imports behind, and no module may reach for a library
+that `pyproject.toml` does not declare. `__init__.py` is left out of the
+unused-import check, since its imports are the package's public names.
 """
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qvn"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qvn"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -30,11 +39,65 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def imported_packages(source):
+    """Top-level package of each absolute import in `source`, at module level
+    or inside a function, with the line of its first import."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # a relative import stays inside the package
+        for name in names:
+            found.setdefault(name.split(".")[0], node.lineno)
+    return found
+
+
+def undeclared(packages, declared):
+    """(line, name) of each package that is neither the standard library's,
+    the package's own, nor declared."""
+    allowed = set(sys.stdlib_module_names) | {"qvn"} | set(declared)
+    return sorted((line, name) for name, line in packages.items() if name not in allowed)
+
+
+def declared_dependencies():
+    """Import names of the `pyproject.toml` dependencies, e.g. `numpy` for
+    `numpy>=2.0`."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+        for dep in project.get("dependencies", [])
+    }
+
+
 def test_detector_finds_an_unused_import():
     source = "import os\nfrom x import a, b\nimport p.q\n\ndef f():\n    return a + p.r\n"
     assert unused_imports(source) == [(1, "os"), (2, "b")]
 
 
+def test_detector_finds_an_undeclared_import():
+    source = (
+        "import os.path\nfrom numpy import linalg\nfrom . import kernel\nfrom qvn import gates\n"
+        "\ndef f():\n    import scipy.linalg\n    return scipy.linalg\n"
+    )
+    assert undeclared(imported_packages(source), {"numpy"}) == [(7, "scipy")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_stdlib_and_declared_dependencies(path):
+    packages = imported_packages(path.read_text(encoding="utf-8"))
+    assert undeclared(packages, declared_dependencies()) == []
+
+
+def test_every_declared_dependency_is_imported():
+    imported = set()
+    for path in SOURCES:
+        imported |= set(imported_packages(path.read_text(encoding="utf-8")))
+    assert declared_dependencies() - imported == set()

@@ -245,11 +245,36 @@ class TestEigUnitary:
             assert np.abs(recon - u.matrix).max() < 1e-10
             assert np.abs(np.abs(vals) - 1.0).max() < 1e-12
 
-    def test_degenerate_spectrum_gives_unitary_basis(self):
+    def test_degenerate_spectrum_gives_unitary_basis(self, rng):
         # Paulis have doubly-degenerate-free spectrum but X⊗X has ±1 twice
-        u = UnitaryOp(np.kron(gates.X, gates.X))
-        vals, v = eig_unitary(u)
-        assert np.abs(v.matrix.conj().T @ v.matrix - np.eye(4)).max() < 1e-12
+        cases = [np.kron(gates.X, gates.X)]
+        # exact degeneracies of multiplicity 2 and d/2 in Haar eigenvectors
+        for d in (4, 8, 16, 64):
+            for mult in (2, d // 2):
+                phases = np.exp(2j * math.pi * rng.uniforms(d))
+                phases[:mult] = phases[0]
+                cases.append(with_spectrum(phases, rng))
+        # a near-degenerate pair
+        for gap in (1e-9, 1e-12, 1e-16):
+            phases = np.exp(2j * math.pi * rng.uniforms(8))
+            phases[1] = phases[0] * np.exp(1j * gap)
+            cases.append(with_spectrum(phases, rng))
+        # cyclic shifts, whose spectra are the d-th roots of unity
+        cases += [np.roll(np.eye(d), 1, axis=0) for d in (2, 3, 8, 64)]
+        cases += [gates.CX @ np.kron(a, b) for a, b in
+                  [(gates.I2, gates.I2), (gates.H, gates.I2), (gates.X, gates.X), (gates.H, gates.T)]]
+        for m in cases:
+            vals, v = eig_unitary(UnitaryOp(m))
+            d = len(m)
+            assert np.abs(v.matrix.conj().T @ v.matrix - np.eye(d)).max() < 1e-12
+            recon = v.matrix @ np.diag(vals) @ v.matrix.conj().T
+            assert np.abs(recon - m).max() < 1e-10
+
+
+def with_spectrum(phases, rng):
+    """The unitary V diag(phases) V† for a Haar-random V."""
+    v = haar_random_unitary(len(phases), rng).matrix
+    return (v * phases) @ v.conj().T
 
 
 class TestExpectation:

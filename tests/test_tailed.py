@@ -423,6 +423,8 @@ class TestRunAlgorithm:
         program, readout, injection, rng = case()
         r = run_algorithm(program, readout, injection, 10_000, rng)
         assert (r.estimate, r.standard_error, r.n_p0, r.n_p1) == pinned
+        # the heralded branch of n injected tails has probability 2⁻ⁿ
+        assert abs(r.p1_exact - 2.0 ** -len(injection.target_tails)) < 1e-12
 
     def test_other_program_types_rejected(self):
         # a stored program or its circuit state runs; a bare matrix does not
