@@ -35,7 +35,7 @@ from . import __version__
 from . import control, duality, memory, qec, tailed, uqt
 from .errors import ParseError, QvnError, ValidationError
 from .gates import GATE_MATRICES
-from .kernel import RngStream, UnitaryOp
+from .kernel import RngStream, UnitaryOp, random_pure_state
 from .memory import MemoryUnit
 from .text import decode, lines
 
@@ -264,15 +264,15 @@ def cmd_qec_check(args):
         rec = qec.build_recovery(code, errors)
         rng = RngStream(args.seed)
         worst = 1.0
-        from .kernel import DensityOperator, apply_channel, random_pure_state
-
         channel = qec.error_channel(errors)
+        recovery = np.stack(rec.channel.kraus_ops)
         for _ in range(args.repeats):
             psi = random_pure_state(code.logical_dim, rng)
             enc = code.isometry @ psi.amplitudes
-            rho = DensityOperator(np.outer(enc, enc.conj()))
-            out = apply_channel(rec.channel, apply_channel(channel, rho))
-            worst = min(worst, float(np.real(np.vdot(enc, out.matrix @ enc))))
+            # Σ_{r,i} |⟨ψ|R_r √p_i E_i|ψ⟩|² on the encoded vector
+            damaged = np.stack([k @ enc for k in channel.kraus_ops])
+            overlaps = (enc.conj() @ recovery) @ damaged.T
+            worst = min(worst, float((np.abs(overlaps) ** 2).sum()))
         canonical["recovery"] = {
             "kraus_count": len(rec.channel.kraus_ops),
             "min_state_fidelity": worst,
@@ -317,7 +317,9 @@ def parse_diagram(text) -> tailed.TopoDiagram:
                 raise line.error(f"unknown vertex gate {tag!r}", "g")
             line.done()
             with line.located():
-                vertices.append(tailed.TopoVertex(UnitaryOp(gate).matrix, legs))
+                if tag == "custom":  # the named gates are unitary already
+                    gate = UnitaryOp(gate).matrix
+                vertices.append(tailed.TopoVertex(gate, legs))
         elif line.verb == "segment":
             segments.append((line, _endpoint(line, "a"), _endpoint(line, "b")))
             line.done()

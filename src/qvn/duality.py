@@ -21,6 +21,7 @@ from .kernel import (
     KrausChannel,
     PureState,
     UnitaryOp,
+    apply_to_subsystems,
     partial_trace_matrix,
 )
 
@@ -47,19 +48,18 @@ def unvec(v) -> np.ndarray:
     return v.reshape(d, d) * math.sqrt(d)
 
 
+def _reversed_indices(site_dim, parts) -> np.ndarray:
+    """Index i of `parts` equal subsystems maps to the index of its digits
+    reversed; the map is its own inverse."""
+    dims = (site_dim,) * parts
+    return np.arange(site_dim**parts).reshape(dims).transpose(range(parts)[::-1]).reshape(-1)
+
+
 def reversal_permutation(site_dim, parts) -> np.ndarray:
     """Unitary R that reverses the order of `parts` equal subsystems."""
-    dims = (site_dim,) * parts
     total = site_dim**parts
     m = np.zeros((total, total), dtype=complex)
-    for idx in np.ndindex(dims):
-        src = 0
-        dst = 0
-        for k, v in enumerate(idx):
-            src = src * site_dim + v
-        for v in reversed(idx):
-            dst = dst * site_dim + v
-        m[dst, src] = 1.0
+    m[np.arange(total), _reversed_indices(site_dim, parts)] = 1.0
     return m
 
 
@@ -84,8 +84,8 @@ def vectorize(a, parts=1) -> PureState:
     s = round(d ** (1.0 / parts))
     if s**parts != d:
         raise ValidationError(f"dimension {d} is not a {parts}-fold power")
-    r = reversal_permutation(s, parts)
-    amp = (a @ r).reshape(-1) / (math.sqrt(d) * norm)
+    # A R permutes the columns of A by the self-inverse reversal
+    amp = a[:, _reversed_indices(s, parts)].reshape(-1) / (math.sqrt(d) * norm)
     return PureState(amp, (d, d))
 
 
@@ -167,8 +167,8 @@ def apply_via_choi(choi: ChoiState, rho: DensityOperator) -> DensityOperator:
     d = choi.d
     if rho.dim != d:
         raise DimensionMismatchError(f"state dim {rho.dim} != Choi site dim {d}")
-    sandwich = choi.matrix @ np.kron(np.eye(d), rho.matrix.T)
-    out = d * partial_trace_matrix(sandwich, (d, d), [0])
+    # out[a, a'] = d Σ_{b,b'} ω_E[(a,b), (a',b')] ρ[b, b']
+    out = d * np.tensordot(choi.matrix.reshape(d, d, d, d), rho.matrix, axes=([1, 3], [0, 1]))
     return DensityOperator(out, rho.subsystem_dims)
 
 
@@ -212,9 +212,10 @@ def apply_superchannel(s: Superchannel, ch: KrausChannel) -> KrausChannel:
     # the ancilla is the fast index: columns ::a of an operator act on
     # ρ ⊗ |0⟩⟨0|, and rows j::a take ⟨j| of the ancilla, one term of its trace
     pre = s.pre_unitary.matrix[:, ::a]
+    wires = (d, a, d)  # system, ancilla, and the input index riding along
     kraus = []
     for k in ch.kraus_ops:
-        post = s.post_unitary.matrix @ (np.kron(k, np.eye(a)) @ pre)
+        post = s.post_unitary.matrix @ apply_to_subsystems(pre, wires, k, [0]).reshape(d * a, d)
         kraus.extend(post[j::a] for j in range(a))
     return KrausChannel(kraus)
 
@@ -261,7 +262,9 @@ def apply_comb(c: Comb, inputs) -> KrausChannel:
         if ch.dim_in != d or ch.dim_out != d:
             raise DimensionMismatchError(f"slot channel dim {ch.dim_in} != system dim {d}")
     ops = [c.teeth[0].matrix[:, ::m]]  # memory at |0⟩, as in apply_superchannel
+    wires = (d, m, d)  # system, memory, and the input index riding along
     for slot, ch in enumerate(inputs):
         tooth = c.teeth[slot + 1].matrix
-        ops = [tooth @ np.kron(k, np.eye(m)) @ op for op in ops for k in ch.kraus_ops]
+        ops = [tooth @ apply_to_subsystems(op, wires, k, [0]).reshape(d * m, d)
+               for op in ops for k in ch.kraus_ops]
     return KrausChannel([op[j::m] for op in ops for j in range(m)])

@@ -1,4 +1,4 @@
-"""Standard gate matrices and embedding helpers."""
+"""Standard gate matrices and the controlled gates built from them."""
 
 from __future__ import annotations
 
@@ -69,38 +69,6 @@ def nfold_toffoli(n):
     m[a, a] = m[b, b] = 0.0
     m[a, b] = m[b, a] = 1.0
     return m
-
-
-def embed_operator(op, targets, dims):
-    """Embed an operator acting on the listed subsystems into the full space.
-
-    ``targets`` gives the subsystem indices in the order the operator's
-    factors are meant to act on; they need not be adjacent or sorted.
-    """
-    dims = tuple(dims)
-    n = len(dims)
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValidationError(f"duplicate target wires {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValidationError(f"target wire out of range for {n} subsystems")
-    op = np.asarray(op, dtype=complex)
-    d_t = math.prod(dims[t] for t in targets)
-    if op.shape != (d_t, d_t):
-        raise ValidationError(
-            f"operator shape {op.shape} does not fit targets of total dim {d_t}"
-        )
-    rest = [i for i in range(n) if i not in targets]
-    d_r = math.prod(dims[i] for i in rest) if rest else 1
-    full = np.kron(op, np.eye(d_r, dtype=complex))
-    # full acts on axis order targets+rest; permute back to the global order
-    perm = targets + rest
-    axis_dims = [dims[i] for i in perm]
-    tensor = full.reshape(axis_dims + axis_dims)
-    inv = list(np.argsort(perm))
-    tensor = tensor.transpose(inv + [n + i for i in inv])
-    total = math.prod(dims)
-    return tensor.reshape(total, total)
 
 
 def pauli_string_matrix(label):

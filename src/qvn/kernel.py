@@ -483,14 +483,12 @@ def partial_trace_matrix(matrix, dims, keep):
     n = len(dims)
     keep = sorted(set(keep))
     traced = [i for i in range(n) if i not in keep]
+    order = keep + traced
+    kept_dim = math.prod(dims[i] for i in keep)
+    traced_dim = math.prod(dims[i] for i in traced)
     tensor = np.asarray(matrix, dtype=complex).reshape(dims + dims)
-    for count, i in enumerate(traced):
-        axis = i - sum(1 for j in traced[:count] if j < i)
-        ndim_half = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + ndim_half)
-        # np.trace moves the remaining axes forward; row/col halves stay aligned
-    kept_dim = math.prod(dims[i] for i in keep) if keep else 1
-    return tensor.reshape(kept_dim, kept_dim)
+    tensor = tensor.transpose(order + [n + i for i in order])
+    return np.trace(tensor.reshape(kept_dim, traced_dim, kept_dim, traced_dim), axis1=1, axis2=3)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:

@@ -27,7 +27,7 @@ from .errors import (
     SlotNotFoundError,
     ValidationError,
 )
-from .kernel import UnitaryOp
+from .kernel import UnitaryOp, apply_to_subsystems
 from .text import format_complex_data, lines
 from .uqt import StoredProgram, stored_program
 
@@ -118,12 +118,15 @@ class ProgramDescription:
             raise ValidationError("time slots must be nondecreasing")
 
     def unitary(self) -> np.ndarray:
-        """Ordered product of the gate sequence (first slot acts first)."""
-        dims = (2,) * self.n
-        u = np.eye(2**self.n, dtype=complex)
+        """Ordered product of the gate sequence (first slot acts first):
+        each gate acts on its wires of the identity, whose column index
+        rides along as one trailing axis."""
+        d = 2**self.n
+        dims = (2,) * self.n + (d,)
+        u = np.eye(d, dtype=complex)
         for g in self.gate_list:
-            u = gates.embed_operator(g.gate_matrix(), list(g.targets), dims) @ u
-        return u
+            u = apply_to_subsystems(u, dims, g.gate_matrix(), g.targets)
+        return u.reshape(d, d)
 
     @property
     def start(self) -> int | None:

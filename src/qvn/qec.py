@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .duality import bell_state
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -25,7 +24,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .kernel import DEFAULT_TOL, KrausChannel, PureState, RngStream, kron_all
+from .kernel import DEFAULT_TOL, KrausChannel, PureState, RngStream, apply_to_subsystems, kron_all
 from .text import format_complex_data, lines
 from .uqt import BellBasis, ByproductStrategy, teleport
 
@@ -46,6 +45,8 @@ class Code:
             raise ValidationError(
                 f"isometry shape {v.shape} does not match [[{n},{k}]] code"
             )
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("isometry contains non-finite entries")
         resid = np.abs(v.conj().T @ v - np.eye(2**k)).max()
         if resid > DEFAULT_TOL * 2**k:
             raise ValidationError(f"V†V deviates from identity by {resid}")
@@ -92,14 +93,16 @@ def pauli_site_operator(token, n) -> np.ndarray:
     parts = re.findall(r"([XYZ])(\d+)", token)
     if not parts or "".join(p + i for p, i in parts) != token:
         raise ValidationError(f"bad error token {token!r}")
-    out = np.eye(2**n, dtype=complex)
-    dims = (2,) * n
+    # each Pauli acts on its wire of the identity; the column index rides along
+    d = 2**n
+    dims = (2,) * n + (d,)
+    out = np.eye(d, dtype=complex)
     for pauli, idx in parts:
         site = int(idx)
         if site >= n:
             raise ValidationError(f"site {site} out of range in token {token!r}")
-        out = gates.embed_operator(gates.PAULI_1Q[pauli], [site], dims) @ out
-    return out
+        out = apply_to_subsystems(out, dims, gates.PAULI_1Q[pauli], [site])
+    return out.reshape(d, d)
 
 
 def error_channel(errors, probabilities=None) -> KrausChannel:
@@ -206,10 +209,15 @@ def build_recovery(code: Code, errors) -> Recovery:
     return Recovery(KrausChannel(kraus, tol=1e-9), n_corr)
 
 
+def _encoded_pair(a, b, logical_dim) -> np.ndarray:
+    """Amplitudes of (A ⊗ B)|ω⟩ = vec(A Bᵀ)/√2ᵏ for |ω⟩ on two logical blocks."""
+    return (a @ b.T).reshape(-1) / math.sqrt(logical_dim)
+
+
 def logical_ebit(code: Code) -> PureState:
     """(V ⊗ V)|ω⟩: the encoded ebit across two code blocks."""
     v = code.isometry
-    amp = np.kron(v, v) @ bell_state(code.logical_dim)
+    amp = _encoded_pair(v, v, code.logical_dim)
     return PureState(amp, (code.physical_dim, code.physical_dim))
 
 
@@ -248,7 +256,7 @@ def logical_program(code: Code, gate) -> LogicalProgram:
     p = code.projector
     if np.abs(u @ p - p @ u).max() > DEFAULT_TOL * n_dim:
         raise ValidationError("gate does not commute with the code projector")
-    amp = np.kron(u @ code.isometry, code.isometry) @ bell_state(code.logical_dim)
+    amp = _encoded_pair(u @ code.isometry, code.isometry, code.logical_dim)
     return LogicalProgram(code=code, gate=u, state=PureState(amp, (n_dim, n_dim)))
 
 

@@ -188,11 +188,13 @@ class ToffoliCascade:
     num_qubits: int
 
     def apply(self, amplitudes):
-        dims = (2,) * self.num_qubits
+        """The cascade on a state vector, or on every column of a matrix
+        with 2^num_qubits rows at once."""
         amp = np.asarray(amplitudes, dtype=complex)
+        dims = (2,) * self.num_qubits + (amp.size >> self.num_qubits,)
         for g, targets in self.gate_list:
             amp = apply_to_subsystems(amp, dims, g, targets)
-        return amp
+        return amp.reshape(np.shape(amplitudes))
 
     def apply_to_basis_state(self, bits):
         amp = np.zeros(2**self.num_qubits, dtype=complex)
@@ -202,10 +204,7 @@ class ToffoliCascade:
     def to_matrix(self):
         if self.num_qubits > 10:
             raise ValidationError("dense cascade matrix only offered for <= 10 qubits")
-        dim = 2**self.num_qubits
-        return np.stack(
-            [self.apply(col) for col in np.eye(dim, dtype=complex).T], axis=1
-        )
+        return self.apply(np.eye(2**self.num_qubits, dtype=complex))
 
 
 def toffoli_cascade(n) -> ToffoliCascade:

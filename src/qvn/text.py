@@ -12,6 +12,7 @@ of the token at fault.
 
 from __future__ import annotations
 
+import cmath
 from contextlib import contextmanager
 
 import numpy as np
@@ -125,7 +126,8 @@ class Line:
             raise self.error(f"bad integer list {key}={value!r}", key) from None
 
     def matrix(self, rows, cols):
-        """The rows×cols complex matrix of `data=`, row-major `re,im;re,im;...`."""
+        """The rows×cols complex matrix of `data=`, row-major `re,im;re,im;...`,
+        every entry finite."""
         text = self.str("data")
         col = self.fields["data"][1]
         entries = text.split(";")
@@ -139,9 +141,12 @@ class Line:
             if len(parts) != 2:
                 raise ParseError(f"bad complex entry {entry!r}", self.no, col)
             try:
-                out[i] = complex(float(parts[0]), float(parts[1]))
+                z = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ParseError(f"bad number in entry {entry!r}", self.no, col) from None
+            if not cmath.isfinite(z):
+                raise ParseError(f"non-finite entry {entry!r}", self.no, col)
+            out[i] = z
         return out.reshape(rows, cols)
 
 

@@ -753,6 +753,28 @@ class TestLocatedFaults:
                 "code", "QVN1 name=c n=1 k=0 distance=-3\nisometry rows=2 cols=1 data=1,0;0,0\n",
                 1, 21, id="code-distance-below-one",
             ),
+            # a matrix entry that is not finite, in each format's data=
+            pytest.param(
+                "qvn", "QVN1 name=C n=1\nt=0 g=custom q=0 rows=2 data=nan,0;0,0;0,0;1,0\n",
+                2, 25, id="qvn1-data-nan",
+            ),
+            pytest.param(
+                "topo", "vertex g=custom rows=2 data=1,0;0,0;0,0;inf,0\nsegment a=0.h0 b=0.t0\n",
+                1, 24, id="topo-data-inf",
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=1\nisometry rows=2 cols=2 data=nan,0;0,0;0,0;1,0\n",
+                2, 24, id="code-data-nan",
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=0\nisometry rows=2 cols=1 data=1,0;0,-inf\n",
+                2, 24, id="code-data-inf",
+            ),
+            pytest.param(
+                "run", "schedule\nreadout target=0 obs=custom rows=2 data=1,0;0,0;0,0;1,nan\n"
+                "endschedule\n",
+                2, 36, id="schedule-data-nan",
+            ),
             # bytes that are not UTF-8
             pytest.param("qvn", b"QVN1 name=H n=1\nt=0 g=H q=0 \xff\xfe\n", 2, 13, id="not-utf8"),
             # a key the line's reader does not take, in each format and in schedule lines

@@ -10,7 +10,7 @@ from qvn.errors import (
     SlotNotFoundError,
     ValidationError,
 )
-from qvn.kernel import RngStream, apply_to_subsystems, haar_random_unitary
+from qvn.kernel import RngStream, UnitaryOp, apply_to_subsystems, haar_random_unitary
 from qvn.memory import (
     GateRecord,
     MemoryUnit,
@@ -59,6 +59,11 @@ class TestDescription:
         # control on wire 1, target on wire 0
         swapped = gates.SWAP @ gates.CX @ gates.SWAP
         assert np.abs(desc.unitary() - swapped).max() < 1e-12
+
+    @pytest.mark.parametrize("tag", sorted(gates.GATE_MATRICES))
+    def test_named_gate_is_unitary(self, tag):
+        # parsers take the named gates unchecked
+        UnitaryOp(gates.GATE_MATRICES[tag])
 
     def test_time_slots_must_be_nondecreasing(self):
         with pytest.raises(ValidationError):

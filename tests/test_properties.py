@@ -1,14 +1,21 @@
 """Property tests: serialize/parse round trips of the program and code
 formats are byte exact, any line-shaped text given to a parser (run files
 nest program documents and schedule lines) either parses or raises a
-QvnError, the pairwise diagram contraction agrees with the single-pass
-einsum, the index-only Bell measurement agrees with the dense basis, the
+QvnError, every `qvn` subcommand given any files and argv ends in a report
+or in one error line, the pairwise diagram contraction agrees with the
+single-pass einsum, the index-only Bell measurement agrees with the dense basis, the
 table-driven schedule executor agrees with the per-shot one, batch-derived
 shot streams draw as numpy seeds them, and lazily concatenated program
 descriptions flatten to the eager concatenation."""
 
+import contextlib
+import io
+import json
+import re
 import string
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -90,7 +97,7 @@ VALUES = {
     "name": ["a", ""],
     "g": ["custom", "H", "CX", "Q"],
     "q": ["0", "0,1", "x"],
-    "data": ["1,0", "1,0;0,0;0,0;1,0", "x,0"],
+    "data": ["1,0", "1,0;0,0;0,0;1,0", "x,0", "nan,0", "1,0;0,0;0,0;0,inf"],
     "obs": ["custom", "Z", "W"],
     "strategy": ["correction_table", "magic"],
     "bits": ["1", "2"],
@@ -172,6 +179,85 @@ def test_parser_raises_only_qvn_errors(fmt, data):
         PARSERS[fmt](text)
     except QvnError:
         pass
+
+
+# The whole command line: any bytes as each file a subcommand reads, and
+# any argv around them, run through `cli.main` in an empty working directory.
+# A file is random bytes, a line-shaped document or a well-formed one.
+CLI_FILES = {"compose": ["qvn1", "qvn1"], "qec-check": ["code"], "run": ["run"],
+             "topo-eval": ["diagram"]}
+WELL_FORMED = {
+    "qvn1": ["QVN1 name=H n=1\nt=0 g=H q=0\n",
+             "QVN1 name=C n=2\nt=0 g=CX q=1,0\nt=1 g=custom q=0 rows=2 data=0,0;1,0;1,0;0,0\n"],
+    "code": [qec.serialize_code(qec.bit_flip_code())],
+    "run": ["run shots=3 seed=1\nslot addr=0 copies=1\nQVN1 name=H n=1\nt=0 g=H q=0\nendslot\n"
+            "schedule\nrestore addr=0 copies=1\ninject target=0\nreadout target=0 obs=Z\n"
+            "endschedule\n"],
+    "diagram": ["vertex g=T\nsegment a=0.h0 b=0.t0\n", "vertex g=CX legs=2\nsegment a=0.h0 b=0.t1\n"],
+}
+COUNTS = ["0", "1", "3", "-1", "10001", "x"]
+CLI_OPTIONS = {
+    "compose": {"--strategy": ["all", "symmetric_pair", "magic"], "--seed": COUNTS,
+                "--repeats": COUNTS},
+    "qec-check": {"--errors": ["I", "I,X0", "X0,Z9", "Q", ","], "--recovery": None,
+                  "--seed": COUNTS, "--repeats": COUNTS},
+    "run": {"--shots": ["1", "3", "0", "1000001", "x"], "--seed": COUNTS},
+    "topo-eval": {},
+}
+# a report file, one in a directory that does not exist, and a directory
+OUT_PATHS = ["report.json", "missing/report.json", "."]
+
+
+@st.composite
+def command_lines(draw, command):
+    """(argv, {file name: bytes}) of one `qvn <command>` call. Each flag
+    keeps its value next to it; the groups and any stray tokens come in a
+    drawn order."""
+    files, groups = {}, []
+    for i, fmt in enumerate(CLI_FILES[command]):
+        name = f"in{i}"
+        files[name] = draw(st.one_of(
+            st.binary(max_size=64),
+            DOCUMENTS[fmt].map(str.encode),
+            st.sampled_from(WELL_FORMED[fmt]).map(str.encode),
+        ))
+        groups.append([draw(st.sampled_from([name, name, name, "absent", "."]))])
+    for flag, values in {**CLI_OPTIONS[command], "--out": OUT_PATHS}.items():
+        if flag == "--errors" or draw(st.booleans()):  # qec-check requires --errors
+            groups.append([flag] if values is None else [flag, draw(st.sampled_from(values))])
+    if draw(st.integers(0, 4)) == 4:
+        groups.append([draw(st.text(max_size=6))])
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)], files
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FILES))
+@given(data=st.data())
+def test_cli_reports_or_fails_in_one_line(command, data):
+    argv, files = data.draw(command_lines(command))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        for name, content in files.items():
+            Path(name).write_bytes(content)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # --help and --version print and exit
+                code = exc.code
+        report = Path("report.json")
+        written = report.read_text() if report.is_file() else ""
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        for text in (out, written):
+            if text.startswith("{"):
+                json.loads(text, parse_constant=_reject_constant)
+    else:
+        assert re.fullmatch(r"error\[E_[A-Z]+\] [^\n]*\n", err), err
+        assert out == ""
 
 
 @st.composite

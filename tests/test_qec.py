@@ -52,6 +52,11 @@ class TestCode:
         with pytest.raises(ValidationError):
             Code(3, 1, np.ones((8, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_isometry_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Code(1, 1, [[bad, 0], [0, 1]])
+
     def test_projector_idempotent(self):
         p = bit_flip_code().projector
         assert np.abs(p @ p - p).max() < 1e-12

@@ -177,6 +177,14 @@ class TestToffoliCascade:
     def test_matches_monolithic(self, n):
         _assert_cascade_matches(toffoli_cascade(n), gates.nfold_toffoli(n), n)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_to_matrix_columns_are_basis_images(self, n):
+        cascade = toffoli_cascade(n)
+        m = cascade.to_matrix()
+        for j in range(2 ** (2 * n)):
+            bits = [int(b) for b in format(j, f"0{2 * n}b")]
+            assert np.array_equal(m[:, j], cascade.apply_to_basis_state(bits))
+
     def test_needs_two_controls(self):
         with pytest.raises(ValidationError):
             toffoli_cascade(1)

@@ -12,6 +12,7 @@ from qvn.kernel import (
     PureState,
     RngStream,
     UnitaryOp,
+    apply_to_subsystems,
     haar_random_unitary,
     state_fidelity,
 )
@@ -316,8 +317,7 @@ def composition_unitary(p2_factors: SymmetricFactors) -> UnitaryOp:
     """
     u2 = p2_factors.s1.matrix @ p2_factors.s2.matrix
     d = u2.shape[0]
-    dims = (d, d, d, d, 2)
-    w_full = gates.embed_operator(dense_bell_vectors(d).conj(), [0, 3], dims)
+    total = 2 * d**4
     flag = np.zeros((2 * d * d, 2 * d * d), dtype=complex)
     corr = np.zeros((d**3, d**3), dtype=complex)
     for k, sigma in enumerate(dense_paulis(d)):
@@ -325,11 +325,14 @@ def composition_unitary(p2_factors: SymmetricFactors) -> UnitaryOp:
         ek[k, k] = 1.0
         flag += np.kron(ek, np.eye(2) if k == 0 else gates.X)
         corr += np.kron(ek, u2 @ sigma @ u2.conj().T)
-    # flag touches the measured pair and the flag qubit, corrections touch
-    # the pair and the new head h2
-    flag_full = gates.embed_operator(flag, [0, 3, 4], dims)
-    corr_full = gates.embed_operator(corr, [0, 3, 2], dims)
-    return UnitaryOp(corr_full @ flag_full @ w_full, tol=1e-9)
+    # the rotation and the flag touch the measured pair (and the flag
+    # qubit), corrections touch the pair and the new head h2; each acts on
+    # the identity, whose column index rides along as a trailing axis
+    dims = (d, d, d, d, 2, total)
+    u = np.eye(total, dtype=complex)
+    for op, targets in ((dense_bell_vectors(d).conj(), [0, 3]), (flag, [0, 3, 4]), (corr, [0, 3, 2])):
+        u = apply_to_subsystems(u, dims, op, targets)
+    return UnitaryOp(u.reshape(total, total), tol=1e-9)
 
 
 def apply_composition_unitary(u_uqt: UnitaryOp, p1, p2) -> DensityOperator:
