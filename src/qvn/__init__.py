@@ -49,7 +49,6 @@ from .kernel import (
     eig_unitary,
     expectation,
     haar_random_unitary,
-    kron,
     partial_trace,
     purity,
     random_cptp_channel,

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, tailed, uqt
-from .errors import OutOfCopiesError, ValidationError
+from .errors import OutOfCopiesError, QvnError, ValidationError
 from .kernel import (
     DEFAULT_TOL,
-    DensityOperator,
     KrausChannel,
     Observable,
     OutcomeTable,
@@ -33,10 +32,10 @@ from .kernel import (
     Retention,
     RngStream,
     UnitaryOp,
-    partial_trace_matrix,
     shot_streams,
+    shot_uniforms,
 )
-from .memory import MAX_COPIES, MAX_QUBITS, MemoryUnit
+from .memory import MAX_COPIES, MAX_QUBITS, MemoryUnit, synthesize
 from .text import Line
 from .tailed import InjectionSpec, ReadoutSpec, RunRecord
 from .uqt import ByproductStrategy
@@ -114,15 +113,16 @@ class ExecutionResult:
 
 
 # Entries (complex numbers) of built outcome results that the tables of one
-# `execute` call may keep between shots: 4 MiB, four times the 4^MAX_QUBITS
-# entries of one widest program. Past it results are built on every draw.
+# `execute` call may keep between shots: 4·4^MAX_QUBITS, 4 MiB. Past it
+# results are built on every draw. A composed program is charged 5·d²
+# entries (`uqt.Composition`), so at n = MAX_QUBITS none is kept.
 MAX_RETAINED_ENTRIES = 4 * 4**MAX_QUBITS
 
 
 class _Tables:
     """The exact outcome tables of one `execute` call.
 
-    Each table is built on the first shot that needs it and then only
+    Each table is built the first time a shot needs it and then only
     sampled: a composition per (p1, p2, instruction), an injection, readout
     or tail measurement per (state, instruction), and the circuit state of
     each program. Programs and states are keys held weakly, and no table
@@ -202,6 +202,14 @@ def _readout_table(state: PureState, ins: Readout, keep) -> OutcomeTable:
     return tailed.readout_outcomes(state, ReadoutSpec(ins.observable, tuple(range(n))), keep)
 
 
+def _check_tail(ins: SampleTail, n):
+    if not 0 <= ins.tail < n:
+        raise ValidationError(
+            f"sampletail tail={ins.tail} is out of range: the program at address "
+            f"{ins.target} has {n} tails (0..{n - 1})"
+        )
+
+
 def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
     tables, rng = shot.tables, shot.rng
     if isinstance(ins, Compose):
@@ -230,11 +238,7 @@ def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
         return
     if isinstance(ins, SampleTail):
         n = shot.width(ins.target)
-        if not 0 <= ins.tail < n:
-            raise ValidationError(
-                f"sampletail tail={ins.tail} is out of range: the program at address "
-                f"{ins.target} has {n} tails (0..{n - 1})"
-            )
+        _check_tail(ins, n)
         state = shot.load(ins.target)
         table = tables.measurement(
             state, ins, lambda: tailed.tail_outcomes(state, n + ins.tail, tables.keep)
@@ -255,16 +259,33 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     once per distinct input. The draws, and so the results, are those of
     running every instruction's one-shot kernel afresh each shot.
 
+    A schedule whose outcomes cannot change what a later shot fetches or
+    how many doubles it draws (see `_plan`) runs one instruction at a time
+    over all shots (`_run_batched`). Any other schedule, and one that fails,
+    runs shot by shot (`_run_shots`), so errors are raised where that loop
+    raises them. Both paths give the same result and leave the same copies.
+
     Readout samples are combined by `tailed.combine_branch_estimates`, as
     in `tailed.run_algorithm`: the branch that saw the desired input
     estimates tr(Oρ_f) directly, the complement branch is inverted through
     tr(O) − (2^n − 1)·mean.
     """
+    plan = _plan(mem, sched)
+    if plan is not None:
+        try:
+            return _run_batched(mem, sched, plan)
+        except QvnError:
+            pass  # memory is untouched; the loop raises where its shot fails
+    return _run_shots(mem, sched)
+
+
+def _run_shots(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
+    """`execute` one shot at a time: each shot runs every instruction
+    against memory on its own stream."""
     tables = _Tables()
     records = []
     grouped = {"P0": [], "P1": [], "none": []}
     n_tails = 0
-    observable = None  # of the readout run, whose trace is taken once, at the end
     for shot_idx, rng in enumerate(shot_streams(sched.seed, sched.shots)):
         shot = _ShotState(mem, rng, tables)
         for idx, ins in enumerate(sched.instructions):
@@ -274,8 +295,6 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
                 raise OutOfCopiesError(
                     exc.address, f"instruction {idx} ({type(ins).__name__}): {exc}"
                 ) from exc
-            if isinstance(ins, Readout):
-                observable = ins.observable
         branch = "none" if shot.branch is None else f"P{shot.branch}"
         if shot.value is not None:
             grouped[branch].append(shot.value)
@@ -288,27 +307,333 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
                 bell_outcomes=tuple(shot.bells),
             )
         )
-    estimate = stderr = None
-    n1 = len(grouped["P1"]) + len(grouped["none"])
-    n0 = len(grouped["P0"])
-    if observable is not None and (n0 or n1):
-        estimate, stderr = tailed.combine_branch_estimates(
-            np.array(grouped["P1"] + grouped["none"]),
-            np.array(grouped["P0"]),
-            observable.trace,
-            n_tails,
-        )
-    copies_after = {addr: len(slot.copies) for addr, slot in mem.slots.items()}
+    direct, complement = np.array(grouped["P1"] + grouped["none"]), np.array(grouped["P0"])
+    estimate = _estimate(sched, direct, complement, n_tails)
+    return _result(mem, sched, records, direct, complement, estimate)
+
+
+def _estimate(sched: Schedule, direct, complement, n_tails):
+    """(estimate, standard error) of the readout samples that saw the
+    desired input (`direct`) and of the P0 ones (`complement`), or (None,
+    None) for a schedule without a readout."""
+    readouts = [ins for ins in sched.instructions if isinstance(ins, Readout)]
+    if not readouts or not (direct.size or complement.size):
+        return None, None
+    return tailed.combine_branch_estimates(direct, complement, readouts[0].observable.trace, n_tails)
+
+
+def _result(mem: MemoryUnit, sched: Schedule, records, direct, complement, estimate) -> ExecutionResult:
     return ExecutionResult(
-        estimate=estimate,
-        standard_error=stderr,
+        estimate=estimate[0],
+        standard_error=estimate[1],
         shots=sched.shots,
-        n_p0=n0,
-        n_p1=n1,
+        n_p0=complement.size,
+        n_p1=direct.size,
         records=tuple(records),
-        copies_after=copies_after,
+        copies_after={addr: len(slot.copies) for addr, slot in mem.slots.items()},
         audit_consistent=mem.verify_conservation(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched execution
+# ---------------------------------------------------------------------------
+
+# The token of a restored copy in `_Flow.put`; any other token is the index
+# of the compose instruction whose result the copy is.
+_RESTORED = -1
+
+
+class _Flow:
+    """What one shot does to one slot, the same in every shot of a batched
+    schedule: `put` holds the tokens of the copies it put in and has not
+    fetched, bottom first, `taken` counts the copies it fetched from below
+    them, and `peak` is the most copies the slot holds above its count at
+    the start of the shot, at any put. `initial` is the slot's list of
+    copies before the call, None for a slot that does not exist then."""
+
+    def __init__(self, initial):
+        self.initial = initial
+        self.put = []
+        self.taken = 0
+        self.peak = 0
+
+    def push(self, tokens):
+        self.put.extend(tokens)
+        self.peak = max(self.peak, len(self.put) - self.taken)
+
+    def below(self, shot):
+        """Copies below the shot's own when it starts."""
+        return len(self.initial or ()) + shot * (len(self.put) - self.taken)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    # (instruction index, instruction, source(s), first draw column) of each
+    # instruction but restores; a source is ("result", compose index),
+    # ("restored", address), ("copy", fetch index) or None for a target the
+    # shot has loaded
+    steps: tuple
+    draws: int  # doubles one shot draws
+    flows: dict  # address -> _Flow
+    fetches: tuple  # (address, j) of each fetch from below the shot's own copies
+    restored: frozenset  # addresses of the slots restores copy
+    kept: frozenset  # indices of the composes whose results stay in memory
+
+
+def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
+    """The copy flow of a schedule that runs batched, or None.
+
+    Copy counts do not depend on outcomes, so one pass over the schedule on
+    tokens finds the copy each fetch takes: one the shot put in itself, a
+    compose result or a restored copy, or the j-th it takes from below
+    those. Every shot moves copies the same way, so what lies below a shot's
+    own copies is the slot's copies before the call less what earlier shots
+    took plus what they left. Copies present before the call and restored
+    copies are fixed programs; a compose result depends on its shot's draws.
+
+    A schedule runs batched when no shot fetches a compose result that
+    another shot left and no compose repeats until success, whose draw count
+    varies by shot. It takes the loop, which raises the error, when a shot
+    would run out of copies, fetch from a missing slot, pass MAX_COPIES, or
+    restore a slot that has no description or that a compose of this call
+    creates.
+    """
+    flows = {}
+    fetches = []
+    steps = []
+    loaded = set()
+    draws = 0
+
+    def flow(address):
+        if address not in flows:
+            slot = mem.slots.get(address)
+            flows[address] = _Flow(None if slot is None else slot.copies)
+        return flows[address]
+
+    def fetch(address):
+        f = flow(address)
+        if f.put:
+            token = f.put.pop()
+            return ("restored", address) if token == _RESTORED else ("result", token)
+        if f.initial is None:
+            return None
+        fetches.append((address, f.taken))
+        f.taken += 1
+        return ("copy", len(fetches) - 1)
+
+    for idx, ins in enumerate(sched.instructions):
+        if isinstance(ins, Compose):
+            if ins.strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS:
+                return None
+            sources = (fetch(ins.addr1), fetch(ins.addr2))
+            if None in sources:
+                return None
+            steps.append((idx, ins, sources, draws))
+            draws += 2 if ins.strategy is ByproductStrategy.SYMMETRIC_PAIR else 1
+            flow(ins.dest).push([idx])
+        elif isinstance(ins, (Inject, Readout, SampleTail)):
+            source = None
+            if ins.target not in loaded:
+                source = fetch(ins.target)
+                if source is None:
+                    return None
+                loaded.add(ins.target)
+            steps.append((idx, ins, source, draws))
+            draws += 1
+        elif isinstance(ins, Restore):
+            f = flow(ins.addr)
+            if f.initial is None or ins.copies < 1 or mem.slots[ins.addr].description is None:
+                return None
+            f.push([_RESTORED] * ins.copies)
+        else:
+            return None
+    last = sched.shots - 1
+    for f in flows.values():
+        # the copies below a shot's own change linearly over the shots
+        if any(f.below(s) < f.taken or f.below(s) + f.peak > MAX_COPIES for s in (0, last)):
+            return None
+        # a later shot fetches what this one left on top
+        reached = f.put[len(f.put) - min(f.taken, len(f.put)):]
+        if last and any(token != _RESTORED for token in reached):
+            return None
+    return _Plan(
+        steps=tuple(steps),
+        draws=draws,
+        flows=flows,
+        fetches=tuple(fetches),
+        restored=frozenset(ins.addr for ins in sched.instructions if isinstance(ins, Restore)),
+        kept=frozenset(t for f in flows.values() for t in f.put if t != _RESTORED),
+    )
+
+
+def _input_groups(plan: _Plan, restored, shots):
+    """(shot indices, programs) for each set of shots that take the same
+    program at every fetch from below their own copies, the programs in
+    `plan.fetches` order."""
+    fetched = []  # the program every shot takes, per fetch
+    for address, j in plan.fetches:
+        f = plan.flows[address]
+        left, taken, initial = len(f.put), f.taken, f.initial
+        if shots == 1:
+            later = []
+        elif j < left:  # a restored copy the shot before left
+            later = [restored[address]] * (shots - 1)
+        else:  # a copy from before the call, taken - left further down each shot
+            start = len(initial) - taken - 1 - (j - left)
+            later = initial[start :: -(taken - left)][: shots - 1]
+        fetched.append([initial[len(initial) - 1 - j], *later])
+    if all(programs.count(programs[0]) == shots for programs in fetched):
+        return [(np.arange(shots), [programs[0] for programs in fetched])]
+    keys = {}
+    labels = np.array([keys.setdefault(key, len(keys)) for key in zip(*(map(id, p) for p in fetched))])
+    return [
+        (members, [programs[members[0]] for programs in fetched])
+        for _, members in _split(labels, np.arange(shots))
+    ]
+
+
+def _split(keys, members):
+    """(key, the members with that key) for each distinct key in the int
+    array `keys`, one per member: keys ascending, members in their order."""
+    order = np.argsort(keys, kind="stable")
+    keys, members = keys[order], members[order]
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
+    return [(int(keys[a]), members[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResult:
+    """`execute` one instruction at a time over groups of shots.
+
+    Each shot's doubles are drawn up front (`kernel.shot_uniforms`). Shots
+    that fetch the same programs form a group; each instruction samples its
+    table for the whole group with one `searchsorted` and splits it by
+    outcome. Groups run depth first: an outcome's result is built, every
+    later instruction runs for its group, and it is dropped before the next
+    outcome's, so beside what the tables keep at most one result per
+    instruction is alive. Memory is written once, at the end, with the
+    copies the shot loop leaves; anything raised before leaves it as it was.
+    """
+    shots = sched.shots
+    uniforms = shot_uniforms(sched.seed, shots, plan.draws).T  # one row per draw
+    restored = {}
+    for address in plan.restored:
+        slot = mem.slots[address]
+        restored[address] = slot.program if slot.program is not None else synthesize(slot.description)
+    tables = _Tables()
+    kept = {idx: np.empty(shots, dtype=object) for idx in plan.kept}
+    created = {}  # address -> description of the slot a compose creates
+    leaves = []  # the RunRecord fields but the shot of each final group
+    tails = []  # and its injected tail count
+    leaf_of = np.empty(shots, dtype=np.intp)
+
+    def source(src, env, fetched):
+        kind, key = src
+        if kind == "result":
+            return env["results"][key]
+        return restored[key] if kind == "restored" else fetched[key]
+
+    def table_of(ins, src, env, fetched):
+        """The outcome table of a step for the group, and its registers
+        with a fetched target loaded."""
+        if isinstance(ins, Compose):
+            p1, p2 = (source(s, env, fetched) for s in src)
+            return tables.composition(p1, p2, ins)._root, env
+        if src is None:
+            state = env["states"][ins.target]
+        else:
+            state = tables.state(source(src, env, fetched))
+            env = {**env, "states": {**env["states"], ins.target: state}}
+        if isinstance(ins, Inject):
+            return tables.measurement(state, ins, lambda: _injection_table(state, ins, tables.keep)), env
+        if isinstance(ins, Readout):
+            return tables.measurement(state, ins, lambda: _readout_table(state, ins, tables.keep)), env
+        n = len(state.subsystem_dims) // 2
+        _check_tail(ins, n)
+        return tables.measurement(state, ins, lambda: tailed.tail_outcomes(state, n + ins.tail, tables.keep)), env
+
+    def apply(ins, idx, env, k, result, members):
+        """The group's registers after drawing outcome k, whose result is given."""
+        if isinstance(ins, Compose):
+            if idx in kept:
+                kept[idx][members] = result
+            if members[0] == 0 and plan.flows[ins.dest].initial is None:
+                created[ins.dest] = result.description
+            return {**env, "results": {**env["results"], idx: result}, "bells": env["bells"] + (1,)}
+        if isinstance(ins, Inject):
+            states = {**env["states"], ins.target: result[1]}
+            return {**env, "states": states, "branch": k, "tails": len(result[1].subsystem_dims) // 2}
+        if isinstance(ins, Readout):
+            return {**env, "value": result}
+        states = {**env["states"], ins.target: result}
+        return {**env, "states": states, "bells": env["bells"] + (k,)}
+
+    # a group's registers: live states by address, compose results by
+    # instruction index, injection branch and tails, Bell rounds and tail
+    # bits, and the readout value
+    start = {"states": {}, "results": {}, "branch": None, "tails": 0, "bells": (), "value": None}
+    stack = [(0, m, f, start, None) for m, f in reversed(_input_groups(plan, restored, shots))]
+    while stack:
+        i, members, fetched, env, pending = stack.pop()
+        table = None
+        if pending is not None:
+            table, k, column = pending
+            result = table.result(k)
+            if isinstance(result, uqt.Fusion):  # a symmetric pair's second round
+                table = result
+            else:
+                idx, ins, _, _ = plan.steps[i]
+                env = apply(ins, idx, env, k, result, members)
+                i, table = i + 1, None
+        if table is None:
+            if i == len(plan.steps):
+                branch, value = env["branch"], env["value"]
+                leaf_of[members] = len(leaves)
+                leaves.append(
+                    ("none" if branch is None else f"P{branch}", math.nan if value is None else value, env["bells"])
+                )
+                tails.append(0 if value is None else env["tails"])
+                continue
+            _, ins, src, column = plan.steps[i]
+            table, env = table_of(ins, src, env, fetched)
+        # each member's outcome, drawn as `RngStream.draw` draws it
+        outcomes = table.cdf.searchsorted(uniforms[column][members], side="right")
+        for k, group in reversed(_split(outcomes, members)):
+            stack.append((i, group, fetched, env, (table, k, column + 1)))
+
+    records = [RunRecord(shot, *leaves[leaf]) for shot, leaf in enumerate(leaf_of.tolist())]
+    # the readout values in the loop's order: P1 shots, then shots with no
+    # injection, each in shot order; a shot without a readout reads NaN
+    names = np.array([leaf[0] for leaf in leaves])[leaf_of]
+    value = np.array([leaf[1] for leaf in leaves])[leaf_of]
+    read = ~np.isnan(value)
+    direct = np.concatenate((value[read & (names == "P1")], value[read & (names == "none")]))
+    complement = value[read & (names == "P0")]
+    estimate = _estimate(sched, direct, complement, max(tails))
+    _commit(mem, plan, shots, restored, kept, created)
+    return _result(mem, sched, records, direct, complement, estimate)
+
+
+def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, kept, created):
+    """Write the copies the shot loop leaves. In each slot: the copies from
+    before the call that no shot took, then what each shot but the last
+    left below the next shot's fetches, then all the last shot left."""
+    for address, f in plan.flows.items():
+        left, taken = len(f.put), f.taken
+        initial = f.initial or []
+        below = len(initial) - taken - (shots - 1) * max(taken - left, 0)
+        # the copy each shot put in under each token
+        by_shot = {t: [restored[address]] * shots if t == _RESTORED else kept[t].tolist() for t in set(f.put)}
+        rows = zip(*(by_shot[t][: shots - 1] for t in f.put[: max(left - taken, 0)]))
+        final = initial[:below] + [c for row in rows for c in row] + [by_shot[t][-1] for t in f.put]
+        if f.initial is None:
+            mem.store_copies(final, description=created[address], address=address)
+            continue
+        slot = mem.slots[address]
+        slot.balance += len(final) - len(slot.copies)
+        slot.copies[:] = final
+        if address in restored:
+            slot.program = restored[address]
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +673,6 @@ def controlled_unknown_channel(u: UnitaryOp, eigenstate: PureState, eigenvalue) 
     for m in range(d):
         kraus.append(embedded[:, m, :])
     return KrausChannel(kraus, tol=1e-9)
-
-
-def controlled_unknown_mixed_output(u: UnitaryOp, rho_ct: DensityOperator) -> DensityOperator:
-    """Reduced output with a completely mixed ancilla (the damped variant).
-
-    Coherence between the control branches shrinks by tr(U)/d; exposed for
-    study of the ancilla-preparation tradeoff, not used by the exact path.
-    """
-    d = u.dim
-    cs = gates.cswap(d)
-    circuit = cs @ np.kron(np.eye(2 * d, dtype=complex), u.matrix) @ cs
-    full_in = np.kron(rho_ct.matrix, np.eye(d) / d)
-    full_out = circuit @ full_in @ circuit.conj().T
-    red = partial_trace_matrix(full_out, (2, d, d), [0, 1])
-    return DensityOperator(red, (2, d))
 
 
 def ideal_controlled(u: UnitaryOp, eigenvalue) -> UnitaryOp:

@@ -8,6 +8,7 @@ matching ``numpy.kron``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -168,6 +169,15 @@ class Observable:
     @property
     def trace(self):
         return float(np.trace(self.matrix).real)
+
+    @functools.cached_property
+    def eigh(self):
+        """(eigenvalues, eigenvectors) of the matrix by `np.linalg.eigh`,
+        computed on first use and read-only."""
+        vals, vecs = np.linalg.eigh(self.matrix)
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,16 +421,15 @@ def _pcg64_state(seed_words):
     return state, inc
 
 
-def shot_streams(seed, shots):
-    """For each shot s in range(shots), in order, an `RngStream` whose draws
-    equal those of `RngStream(seed, stream_id=s)` bit for bit.
+def _shot_generators(seed, shots):
+    """For each shot s in range(shots), in order, one reused `Generator`
+    re-seeded in place as `RngStream(seed, stream_id=s)` seeds its own.
 
     Only the spawn-key word of the SeedSequence differs between shots, so
     the seed's own words are mixed once per call, the rest of the hash runs
-    vectorized over blocks of SHOT_BLOCK shots, and each shot re-seeds one
-    PCG64 in place. The streams share that generator: draw from each only
-    before taking the next. Before the first is given, shot 0's derived
-    state is checked against numpy's seeding, and a mismatch raises
+    vectorized over blocks of SHOT_BLOCK shots, and each shot sets its
+    derived state into one PCG64. Before the first is given, shot 0's
+    derived state is checked against numpy's seeding, and a mismatch raises
     `StreamDerivationError`.
     """
     if shots > 2**32:
@@ -436,15 +445,36 @@ def shot_streams(seed, shots):
             raise StreamDerivationError(
                 f"the derived PCG64 state of seed {seed}, shot 0 differs from numpy's seeding"
             )
-        for row, shot in enumerate(range(first, first + block.size)):
-            state, inc = _pcg64_state(seeds[row])
+        for row in seeds:
+            state, inc = _pcg64_state(row)
             bit_generator.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": state, "inc": inc},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            yield RngStream._over(seed, shot, generator)
+            yield generator
+
+
+def shot_streams(seed, shots):
+    """For each shot s in range(shots), in order, an `RngStream` whose draws
+    equal those of `RngStream(seed, stream_id=s)` bit for bit.
+
+    The streams share one generator (see `_shot_generators`): draw from
+    each only before taking the next.
+    """
+    for shot, generator in enumerate(_shot_generators(seed, shots)):
+        yield RngStream._over(seed, shot, generator)
+
+
+def shot_uniforms(seed, shots, draws):
+    """A (shots, draws) array whose row s holds the first `draws` doubles of
+    `RngStream(seed, stream_id=s)`: one `Generator.random` call per shot,
+    which equals that many successive `random()` calls bit for bit."""
+    out = np.empty((shots, draws))
+    for row, generator in zip(out, _shot_generators(seed, shots)):
+        generator.random(out=row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +482,9 @@ def shot_streams(seed, shots):
 # ---------------------------------------------------------------------------
 
 
-def kron(a, b):
-    """Kronecker product; left factor is the most significant subsystem."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(ops):
+    """Kronecker product of the operators in order; the leftmost factor is
+    the most significant subsystem."""
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         out = np.kron(out, op)

@@ -288,10 +288,12 @@ class MemorySlot:
 class MemoryUnit:
     """Addressed storage of stored-program copies with per-slot balances.
 
-    Single-writer: all mutations go through this object; the stored copies
-    themselves are immutable values. A slot synthesizes its description
-    once and holds that one program as each of its copies; consumption is
-    counted by the slot, not by the copies.
+    Single-writer: all mutations go through this object, but for the
+    batched `control.execute`, which writes each slot's copies and balance
+    once at its end; the stored copies themselves are immutable values. A
+    slot synthesizes its description once and holds that one program as
+    each of its copies; consumption is counted by the slot, not by the
+    copies.
     """
 
     def __init__(self):

@@ -497,7 +497,7 @@ def _observable_distribution(state: PureState, readout: ReadoutSpec):
     """Eigenvalues and their exact probabilities for O on the head wires."""
     head_wires = list(readout.target_heads)
     dims = state.subsystem_dims
-    vals, vecs = np.linalg.eigh(readout.observable.matrix)
+    vals, vecs = readout.observable.eigh
     tensor = state.tensor()
     moved = np.moveaxis(tensor, head_wires, range(len(head_wires)))
     mat = moved.reshape(readout.observable.dim, -1)

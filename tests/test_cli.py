@@ -185,6 +185,45 @@ def test_seeded_run_report_pinned_across_blocks(tmp_path, capsys, strategy, argv
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+# SHA-256 of the canonical reports (JSON with sorted keys, one per line) of
+# bench/inputs/demo.run at the run_demo benchmark's seeds (s·1000 + p)·100000
+# + r, over its parts p = 0-3: Z at 200 shots with r in (0, 1, 57, 999), as
+# its ops run, and X and Y at 500 shots (two SHOT_BLOCKs) with r = 0, as its
+# final check runs. Taken from the per-shot executor. Seed 730200200057
+# (s = 7302, p = 2, r = 57) reads -0.340 ± 0.0668, 5.09 sample standard
+# errors from the exact 0.
+BENCH_SEED_DIGESTS = [
+    ("Z", 1, "4030d6f536dde68df3938fd8bfbeff3e2fded61a388d7cdde39c33288ebd3d32"),
+    ("X", 1, "e96e5a4bf85d6715d1020e586ef8dc4b90b009e6ea9c69bdbcdc274c7c0c0a3d"),
+    ("Y", 1, "1c15e2ba25ca4d3986b7caa04cda8365c96e11074736dd18c68a9224e87cc9e4"),
+    ("Z", 11, "e40974447131847d3ea2238de0740f6ef30af063c1520120f707782f827ab2c1"),
+    ("X", 11, "cd43e73f57e6f805c6369d6d85107f2eb7ca7c82db3b8fc143882499930e9b0b"),
+    ("Y", 11, "aeab059d313b8a5a2dbc81d68d8addc9ecd441805440c4cdba72bd0053bd4a23"),
+    ("Z", 7302, "8252aaa46fcf45af1affe18c8e47585eaaeae026ded498cc5178f4237db83272"),
+    ("X", 7302, "6a5a0d01eb11c85f7e144384748a834fdf2d712791417c5818741bec29d46a8e"),
+    ("Y", 7302, "80068146a2f25d0dc08e9020eaffa135d3cda8aa62941c925f1ef6f18f3fe47f"),
+    ("Z", 13001, "69b55bc76b1a86b880e16f9eab9e84f96a198fced21320a9dde11e6e06625a86"),
+    ("X", 13001, "b6f43fca5edf78106675d4ff4430d4aed09f24bd17db181fc59191fd261d09a9"),
+    ("Y", 13001, "5b68d4de1b5c6ff98d60d4f7353d827f3b3c65e47912e18a6fd99a824dba4610"),
+]
+
+
+@pytest.mark.parametrize("obs, s, digest", BENCH_SEED_DIGESTS)
+def test_bench_seed_reports_pinned(tmp_path, capsys, obs, s, digest):
+    shots, runs = (200, (0, 1, 57, 999)) if obs == "Z" else (500, (0,))
+    demo = DEMO_RUN.read_text().replace("shots=200", f"shots={shots}").replace("obs=Z", f"obs={obs}")
+    path = tmp_path / "demo.run"
+    path.write_text(demo)
+    reports = []
+    for part in range(4):
+        for r in runs:
+            seed = (s * 1000 + part) * 100_000 + r
+            code, out, _ = run_cli(["run", str(path), "--seed", str(seed)], capsys)
+            assert code == 0
+            reports.append(json.dumps(canonical(out), sort_keys=True))
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == digest
+
+
 class TestNegativeSeed:
     """A SeedSequence takes no negative entropy: a negative seed is one
     error line and exit 2, not a numpy ValueError traceback."""

@@ -1,6 +1,7 @@
 import gc
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from qvn.control import (
     Schedule,
     controlled_unknown,
     controlled_unknown_channel,
-    controlled_unknown_mixed_output,
     execute,
     ideal_controlled,
 )
@@ -30,11 +30,14 @@ from qvn.kernel import (
     UnitaryOp,
     apply_channel,
     haar_random_unitary,
+    partial_trace_matrix,
     trace_distance,
 )
 from qvn.memory import GateRecord, MemoryUnit, ProgramDescription
 from qvn.text import format_complex_data
 from qvn.uqt import ByproductStrategy, stored_program
+
+DEMO_RUN = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "demo.run"
 
 
 def fresh_memory(copies=64):
@@ -194,6 +197,20 @@ class TestOutcomeTables:
         assert result.n_p0 + result.n_p1 == 200
         assert 1 <= len(built) <= 4  # at most one per Bell outcome, d² = 4
 
+    def test_readout_diagonalizes_its_observable_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(matrix):
+            calls.append(1)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        mem, a, b = fresh_memory(copies=200)
+        # its 8 readout tables, one per (Bell outcome, injection branch), share one eigh
+        execute(mem, th_schedule(a, b, shots=200, seed=4))
+        assert len(calls) == 1
+
     def test_chain_matches_oracle(self):
         # slot 1's second copy is injected and read out after the compose
         zx = Readout(1, Observable(np.kron(gates.Z, gates.X)))
@@ -266,6 +283,86 @@ class TestOutcomeTables:
                 tracemalloc.stop()
         kept = control.MAX_RETAINED_ENTRIES * np.dtype(complex).itemsize
         assert peaks[execute] <= peaks[per_shot_execute] + kept + 256 * 1024
+
+
+class TestPathSelection:
+    """The schedule alone decides whether `execute` runs one instruction at
+    a time over all shots or shot by shot in `control._run_shots`."""
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        calls = []
+        loop = control._run_shots
+
+        def counting(mem, sched):
+            calls.append(sched)
+            return loop(mem, sched)
+
+        monkeypatch.setattr(control, "_run_shots", counting)
+        return calls
+
+    def test_readme_run_file_batches(self, loop_calls):
+        shots, seed, slots, instructions = parse_run_file(DEMO_RUN.read_text())
+        mem = MemoryUnit()
+        for addr, copies, desc in slots:
+            mem.store(desc, copies, address=addr)
+        result = execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
+        assert result.n_p0 + result.n_p1 == shots and loop_calls == []
+
+    def test_wide_fresh_slot_batches(self, loop_calls):
+        # the schedule of test_wide_fresh_slot_memory_bounded
+        n, shots = 6, 20
+        mem = MemoryUnit()
+        mem.store_copies([stored_program(haar_random_unitary(2**n, RngStream(5)))] * shots, address=0)
+        mem.store(ProgramDescription("H", n, tuple(GateRecord(0, "H", (q,)) for q in range(n))), shots, address=1)
+        execute(mem, Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 2), Inject(2)), shots=shots, seed=3))
+        assert loop_calls == [] and mem.copy_count(2) == 0
+
+    @pytest.mark.parametrize(
+        "sched, mem",
+        [
+            (Schedule(CHAIN, shots=5, seed=3), lambda: chain_memory(2)),
+            (Schedule((Compose(0, 1, ByproductStrategy.REPEAT_UNTIL_SUCCESS, 10), Inject(10, "1")), shots=5),
+             lambda: fresh_memory(5)[0]),
+        ],
+        ids=["chain", "repeat_until_success"],
+    )
+    def test_loop_schedules(self, loop_calls, sched, mem):
+        execute(mem(), sched)
+        assert loop_calls == [sched]
+
+    def test_failing_schedule_runs_loop_on_untouched_memory(self, loop_calls):
+        # the copy-flow plan sees the third shot run out of copies of slot a;
+        # the loop raises there
+        mem, a, b = fresh_memory(copies=2)
+        sched = Schedule((Restore(b, 1), Compose(a, b, ByproductStrategy.CORRECTION_TABLE, 10)), shots=3)
+        with pytest.raises(OutOfCopiesError, match="instruction 1"):
+            execute(mem, sched)
+        assert loop_calls == [sched]
+        assert (mem.copy_count(a), mem.copy_count(b), mem.copy_count(10)) == (0, 3, 2)
+
+    def test_batched_error_reruns_in_the_loop(self, loop_calls):
+        # the batched path raises on the tail index; the loop raises it again
+        # on its first shot, after that shot's restore
+        mem, a, _ = fresh_memory(copies=2)
+        sched = Schedule((Restore(a, 1), SampleTail(a, 1)), shots=3)
+        with pytest.raises(ValidationError, match="tail=1 is out of range"):
+            execute(mem, sched)
+        assert loop_calls == [sched] and mem.copy_count(a) == 3
+
+
+def controlled_unknown_mixed_output(u: UnitaryOp, rho_ct: DensityOperator) -> DensityOperator:
+    """Reduced control-target output of the `controlled_unknown` circuit
+    with a completely mixed ancilla (the damped variant), by the dense
+    2d³×2d³ circuit: coherence between the control branches shrinks by
+    tr(U)/d."""
+    d = u.dim
+    cs = gates.cswap(d)
+    circuit = cs @ np.kron(np.eye(2 * d, dtype=complex), u.matrix) @ cs
+    full_in = np.kron(rho_ct.matrix, np.eye(d) / d)
+    full_out = circuit @ full_in @ circuit.conj().T
+    red = partial_trace_matrix(full_out, (2, d, d), [0, 1])
+    return DensityOperator(red, (2, d))
 
 
 class TestControlledUnknown:

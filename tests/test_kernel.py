@@ -17,7 +17,7 @@ from qvn.kernel import (
     eig_unitary,
     expectation,
     haar_random_unitary,
-    kron,
+    kron_all,
     measure_wire_computational,
     partial_trace,
     purity,
@@ -66,17 +66,17 @@ class TestTypes:
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(kron_all([np.eye(2), np.eye(2)]), np.eye(4))
 
     def test_xx_on_00(self):
         v00 = np.array([1, 0, 0, 0], dtype=complex)
-        assert np.allclose(kron(gates.X, gates.X) @ v00, [0, 0, 0, 1])
+        assert np.allclose(kron_all([gates.X, gates.X]) @ v00, [0, 0, 0, 1])
 
     def test_h_on_first_qubit(self):
         # direct 4-dim arithmetic: H⊗I |00> = (|00> + |10>)/sqrt(2)
         v00 = np.array([1, 0, 0, 0], dtype=complex)
         expected = np.array([1, 0, 1, 0], dtype=complex) / math.sqrt(2)
-        assert np.abs(kron(gates.H, np.eye(2)) @ v00 - expected).max() < 1e-15
+        assert np.abs(kron_all([gates.H, np.eye(2)]) @ v00 - expected).max() < 1e-15
 
 
 class TestPartialTrace:
@@ -368,3 +368,18 @@ class TestShotStreams:
     def test_rejects_seed_or_shots_out_of_range(self, seed, shots):
         with pytest.raises(ValidationError):
             next(shot_streams(seed, shots))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 3**90])
+    @pytest.mark.parametrize("draws", [0, 1, 4])
+    def test_uniforms_are_each_streams_first_doubles(self, seed, draws):
+        shots = kernel.SHOT_BLOCK + 3
+        uniforms = kernel.shot_uniforms(seed, shots, draws)
+        assert uniforms.shape == (shots, draws)
+        for shot in (0, 1, kernel.SHOT_BLOCK - 1, kernel.SHOT_BLOCK, shots - 1):
+            stream = RngStream(seed, stream_id=shot)
+            assert uniforms[shot].tolist() == [stream.random() for _ in range(draws)]
+
+    def test_uniforms_drift_guard(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_PCG_MULT", kernel._PCG_MULT + 2)
+        with pytest.raises(StreamDerivationError, match="shot 0 differs from numpy"):
+            kernel.shot_uniforms(7, 3, 0)

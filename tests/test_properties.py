@@ -387,6 +387,30 @@ def run_or_error(executor, slots, sched):
 
 
 @given(runnable_schedules(), st.sampled_from([control.MAX_RETAINED_ENTRIES, 64, 0]))
+# 300 shots draw from two blocks of shot streams, with copies of slot 0
+# piling up and slot 1's taken from below each shot's own restores
+@example(
+    (
+        [
+            (ProgramDescription("HT", 2, (GateRecord(0, "H", (0,)), GateRecord(1, "CX", (0, 1)))), 1),
+            (ProgramDescription("T", 2, (GateRecord(0, "T", (1,)),)), 600),
+        ],
+        Schedule(
+            (
+                Restore(0, 2),
+                Restore(1, 1),
+                Compose(0, 1, ByproductStrategy.SYMMETRIC_PAIR, 2),
+                Compose(2, 1, ByproductStrategy.CORRECTION_TABLE, 3),
+                Inject(3, "10"),
+                SampleTail(3, 1),
+                Readout(3, Observable(gates.pauli_string_matrix("ZX")), "ZX"),
+            ),
+            shots=300,
+            seed=2**40 + 7,
+        ),
+    ),
+    64,
+)
 def test_execute_matches_per_shot_oracle(case, retained):
     # with 64 entries some results are kept and the rest rebuilt per draw
     with mock.patch.object(control, "MAX_RETAINED_ENTRIES", retained):
