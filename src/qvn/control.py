@@ -156,12 +156,20 @@ class _Tables:
             table = tables[ins] = uqt.Composition(p1, p2, ins.strategy, keep=self.keep)
         return table
 
-    def measurement(self, state, ins, build) -> OutcomeTable:
-        """The table `build()` makes for `ins` on `state`, made once."""
+    def measurement(self, state, ins) -> OutcomeTable:
+        """The table of the injection, readout or tail measurement `ins` on
+        `state`, made once."""
         tables = self._measurements.setdefault(state, {})
         table = tables.get(ins)
         if table is None:
-            table = tables[ins] = build()
+            n = len(state.subsystem_dims) // 2
+            if isinstance(ins, Inject):
+                table = tailed.Injection(state, InjectionSpec(tuple(range(n)), ins.bits), keep=self.keep)
+            elif isinstance(ins, Readout):
+                table = tailed.readout_outcomes(state, ReadoutSpec(ins.observable, tuple(range(n))), self.keep)
+            else:
+                table = tailed.tail_outcomes(state, n + ins.tail, self.keep)
+            tables[ins] = table
         return table
 
 
@@ -191,17 +199,6 @@ class _ShotState:
         return self.mem.peek(address).d.bit_length() - 1
 
 
-def _injection_table(state: PureState, ins: Inject, keep) -> tailed.Injection:
-    n = len(state.subsystem_dims) // 2
-    spec = InjectionSpec(tuple(range(n)), ins.bits)
-    return tailed.Injection(state, spec, keep=keep)
-
-
-def _readout_table(state: PureState, ins: Readout, keep) -> OutcomeTable:
-    n = len(state.subsystem_dims) // 2
-    return tailed.readout_outcomes(state, ReadoutSpec(ins.observable, tuple(range(n))), keep)
-
-
 def _check_tail(ins: SampleTail, n):
     if not 0 <= ins.tail < n:
         raise ValidationError(
@@ -224,26 +221,20 @@ def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
         return
     if isinstance(ins, Inject):
         state = shot.load(ins.target)
-        table = tables.measurement(state, ins, lambda: _injection_table(state, ins, tables.keep))
-        shot.branch, (_, shot.states[ins.target]) = table.sample(rng)
+        shot.branch, (_, shot.states[ins.target]) = tables.measurement(state, ins).sample(rng)
         shot.injected_tails = len(state.subsystem_dims) // 2
         return
     if isinstance(ins, Readout):
         state = shot.load(ins.target)
-        table = tables.measurement(state, ins, lambda: _readout_table(state, ins, tables.keep))
-        _, shot.value = table.sample(rng)
+        _, shot.value = tables.measurement(state, ins).sample(rng)
         return
     if isinstance(ins, Restore):
         mem.restore(ins.addr, ins.copies)
         return
     if isinstance(ins, SampleTail):
-        n = shot.width(ins.target)
-        _check_tail(ins, n)
+        _check_tail(ins, shot.width(ins.target))
         state = shot.load(ins.target)
-        table = tables.measurement(
-            state, ins, lambda: tailed.tail_outcomes(state, n + ins.tail, tables.keep)
-        )
-        bit, shot.states[ins.target] = table.sample(rng)
+        bit, shot.states[ins.target] = tables.measurement(state, ins).sample(rng)
         shot.bells.append(bit)
         return
     raise ValidationError(f"unknown instruction {ins!r}")
@@ -371,12 +362,11 @@ class _Flow:
 class _Plan:
     # (instruction index, instruction, source(s), first draw column) of each
     # instruction but restores; a source is ("result", compose index),
-    # ("restored", address), ("copy", fetch index) or None for a target the
-    # shot has loaded
+    # ("restored", address), ("copy", program) for a copy taken from below
+    # the shot's own, or None for a target the shot has loaded
     steps: tuple
     draws: int  # doubles one shot draws
     flows: dict  # address -> _Flow
-    fetches: tuple  # (address, j) of each fetch from below the shot's own copies
     restored: frozenset  # addresses of the slots restores copy
     kept: frozenset  # indices of the composes whose results stay in memory
 
@@ -386,21 +376,20 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
 
     Copy counts do not depend on outcomes, so one pass over the schedule on
     tokens finds the copy each fetch takes: one the shot put in itself, a
-    compose result or a restored copy, or the j-th it takes from below
-    those. Every shot moves copies the same way, so what lies below a shot's
-    own copies is the slot's copies before the call less what earlier shots
-    took plus what they left. Copies present before the call and restored
-    copies are fixed programs; a compose result depends on its shot's draws.
+    compose result or a restored copy, or one it takes from below those.
+    Every shot moves copies the same way, so what lies below a shot's own
+    copies is the slot's copies before the call less what earlier shots
+    took plus what they left.
 
-    A schedule runs batched when no shot fetches a compose result that
-    another shot left and no compose repeats until success, whose draw count
-    varies by shot. It takes the loop, which raises the error, when a shot
-    would run out of copies, fetch from a missing slot, pass MAX_COPIES, or
-    restore a slot that has no description or that a compose of this call
-    creates.
+    A schedule runs batched when every fetch from below a shot's own copies
+    takes one and the same program object in every shot, so no shot
+    fetches a compose result that another shot left, and no compose repeats
+    until success, whose draw count varies by shot. It takes the loop,
+    which raises the error, when a shot would run out of copies, fetch from
+    a missing slot, pass MAX_COPIES, or restore a slot that has no
+    description or that a compose of this call creates.
     """
     flows = {}
-    fetches = []
     steps = []
     loaded = set()
     draws = 0
@@ -416,11 +405,10 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
         if f.put:
             token = f.put.pop()
             return ("restored", address) if token == _RESTORED else ("result", token)
-        if f.initial is None:
+        if f.initial is None or f.taken == len(f.initial):
             return None
-        fetches.append((address, f.taken))
         f.taken += 1
-        return ("copy", len(fetches) - 1)
+        return ("copy", f.initial[-f.taken])
 
     for idx, ins in enumerate(sched.instructions):
         if isinstance(ins, Compose):
@@ -449,48 +437,29 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
         else:
             return None
     last = sched.shots - 1
-    for f in flows.values():
+    for address, f in flows.items():
         # the copies below a shot's own change linearly over the shots
         if any(f.below(s) < f.taken or f.below(s) + f.peak > MAX_COPIES for s in (0, last)):
             return None
-        # a later shot fetches what this one left on top
-        reached = f.put[len(f.put) - min(f.taken, len(f.put)):]
-        if last and any(token != _RESTORED for token in reached):
+        # the copies later shots take from those an earlier one left
+        reached = f.put[len(f.put) - min(f.taken, len(f.put)) :] if last else []
+        if any(token != _RESTORED for token in reached):
+            return None
+        # they and the copies from before the call that the shots take are
+        # one program
+        initial = f.initial or []
+        programs = initial[len(initial) - f.taken - last * max(f.taken - len(f.put), 0) :]
+        if reached:
+            programs.append(mem.slots[address].program)
+        if any(p is not programs[-1] for p in programs):
             return None
     return _Plan(
         steps=tuple(steps),
         draws=draws,
         flows=flows,
-        fetches=tuple(fetches),
         restored=frozenset(ins.addr for ins in sched.instructions if isinstance(ins, Restore)),
         kept=frozenset(t for f in flows.values() for t in f.put if t != _RESTORED),
     )
-
-
-def _input_groups(plan: _Plan, restored, shots):
-    """(shot indices, programs) for each set of shots that take the same
-    program at every fetch from below their own copies, the programs in
-    `plan.fetches` order."""
-    fetched = []  # the program every shot takes, per fetch
-    for address, j in plan.fetches:
-        f = plan.flows[address]
-        left, taken, initial = len(f.put), f.taken, f.initial
-        if shots == 1:
-            later = []
-        elif j < left:  # a restored copy the shot before left
-            later = [restored[address]] * (shots - 1)
-        else:  # a copy from before the call, taken - left further down each shot
-            start = len(initial) - taken - 1 - (j - left)
-            later = initial[start :: -(taken - left)][: shots - 1]
-        fetched.append([initial[len(initial) - 1 - j], *later])
-    if all(programs.count(programs[0]) == shots for programs in fetched):
-        return [(np.arange(shots), [programs[0] for programs in fetched])]
-    keys = {}
-    labels = np.array([keys.setdefault(key, len(keys)) for key in zip(*(map(id, p) for p in fetched))])
-    return [
-        (members, [programs[members[0]] for programs in fetched])
-        for _, members in _split(labels, np.arange(shots))
-    ]
 
 
 def _split(keys, members):
@@ -505,14 +474,15 @@ def _split(keys, members):
 def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResult:
     """`execute` one instruction at a time over groups of shots.
 
-    Each shot's doubles are drawn up front (`kernel.shot_uniforms`). Shots
-    that fetch the same programs form a group; each instruction samples its
-    table for the whole group with one `searchsorted` and splits it by
-    outcome. Groups run depth first: an outcome's result is built, every
-    later instruction runs for its group, and it is dropped before the next
-    outcome's, so beside what the tables keep at most one result per
-    instruction is alive. Memory is written once, at the end, with the
-    copies the shot loop leaves; anything raised before leaves it as it was.
+    Each shot's doubles are drawn up front (`kernel.shot_uniforms`). Every
+    shot fetches the same programs, so all shots start as one group; each
+    instruction samples its table for a group with one `searchsorted` and
+    splits the group by outcome. Groups run depth first: an outcome's
+    result is built, every later instruction runs for its group, and it is
+    dropped before the next outcome's, so beside what the tables keep at
+    most one result per instruction is alive. Memory is written once, at
+    the end, with the copies the shot loop leaves; anything raised before
+    leaves it as it was.
     """
     shots = sched.shots
     uniforms = shot_uniforms(sched.seed, shots, plan.draws).T  # one row per draw
@@ -527,30 +497,26 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
     tails = []  # and its injected tail count
     leaf_of = np.empty(shots, dtype=np.intp)
 
-    def source(src, env, fetched):
+    def source(src, env):
         kind, key = src
         if kind == "result":
             return env["results"][key]
-        return restored[key] if kind == "restored" else fetched[key]
+        return restored[key] if kind == "restored" else key
 
-    def table_of(ins, src, env, fetched):
+    def table_of(ins, src, env):
         """The outcome table of a step for the group, and its registers
         with a fetched target loaded."""
         if isinstance(ins, Compose):
-            p1, p2 = (source(s, env, fetched) for s in src)
-            return tables.composition(p1, p2, ins)._root, env
+            p1, p2 = (source(s, env) for s in src)
+            return tables.composition(p1, p2, ins).fusion, env
         if src is None:
             state = env["states"][ins.target]
         else:
-            state = tables.state(source(src, env, fetched))
+            state = tables.state(source(src, env))
             env = {**env, "states": {**env["states"], ins.target: state}}
-        if isinstance(ins, Inject):
-            return tables.measurement(state, ins, lambda: _injection_table(state, ins, tables.keep)), env
-        if isinstance(ins, Readout):
-            return tables.measurement(state, ins, lambda: _readout_table(state, ins, tables.keep)), env
-        n = len(state.subsystem_dims) // 2
-        _check_tail(ins, n)
-        return tables.measurement(state, ins, lambda: tailed.tail_outcomes(state, n + ins.tail, tables.keep)), env
+        if isinstance(ins, SampleTail):
+            _check_tail(ins, len(state.subsystem_dims) // 2)
+        return tables.measurement(state, ins), env
 
     def apply(ins, idx, env, k, result, members):
         """The group's registers after drawing outcome k, whose result is given."""
@@ -572,9 +538,9 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
     # instruction index, injection branch and tails, Bell rounds and tail
     # bits, and the readout value
     start = {"states": {}, "results": {}, "branch": None, "tails": 0, "bells": (), "value": None}
-    stack = [(0, m, f, start, None) for m, f in reversed(_input_groups(plan, restored, shots))]
+    stack = [(0, np.arange(shots), start, None)]
     while stack:
-        i, members, fetched, env, pending = stack.pop()
+        i, members, env, pending = stack.pop()
         table = None
         if pending is not None:
             table, k, column = pending
@@ -595,11 +561,11 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
                 tails.append(0 if value is None else env["tails"])
                 continue
             _, ins, src, column = plan.steps[i]
-            table, env = table_of(ins, src, env, fetched)
+            table, env = table_of(ins, src, env)
         # each member's outcome, drawn as `RngStream.draw` draws it
         outcomes = table.cdf.searchsorted(uniforms[column][members], side="right")
         for k, group in reversed(_split(outcomes, members)):
-            stack.append((i, group, fetched, env, (table, k, column + 1)))
+            stack.append((i, group, env, (table, k, column + 1)))
 
     records = [RunRecord(shot, *leaves[leaf]) for shot, leaf in enumerate(leaf_of.tolist())]
     # the readout values in the loop's order: P1 shots, then shots with no
@@ -626,14 +592,7 @@ def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, kept, created):
         by_shot = {t: [restored[address]] * shots if t == _RESTORED else kept[t].tolist() for t in set(f.put)}
         rows = zip(*(by_shot[t][: shots - 1] for t in f.put[: max(left - taken, 0)]))
         final = initial[:below] + [c for row in rows for c in row] + [by_shot[t][-1] for t in f.put]
-        if f.initial is None:
-            mem.store_copies(final, description=created[address], address=address)
-            continue
-        slot = mem.slots[address]
-        slot.balance += len(final) - len(slot.copies)
-        slot.copies[:] = final
-        if address in restored:
-            slot.program = restored[address]
+        mem.replace_copies(address, final, program=restored.get(address), description=created.get(address))
 
 
 # ---------------------------------------------------------------------------

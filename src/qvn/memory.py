@@ -288,12 +288,10 @@ class MemorySlot:
 class MemoryUnit:
     """Addressed storage of stored-program copies with per-slot balances.
 
-    Single-writer: all mutations go through this object, but for the
-    batched `control.execute`, which writes each slot's copies and balance
-    once at its end; the stored copies themselves are immutable values. A
-    slot synthesizes its description once and holds that one program as
-    each of its copies; consumption is counted by the slot, not by the
-    copies.
+    Single-writer: all mutations go through this object; the stored copies
+    themselves are immutable values. A slot synthesizes its description
+    once and holds that one program as each of its copies; consumption is
+    counted by the slot, not by the copies.
     """
 
     def __init__(self):
@@ -333,6 +331,24 @@ class MemoryUnit:
         slot.copies.append(program)
         slot.balance += 1
         return len(slot.copies)
+
+    def replace_copies(self, address, copies, program=None, description=None) -> int:
+        """Make `copies`, bottom first, a slot's live copies and count the
+        change in its balance, as fetches and puts of that many copies
+        would; a missing slot is created with `description`. A given
+        `program` becomes the one the slot's restores copy. Returns the new
+        total."""
+        copies = list(copies)
+        _check_live_copies(f"slot {address}", len(copies))
+        if address not in self.slots:
+            self.store_copies(copies, description, address)
+            return len(copies)
+        slot = self.slots[address]
+        slot.balance += len(copies) - len(slot.copies)
+        slot.copies[:] = copies
+        if program is not None:
+            slot.program = program
+        return len(copies)
 
     def _slot(self, address) -> MemorySlot:
         if address not in self.slots:

@@ -375,6 +375,10 @@ class Composition:
     unitary, amplitudes and two symmetric factors, and a circuit state made
     from it. The table holds the input programs' amplitudes and gates,
     never the programs.
+
+    `fusion` is the first round's `Fusion`; the result of each of its
+    outcomes is the next round's `Fusion`, or the composed program after
+    the last round.
     """
 
     def __init__(
@@ -398,11 +402,11 @@ class Composition:
         def program(state):
             return _program_from_state(state, description)
 
-        self._root = _fusion_chain(p1.amplitudes, factors, basis, strategy, program, keep, 5 * p1.d**2)
+        self.fusion = _fusion_chain(p1.amplitudes, factors, basis, strategy, program, keep, 5 * p1.d**2)
 
     def sample(self, rng: RngStream):
         """(composed program, Bell rounds of its last teleportation)."""
-        table = self._root
+        table = self.fusion
         while isinstance(table, Fusion):
             _, rounds, table = table.fuse(rng)
         return table, rounds

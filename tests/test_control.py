@@ -178,6 +178,15 @@ def chain_memory(n):
     return mem
 
 
+def mixed_memory(copies):
+    """Slot 0: copies of H and T in turn, so shots take different programs;
+    slot 1: copies of T."""
+    mem, _, _ = fresh_memory(copies)
+    h, t = mem.slots[0].program, mem.slots[1].program
+    mem.replace_copies(0, [h, t] * (copies // 2))
+    return mem
+
+
 # a shot composes slot 0 with slot 1 back into slot 0: a new program every shot
 CHAIN = (Restore(1, 1), Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 0))
 
@@ -324,8 +333,10 @@ class TestPathSelection:
             (Schedule(CHAIN, shots=5, seed=3), lambda: chain_memory(2)),
             (Schedule((Compose(0, 1, ByproductStrategy.REPEAT_UNTIL_SUCCESS, 10), Inject(10, "1")), shots=5),
              lambda: fresh_memory(5)[0]),
+            (Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 10), Inject(10, "1")), shots=4),
+             lambda: mixed_memory(4)),
         ],
-        ids=["chain", "repeat_until_success"],
+        ids=["chain", "repeat_until_success", "mixed_copies"],
     )
     def test_loop_schedules(self, loop_calls, sched, mem):
         execute(mem(), sched)

@@ -306,6 +306,21 @@ class TestMemoryUnit:
         with pytest.raises(OutOfCopiesError):
             mem.fetch_consume(b)
 
+    def test_replace_copies_keeps_the_balance(self):
+        mem = MemoryUnit()
+        a = mem.store(desc_h(), 3)
+        h, th = mem.slots[a].program, synthesize(desc_th())
+        assert mem.replace_copies(a, [h, th]) == 2
+        assert mem.slots[a].copies == [h, th] and mem.slots[a].program is h
+        assert mem.replace_copies(a, [th] * 5, program=th) == 5
+        assert mem.slots[a].program is th and mem.slots[a].description == desc_h()
+        assert mem.replace_copies(7, [th], description=desc_th()) == 1
+        assert mem.slots[7].description == desc_th() and mem.slots[7].program is None
+        assert [mem.slots[x].balance for x in (a, 7)] == [5, 1] and mem.verify_conservation()
+        with pytest.raises(ValidationError, match="MAX_COPIES"):
+            mem.replace_copies(a, [h] * (memory.MAX_COPIES + 1))
+        assert mem.copy_count(a) == 5
+
     def test_consumed_copy_isolated_from_slot(self):
         mem = MemoryUnit()
         a = mem.store(desc_h(), 2)
