@@ -115,7 +115,6 @@ from .control import (
     Restore,
     SampleTail,
     Schedule,
-    controlled_unknown,
     controlled_unknown_channel,
     execute,
     ideal_controlled,

@@ -32,6 +32,7 @@ from .kernel import (
     Retention,
     RngStream,
     UnitaryOp,
+    apply_to_subsystems,
     shot_streams,
     shot_uniforms,
 )
@@ -112,10 +113,9 @@ class ExecutionResult:
     audit_consistent: bool
 
 
-# Entries (complex numbers) of built outcome results that the tables of one
-# `execute` call may keep between shots: 4·4^MAX_QUBITS, 4 MiB. Past it
-# results are built on every draw. A composed program is charged 5·d²
-# entries (`uqt.Composition`), so at n = MAX_QUBITS none is kept.
+# Entries (complex numbers) of built measurement results (post states and
+# readout values) that the tables of one `execute` call may keep between
+# shots: 4·4^MAX_QUBITS, 4 MiB. Past it results are built on every draw.
 MAX_RETAINED_ENTRIES = 4 * 4**MAX_QUBITS
 
 
@@ -123,15 +123,16 @@ class _Tables:
     """The exact outcome tables of one `execute` call.
 
     Each table is built the first time a shot needs it and then only
-    sampled: a composition per (p1, p2, instruction), an injection, readout
-    or tail measurement per (state, instruction), and the circuit state of
-    each program. Programs and states are keys held weakly, and no table
-    refers to them, so a table goes when its inputs go: a schedule that
-    composes into its own input slot makes a new program every shot, and
-    its tables do not pile up. The results the tables keep for later draws
+    sampled: a composition per (p1, p2, instruction), with its one composed
+    program, an injection, readout or tail measurement per (state,
+    instruction), and the circuit state of each program. Programs and
+    states are keys held weakly, and no table refers to them, so a table
+    goes when its inputs go: a schedule that composes into its own input
+    slot makes a new program every shot, and its tables do not pile up.
+    The post states and values the measurement tables keep for later draws
     share one `Retention` of MAX_RETAINED_ENTRIES, so a schedule whose
-    outcomes rarely repeat, such as a wide composition, keeps no more than
-    that however many shots it runs.
+    outcomes rarely repeat keeps no more than that however many shots it
+    runs.
     """
 
     def __init__(self):
@@ -153,7 +154,7 @@ class _Tables:
         tables = by_p2.setdefault(p2, {})
         table = tables.get(ins)
         if table is None:
-            table = tables[ins] = uqt.Composition(p1, p2, ins.strategy, keep=self.keep)
+            table = tables[ins] = uqt.Composition(p1, p2, ins.strategy)
         return table
 
     def measurement(self, state, ins) -> OutcomeTable:
@@ -368,7 +369,6 @@ class _Plan:
     draws: int  # doubles one shot draws
     flows: dict  # address -> _Flow
     restored: frozenset  # addresses of the slots restores copy
-    kept: frozenset  # indices of the composes whose results stay in memory
 
 
 def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
@@ -458,7 +458,6 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
         draws=draws,
         flows=flows,
         restored=frozenset(ins.addr for ins in sched.instructions if isinstance(ins, Restore)),
-        kept=frozenset(t for f in flows.values() for t in f.put if t != _RESTORED),
     )
 
 
@@ -475,14 +474,15 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
     """`execute` one instruction at a time over groups of shots.
 
     Each shot's doubles are drawn up front (`kernel.shot_uniforms`). Every
-    shot fetches the same programs, so all shots start as one group; each
-    instruction samples its table for a group with one `searchsorted` and
-    splits the group by outcome. Groups run depth first: an outcome's
-    result is built, every later instruction runs for its group, and it is
-    dropped before the next outcome's, so beside what the tables keep at
-    most one result per instruction is alive. Memory is written once, at
-    the end, with the copies the shot loop leaves; anything raised before
-    leaves it as it was.
+    shot fetches the same programs, so every composition has one program
+    in every shot, built before any shot runs, and passes over its draws.
+    All shots start as one group; each other instruction samples its table
+    for a group with one `searchsorted` and splits the group by outcome.
+    Groups run depth first: an outcome's result is built, every later
+    instruction runs for its group, and it is dropped before the next
+    outcome's, so beside what the tables keep at most one result per
+    instruction is alive. Memory is written once, at the end, with the
+    copies the shot loop leaves; anything raised before leaves it as it was.
     """
     shots = sched.shots
     uniforms = shot_uniforms(sched.seed, shots, plan.draws).T  # one row per draw
@@ -491,41 +491,35 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
         slot = mem.slots[address]
         restored[address] = slot.program if slot.program is not None else synthesize(slot.description)
     tables = _Tables()
-    kept = {idx: np.empty(shots, dtype=object) for idx in plan.kept}
+    results = {}  # compose index -> its program
     created = {}  # address -> description of the slot a compose creates
-    leaves = []  # the RunRecord fields but the shot of each final group
-    tails = []  # and its injected tail count
-    leaf_of = np.empty(shots, dtype=np.intp)
 
-    def source(src, env):
+    def source(src):
         kind, key = src
         if kind == "result":
-            return env["results"][key]
+            return results[key]
         return restored[key] if kind == "restored" else key
 
-    def table_of(ins, src, env):
-        """The outcome table of a step for the group, and its registers
-        with a fetched target loaded."""
+    for idx, ins, src, _ in plan.steps:
         if isinstance(ins, Compose):
-            p1, p2 = (source(s, env) for s in src)
-            return tables.composition(p1, p2, ins).fusion, env
+            results[idx] = tables.composition(*(source(s) for s in src), ins).program
+            if plan.flows[ins.dest].initial is None:
+                created[ins.dest] = results[idx].description
+
+    def table_of(ins, src, env):
+        """The outcome table of a measurement for the group, and its
+        registers with a fetched target loaded."""
         if src is None:
             state = env["states"][ins.target]
         else:
-            state = tables.state(source(src, env))
+            state = tables.state(source(src))
             env = {**env, "states": {**env["states"], ins.target: state}}
         if isinstance(ins, SampleTail):
             _check_tail(ins, len(state.subsystem_dims) // 2)
         return tables.measurement(state, ins), env
 
-    def apply(ins, idx, env, k, result, members):
+    def apply(ins, env, k, result):
         """The group's registers after drawing outcome k, whose result is given."""
-        if isinstance(ins, Compose):
-            if idx in kept:
-                kept[idx][members] = result
-            if members[0] == 0 and plan.flows[ins.dest].initial is None:
-                created[ins.dest] = result.description
-            return {**env, "results": {**env["results"], idx: result}, "bells": env["bells"] + (1,)}
         if isinstance(ins, Inject):
             states = {**env["states"], ins.target: result[1]}
             return {**env, "states": states, "branch": k, "tails": len(result[1].subsystem_dims) // 2}
@@ -534,38 +528,35 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
         states = {**env["states"], ins.target: result}
         return {**env, "states": states, "bells": env["bells"] + (k,)}
 
-    # a group's registers: live states by address, compose results by
-    # instruction index, injection branch and tails, Bell rounds and tail
-    # bits, and the readout value
-    start = {"states": {}, "results": {}, "branch": None, "tails": 0, "bells": (), "value": None}
+    leaves = []  # the RunRecord fields but the shot of each final group
+    tails = []  # and its injected tail count
+    leaf_of = np.empty(shots, dtype=np.intp)
+    # a group's registers: live states by address, injection branch and
+    # tails, Bell rounds and tail bits, and the readout value
+    start = {"states": {}, "branch": None, "tails": 0, "bells": (), "value": None}
     stack = [(0, np.arange(shots), start, None)]
     while stack:
-        i, members, env, pending = stack.pop()
-        table = None
-        if pending is not None:
-            table, k, column = pending
-            result = table.result(k)
-            if isinstance(result, uqt.Fusion):  # a symmetric pair's second round
-                table = result
-            else:
-                idx, ins, _, _ = plan.steps[i]
-                env = apply(ins, idx, env, k, result, members)
-                i, table = i + 1, None
-        if table is None:
-            if i == len(plan.steps):
-                branch, value = env["branch"], env["value"]
-                leaf_of[members] = len(leaves)
-                leaves.append(
-                    ("none" if branch is None else f"P{branch}", math.nan if value is None else value, env["bells"])
-                )
-                tails.append(0 if value is None else env["tails"])
-                continue
-            _, ins, src, column = plan.steps[i]
-            table, env = table_of(ins, src, env)
+        i, members, env, drawn = stack.pop()
+        if drawn is not None:  # the group's outcome of step i - 1
+            table, k = drawn
+            env = apply(plan.steps[i - 1][1], env, k, table.result(k))
+        if i == len(plan.steps):
+            branch, value = env["branch"], env["value"]
+            leaf_of[members] = len(leaves)
+            leaves.append(
+                ("none" if branch is None else f"P{branch}", math.nan if value is None else value, env["bells"])
+            )
+            tails.append(0 if value is None else env["tails"])
+            continue
+        _, ins, src, column = plan.steps[i]
+        if isinstance(ins, Compose):  # one Bell round, whatever it draws
+            stack.append((i + 1, members, {**env, "bells": env["bells"] + (1,)}, None))
+            continue
+        table, env = table_of(ins, src, env)
         # each member's outcome, drawn as `RngStream.draw` draws it
         outcomes = table.cdf.searchsorted(uniforms[column][members], side="right")
         for k, group in reversed(_split(outcomes, members)):
-            stack.append((i, group, env, (table, k, column + 1)))
+            stack.append((i + 1, group, env, (table, k)))
 
     records = [RunRecord(shot, *leaves[leaf]) for shot, leaf in enumerate(leaf_of.tolist())]
     # the readout values in the loop's order: P1 shots, then shots with no
@@ -576,11 +567,11 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
     direct = np.concatenate((value[read & (names == "P1")], value[read & (names == "none")]))
     complement = value[read & (names == "P0")]
     estimate = _estimate(sched, direct, complement, max(tails))
-    _commit(mem, plan, shots, restored, kept, created)
+    _commit(mem, plan, shots, restored, results, created)
     return _result(mem, sched, records, direct, complement, estimate)
 
 
-def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, kept, created):
+def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, results, created):
     """Write the copies the shot loop leaves. In each slot: the copies from
     before the call that no shot took, then what each shot but the last
     left below the next shot's fetches, then all the last shot left."""
@@ -588,10 +579,9 @@ def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, kept, created):
         left, taken = len(f.put), f.taken
         initial = f.initial or []
         below = len(initial) - taken - (shots - 1) * max(taken - left, 0)
-        # the copy each shot put in under each token
-        by_shot = {t: [restored[address]] * shots if t == _RESTORED else kept[t].tolist() for t in set(f.put)}
-        rows = zip(*(by_shot[t][: shots - 1] for t in f.put[: max(left - taken, 0)]))
-        final = initial[:below] + [c for row in rows for c in row] + [by_shot[t][-1] for t in f.put]
+        # every shot puts in the same copy under each token
+        put = [restored[address] if t == _RESTORED else results[t] for t in f.put]
+        final = initial[:below] + put[: max(left - taken, 0)] * (shots - 1) + put
         mem.replace_copies(address, final, program=restored.get(address), description=created.get(address))
 
 
@@ -600,12 +590,16 @@ def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, kept, created):
 # ---------------------------------------------------------------------------
 
 
-def controlled_unknown(u: UnitaryOp, eigenstate: PureState, eigenvalue) -> UnitaryOp:
-    """CSWAP · (I ⊗ U on the ancilla) · CSWAP on control ⊗ target ⊗ ancilla.
+def controlled_unknown_channel(u: UnitaryOp, eigenstate: PureState, eigenvalue) -> KrausChannel:
+    """Reduced control-target dynamics of CSWAP · (I ⊗ U on the ancilla) ·
+    CSWAP on control ⊗ target ⊗ ancilla, with the ancilla in the eigenstate.
 
-    The declared eigenpair pins the phase gauge of the black box: with the
-    ancilla prepared in the eigenstate, the circuit acts on control and
-    target as controlled-(U/eigenvalue) exactly.
+    The declared eigenpair pins the phase gauge of the black box: the
+    circuit acts on control and target as controlled-(U/eigenvalue)
+    exactly. Under control 0 the swaps do nothing and U acts on the
+    ancilla; under control 1 the ancilla wire holds the target while U
+    acts. So Kraus operator m, for ancilla outcome m, is the block
+    diagonal of those two maps of |t⟩|φ⟩ onto ⟨m| of the ancilla.
     """
     d = u.dim
     lam = complex(eigenvalue)
@@ -616,22 +610,12 @@ def controlled_unknown(u: UnitaryOp, eigenstate: PureState, eigenvalue) -> Unita
     resid = np.linalg.norm(u.matrix @ eigenstate.amplitudes - lam * eigenstate.amplitudes)
     if resid > DEFAULT_TOL * d:
         raise ValidationError(f"declared eigenstate misses by {resid}")
-    cs = gates.cswap(d)
-    mid = np.kron(np.eye(2 * d, dtype=complex), u.matrix)
-    return UnitaryOp(cs @ mid @ cs)
-
-
-def controlled_unknown_channel(u: UnitaryOp, eigenstate: PureState, eigenvalue) -> KrausChannel:
-    """Reduced control-target dynamics with the ancilla in the eigenstate."""
-    circuit = controlled_unknown(u, eigenstate, eigenvalue)
-    d = u.dim
-    phi = eigenstate.amplitudes
-    kraus = []
-    big = circuit.matrix.reshape(2 * d, d, 2 * d, d)
-    embedded = np.einsum("amby,y->amb", big, phi)
-    for m in range(d):
-        kraus.append(embedded[:, m, :])
-    return KrausChannel(kraus, tol=1e-9)
+    inputs = np.einsum("tb,a->tab", np.eye(d), eigenstate.amplitudes)  # |b⟩|φ⟩ as column b
+    kraus = np.zeros((d, 2, d, 2, d), dtype=complex)  # [m, control, target, control, b]
+    for control, wire in enumerate((1, 0)):
+        out = apply_to_subsystems(inputs, (d, d, d), u.matrix, [wire]).reshape(d, d, d)
+        kraus[:, control, :, control, :] = out.transpose(1, 0, 2)
+    return KrausChannel(list(kraus.reshape(d, 2 * d, 2 * d)), tol=1e-9)
 
 
 def ideal_controlled(u: UnitaryOp, eigenvalue) -> UnitaryOp:

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from .duality import reversal_permutation
 from .errors import ValidationError
 from .kernel import kron_all
 
@@ -45,11 +44,6 @@ GATE_MATRICES = {
     "CCX": CCX,
     "CCZ": CCZ,
 }
-
-
-def cswap(d):
-    """Qubit-controlled SWAP of two d-dimensional targets."""
-    return np.kron(P0, np.eye(d * d)) + np.kron(P1, reversal_permutation(d, 2))
 
 
 def controlled(u):

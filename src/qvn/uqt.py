@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .kernel import DEFAULT_TOL, OutcomeTable, PureState, Retention, RngStream, UnitaryOp
+from .kernel import DEFAULT_TOL, PureState, RngStream, UnitaryOp, checked_cdf, eig_unitary
 
 
 class ByproductStrategy(enum.Enum):
@@ -124,8 +124,6 @@ def symmetric_decompose(u: UnitaryOp) -> SymmetricFactors:
     From U = V D V†: S1 = V D V^t and S2 = V* V† are both symmetric and
     multiply back to U exactly. Symmetric inputs take the fast path (U, I).
     """
-    from .kernel import eig_unitary
-
     m = u.matrix
     if np.abs(m - m.T).max() <= DEFAULT_TOL:
         return SymmetricFactors(u, UnitaryOp(np.eye(u.dim)))
@@ -140,12 +138,10 @@ def symmetric_decompose(u: UnitaryOp) -> SymmetricFactors:
 class StoredProgram:
     """A unitary held as its dual state plus the data composition needs.
 
-    `amplitudes` is the dual state vec(U)/√d of the validated unitary `op`.
-    `correction(k)` is C_k = U σ_k U† for one nontrivial basis rotation σ_k,
-    the phase-free information equivalent to the adjoint representation of
-    U, evaluated for the outcome at hand. The symmetric factors and the Choi
-    matrix are derived on first use and kept, so a copy that is only
-    teleported or injected never builds them.
+    `amplitudes` is the dual state vec(U)/√d of the validated unitary `op`,
+    and `basis` the Bell basis a composition measures it in. The symmetric
+    factors and the Choi matrix are derived on first use and kept, so a
+    copy that is only teleported or injected never builds them.
     """
 
     op: UnitaryOp
@@ -168,9 +164,6 @@ class StoredProgram:
     @functools.cached_property
     def choi(self) -> ChoiState:
         return choi_of_unitary(self.op)
-
-    def correction(self, k) -> np.ndarray:
-        return byproduct_correction(self.op.matrix, self.basis, k)
 
     @functools.cached_property
     def symmetric_factors(self) -> SymmetricFactors:
@@ -260,66 +253,42 @@ def fusion_probabilities(m1, m2, basis: BellBasis) -> np.ndarray:
 MAX_ROUNDS_PER_OUTCOME = 64
 
 
-class Fusion(OutcomeTable):
-    """Exact outcome table of the Bell fusion that `teleport` performs.
+def _fusion(amp1, amp2, basis: BellBasis, repeat):
+    """The Bell fusion of head1 against tail2: (cdf, fused).
 
-    The d² outcome probabilities are computed once, by
-    `fusion_probabilities`. The fused state of outcome k, corrected by C_k,
-    is made for the sampled k only and passed through `finish`; the result,
-    of `entries` entries, is kept for later draws of the same k while
-    `keep` admits it. Repeat-until-success draws from the coarse-grained
-    pair (p_0, 1 − p_0) until its first entry, the trivial outcome, at most
-    64·d² rounds.
+    The d² outcome probabilities come from `fusion_probabilities`. `cdf`
+    is what one round draws from: all d² outcomes, or with `repeat` the
+    coarse-grained pair (p_0, 1 − p_0), since a repeated round only asks
+    whether the trivial outcome was heralded. `fused(k)` is outcome k's
+    uncorrected state as a normalized (head, tail) matrix.
     """
+    d = basis.d
+    m1 = np.asarray(amp1, dtype=complex).reshape(d, d)
+    m2 = np.asarray(amp2, dtype=complex).reshape(d, d)
+    probs = fusion_probabilities(m1, m2, basis)
+    norm = math.sqrt(probs.sum())
+    if abs(norm - 1.0) > DEFAULT_TOL:
+        raise ValidationError(f"joint state norm {norm} differs from 1 beyond {DEFAULT_TOL}")
 
-    def __init__(
-        self,
-        amp1,
-        amp2,
-        basis: BellBasis,
-        u2,
-        strategy: ByproductStrategy,
-        finish=None,
-        keep: Retention | None = None,
-        entries=0,
-    ):
-        d = basis.d
-        m1 = np.asarray(amp1, dtype=complex).reshape(d, d)
-        m2 = np.asarray(amp2, dtype=complex).reshape(d, d)
-        probs = fusion_probabilities(m1, m2, basis)
-        norm = math.sqrt(probs.sum())
-        if abs(norm - 1.0) > DEFAULT_TOL:
-            raise ValidationError(f"joint state norm {norm} differs from 1 beyond {DEFAULT_TOL}")
-        self.d = d
-        self.repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
+    def fused(k):
+        # the residual on (t1, h2) is M1ᵀσ̄_kM2ᵀ/√d; its transpose is in (head, tail) order
+        return m2 @ basis.apply(k, m1, adjoint=True) / math.sqrt(d * probs[k])
 
-        def fused(k):
-            # the residual on (t1, h2) is M1ᵀσ̄_kM2ᵀ/√d; its transpose is in (head, tail) order
-            mat = m2 @ basis.apply(k, m1, adjoint=True) / math.sqrt(d * probs[k])
-            if k != 0:
-                mat = u2 @ basis.apply(k, u2.conj().T @ mat)
-            state = PureState(mat.reshape(-1), (d, d))
-            return state if finish is None else finish(state)
+    return checked_cdf([probs[0], probs.sum() - probs[0]] if repeat else probs), fused
 
-        if self.repeat:
-            # a repeated round only asks whether the trivial outcome was
-            # heralded, and it always ends on it
-            super().__init__([probs[0], probs.sum() - probs[0]], lambda _: fused(0), keep, entries)
-        else:
-            super().__init__(probs, fused, keep, entries)
 
-    def fuse(self, rng: RngStream):
-        """(outcome k, rounds drawn, result of k) of one fusion."""
-        d = self.d
-        max_rounds = MAX_ROUNDS_PER_OUTCOME * d * d if self.repeat else 1
-        for rounds in range(1, max_rounds + 1):
-            k = rng.draw(self.cdf)
-            if k == 0 or not self.repeat:
-                return k, rounds, self.result(k)
-        raise NumericalError(
-            f"no trivial Bell outcome in {max_rounds} rounds "
-            f"(repeat-until-success bound {MAX_ROUNDS_PER_OUTCOME}·d² at d={d})"
-        )
+def _draw_round(cdf, d, repeat, rng: RngStream):
+    """(outcome k, rounds drawn) of one teleportation: one draw from `cdf`,
+    or with `repeat` draws until the trivial outcome, at most 64·d²."""
+    max_rounds = MAX_ROUNDS_PER_OUTCOME * d * d if repeat else 1
+    for rounds in range(1, max_rounds + 1):
+        k = rng.draw(cdf)
+        if k == 0 or not repeat:
+            return k, rounds
+    raise NumericalError(
+        f"no trivial Bell outcome in {max_rounds} rounds "
+        f"(repeat-until-success bound {MAX_ROUNDS_PER_OUTCOME}·d² at d={d})"
+    )
 
 
 def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng: RngStream):
@@ -333,14 +302,18 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
     probability vector, computed once. Every other strategy takes one
     round and applies C_k for the sampled outcome k. The joint state is
     never built.
+
+    The correction stays per outcome here because a state that is not a
+    unitary's dual state, such as an encoded program's, can leave a
+    different corrected state for each k.
     """
-    _, rounds, state = Fusion(amp1, amp2, basis, u2, strategy).fuse(rng)
-    return state, rounds
-
-
-def _program_from_state(state: PureState, description) -> StoredProgram:
-    u = unvec(state.amplitudes)
-    return stored_program(UnitaryOp(u, tol=1e-8), description=description)
+    repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
+    cdf, fused = _fusion(amp1, amp2, basis, repeat)
+    k, rounds = _draw_round(cdf, basis.d, repeat, rng)
+    mat = fused(k)
+    if k != 0:
+        mat = byproduct_correction(u2, basis, k) @ mat
+    return PureState(mat.reshape(-1), (basis.d, basis.d)), rounds
 
 
 def _combined_description(p1: StoredProgram, p2: StoredProgram):
@@ -351,65 +324,43 @@ def _combined_description(p1: StoredProgram, p2: StoredProgram):
     return combine(d2) if combine is not None else None
 
 
-def _fusion_chain(amp, factors, basis, strategy, finish, keep, entries):
-    """Fusion of `amp` with the first (amplitudes, gate) factor whose every
-    outcome goes on to the fusion with the next factor; the last one's
-    fused state goes to `finish`, whose results hold `entries` entries."""
-    (amp2, u2), *rest = factors
-    if rest:
-        def finish_here(state):
-            return _fusion_chain(state.amplitudes, rest, basis, strategy, finish, keep, entries)
-
-        # a nested fusion holds its first state, probabilities and cdf
-        return Fusion(amp, amp2, basis, u2, strategy, finish_here, keep, 3 * basis.d**2)
-    return Fusion(amp, amp2, basis, u2, strategy, finish, keep, entries)
-
-
 class Composition:
-    """Exact outcome table of `compose(p1, p2, strategy, ·)`.
+    """`compose(p1, p2, strategy, ·)` built once and sampled often.
 
-    One `Fusion` per teleportation round: SymmetricPair nests a fusion
-    through S1 under each outcome of the fusion through S2. The composed
-    program of an outcome path is built on its draw and kept for later
-    draws of the same path while `keep` admits 5·d² entries for it: its
-    unitary, amplitudes and two symmetric factors, and a circuit state made
-    from it. The table holds the input programs' amplitudes and gates,
-    never the programs.
-
-    `fusion` is the first round's `Fusion`; the result of each of its
-    outcomes is the next round's `Fusion`, or the composed program after
-    the last round.
+    Outcome k of a teleportation round leaves U2σ_k†U1, and C_k turns it
+    into U2U1 whatever k is; repeat-until-success ends on k = 0. So the
+    composition has one result, `program`: the trivial outcome's fused
+    state, through S2 and then S1 for `symmetric_pair`, built here. Each
+    round keeps only the cdf it draws from, so `sample` draws as the
+    per-outcome protocol does: one double per round, or for
+    repeat-until-success one per try until the trivial outcome. The table
+    never holds the input programs.
     """
 
-    def __init__(
-        self,
-        p1: StoredProgram,
-        p2: StoredProgram,
-        strategy: ByproductStrategy,
-        keep: Retention | None = None,
-    ):
+    def __init__(self, p1: StoredProgram, p2: StoredProgram, strategy: ByproductStrategy):
         if p1.d != p2.d:
             raise DimensionMismatchError(f"program dims differ: {p1.d} vs {p2.d}")
-        description = _combined_description(p1, p2)
         if strategy is ByproductStrategy.SYMMETRIC_PAIR:
-            factors = [(vec(f.matrix), f.matrix) for f in (p2.symmetric_factors.s2, p2.symmetric_factors.s1)]
+            factors = [vec(f.matrix) for f in (p2.symmetric_factors.s2, p2.symmetric_factors.s1)]
         elif strategy in (ByproductStrategy.REPEAT_UNTIL_SUCCESS, ByproductStrategy.CORRECTION_TABLE):
-            factors = [(p2.amplitudes, p2.op.matrix)]
+            factors = [p2.amplitudes]
         else:
             raise ConfigurationError(f"unknown strategy {strategy!r}")
-        basis = p2.basis
-
-        def program(state):
-            return _program_from_state(state, description)
-
-        self.fusion = _fusion_chain(p1.amplitudes, factors, basis, strategy, program, keep, 5 * p1.d**2)
+        self._repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
+        self._cdfs = []
+        amp1 = p1.amplitudes
+        for amp2 in factors:
+            cdf, fused = _fusion(amp1, amp2, p2.basis, self._repeat)
+            self._cdfs.append(cdf)
+            amp1 = fused(0).reshape(-1)
+        u = unvec(amp1)
+        self.program = stored_program(UnitaryOp(u, tol=1e-8), _combined_description(p1, p2))
 
     def sample(self, rng: RngStream):
-        """(composed program, Bell rounds of its last teleportation)."""
-        table = self.fusion
-        while isinstance(table, Fusion):
-            _, rounds, table = table.fuse(rng)
-        return table, rounds
+        """(`program`, Bell rounds of its last teleportation)."""
+        for cdf in self._cdfs:
+            _, rounds = _draw_round(cdf, self.program.d, self._repeat, rng)
+        return self.program, rounds
 
 
 def compose(

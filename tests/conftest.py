@@ -138,25 +138,38 @@ def dense_bell_probabilities(tensor, wire_a, wire_b, d):
     return (np.abs(residuals) ** 2).sum(axis=1), residuals
 
 
+def dense_corrected(amp1, amp2, u2):
+    """The Bell measurement of (h1, t2) on the d⁴-amplitude joint state, one
+    outcome at a time: k -> the fused (head, tail) amplitudes of outcome k,
+    corrected by U2σ_kU2†, for each k with p_k > 0."""
+    u2 = np.asarray(u2)
+    d = u2.shape[0]
+    probs, residuals = dense_bell_probabilities(np.kron(amp1, amp2).reshape(d, d, d, d), 0, 3, d)
+    paulis = dense_paulis(d)
+    corrected = {}
+    for k in np.flatnonzero(probs > 1e-12):
+        mat = (residuals[k] / np.sqrt(probs[k])).reshape(d, d).T  # (t1, h2) -> (h2, t1)
+        if k != 0:
+            mat = u2 @ paulis[k] @ u2.conj().T @ mat
+        corrected[int(k)] = mat.reshape(-1)
+    return corrected
+
+
 def dense_teleport(amp1, amp2, u2, strategy, rng):
     """`uqt.teleport` on the d⁴-amplitude joint state: one dense Bell
     measurement of (h1, t2) per round, redrawn from the recomputed
     distribution. Returns (state amplitudes, rounds, outcome k)."""
     from qvn.uqt import MAX_ROUNDS_PER_OUTCOME, ByproductStrategy
 
-    u2 = np.asarray(u2)
-    d = u2.shape[0]
+    d = np.shape(u2)[0]
     joint = np.kron(amp1, amp2).reshape(d, d, d, d)
     repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
     for rounds in range(1, MAX_ROUNDS_PER_OUTCOME * d * d + 1):
-        probs, residuals = dense_bell_probabilities(joint, 0, 3, d)
+        probs, _ = dense_bell_probabilities(joint, 0, 3, d)
         k = rng.choice(probs)
         if k == 0 or not repeat:
             break
-    mat = (residuals[k] / np.sqrt(probs[k])).reshape(d, d).T  # (t1, h2) -> (h2, t1)
-    if k != 0:
-        mat = u2 @ dense_paulis(d)[k] @ u2.conj().T @ mat
-    return mat.reshape(-1), rounds, k
+    return dense_corrected(amp1, amp2, u2)[k], rounds, k
 
 
 # ---------------------------------------------------------------------------

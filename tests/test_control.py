@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import per_shot_execute, spanning_pure_states
-from qvn import control, gates, kernel, uqt
+from qvn import control, gates, kernel, tailed, uqt
 from qvn.control import (
     Compose,
     Inject,
@@ -15,12 +15,12 @@ from qvn.control import (
     Restore,
     SampleTail,
     Schedule,
-    controlled_unknown,
     controlled_unknown_channel,
     execute,
     ideal_controlled,
 )
 from qvn.cli import parse_run_file
+from qvn.duality import reversal_permutation
 from qvn.errors import OutOfCopiesError, ParseError, StreamDerivationError, ValidationError
 from qvn.kernel import (
     DensityOperator,
@@ -192,7 +192,7 @@ CHAIN = (Restore(1, 1), Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 0))
 
 
 class TestOutcomeTables:
-    def test_demo_builds_one_program_per_bell_outcome(self, monkeypatch):
+    def test_demo_builds_one_program(self, monkeypatch):
         built = []
         counted = uqt.stored_program
 
@@ -204,7 +204,7 @@ class TestOutcomeTables:
         monkeypatch.setattr(uqt, "stored_program", counting)
         result = execute(mem, th_schedule(a, b, shots=200, seed=4))
         assert result.n_p0 + result.n_p1 == 200
-        assert 1 <= len(built) <= 4  # at most one per Bell outcome, d² = 4
+        assert len(built) == 1  # whichever of the d² = 4 Bell outcomes a shot draws
 
     def test_readout_diagonalizes_its_observable_once(self, monkeypatch):
         calls = []
@@ -216,7 +216,7 @@ class TestOutcomeTables:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         mem, a, b = fresh_memory(copies=200)
-        # its 8 readout tables, one per (Bell outcome, injection branch), share one eigh
+        # its readout tables, one per injection branch, share one eigh
         execute(mem, th_schedule(a, b, shots=200, seed=4))
         assert len(calls) == 1
 
@@ -272,10 +272,11 @@ class TestOutcomeTables:
     def test_wide_fresh_slot_memory_bounded(self):
         # Each shot composes the same two n = 6 programs into a fresh slot and
         # injects the result, which consumes it. Nearly every shot draws a new
-        # one of the d² = 4096 Bell outcomes, so keeping every composed
-        # program, its circuit state and its injection posts would add about
-        # 250 KiB a shot (38 MiB here). What the tables keep stays within
-        # MAX_RETAINED_ENTRIES complex numbers, plus the tables themselves.
+        # one of the d² = 4096 Bell outcomes, and every outcome leaves the one
+        # composed program; keeping a program, circuit state and injection
+        # posts per outcome would add about 250 KiB a shot (38 MiB here). What
+        # the tables keep stays within MAX_RETAINED_ENTRIES complex numbers,
+        # plus the tables themselves.
         n, shots = 6, 150
         sched = Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 2), Inject(2)), shots=shots, seed=3)
         peaks = {}
@@ -317,6 +318,30 @@ class TestPathSelection:
             mem.store(desc, copies, address=addr)
         result = execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
         assert result.n_p0 + result.n_p1 == shots and loop_calls == []
+
+    def test_readme_run_file_builds_one_injection(self, monkeypatch):
+        # every Bell outcome of a corrected composition leaves one program,
+        # so one circuit state and one injection table serve all 200 shots,
+        # and the shots that keep their composed copy keep that one object
+        built = []
+
+        class CountingInjection(tailed.Injection):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tailed, "Injection", CountingInjection)
+        text = DEMO_RUN.read_text()
+        kept = text.replace("inject target=2 bits=1\n", "").replace("readout target=2 obs=Z\n", "")
+        for run_file in (text, kept):
+            shots, seed, slots, instructions = parse_run_file(run_file)
+            mem = MemoryUnit()
+            for addr, copies, desc in slots:
+                mem.store(desc, copies, address=addr)
+            execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
+        assert shots == 200 and len(built) == 1
+        copies = mem.slots[2].copies
+        assert len(copies) == 200 and all(c is copies[0] for c in copies)
 
     def test_wide_fresh_slot_batches(self, loop_calls):
         # the schedule of test_wide_fresh_slot_memory_bounded
@@ -362,14 +387,21 @@ class TestPathSelection:
         assert loop_calls == [sched] and mem.copy_count(a) == 3
 
 
+def controlled_unknown(u: UnitaryOp) -> np.ndarray:
+    """The dense 2d²×2d² circuit CSWAP · (I ⊗ U on the ancilla) · CSWAP on
+    control ⊗ target ⊗ ancilla."""
+    d = u.dim
+    cswap = np.kron(gates.P0, np.eye(d * d)) + np.kron(gates.P1, reversal_permutation(d, 2))
+    return cswap @ np.kron(np.eye(2 * d, dtype=complex), u.matrix) @ cswap
+
+
 def controlled_unknown_mixed_output(u: UnitaryOp, rho_ct: DensityOperator) -> DensityOperator:
     """Reduced control-target output of the `controlled_unknown` circuit
     with a completely mixed ancilla (the damped variant), by the dense
     2d³×2d³ circuit: coherence between the control branches shrinks by
     tr(U)/d."""
     d = u.dim
-    cs = gates.cswap(d)
-    circuit = cs @ np.kron(np.eye(2 * d, dtype=complex), u.matrix) @ cs
+    circuit = controlled_unknown(u)
     full_in = np.kron(rho_ct.matrix, np.eye(d) / d)
     full_out = circuit @ full_in @ circuit.conj().T
     red = partial_trace_matrix(full_out, (2, d, d), [0, 1])
@@ -437,13 +469,25 @@ class TestControlledUnknown:
 
     def test_bad_eigenstate_rejected(self):
         with pytest.raises(ValidationError):
-            controlled_unknown(UnitaryOp(gates.Z), PureState(np.array([1, 1]) / np.sqrt(2)), 1.0)
+            controlled_unknown_channel(UnitaryOp(gates.Z), PureState(np.array([1, 1]) / np.sqrt(2)), 1.0)
 
     def test_circuit_is_unitary_and_ancilla_free_form(self):
-        u = UnitaryOp(gates.T)
-        circuit = controlled_unknown(u, PureState([1, 0]), 1.0)
-        assert circuit.dim == 8
-        assert np.abs(circuit.matrix.conj().T @ circuit.matrix - np.eye(8)).max() < 1e-10
+        circuit = controlled_unknown(UnitaryOp(gates.T))
+        assert circuit.shape == (8, 8)
+        assert np.abs(circuit.conj().T @ circuit - np.eye(8)).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kraus_match_dense_circuit(self, d):
+        # Kraus operator m is ⟨m| of the ancilla of the circuit on |·⟩|φ⟩
+        rng = RngStream(40 + d)
+        v = haar_random_unitary(d, rng)
+        phases = np.exp(2j * np.pi * rng.uniforms(d))
+        u = UnitaryOp(v.matrix @ np.diag(phases) @ v.matrix.conj().T)
+        phi = v.matrix[:, 0]
+        channel = controlled_unknown_channel(u, PureState(phi), phases[0])
+        dense = np.einsum("amby,y->mab", controlled_unknown(u).reshape(2 * d, d, 2 * d, d), phi)
+        assert len(channel.kraus_ops) == d
+        assert np.abs(np.stack(channel.kraus_ops) - dense).max() < 1e-12
 
     def test_mixed_ancilla_damps_coherence(self):
         # with the completely mixed ancilla the control coherence picks up

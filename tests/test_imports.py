@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every module it imports is the standard library's, its own, or a declared
-dependency.
+"""Every name a module of the package imports is used in that module, every
+module it imports is the standard library's, its own, or a declared
+dependency, and it imports its own modules at module level.
 
 Stand-ins for a linter's unused-import rule and a dependency check, on the
 standard library's `ast` alone and without importing the package: deleting
@@ -62,6 +62,26 @@ def undeclared(packages, declared):
     return sorted((line, name) for name, line in packages.items() if name not in allowed)
 
 
+def function_level_imports(source):
+    """(line, module) of each import of the package's own modules made
+    inside a function, where a reader of the module's imports misses it."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                if module.startswith(".") or module.split(".")[0] == "qvn":
+                    found.add((node.lineno, module))
+    return sorted(found)
+
+
 def declared_dependencies():
     """Import names of the `pyproject.toml` dependencies, e.g. `numpy` for
     `numpy>=2.0`."""
@@ -83,6 +103,20 @@ def test_detector_finds_an_undeclared_import():
         "\ndef f():\n    import scipy.linalg\n    return scipy.linalg\n"
     )
     assert undeclared(imported_packages(source), {"numpy"}) == [(7, "scipy")]
+
+
+def test_detector_finds_a_function_level_import():
+    source = (
+        "import json\nfrom . import kernel\n\ndef f():\n    from .kernel import eig_unitary\n"
+        "    import json\n\n    def g():\n        import qvn.gates\n        from . import text\n"
+        "    return eig_unitary, json, g\n"
+    )
+    assert function_level_imports(source) == [(5, ".kernel"), (9, "qvn.gates"), (10, ".")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_own_modules_imported_at_module_level(path):
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -17,20 +17,23 @@ from qvn.kernel import (
     state_fidelity,
 )
 from qvn.memory import GateRecord, ProgramDescription, synthesize
+from qvn.qec import Code, logical_program
 from qvn.uqt import (
     MAX_ROUNDS_PER_OUTCOME,
     BellBasis,
     ByproductStrategy,
+    Composition,
     SymmetricFactors,
     bell_measure_pair,
     bell_probabilities,
+    byproduct_correction,
     compose,
     stored_program,
     symmetric_decompose,
     teleport,
 )
 
-from conftest import dense_bell_vectors, dense_paulis, dense_teleport
+from conftest import dense_bell_vectors, dense_corrected, dense_paulis, dense_teleport
 
 
 def identity_program(d):
@@ -132,7 +135,8 @@ class TestStoredProgram:
             p = stored_program(haar_random_unitary(2**n, rng))
             u = p.unitary()
             for k, sigma in enumerate(dense_paulis(p.d)):
-                assert np.abs(p.correction(k) @ u @ sigma.conj().T - u).max() < 1e-10
+                c_k = byproduct_correction(u, p.basis, k)
+                assert np.abs(c_k @ u @ sigma.conj().T - u).max() < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_derived_choi_validates_and_matches_amplitudes(self, n, rng):
@@ -207,6 +211,34 @@ class TestBellMeasurePair:
 
 
 class TestCompose:
+    @pytest.mark.parametrize("strategy", [ByproductStrategy.CORRECTION_TABLE, ByproductStrategy.SYMMETRIC_PAIR])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_outcome_leaves_the_composed_program(self, n, strategy):
+        # the per-outcome corrected path, round by round through every
+        # outcome with p_k > 0, ends on the one program Composition builds
+        d = 2**n
+        for seed in range(2):
+            p1 = stored_program(haar_random_unitary(d, RngStream(seed, 1)))
+            p2 = stored_program(haar_random_unitary(d, RngStream(seed, 2)))
+            if strategy is ByproductStrategy.SYMMETRIC_PAIR:
+                gates_of_rounds = [p2.symmetric_factors.s2.matrix, p2.symmetric_factors.s1.matrix]
+            else:
+                gates_of_rounds = [p2.op.matrix]
+            states = [p1.amplitudes]
+            for u in gates_of_rounds:
+                amp2 = u.reshape(-1) / math.sqrt(d)
+                states = [out for amp in states for out in dense_corrected(amp, amp2, u).values()]
+            assert len(states) == d ** (2 * len(gates_of_rounds))
+            program = Composition(p1, p2, strategy).program
+            assert np.abs(np.stack(states) - program.amplitudes).max() <= 1e-12
+
+    def test_sample_returns_one_program(self):
+        p1, p2 = stored_program(gates.H), stored_program(gates.T)
+        for strategy in ByproductStrategy:
+            table = Composition(p1, p2, strategy)
+            rng = RngStream(5)
+            assert all(table.sample(rng)[0] is table.program for _ in range(40))
+
     def test_identity_pair_all_strategies(self):
         for strategy in ByproductStrategy:
             p1, p2 = identity_program(2), identity_program(2)
@@ -391,14 +423,40 @@ class RecordingRng(RngStream):
         return k
 
 
+def random_real_code_programs(seed):
+    """(amp1, amp2, gate2) of two symmetric logical programs on a random
+    real [[3, 1]] code: physical gates V G Vᵀ + (1 − P), G a symmetric
+    unitary."""
+    gen = np.random.default_rng(seed)
+    v = np.linalg.qr(gen.normal(size=(8, 2)))[0]
+    code = Code(3, 1, v)
+
+    def gate():
+        theta = gen.uniform(0, 2 * np.pi)
+        o = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        g = o @ np.diag(np.exp(1j * gen.uniform(0, 2 * np.pi, 2))) @ o.T
+        return v @ g @ v.T + np.eye(8) - v @ v.T
+
+    lp1, lp2 = logical_program(code, gate()), logical_program(code, gate())
+    return lp1.state.amplitudes, lp2.state.amplitudes, lp2.gate
+
+
 class TestTeleport:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, "real_code"])
     def test_matches_dense_oracle(self, n):
-        d = 2**n
         for seed in range(4):
-            u1 = haar_random_unitary(d, RngStream(seed, 1)).matrix
-            u2 = haar_random_unitary(d, RngStream(seed, 2)).matrix
-            amp1, amp2 = u1.reshape(-1) / math.sqrt(d), u2.reshape(-1) / math.sqrt(d)
+            if n == "real_code":
+                amp1, amp2, u2 = random_real_code_programs(seed)
+                # each outcome leaves its own corrected state, so teleport
+                # cannot take one state for every outcome, as Composition does
+                corrected = np.stack(list(dense_corrected(amp1, amp2, u2).values()))
+                assert np.abs(corrected - corrected[0]).max() > 0.1
+            else:
+                d = 2**n
+                u1 = haar_random_unitary(d, RngStream(seed, 1)).matrix
+                u2 = haar_random_unitary(d, RngStream(seed, 2)).matrix
+                amp1, amp2 = u1.reshape(-1) / math.sqrt(d), u2.reshape(-1) / math.sqrt(d)
+            d = u2.shape[0]
             for strategy in ByproductStrategy:
                 rng, oracle_rng = RecordingRng(seed), RecordingRng(seed)
                 state, rounds = teleport(amp1, amp2, BellBasis.for_dim(d), u2, strategy, rng)
