@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, tailed, uqt
-from .errors import OutOfCopiesError, QvnError, ValidationError
+from .errors import NotRestorableError, OutOfCopiesError, QvnError, StreamDerivationError, ValidationError
 from .kernel import (
     DEFAULT_TOL,
     KrausChannel,
@@ -245,17 +245,20 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     """Run the schedule once per shot, mutating memory, and aggregate.
 
     Each shot draws from its own stream, that of `RngStream(seed,
-    stream_id=shot)` (made by `kernel.shot_streams`), fetches and restores
-    copies as the schedule says, and samples each instruction
-    from its exact outcome table (see `_Tables`), which this call builds
-    once per distinct input. The draws, and so the results, are those of
-    running every instruction's one-shot kernel afresh each shot.
+    stream_id=shot)`, fetches and restores copies as the schedule says,
+    and samples each instruction from its exact outcome table (see
+    `_Tables`), which this call builds once per distinct input. The draws,
+    and so the results, are those of running every instruction's one-shot
+    kernel afresh each shot.
 
     A schedule whose outcomes cannot change what a later shot fetches or
     how many doubles it draws (see `_plan`) runs one instruction at a time
-    over all shots (`_run_batched`). Any other schedule, and one that fails,
-    runs shot by shot (`_run_shots`), so errors are raised where that loop
-    raises them. Both paths give the same result and leave the same copies.
+    over all shots (`_run_batched`, whose doubles `kernel.shot_uniforms`
+    computes for all shots at once). Any other schedule, and one that
+    fails, runs shot by shot (`_run_shots`, on `kernel.shot_streams`), so
+    errors are raised where that loop raises them. Both paths give the same
+    result and leave the same copies. Streams that differ from numpy's
+    (`StreamDerivationError`) stop the call before anything is sampled.
 
     Readout samples are combined by `tailed.combine_branch_estimates`, as
     in `tailed.run_algorithm`: the branch that saw the desired input
@@ -266,6 +269,8 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     if plan is not None:
         try:
             return _run_batched(mem, sched, plan)
+        except StreamDerivationError:
+            raise  # numpy's streams are not those derived: nothing is sampled
         except QvnError:
             pass  # memory is untouched; the loop raises where its shot fails
     return _run_shots(mem, sched)
@@ -387,11 +392,14 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
     until success, whose draw count varies by shot. It takes the loop,
     which raises the error, when a shot would run out of copies, fetch from
     a missing slot, pass MAX_COPIES, or restore a slot that has no
-    description or that a compose of this call creates.
+    description or that no earlier compose of this call creates. (The
+    description of a slot a compose creates is that of its one composed
+    program, which `_run_batched` reads when it builds the program.)
     """
     flows = {}
     steps = []
     loaded = set()
+    created = set()  # addresses of the slots composes of this call create
     draws = 0
 
     def flow(address):
@@ -420,6 +428,8 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
             steps.append((idx, ins, sources, draws))
             draws += 2 if ins.strategy is ByproductStrategy.SYMMETRIC_PAIR else 1
             flow(ins.dest).push([idx])
+            if flows[ins.dest].initial is None:
+                created.add(ins.dest)
         elif isinstance(ins, (Inject, Readout, SampleTail)):
             source = None
             if ins.target not in loaded:
@@ -431,7 +441,12 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
             draws += 1
         elif isinstance(ins, Restore):
             f = flow(ins.addr)
-            if f.initial is None or ins.copies < 1 or mem.slots[ins.addr].description is None:
+            if f.initial is None:
+                if ins.addr not in created:
+                    return None
+            elif mem.slots[ins.addr].description is None:
+                return None
+            if ins.copies < 1:
                 return None
             f.push([_RESTORED] * ins.copies)
         else:
@@ -449,7 +464,7 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
         # one program
         initial = f.initial or []
         programs = initial[len(initial) - f.taken - last * max(f.taken - len(f.put), 0) :]
-        if reached:
+        if reached and f.initial is not None:
             programs.append(mem.slots[address].program)
         if any(p is not programs[-1] for p in programs):
             return None
@@ -473,8 +488,8 @@ def _split(keys, members):
 def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResult:
     """`execute` one instruction at a time over groups of shots.
 
-    Each shot's doubles are drawn up front (`kernel.shot_uniforms`). Every
-    shot fetches the same programs, so every composition has one program
+    Every shot's doubles are drawn up front, by one pass of PCG64 over all
+    shots (`kernel.shot_uniforms`). Every shot fetches the same programs, so every composition has one program
     in every shot, built before any shot runs, and passes over its draws.
     All shots start as one group; each other instruction samples its table
     for a group with one `searchsorted` and splits the group by outcome.
@@ -486,8 +501,8 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
     """
     shots = sched.shots
     uniforms = shot_uniforms(sched.seed, shots, plan.draws).T  # one row per draw
-    restored = {}
-    for address in plan.restored:
+    restored = {}  # address -> the program its restores copy
+    for address in plan.restored & mem.slots.keys():
         slot = mem.slots[address]
         restored[address] = slot.program if slot.program is not None else synthesize(slot.description)
     tables = _Tables()
@@ -504,7 +519,14 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
         if isinstance(ins, Compose):
             results[idx] = tables.composition(*(source(s) for s in src), ins).program
             if plan.flows[ins.dest].initial is None:
-                created[ins.dest] = results[idx].description
+                created[ins.dest] = description = results[idx].description
+                # restores of the created slot copy its description's
+                # program, made once, as `MemoryUnit.restore` makes it; the
+                # loop raises this error at the first restore
+                if ins.dest in plan.restored:
+                    if description is None:
+                        raise NotRestorableError(f"slot {ins.dest} holds no classical description")
+                    restored[ins.dest] = synthesize(description)
 
     def table_of(ins, src, env):
         """The outcome table of a measurement for the group, and its

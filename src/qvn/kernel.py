@@ -346,10 +346,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
 
-# Shots whose seeds `shot_streams` derives in one vectorized pass: the
-# pass keeps four uint64 words per shot, 8 KiB a block.
+# Shots whose streams are derived and stepped in one vectorized pass: the
+# pass peaks at about 18 words of 8 bytes per shot (seed words, state and
+# inc limbs and the temporaries of a step), 36 KiB a block.
 SHOT_BLOCK = 256
 
 
@@ -393,63 +394,123 @@ def _seed_pool(seed):
 
 def _block_seeds(pool, hash_const, shots):
     """PCG64 seed words (initstate high, low, initseq high, low) of the
-    shot ids in the uint32 array `shots`, one uint64 row per shot."""
-    pool = list(pool)
-    for dst in range(_POOL_SIZE):
-        value, hash_const = _hashmix(shots, hash_const)
-        pool[dst] = _mix(pool[dst], value)
+    shot ids in the uint32 array `shots`: one uint64 row each, one entry
+    per shot."""
+    # the shot word is mixed into each pool word in turn, at successive
+    # hash constants: one hashmix of all four constants at once
+    consts = [hash_const * _MULT_A**i & _MASK32 for i in range(_POOL_SIZE)]
+    value, _ = _hashmix(shots, np.array(consts, dtype=np.uint32)[:, None])
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], value)
     # generate_state(4, uint64): 8 words cycling over the pool, paired low first
-    seeds = np.empty((shots.size, 4), dtype=np.uint64)
-    hash_const = _INIT_B
-    for i in range(8):
-        hash_const_next = hash_const * _MULT_B & _MASK32
-        value = (pool[i % _POOL_SIZE] ^ hash_const) * hash_const_next
-        value ^= value >> 16
-        hash_const = hash_const_next
-        if i % 2:
-            seeds[:, i // 2] |= value.astype(np.uint64) << np.uint64(32)
-        else:
-            seeds[:, i // 2] = value
+    consts = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(9)], dtype=np.uint32)
+    words = pool ^ consts[:-1].reshape(2, _POOL_SIZE, 1)
+    words *= consts[1:].reshape(2, _POOL_SIZE, 1)
+    words ^= words >> 16
+    words = words.reshape(4, 2, -1)
+    seeds = words[:, 1].astype(np.uint64)
+    seeds <<= 32
+    seeds |= words[:, 0]
     return seeds
 
 
-def _pcg64_state(seed_words):
-    """(state, inc) of PCG64 seeded from one row of `_block_seeds`."""
-    high, low, seq_high, seq_low = seed_words.tolist()
-    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-    state = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _MASK128
-    return state, inc
+# PCG64 over shots, on uint64 arrays with one entry per shot: a 128-bit
+# value is two arrays, its high and low halves ("limbs"). Arrays wrap
+# silently where numpy scalars warn, so no step works on a scalar.
 
 
-def _shot_generators(seed, shots):
-    """For each shot s in range(shots), in order, one reused `Generator`
-    re-seeded in place as `RngStream(seed, stream_id=s)` seeds its own.
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's state step, state·_PCG_MULT + inc mod 2**128, on limbs. The
+    high half of lo·(low half of _PCG_MULT) is summed from 32-bit halves."""
+    mult_hi, mult_lo = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+    lo_hi, lo_lo = lo >> 32, lo & _MASK32
+    low_32, high_32 = mult_lo & _MASK32, mult_lo >> 32
+    # (lo·mult_lo) >> 64, the middle products' carries in `mid` and `cross`
+    mid = lo_hi * low_32
+    mid += (lo_lo * low_32) >> 32
+    cross = lo_lo * high_32
+    cross += mid & _MASK32
+    high = lo_hi * high_32
+    high += mid >> 32
+    high += cross >> 32
+    high += hi * mult_lo
+    high += lo * mult_hi
+    high += inc_hi
+    low = lo * mult_lo
+    low += inc_lo
+    high += low < inc_lo
+    return high, low
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output of a state (XSL-RR 128/64): its halves xored, rotated
+    right by its top 6 bits."""
+    folded, rot = hi ^ lo, hi >> 58
+    return (folded >> rot) | (folded << ((64 - rot) & 63))
+
+
+def _seeded_limbs(pool, hash_const, shots):
+    """The PCG64 (state, inc) seeded for each shot id in the uint32 array
+    `shots` from its `_block_seeds` words, as limbs: one uint64 array of
+    rows state high, state low, inc high, inc low."""
+    limbs = _block_seeds(pool, hash_const, shots)
+    init_hi, init_lo, seq_hi, seq_lo = limbs
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    # srandom: the zero state steps to inc, adds initstate, steps again
+    lo = inc_lo + init_lo
+    limbs[:2] = _lcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    limbs[2:] = inc_hi, inc_lo
+    return limbs
+
+
+def _shot_limbs(seed, shots):
+    """For each block of up to SHOT_BLOCK shots of range(shots), in order,
+    (its first shot, the `_seeded_limbs` of its shots): the PCG64 (state,
+    inc) that `RngStream(seed, stream_id=s)` seeds for each shot s.
 
     Only the spawn-key word of the SeedSequence differs between shots, so
-    the seed's own words are mixed once per call, the rest of the hash runs
-    vectorized over blocks of SHOT_BLOCK shots, and each shot sets its
-    derived state into one PCG64. Before the first is given, shot 0's
-    derived state is checked against numpy's seeding, and a mismatch raises
-    `StreamDerivationError`.
+    the seed's own words are mixed once per call, and the rest of the hash
+    and PCG64's srandom run vectorized over the block.
     """
     if shots > 2**32:
         raise ValidationError(f"shot ids must fit one 32-bit word, got {shots} shots")
     pool, hash_const = _seed_pool(seed)
-    bit_generator = np.random.PCG64()
-    generator = np.random.Generator(bit_generator)
-    expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state["state"]
     for first in range(0, shots, SHOT_BLOCK):
         block = np.arange(first, min(first + SHOT_BLOCK, shots), dtype=np.uint32)
-        seeds = _block_seeds(pool, hash_const, block)
-        if first == 0 and _pcg64_state(seeds[0]) != (expected["state"], expected["inc"]):
-            raise StreamDerivationError(
-                f"the derived PCG64 state of seed {seed}, shot 0 differs from numpy's seeding"
-            )
-        for row in seeds:
-            state, inc = _pcg64_state(row)
+        yield first, _seeded_limbs(pool, hash_const, block)
+
+
+def _check_shot_zero(seed, limbs, doubles=()):
+    """Raise `StreamDerivationError` unless shot 0 of the first block's
+    `limbs` has the (state, inc) numpy seeds for it and `doubles` are the
+    first doubles numpy's `Generator` draws from it: the check of a numpy
+    whose seeding or output function differs from the one derived here."""
+    reference = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))
+    hi, lo, inc_hi, inc_lo = (int(limb[0]) for limb in limbs)
+    if {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo} != reference.state["state"]:
+        raise StreamDerivationError(
+            f"the derived PCG64 state of seed {seed}, shot 0 differs from numpy's seeding"
+        )
+    if not np.array_equal(doubles, np.random.Generator(reference).random(len(doubles))):
+        raise StreamDerivationError(
+            f"the doubles derived for seed {seed}, shot 0 differ from numpy's PCG64 output"
+        )
+
+
+def _shot_generators(seed, shots):
+    """For each shot s in range(shots), in order, one reused `Generator`
+    re-seeded in place as `RngStream(seed, stream_id=s)` seeds its own:
+    each shot sets its (state, inc) from `_shot_limbs` into one PCG64.
+    Before the first is given, shot 0's state is checked against numpy's
+    seeding (`_check_shot_zero`)."""
+    bit_generator = np.random.PCG64()
+    generator = np.random.Generator(bit_generator)
+    for first, limbs in _shot_limbs(seed, shots):
+        if first == 0:
+            _check_shot_zero(seed, limbs)
+        for state_hi, state_lo, inc_hi, inc_lo in map(np.ndarray.tolist, limbs.T):
             bit_generator.state = {
                 "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
@@ -469,12 +530,25 @@ def shot_streams(seed, shots):
 
 def shot_uniforms(seed, shots, draws):
     """A (shots, draws) array whose row s holds the first `draws` doubles of
-    `RngStream(seed, stream_id=s)`: one `Generator.random` call per shot,
-    which equals that many successive `random()` calls bit for bit."""
-    out = np.empty((shots, draws))
-    for row, generator in zip(out, _shot_generators(seed, shots)):
-        generator.random(out=row)
-    return out
+    `RngStream(seed, stream_id=s)`, bit for bit.
+
+    Each block of `_shot_limbs` steps PCG64 once per draw over all its
+    shots, and each double is the draw's top 53 bits times 2**-53, as
+    `Generator.random` makes it. Before anything is returned, shot 0's
+    state and doubles are checked against numpy's (`_check_shot_zero`).
+    The array is the transpose of a C-ordered one, so the doubles of one
+    draw over all shots are contiguous.
+    """
+    out = np.empty((draws, shots))
+    for first, limbs in _shot_limbs(seed, shots):
+        hi, lo, inc_hi, inc_lo = limbs
+        block = out[:, first : first + hi.size]
+        for row in block:
+            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+            np.multiply(_xsl_rr(hi, lo) >> 11, 2.0**-53, out=row)
+        if first == 0:
+            _check_shot_zero(seed, limbs, block[:, 0])
+    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -341,8 +341,7 @@ class MemoryUnit:
         copies = list(copies)
         _check_live_copies(f"slot {address}", len(copies))
         if address not in self.slots:
-            self.store_copies(copies, description, address)
-            return len(copies)
+            self.store_copies([], description, address)
         slot = self.slots[address]
         slot.balance += len(copies) - len(slot.copies)
         slot.copies[:] = copies

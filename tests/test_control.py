@@ -21,7 +21,7 @@ from qvn.control import (
 )
 from qvn.cli import parse_run_file
 from qvn.duality import reversal_permutation
-from qvn.errors import OutOfCopiesError, ParseError, StreamDerivationError, ValidationError
+from qvn.errors import NotRestorableError, OutOfCopiesError, ParseError, StreamDerivationError, ValidationError
 from qvn.kernel import (
     DensityOperator,
     Observable,
@@ -33,7 +33,7 @@ from qvn.kernel import (
     partial_trace_matrix,
     trace_distance,
 )
-from qvn.memory import GateRecord, MemoryUnit, ProgramDescription
+from qvn.memory import GateRecord, MemoryUnit, ProgramDescription, synthesize
 from qvn.text import format_complex_data
 from qvn.uqt import ByproductStrategy, stored_program
 
@@ -158,6 +158,19 @@ class TestExecute:
         mem, a, b = fresh_memory(copies=3)
         with pytest.raises(StreamDerivationError):
             execute(mem, th_schedule(a, b, shots=3))
+        assert (mem.copy_count(a), mem.copy_count(b)) == (3, 3)
+
+    def test_output_drift_stops_before_sampling(self, monkeypatch):
+        # PCG64's output without its rotation: the batched path's doubles
+        # differ from numpy's, and the shot loop, which draws from numpy's
+        # own generator, does not run in their place
+        monkeypatch.setattr(kernel, "_xsl_rr", lambda hi, lo: hi ^ lo)
+        tables = []
+        monkeypatch.setattr(control, "_Tables", lambda: tables.append(None))
+        mem, a, b = fresh_memory(copies=3)
+        with pytest.raises(StreamDerivationError, match="shot 0 differ"):
+            execute(mem, th_schedule(a, b, shots=3))
+        assert tables == []
         assert (mem.copy_count(a), mem.copy_count(b)) == (3, 3)
 
     def test_sample_tail_instruction(self):
@@ -342,6 +355,34 @@ class TestPathSelection:
         assert shots == 200 and len(built) == 1
         copies = mem.slots[2].copies
         assert len(copies) == 200 and all(c is copies[0] for c in copies)
+
+    def test_restore_of_composed_slot_batches(self, loop_calls):
+        # the README run file restoring the slot its compose creates: every
+        # shot's restore copies the one program synthesized from the
+        # composed program's description, as `MemoryUnit.restore` makes it,
+        # and the inject takes that copy
+        text = DEMO_RUN.read_text().replace("dest=2\n", "dest=2\nrestore addr=2 copies=1\n")
+        shots, seed, slots, instructions = parse_run_file(text)
+        assert Restore(2, 1) in instructions
+        mem = MemoryUnit()
+        for addr, copies, desc in slots:
+            mem.store(desc, copies, address=addr)
+        execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
+        assert loop_calls == []
+        slot = mem.slots[2]
+        assert slot.description is not None and slot.program is not None
+        assert slot.program.op.matrix.tobytes() == synthesize(slot.description).op.matrix.tobytes()
+        assert len(slot.copies) == shots and all(c is not slot.program for c in slot.copies)
+
+    def test_restore_of_undescribed_composed_slot_runs_loop(self, loop_calls):
+        # a composition of programs without descriptions has none to restore
+        mem = MemoryUnit()
+        for address, gate in enumerate((gates.H, gates.T)):
+            mem.store_copies([stored_program(gate)] * 2, address=address)
+        sched = Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 2), Restore(2, 1)), shots=2)
+        with pytest.raises(NotRestorableError, match="slot 2"):
+            execute(mem, sched)
+        assert loop_calls == [sched]
 
     def test_wide_fresh_slot_batches(self, loop_calls):
         # the schedule of test_wide_fresh_slot_memory_bounded

@@ -350,9 +350,9 @@ class TestShotStreams:
         # the shot ids a Schedule may have, first and last, across block edges
         shots = np.array([0, 1, kernel.SHOT_BLOCK - 1, kernel.SHOT_BLOCK, MAX_SHOTS - 1], dtype=np.uint32)
         pool, hash_const = kernel._seed_pool(seed)
-        rows = kernel._block_seeds(pool, hash_const, shots)
-        for row, shot in zip(rows, shots.tolist()):
-            assert kernel._pcg64_state(row) == numpy_pcg64_state(seed, shot)
+        hi, lo, inc_hi, inc_lo = (limb.tolist() for limb in kernel._seeded_limbs(pool, hash_const, shots))
+        for i, shot in enumerate(shots.tolist()):
+            assert (hi[i] << 64 | lo[i], inc_hi[i] << 64 | inc_lo[i]) == numpy_pcg64_state(seed, shot)
 
     def test_streams_are_labelled_in_order(self):
         streams = list(stream.stream_id for stream in shot_streams(9, kernel.SHOT_BLOCK + 2))
@@ -383,3 +383,10 @@ class TestShotStreams:
         monkeypatch.setattr(kernel, "_PCG_MULT", kernel._PCG_MULT + 2)
         with pytest.raises(StreamDerivationError, match="shot 0 differs from numpy"):
             kernel.shot_uniforms(7, 3, 0)
+
+    def test_uniforms_output_drift_guard(self, monkeypatch):
+        # PCG64's output without its rotation: every state still matches
+        # numpy's seeding, shot 0's doubles do not
+        monkeypatch.setattr(kernel, "_xsl_rr", lambda hi, lo: hi ^ lo)
+        with pytest.raises(StreamDerivationError, match="shot 0 differ from numpy's PCG64 output"):
+            kernel.shot_uniforms(7, 3, 2)

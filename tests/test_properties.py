@@ -5,7 +5,7 @@ QvnError, every `qvn` subcommand given any files and argv ends in a report
 or in one error line, the pairwise diagram contraction agrees with the
 single-pass einsum, the index-only Bell measurement agrees with the dense basis, the
 table-driven schedule executor agrees with the per-shot one, batch-derived
-shot streams draw as numpy seeds them, and lazily concatenated program
+shot streams and doubles draw as numpy seeds them, and lazily concatenated program
 descriptions flatten to the eager concatenation."""
 
 import contextlib
@@ -37,6 +37,7 @@ from qvn.kernel import (
     checked_cdf,
     haar_random_unitary,
     shot_streams,
+    shot_uniforms,
 )
 from qvn.memory import GATE_ARITY, GateRecord, ProgramDescription
 from qvn.tailed import TopoDiagram, TopoVertex, eval_topological
@@ -411,6 +412,29 @@ def run_or_error(executor, slots, sched):
     ),
     64,
 )
+# the README run file restoring the slot its compose creates: each shot's
+# restore copies the program synthesized from the composed description
+@example(
+    (
+        [
+            (ProgramDescription("H", 1, (GateRecord(0, "H", (0,)),)), 1),
+            (ProgramDescription("T", 1, (GateRecord(0, "T", (0,)),)), 1),
+        ],
+        Schedule(
+            (
+                Restore(0, 1),
+                Restore(1, 1),
+                Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 2),
+                Restore(2, 1),
+                Inject(2, "1"),
+                Readout(2, Observable(gates.Z), "Z"),
+            ),
+            shots=40,
+            seed=7,
+        ),
+    ),
+    control.MAX_RETAINED_ENTRIES,
+)
 def test_execute_matches_per_shot_oracle(case, retained):
     # with 64 entries some results are kept and the rest rebuilt per draw
     with mock.patch.object(control, "MAX_RETAINED_ENTRIES", retained):
@@ -459,6 +483,19 @@ def test_shot_streams_draw_as_rng_stream(seed, shots, calls):
         assert stream_draws(stream, calls) == stream_draws(oracle, calls)
         count += 1
     assert count == shots
+
+
+@given(
+    SEEDS,
+    st.sampled_from([1, 2, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 3]),
+    st.integers(0, 6),
+)
+@example(2**160 - 1, SHOT_BLOCK + 1, 3)
+def test_shot_uniforms_are_rng_stream_uniforms(seed, shots, draws):
+    uniforms = shot_uniforms(seed, shots, draws)
+    assert uniforms.shape == (shots, draws)
+    for shot in range(shots):
+        assert uniforms[shot].tobytes() == RngStream(seed, stream_id=shot).uniforms(draws).tobytes()
 
 
 # ---------------------------------------------------------------------------
