@@ -399,7 +399,6 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
     flows = {}
     steps = []
     loaded = set()
-    created = set()  # addresses of the slots composes of this call create
     draws = 0
 
     def flow(address):
@@ -428,8 +427,6 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
             steps.append((idx, ins, sources, draws))
             draws += 2 if ins.strategy is ByproductStrategy.SYMMETRIC_PAIR else 1
             flow(ins.dest).push([idx])
-            if flows[ins.dest].initial is None:
-                created.add(ins.dest)
         elif isinstance(ins, (Inject, Readout, SampleTail)):
             source = None
             if ins.target not in loaded:
@@ -440,11 +437,12 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
             steps.append((idx, ins, source, draws))
             draws += 1
         elif isinstance(ins, Restore):
+            # a flow with no copies before the call that outlives the
+            # instruction making it is a compose's dest
+            if ins.addr not in flows and ins.addr not in mem.slots:
+                return None
             f = flow(ins.addr)
-            if f.initial is None:
-                if ins.addr not in created:
-                    return None
-            elif mem.slots[ins.addr].description is None:
+            if f.initial is not None and mem.slots[ins.addr].description is None:
                 return None
             if ins.copies < 1:
                 return None
@@ -489,15 +487,16 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
     """`execute` one instruction at a time over groups of shots.
 
     Every shot's doubles are drawn up front, by one pass of PCG64 over all
-    shots (`kernel.shot_uniforms`). Every shot fetches the same programs, so every composition has one program
-    in every shot, built before any shot runs, and passes over its draws.
-    All shots start as one group; each other instruction samples its table
-    for a group with one `searchsorted` and splits the group by outcome.
-    Groups run depth first: an outcome's result is built, every later
-    instruction runs for its group, and it is dropped before the next
-    outcome's, so beside what the tables keep at most one result per
-    instruction is alive. Memory is written once, at the end, with the
-    copies the shot loop leaves; anything raised before leaves it as it was.
+    shots (`kernel.shot_uniforms`). Every shot fetches the same programs,
+    so every composition has one program in every shot, built before any
+    shot runs, and passes over its draws. All shots start as one group;
+    each other instruction samples its table for a group with one
+    `searchsorted` and splits the group by outcome. Groups run depth
+    first: an outcome's result is built, every later instruction runs for
+    its group, and it is dropped before the next outcome's, so beside what
+    the tables keep at most one result per instruction is alive. Memory is
+    written once, at the end, with the copies the shot loop leaves;
+    anything raised before leaves it as it was.
     """
     shots = sched.shots
     uniforms = shot_uniforms(sched.seed, shots, plan.draws).T  # one row per draw
@@ -518,6 +517,8 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
     for idx, ins, src, _ in plan.steps:
         if isinstance(ins, Compose):
             results[idx] = tables.composition(*(source(s) for s in src), ins).program
+            # a slot missing before the call is created by this compose
+            # alone, as a schedule's compose destinations are distinct
             if plan.flows[ins.dest].initial is None:
                 created[ins.dest] = description = results[idx].description
                 # restores of the created slot copy its description's

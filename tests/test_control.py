@@ -21,7 +21,14 @@ from qvn.control import (
 )
 from qvn.cli import parse_run_file
 from qvn.duality import reversal_permutation
-from qvn.errors import NotRestorableError, OutOfCopiesError, ParseError, StreamDerivationError, ValidationError
+from qvn.errors import (
+    NotRestorableError,
+    OutOfCopiesError,
+    ParseError,
+    SlotNotFoundError,
+    StreamDerivationError,
+    ValidationError,
+)
 from qvn.kernel import (
     DensityOperator,
     Observable,
@@ -381,6 +388,15 @@ class TestPathSelection:
             mem.store_copies([stored_program(gate)] * 2, address=address)
         sched = Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 2), Restore(2, 1)), shots=2)
         with pytest.raises(NotRestorableError, match="slot 2"):
+            execute(mem, sched)
+        assert loop_calls == [sched]
+
+    def test_restore_of_missing_slot_runs_loop(self, loop_calls):
+        # a restore of a slot that neither memory nor a compose of the call
+        # holds is the loop's to raise
+        mem, a, b = fresh_memory(copies=2)
+        sched = Schedule((Compose(a, b, ByproductStrategy.CORRECTION_TABLE, 10), Restore(11, 1)), shots=2)
+        with pytest.raises(SlotNotFoundError, match="11"):
             execute(mem, sched)
         assert loop_calls == [sched]
 

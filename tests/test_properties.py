@@ -374,8 +374,8 @@ def runnable_schedules(draw):
 
 
 def run_or_error(executor, slots, sched):
-    """The executor's result and the gates of every copy left in memory, or
-    the type and message of the error it raised."""
+    """The executor's result and each slot's description and the gates of
+    every copy left in it, or the type and message of the error it raised."""
     mem = memory.MemoryUnit()
     for address, (desc, copies) in enumerate(slots):
         mem.store(desc, copies, address=address)
@@ -383,8 +383,8 @@ def run_or_error(executor, slots, sched):
         result = executor(mem, sched)
     except QvnError as exc:
         return type(exc), str(exc)
-    programs = {a: [p.op.matrix.tobytes() for p in slot.copies] for a, slot in mem.slots.items()}
-    return result, programs
+    slots = {a: (s.description, [p.op.matrix.tobytes() for p in s.copies]) for a, s in mem.slots.items()}
+    return result, slots
 
 
 @given(runnable_schedules(), st.sampled_from([control.MAX_RETAINED_ENTRIES, 64, 0]))
