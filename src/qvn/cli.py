@@ -35,7 +35,7 @@ from . import __version__
 from . import control, duality, memory, qec, tailed, uqt
 from .errors import ParseError, QvnError, ValidationError
 from .gates import GATE_MATRICES
-from .kernel import RngStream, UnitaryOp, random_pure_state
+from .kernel import DEFAULT_TOL, RngStream, UnitaryOp, random_pure_state, unitarity_residuals
 from .memory import MemoryUnit
 from .text import decode, lines
 
@@ -296,44 +296,74 @@ def _endpoint(line, key):
     return int(m.group(1)), m.group(2), int(m.group(3))
 
 
+def _check_unitary(custom):
+    """Raise, at its line, the unitarity error of the first custom vertex in
+    `custom`, (line, gate) pairs in file order, whose gate is not unitary.
+    The gates of one size are checked as one stack."""
+    by_size = {}
+    for pos, (_, gate) in enumerate(custom):
+        by_size.setdefault(len(gate), []).append(pos)
+    failing = []  # the first failing position of each size
+    for rows, members in by_size.items():
+        residuals = unitarity_residuals(np.stack([custom[p][1] for p in members]))
+        bad = np.flatnonzero(residuals > DEFAULT_TOL * rows)
+        if bad.size:
+            failing.append(members[bad[0]])
+    if failing:
+        line, gate = custom[min(failing)]
+        with line.located():
+            UnitaryOp(gate)
+
+
 def parse_diagram(text) -> tailed.TopoDiagram:
     vertices = []
     segments = []
+    custom = []
     saw_header = False
-    for line in lines(text):
-        if line.verb == "QVN1" and not saw_header:
-            line.str("name", "")  # a diagram may be named; the name is not kept
-            line.done()
-            saw_header = True
-        elif line.verb == "vertex":
-            legs = line.int("legs", 1, low=1, high=tailed.MAX_VERTEX_LEGS)
-            tag = line.str("g")
-            if tag == "custom":
-                rows = line.int("rows", low=1)
-                gate = line.matrix(rows, rows)
-            elif tag in GATE_MATRICES:
-                gate = GATE_MATRICES[tag]
-            else:
-                raise line.error(f"unknown vertex gate {tag!r}", "g")
-            line.done()
-            with line.located():
+    try:
+        for line in lines(text):
+            if line.verb == "QVN1" and not saw_header:
+                line.str("name", "")  # a diagram may be named; the name is not kept
+                line.done()
+                saw_header = True
+            elif line.verb == "vertex":
+                legs = line.int("legs", 1, low=1, high=tailed.MAX_VERTEX_LEGS)
+                tag = line.str("g")
+                if tag == "custom":
+                    rows = line.int("rows", low=1)
+                    gate = line.matrix(rows, rows)
+                elif tag in GATE_MATRICES:
+                    gate = GATE_MATRICES[tag]
+                else:
+                    raise line.error(f"unknown vertex gate {tag!r}", "g")
+                line.done()
                 if tag == "custom":  # the named gates are unitary already
-                    gate = UnitaryOp(gate).matrix
-                vertices.append(tailed.TopoVertex(gate, legs))
-        elif line.verb == "segment":
-            segments.append((line, _endpoint(line, "a"), _endpoint(line, "b")))
-            line.done()
-        else:
-            raise line.error("expected a vertex or segment line")
-    # a segment may name a vertex given further down, so endpoints are
-    # checked once every vertex is read, each at its own line and key
-    unwired = tailed.TopoDiagram(tuple(vertices), ())
-    seen = set()
-    for line, a, b in segments:
-        for key, ep in (("a", a), ("b", b)):
-            with line.located(key):
-                unwired.check_endpoint(ep, seen)
-    return tailed.TopoDiagram(tuple(vertices), tuple((a, b) for _, a, b in segments))
+                    custom.append((line, gate))
+                with line.located():
+                    vertices.append(tailed.TopoVertex(gate, legs))
+            elif line.verb == "segment":
+                segments.append((line, _endpoint(line, "a"), _endpoint(line, "b")))
+                line.done()
+            else:
+                raise line.error("expected a vertex or segment line")
+    except ParseError:
+        # a custom vertex read so far that is not unitary is reported first
+        _check_unitary(custom)
+        raise
+    _check_unitary(custom)
+    try:
+        return tailed.TopoDiagram(tuple(vertices), tuple((a, b) for _, a, b in segments))
+    except ValidationError:
+        # a segment may name a vertex given further down, so endpoints are
+        # checked once every vertex is read; the first fault is reported
+        # again at its own line and key
+        unwired = tailed.TopoDiagram(tuple(vertices), ())
+        seen = set()
+        for line, a, b in segments:
+            for key, ep in (("a", a), ("b", b)):
+                with line.located(key):
+                    unwired.check_endpoint(ep, seen)
+        raise
 
 
 def cmd_topo_eval(args):

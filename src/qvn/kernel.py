@@ -127,6 +127,11 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def unitarity_residuals(stack):
+    """max |U†U − I| of each matrix U in a (k, n, n) stack, as k floats."""
+    return np.abs(stack.conj().mT @ stack - np.eye(stack.shape[1])).max(axis=(1, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryOp:
     """Unitary matrix, validated U†U = I within tolerance."""
@@ -137,7 +142,7 @@ class UnitaryOp:
         m = _as_matrix(matrix, "unitary")
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"unitary must be square, got {m.shape}")
-        resid = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        (resid,) = unitarity_residuals(m[np.newaxis])
         if resid > tol * m.shape[0]:
             raise ValidationError(f"U†U deviates from identity by {resid}")
         object.__setattr__(self, "matrix", _freeze(m))

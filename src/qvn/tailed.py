@@ -383,10 +383,12 @@ def _contraction_plan(terms, d):
     Candidate pairs wait in a heap, so planning E labels takes O(E log E).
 
     Returns (loops, steps, labels): loops[t] are the self-loop axis pairs of
-    tensor t, a step is (a, b, axes_a, axes_b) over tensor ids, and labels
-    are the final tensor's. Every tensor, and every step's two operands and
-    result together, are checked against MAX_INTERMEDIATE_ENTRIES before
-    any is made.
+    tensor t; a step is (a, b, order_a, order_b, inner, shape), the ids of
+    its two tensors, the axis orders that put a's contracted axes last and
+    b's first, the size of the contracted index and the result's shape;
+    labels are the final tensor's. Every tensor, and every step's two
+    operands and result together, are checked against
+    MAX_INTERMEDIATE_ENTRIES before any is made.
     """
     loops, live = [], {}
     for t, labels in enumerate(terms):
@@ -403,13 +405,18 @@ def _contraction_plan(terms, d):
         la, lb = live.pop(a), live.pop(b)
         shared = [x for x in la if x in lb]
         labels = tuple(x for x in la if x not in shared) + tuple(x for x in lb if x not in shared)
-        # np.tensordot holds both operands while it makes the result
+        # the product holds both operands while it makes the result
         _check_entries(
             d ** len(la) + d ** len(lb) + d ** len(labels),
             "live entries in one step (both operands and the result)",
         )
         new = len(terms) + len(steps)
-        steps.append((a, b, [la.index(x) for x in shared], [lb.index(x) for x in shared]))
+        # np.tensordot's axis order, so that each step is tensordot's one
+        # np.dot: a's free axes then the shared ones, b's shared axes then
+        # its free ones
+        order_a = [i for i, x in enumerate(la) if x not in shared] + [la.index(x) for x in shared]
+        order_b = [lb.index(x) for x in shared] + [i for i, x in enumerate(lb) if x not in shared]
+        steps.append((a, b, order_a, order_b, d ** len(shared), (d,) * len(labels)))
         live[new] = labels
         for x in shared:
             del owners[x]
@@ -473,8 +480,10 @@ def eval_topological(diagram: TopoDiagram):
         for p, q in pairs:
             tensor = np.trace(tensor, axis1=p, axis2=q)
         tensors.append(tensor)
-    for a, b, axes_a, axes_b in steps:
-        tensors.append(np.tensordot(tensors[a], tensors[b], axes=(axes_a, axes_b)))
+    for a, b, order_a, order_b, inner, shape in steps:
+        left = np.transpose(tensors[a], order_a).reshape(-1, inner)
+        right = np.transpose(tensors[b], order_b).reshape(inner, -1)
+        tensors.append(np.dot(left, right).reshape(shape))
         tensors[a] = tensors[b] = None
     out = [label_of[ep] for ep in open_eps]
     value = np.transpose(tensors[-1], [labels.index(x) for x in out])

@@ -10,6 +10,8 @@ import pytest
 
 from qvn import gates
 from qvn.cli import main
+from qvn.kernel import RngStream, haar_random_unitary
+from qvn.text import format_complex_data
 
 H_DOC = "QVN1 name=H n=1\nt=0 g=H q=0\n"
 T_DOC = "QVN1 name=T n=1\nt=0 g=T q=0\n"
@@ -511,6 +513,62 @@ class TestQecCheck:
         assert err.startswith("error[E_VALIDATION]")
 
 
+def _haar_ring_doc():
+    m = 20
+    rng = RngStream(19)
+    lines = [
+        f"vertex g=custom rows=2 data={format_complex_data(haar_random_unitary(2, rng).matrix)}"
+        for _ in range(m)
+    ]
+    lines += [f"segment a={v}.h0 b={(v + 1) % m}.t0" for v in range(m)]
+    return "\n".join(lines) + "\n"
+
+
+def _t_ring_doc():
+    m = 53
+    lines = ["QVN1 name=ring"] + ["vertex g=T"] * m
+    lines += [f"segment a={v}.h0 b={(v + 1) % m}.t0" for v in range(m)]
+    return "\n".join(lines) + "\n"
+
+
+def _open_loop_doc():
+    gate = haar_random_unitary(4, RngStream(5)).matrix
+    return (
+        f"vertex g=custom legs=2 rows=4 data={format_complex_data(gate)}\n"
+        "vertex g=T\n"
+        "segment a=0.h1 b=0.t0\n"  # a self-loop
+        "segment a=0.h0 b=1.t0\n"
+    )
+
+
+def _circle_beside_open_doc():
+    # the closed circle contracts to a scalar, whose outer product with the
+    # open vertex is a step with a one-entry operand
+    rng = RngStream(0)
+    return "".join(
+        f"vertex g=custom rows=2 data={format_complex_data(haar_random_unitary(2, rng).matrix)}\n"
+        for _ in range(2)
+    ) + "segment a=0.h0 b=0.t0\n"
+
+
+TOPO_DOCS = {
+    "haar_ring20": _haar_ring_doc,
+    "t_ring53": _t_ring_doc,
+    "open_loop": _open_loop_doc,
+    "circle_beside_open": _circle_beside_open_doc,
+}
+
+# SHA-256 of the canonical `qvn topo-eval` report (JSON with sorted keys) of
+# each document above, taken from the np.tensordot contraction that one
+# np.dot per step replaced: reports must not move.
+TOPO_DIGESTS = {
+    "haar_ring20": "37178052ee290cc09f4be3f16c34c7da7388104ab2bef7299c1a758a61bbd9ec",
+    "t_ring53": "b702955680a0e73a65415b8369096983cd15066f12782d0c7df29a0e57b8d33e",
+    "open_loop": "ea58cc3fdfcd445d87524a1382252edc17e86c66169a5c01e1f4714ebc9eca6b",
+    "circle_beside_open": "eb06fc227f99a244c1e5338c973c24d0e2f4919413512fe0dfb7d70b6645e220",
+}
+
+
 class TestTopoEval:
     def test_circle_t_amplitude(self, workdir, capsys):
         code, out, _ = run_cli(["topo-eval", str(workdir / "circle.topo")], capsys)
@@ -566,10 +624,8 @@ class TestTopoEval:
     def test_53_segment_ring_evaluates(self, workdir, capsys):
         # past the 52 labels a single-pass einsum could name
         m = 53
-        lines = ["QVN1 name=ring"] + ["vertex g=T"] * m
-        lines += [f"segment a={v}.h0 b={(v + 1) % m}.t0" for v in range(m)]
         ring = workdir / "ring.topo"
-        ring.write_text("\n".join(lines) + "\n")
+        ring.write_text(_t_ring_doc())
         code, out, err = run_cli(["topo-eval", str(ring)], capsys)
         assert code == 0 and err == ""
         amp = canonical(out)["amplitude"]
@@ -658,6 +714,43 @@ class TestTopoEval:
         assert fault in err
         assert f"(line {line}, col {col})" in err
         assert "Traceback" not in err
+
+    # A custom vertex that fails its unitarity check is reported before any
+    # fault further down the file, whatever its kind or gate size.
+    BAD_2X2 = "vertex g=custom rows=2 data=2,0;0,0;0,0;1,0"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (f"{BAD_2X2}\nvertex g=T\nvertex g=H b=bogus\n", "by 3.0 (line 1, col 1)"),
+            (f"{BAD_2X2}\nvertex g=custom legs=2 rows=2 data=1,0;0,0;0,0;1,0\n",
+             "by 3.0 (line 1, col 1)"),
+            (f"{BAD_2X2}\nvertex g=custom rows=2 data=nan,0;0,0;0,0;1,0\n",
+             "by 3.0 (line 1, col 1)"),
+            ("vertex g=custom rows=2 data=0,0;1,0;1,0;0,0\n"
+             f"vertex g=custom legs=2 rows=4 data={format_complex_data(np.diag([2, 1, 1, 1]))}\n"
+             f"vertex g=custom rows=2 data={format_complex_data(np.diag([3, 1]))}\n",
+             "by 3.0 (line 2, col 1)"),
+            (f"{BAD_2X2}\nsegment a=0.h0 b=0.t0\nsegment a=0.h0 b=0.t0\n",
+             "by 3.0 (line 1, col 1)"),
+        ],
+        ids=["line_error", "shape_error", "nan_entry", "across_sizes", "reused_endpoint"],
+    )
+    def test_custom_vertex_fault_comes_first(self, workdir, capsys, text, where):
+        bad = workdir / "bad.topo"
+        bad.write_text(text)
+        code, out, err = run_cli(["topo-eval", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error[E_PARSE] U†U deviates from identity {where}\n"
+
+    @pytest.mark.parametrize("name", sorted(TOPO_DIGESTS))
+    def test_topo_report_pinned(self, workdir, capsys, name):
+        path = workdir / f"{name}.topo"
+        path.write_text(TOPO_DOCS[name]())
+        code, out, err = run_cli(["topo-eval", str(path)], capsys)
+        assert code == 0 and err == ""
+        blob = json.dumps(canonical(out), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == TOPO_DIGESTS[name]
 
 
 class TestParserReuse:

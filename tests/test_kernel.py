@@ -25,6 +25,7 @@ from qvn.kernel import (
     random_density,
     random_pure_state,
     shot_streams,
+    unitarity_residuals,
 )
 
 
@@ -62,6 +63,35 @@ class TestTypes:
         psi = PureState([1, 0])
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+
+class TestUnitarityResiduals:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_stack_equals_2d_expression(self, n):
+        rng = RngStream(n)
+        gen = np.random.default_rng(n)
+        gaussian = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        unitaries = [haar_random_unitary(n, rng).matrix for _ in range(3)]
+        stack = np.stack([*unitaries, np.diag(np.arange(1.0, n + 1)), gaussian])
+        expected = [np.abs(m.conj().T @ m - np.eye(n)).max() for m in stack]
+        assert unitarity_residuals(stack).tobytes() == np.array(expected).tobytes()
+
+    def test_failing_members_found_at_their_positions(self):
+        rng = RngStream(2)
+        stack = np.stack([haar_random_unitary(2, rng).matrix for _ in range(6)])
+        stack[1] *= 1 + 1e-9
+        stack[4] = np.diag([3.0, 1.0])
+        failing = np.flatnonzero(unitarity_residuals(stack) > kernel.DEFAULT_TOL * 2)
+        assert failing.tolist() == [1, 4]
+
+    def test_unitary_op_error_text(self):
+        with pytest.raises(ValidationError, match=r"^U†U deviates from identity by 8\.0$"):
+            UnitaryOp(np.diag([3.0, 1.0]))
+        m = haar_random_unitary(4, RngStream(3)).matrix * (1 + 1e-9)
+        resid = np.abs(m.conj().T @ m - np.eye(4)).max()
+        with pytest.raises(ValidationError) as info:
+            UnitaryOp(m)
+        assert str(info.value) == f"U†U deviates from identity by {resid}"
 
 
 class TestKron:

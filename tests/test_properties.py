@@ -26,7 +26,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import dense_bell_probabilities, einsum_oracle, per_shot_execute
-from qvn import cli, control, gates, memory, qec
+from qvn import cli, control, gates, memory, qec, text
 from qvn.control import Compose, Inject, Readout, Restore, SampleTail, Schedule
 from qvn.errors import QvnError, ValidationError
 from qvn.kernel import (
@@ -286,6 +286,49 @@ def test_pairwise_contraction_matches_einsum(diagram):
         overlap = np.vdot(expected, value.amplitudes)
         phase = overlap / abs(overlap)
         assert np.abs(value.amplitudes - phase * expected).max() <= 1e-10
+
+
+@st.composite
+def diagram_texts(draw):
+    """A diagram from `diagrams()` with some gates swapped for named gates of
+    their size, and its diagram file: custom gates in exact
+    `format_complex_data` text, segment lines before or after the vertices."""
+    diagram = draw(diagrams())
+    vertices, vertex_lines = [], []
+    for vert in diagram.vertices:
+        names = [name for name, g in gates.GATE_MATRICES.items() if g.shape == vert.gate.shape]
+        name = draw(st.sampled_from(["custom", *names]))
+        if name == "custom":
+            data = text.format_complex_data(vert.gate)
+            vertex_lines.append(f"vertex g=custom legs={vert.legs} rows={2**vert.legs} data={data}")
+            vertices.append(vert)
+        else:
+            vertex_lines.append(f"vertex g={name} legs={vert.legs}")
+            vertices.append(TopoVertex(gates.GATE_MATRICES[name], vert.legs))
+    segment_lines = [
+        f"segment a={a[0]}.{a[1]}{a[2]} b={b[0]}.{b[1]}{b[2]}" for a, b in diagram.segments
+    ]
+    body = segment_lines + vertex_lines if draw(st.booleans()) else vertex_lines + segment_lines
+    source = "\n".join(["QVN1 name=drawn", *body]) + "\n"
+    return TopoDiagram(tuple(vertices), diagram.segments), source
+
+
+@given(diagram_texts())
+def test_parsed_diagram_is_the_built_one(case):
+    built, source = case
+    parsed = cli.parse_diagram(source)
+    assert [v.legs for v in parsed.vertices] == [v.legs for v in built.vertices]
+    assert all(np.array_equal(p.gate, b.gate) for p, b in zip(parsed.vertices, built.vertices))
+    assert parsed.segments == built.segments
+
+    def evaluated(diagram):  # a named gate may leave the zero state
+        try:
+            value = eval_topological(diagram)
+        except QvnError as exc:
+            return str(exc)
+        return value if diagram.closed else value.amplitudes.tobytes()
+
+    assert evaluated(parsed) == evaluated(built)
 
 
 def random_amplitudes(shape, seed):

@@ -346,7 +346,7 @@ class TestTopological:
         def no_contraction(*args, **kwargs):
             raise AssertionError("contracted before the size check")
 
-        monkeypatch.setattr(np, "tensordot", no_contraction)
+        monkeypatch.setattr(np, "dot", no_contraction)
         diagram = TopoDiagram(tuple(TopoVertex(gates.T, 1) for _ in range(14)), ())
         with pytest.raises(ValidationError, match="MAX_INTERMEDIATE_ENTRIES = 67108864"):
             eval_topological(diagram)
