@@ -84,7 +84,6 @@ from .qec import (
 from .tailed import (
     InjectionSpec,
     ReadoutSpec,
-    RunRecord,
     RunResult,
     TopoDiagram,
     TopoVertex,

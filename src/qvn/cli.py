@@ -306,7 +306,7 @@ def _check_unitary(custom):
     failing = []  # the first failing position of each size
     for rows, members in by_size.items():
         residuals = unitarity_residuals(np.stack([custom[p][1] for p in members]))
-        bad = np.flatnonzero(residuals > DEFAULT_TOL * rows)
+        bad = np.flatnonzero(~(residuals <= DEFAULT_TOL * rows))  # NaN fails
         if bad.size:
             failing.append(members[bad[0]])
     if failing:
@@ -368,15 +368,17 @@ def parse_diagram(text) -> tailed.TopoDiagram:
 
 def cmd_topo_eval(args):
     diagram = parse_diagram(_read_file(args.diagram))
-    open_endpoints = diagram.open_endpoints()
-    size = 2 ** len(open_endpoints)
+    # each segment joins two of the diagram's endpoints, and no endpoint is
+    # in two segments; `eval_topological` lists the open ones
+    n_open = 2 * sum(vert.legs for vert in diagram.vertices) - 2 * len(diagram.segments)
+    size = 2**n_open
     if size > MAX_REPORT_AMPLITUDES:
         raise ValidationError(
             f"the open diagram's state has {size} amplitudes; the report limit is "
             f"MAX_REPORT_AMPLITUDES = {MAX_REPORT_AMPLITUDES}"
         )
     value = tailed.eval_topological(diagram)
-    closed = not open_endpoints
+    closed = not n_open
     canonical = {
         "command": "topo-eval",
         "vertices": len(diagram.vertices),

@@ -15,7 +15,6 @@ of `qvn.text`, each read by `parse_instruction`:
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .kernel import (
     OutcomeTable,
     PureState,
     Retention,
-    RngStream,
     UnitaryOp,
     apply_to_subsystems,
     shot_streams,
@@ -38,7 +36,7 @@ from .kernel import (
 )
 from .memory import MAX_COPIES, MAX_QUBITS, MemoryUnit, synthesize
 from .text import Line
-from .tailed import InjectionSpec, ReadoutSpec, RunRecord
+from .tailed import InjectionSpec, ReadoutSpec
 from .uqt import ByproductStrategy
 
 
@@ -75,8 +73,8 @@ class SampleTail:
     tail: int
 
 
-# Most shots one schedule may run: `execute` loops over them and keeps one
-# record per shot.
+# Most shots one schedule may run: `execute` runs each of them and keeps one
+# outcome per shot of each instruction.
 MAX_SHOTS = 1_000_000
 
 
@@ -108,7 +106,10 @@ class ExecutionResult:
     shots: int
     n_p0: int
     n_p1: int
-    records: tuple[RunRecord, ...]
+    # one column per schedule instruction, one entry per shot: a compose's
+    # Bell rounds, an inject's branch, a readout's value, a sampletail's
+    # bit; () for a restore
+    outcomes: tuple[tuple, ...]
     copies_after: dict
     audit_consistent: bool
 
@@ -174,32 +175,6 @@ class _Tables:
         return table
 
 
-class _ShotState:
-    """Working registers of one shot: live states fetched from memory."""
-
-    def __init__(self, mem: MemoryUnit, rng: RngStream, tables: _Tables):
-        self.mem = mem
-        self.rng = rng
-        self.tables = tables
-        self.states: dict[int, PureState] = {}
-        self.branch = None
-        self.injected_tails = 0
-        self.bells: list[int] = []
-        self.value = None
-
-    def load(self, address) -> PureState:
-        if address not in self.states:
-            self.states[address] = self.tables.state(self.mem.fetch_consume(address))
-        return self.states[address]
-
-    def width(self, address) -> int:
-        """Qubit count n of the program `load` gives, read without
-        consuming a copy."""
-        if address in self.states:
-            return len(self.states[address].subsystem_dims) // 2
-        return self.mem.peek(address).d.bit_length() - 1
-
-
 def _check_tail(ins: SampleTail, n):
     if not 0 <= ins.tail < n:
         raise ValidationError(
@@ -208,37 +183,15 @@ def _check_tail(ins: SampleTail, n):
         )
 
 
-def _run_instruction(ins, shot: _ShotState, mem: MemoryUnit):
-    tables, rng = shot.tables, shot.rng
-    if isinstance(ins, Compose):
-        p1 = mem.fetch_consume(ins.addr1)
-        p2 = mem.fetch_consume(ins.addr2)
-        result, shots_used = tables.composition(p1, p2, ins).sample(rng)
-        shot.bells.append(shots_used)
-        if ins.dest in mem.slots:
-            mem.append_copy(ins.dest, result)
-        else:
-            mem.store_copies([result], description=result.description, address=ins.dest)
-        return
+def _measured(ins, k, result):
+    """(post state of the target, or None for a readout, which leaves it
+    unchanged; outcome entry) of measurement `ins` drawing outcome k, whose
+    result is given."""
     if isinstance(ins, Inject):
-        state = shot.load(ins.target)
-        shot.branch, (_, shot.states[ins.target]) = tables.measurement(state, ins).sample(rng)
-        shot.injected_tails = len(state.subsystem_dims) // 2
-        return
+        return result[1], k
     if isinstance(ins, Readout):
-        state = shot.load(ins.target)
-        _, shot.value = tables.measurement(state, ins).sample(rng)
-        return
-    if isinstance(ins, Restore):
-        mem.restore(ins.addr, ins.copies)
-        return
-    if isinstance(ins, SampleTail):
-        _check_tail(ins, shot.width(ins.target))
-        state = shot.load(ins.target)
-        bit, shot.states[ins.target] = tables.measurement(state, ins).sample(rng)
-        shot.bells.append(bit)
-        return
-    raise ValidationError(f"unknown instruction {ins!r}")
+        return None, result
+    return result, k
 
 
 def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
@@ -257,76 +210,95 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     computes for all shots at once). Any other schedule, and one that
     fails, runs shot by shot (`_run_shots`, on `kernel.shot_streams`), so
     errors are raised where that loop raises them. Both paths give the same
-    result and leave the same copies. Streams that differ from numpy's
-    (`StreamDerivationError`) stop the call before anything is sampled.
-
-    Readout samples are combined by `tailed.combine_branch_estimates`, as
-    in `tailed.run_algorithm`: the branch that saw the desired input
-    estimates tr(Oρ_f) directly, the complement branch is inverted through
-    tr(O) − (2^n − 1)·mean.
+    outcome columns and leave the same copies. Streams that differ from
+    numpy's (`StreamDerivationError`) stop the call before anything is
+    sampled.
     """
     plan = _plan(mem, sched)
+    run = None
     if plan is not None:
         try:
-            return _run_batched(mem, sched, plan)
+            run = _run_batched(mem, sched, plan)
         except StreamDerivationError:
             raise  # numpy's streams are not those derived: nothing is sampled
         except QvnError:
             pass  # memory is untouched; the loop raises where its shot fails
-    return _run_shots(mem, sched)
+    outcomes, n_tails = run or _run_shots(mem, sched)
+    return _result(mem, sched, outcomes, n_tails)
 
 
-def _run_shots(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
+def _run_shots(mem: MemoryUnit, sched: Schedule):
     """`execute` one shot at a time: each shot runs every instruction
-    against memory on its own stream."""
+    against memory on its own stream. Returns (outcome columns, the most
+    tails a shot's last injection measured)."""
     tables = _Tables()
-    records = []
-    grouped = {"P0": [], "P1": [], "none": []}
+    columns = [[] for _ in sched.instructions]
     n_tails = 0
-    for shot_idx, rng in enumerate(shot_streams(sched.seed, sched.shots)):
-        shot = _ShotState(mem, rng, tables)
+    for rng in shot_streams(sched.seed, sched.shots):
+        states = {}  # address -> the shot's live state of the program it fetched
+        injected = 0
         for idx, ins in enumerate(sched.instructions):
+            column = columns[idx]
             try:
-                _run_instruction(ins, shot, mem)
+                if isinstance(ins, Compose):
+                    p1, p2 = mem.fetch_consume(ins.addr1), mem.fetch_consume(ins.addr2)
+                    result, rounds = tables.composition(p1, p2, ins).sample(rng)
+                    if ins.dest in mem.slots:
+                        mem.append_copy(ins.dest, result)
+                    else:
+                        mem.store_copies([result], description=result.description, address=ins.dest)
+                    column.append(rounds)
+                elif isinstance(ins, Restore):
+                    mem.restore(ins.addr, ins.copies)
+                elif isinstance(ins, (Inject, Readout, SampleTail)):
+                    state = states.get(ins.target)
+                    if state is None:
+                        if isinstance(ins, SampleTail):  # checked before a copy is fetched
+                            _check_tail(ins, mem.peek(ins.target).d.bit_length() - 1)
+                        state = states[ins.target] = tables.state(mem.fetch_consume(ins.target))
+                    elif isinstance(ins, SampleTail):
+                        _check_tail(ins, len(state.subsystem_dims) // 2)
+                    post, entry = _measured(ins, *tables.measurement(state, ins).sample(rng))
+                    if post is not None:
+                        states[ins.target] = post
+                    if isinstance(ins, Inject):
+                        injected = len(state.subsystem_dims) // 2
+                    column.append(entry)
+                else:
+                    raise ValidationError(f"unknown instruction {ins!r}")
             except OutOfCopiesError as exc:
                 raise OutOfCopiesError(
                     exc.address, f"instruction {idx} ({type(ins).__name__}): {exc}"
                 ) from exc
-        branch = "none" if shot.branch is None else f"P{shot.branch}"
-        if shot.value is not None:
-            grouped[branch].append(shot.value)
-            n_tails = max(n_tails, shot.injected_tails)
-        records.append(
-            RunRecord(
-                shot=shot_idx,
-                injection_branch=branch,
-                observable_value=math.nan if shot.value is None else shot.value,
-                bell_outcomes=tuple(shot.bells),
-            )
+        n_tails = max(n_tails, injected)
+    return [tuple(column) for column in columns], n_tails
+
+
+def _result(mem: MemoryUnit, sched: Schedule, outcomes, n_tails) -> ExecutionResult:
+    """The result of a run whose outcome columns are `outcomes`. The readout
+    column is split on the last inject's: the values of shots that took P0
+    estimate through the complement, tr(O) − (2^n − 1)·mean with n
+    `n_tails`, the rest (all, when nothing is injected) directly, and
+    `tailed.combine_branch_estimates` combines the two, as in
+    `tailed.run_algorithm`. A schedule without a readout has no estimate."""
+    estimate = standard_error = None
+    direct = complement = ()
+    readouts = [i for i, ins in enumerate(sched.instructions) if isinstance(ins, Readout)]
+    if readouts:
+        values = np.array(outcomes[readouts[0]], dtype=float)
+        injects = [i for i, ins in enumerate(sched.instructions) if isinstance(ins, Inject)]
+        p0 = np.array(outcomes[injects[-1]]) == 0 if injects else np.zeros(values.size, dtype=bool)
+        direct, complement = values[~p0], values[p0]
+        estimate, standard_error = tailed.combine_branch_estimates(
+            direct, complement, sched.instructions[readouts[0]].observable.trace, n_tails
         )
-    direct, complement = np.array(grouped["P1"] + grouped["none"]), np.array(grouped["P0"])
-    estimate = _estimate(sched, direct, complement, n_tails)
-    return _result(mem, sched, records, direct, complement, estimate)
-
-
-def _estimate(sched: Schedule, direct, complement, n_tails):
-    """(estimate, standard error) of the readout samples that saw the
-    desired input (`direct`) and of the P0 ones (`complement`), or (None,
-    None) for a schedule without a readout."""
-    readouts = [ins for ins in sched.instructions if isinstance(ins, Readout)]
-    if not readouts or not (direct.size or complement.size):
-        return None, None
-    return tailed.combine_branch_estimates(direct, complement, readouts[0].observable.trace, n_tails)
-
-
-def _result(mem: MemoryUnit, sched: Schedule, records, direct, complement, estimate) -> ExecutionResult:
     return ExecutionResult(
-        estimate=estimate[0],
-        standard_error=estimate[1],
+        estimate=estimate,
+        standard_error=standard_error,
         shots=sched.shots,
-        n_p0=complement.size,
-        n_p1=direct.size,
-        records=tuple(records),
+        n_p0=len(complement),
+        n_p1=len(direct),
+        outcomes=tuple(outcomes),
         copies_after={addr: len(slot.copies) for addr, slot in mem.slots.items()},
         audit_consistent=mem.verify_conservation(),
     )
@@ -483,7 +455,7 @@ def _split(keys, members):
     return [(int(keys[a]), members[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResult:
+def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan):
     """`execute` one instruction at a time over groups of shots.
 
     Every shot's doubles are drawn up front, by one pass of PCG64 over all
@@ -496,7 +468,8 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
     its group, and it is dropped before the next outcome's, so beside what
     the tables keep at most one result per instruction is alive. Memory is
     written once, at the end, with the copies the shot loop leaves;
-    anything raised before leaves it as it was.
+    anything raised before leaves it as it was. Returns what `_run_shots`
+    returns.
     """
     shots = sched.shots
     uniforms = shot_uniforms(sched.seed, shots, plan.draws).T  # one row per draw
@@ -529,69 +502,45 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan) -> ExecutionResu
                         raise NotRestorableError(f"slot {ins.dest} holds no classical description")
                     restored[ins.dest] = synthesize(description)
 
-    def table_of(ins, src, env):
-        """The outcome table of a measurement for the group, and its
-        registers with a fetched target loaded."""
-        if src is None:
-            state = env["states"][ins.target]
-        else:
-            state = tables.state(source(src))
-            env = {**env, "states": {**env["states"], ins.target: state}}
-        if isinstance(ins, SampleTail):
-            _check_tail(ins, len(state.subsystem_dims) // 2)
-        return tables.measurement(state, ins), env
-
-    def apply(ins, env, k, result):
-        """The group's registers after drawing outcome k, whose result is given."""
-        if isinstance(ins, Inject):
-            states = {**env["states"], ins.target: result[1]}
-            return {**env, "states": states, "branch": k, "tails": len(result[1].subsystem_dims) // 2}
-        if isinstance(ins, Readout):
-            return {**env, "value": result}
-        states = {**env["states"], ins.target: result}
-        return {**env, "states": states, "bells": env["bells"] + (k,)}
-
-    leaves = []  # the RunRecord fields but the shot of each final group
-    tails = []  # and its injected tail count
-    leaf_of = np.empty(shots, dtype=np.intp)
-    # a group's registers: live states by address, injection branch and
-    # tails, Bell rounds and tail bits, and the readout value
-    start = {"states": {}, "branch": None, "tails": 0, "bells": (), "value": None}
-    stack = [(0, np.arange(shots), start, None)]
+    # each instruction's entry for each shot; a compose's Bell rounds are 1
+    columns = [np.ones(shots, float if isinstance(ins, Readout) else int) for ins in sched.instructions]
+    widths = {}  # inject index -> the tails it measures
+    stack = [(0, np.arange(shots), {}, None)]  # a group's live states by address
     while stack:
-        i, members, env, drawn = stack.pop()
+        i, members, states, drawn = stack.pop()
         if drawn is not None:  # the group's outcome of step i - 1
             table, k = drawn
-            env = apply(plan.steps[i - 1][1], env, k, table.result(k))
+            idx, ins = plan.steps[i - 1][:2]
+            post, entry = _measured(ins, k, table.result(k))
+            columns[idx][members] = entry
+            if post is not None:
+                states = {**states, ins.target: post}
         if i == len(plan.steps):
-            branch, value = env["branch"], env["value"]
-            leaf_of[members] = len(leaves)
-            leaves.append(
-                ("none" if branch is None else f"P{branch}", math.nan if value is None else value, env["bells"])
-            )
-            tails.append(0 if value is None else env["tails"])
             continue
-        _, ins, src, column = plan.steps[i]
+        idx, ins, src, column = plan.steps[i]
         if isinstance(ins, Compose):  # one Bell round, whatever it draws
-            stack.append((i + 1, members, {**env, "bells": env["bells"] + (1,)}, None))
+            stack.append((i + 1, members, states, None))
             continue
-        table, env = table_of(ins, src, env)
+        if src is None:
+            state = states[ins.target]
+        else:
+            state = tables.state(source(src))
+            states = {**states, ins.target: state}
+        if isinstance(ins, SampleTail):
+            _check_tail(ins, len(state.subsystem_dims) // 2)
+        elif isinstance(ins, Inject):
+            widths[idx] = len(state.subsystem_dims) // 2
+        table = tables.measurement(state, ins)
         # each member's outcome, drawn as `RngStream.draw` draws it
-        outcomes = table.cdf.searchsorted(uniforms[column][members], side="right")
-        for k, group in reversed(_split(outcomes, members)):
-            stack.append((i + 1, group, env, (table, k)))
+        ks = table.cdf.searchsorted(uniforms[column][members], side="right")
+        for k, group in reversed(_split(ks, members)):
+            stack.append((i + 1, group, states, (table, k)))
 
-    records = [RunRecord(shot, *leaves[leaf]) for shot, leaf in enumerate(leaf_of.tolist())]
-    # the readout values in the loop's order: P1 shots, then shots with no
-    # injection, each in shot order; a shot without a readout reads NaN
-    names = np.array([leaf[0] for leaf in leaves])[leaf_of]
-    value = np.array([leaf[1] for leaf in leaves])[leaf_of]
-    read = ~np.isnan(value)
-    direct = np.concatenate((value[read & (names == "P1")], value[read & (names == "none")]))
-    complement = value[read & (names == "P0")]
-    estimate = _estimate(sched, direct, complement, max(tails))
     _commit(mem, plan, shots, restored, results, created)
-    return _result(mem, sched, records, direct, complement, estimate)
+    outcomes = [() if isinstance(ins, Restore) else tuple(column.tolist())
+                for ins, column in zip(sched.instructions, columns)]
+    # every shot injects the same programs, so its last injection's width
+    return outcomes, widths[max(widths)] if widths else 0
 
 
 def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, results, created):

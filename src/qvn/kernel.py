@@ -128,8 +128,10 @@ class DensityOperator:
 
 
 def unitarity_residuals(stack):
-    """max |U†U − I| of each matrix U in a (k, n, n) stack, as k floats."""
-    return np.abs(stack.conj().mT @ stack - np.eye(stack.shape[1])).max(axis=(1, 2))
+    """max |U†U − I| of each matrix U in a (k, n, n) stack, as k floats;
+    NaN or inf, without a warning, where U†U overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(stack.conj().mT @ stack - np.eye(stack.shape[1])).max(axis=(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +145,7 @@ class UnitaryOp:
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"unitary must be square, got {m.shape}")
         (resid,) = unitarity_residuals(m[np.newaxis])
-        if resid > tol * m.shape[0]:
+        if not resid <= tol * m.shape[0]:  # a NaN residual fails too
             raise ValidationError(f"U†U deviates from identity by {resid}")
         object.__setattr__(self, "matrix", _freeze(m))
 

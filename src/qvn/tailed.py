@@ -69,16 +69,6 @@ class ReadoutSpec:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """Per-shot trace of one algorithm execution."""
-
-    shot: int
-    injection_branch: str
-    observable_value: float
-    bell_outcomes: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class RunResult:
     """Aggregated estimate with its standard error and branch statistics."""
 
@@ -88,7 +78,6 @@ class RunResult:
     n_p0: int
     n_p1: int
     p1_exact: float
-    records: tuple[RunRecord, ...] = ()
 
 
 def program_state(program: StoredProgram) -> PureState:
@@ -538,23 +527,31 @@ def combine_branch_estimates(direct, complement, trace_of_o, n_tails):
     `direct` holds readout samples that saw the desired input and estimate
     tr(O ρ_f) as they are; `complement` holds the P0 samples, inverted
     through E[O|P0] = (tr O − o_f)/(2^n − 1). Returns (estimate, standard
-    error).
+    error). Samples whose branch variance, mean or combination overflows
+    raise EstimationError.
     """
     estimates = []
-    if direct.size:
-        estimates.append(_branch_estimate(direct, trace_of_o, 1.0, False))
-    if complement.size:
-        estimates.append(
-            _branch_estimate(complement, trace_of_o, float(2**n_tails - 1), True)
-        )
-    if not estimates:
-        raise EstimationError("no usable branch samples")
-    floor = 1e-30
-    if all(v <= floor for _, v in estimates):
-        return float(np.mean([e for e, _ in estimates])), 0.0
-    weights = [1.0 / max(v, floor) for _, v in estimates]
-    est = float(sum(w * e for w, (e, _) in zip(weights, estimates)) / sum(weights))
-    return est, float(1.0 / math.sqrt(sum(weights)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        if direct.size:
+            estimates.append(_branch_estimate(direct, trace_of_o, 1.0, False))
+        if complement.size:
+            estimates.append(
+                _branch_estimate(complement, trace_of_o, float(2**n_tails - 1), True)
+            )
+        if not estimates:
+            raise EstimationError("no usable branch samples")
+        floor = 1e-30
+        if all(v <= floor for _, v in estimates):
+            est, err = float(np.mean([e for e, _ in estimates])), 0.0
+        elif all(math.isfinite(v) for _, v in estimates):
+            weights = [1.0 / max(v, floor) for _, v in estimates]
+            est = float(sum(w * e for w, (e, _) in zip(weights, estimates)) / sum(weights))
+            err = float(1.0 / math.sqrt(sum(weights)))
+        else:  # a variance overflowed, and its weight would be 0
+            est = err = math.inf
+    if not (math.isfinite(est) and math.isfinite(err)):
+        raise EstimationError("the readout samples overflow: their estimate is not finite")
+    return est, err
 
 
 def run_algorithm(
@@ -563,7 +560,6 @@ def run_algorithm(
     injection: InjectionSpec,
     shots,
     rng: RngStream,
-    collect_records=False,
 ) -> RunResult:
     """Estimate tr(O ρ_f) by repeated inject-then-measure shots.
 
@@ -593,12 +589,6 @@ def run_algorithm(
     est, err = combine_branch_estimates(
         values[branches == 1], values[branches == 0], readout.observable.trace, n
     )
-    records = ()
-    if collect_records:
-        records = tuple(
-            RunRecord(shot=i, injection_branch=f"P{branches[i]}", observable_value=float(values[i]))
-            for i in range(shots)
-        )
     return RunResult(
         estimate=est,
         standard_error=err,
@@ -606,5 +596,4 @@ def run_algorithm(
         n_p0=n0,
         n_p1=n1,
         p1_exact=table.p1,
-        records=records,
     )

@@ -1,4 +1,3 @@
-import math
 import tempfile
 
 import numpy as np
@@ -182,13 +181,13 @@ def per_shot_execute(mem, sched):
     instruction's one-shot kernel afresh (`uqt.compose`, `tailed.inject`,
     the readout distribution and a draw from `tailed.tail_outcomes`), on the
     same `RngStream(seed, stream_id=shot)`."""
-    records = []
+    outcomes = [[] for _ in sched.instructions]
     grouped = {"P0": [], "P1": [], "none": []}
     n_tails = 0
     trace_of_o = None
     for shot_idx in range(sched.shots):
         rng = RngStream(sched.seed, stream_id=shot_idx)
-        states, branch, injected, bells, value = {}, None, 0, [], None
+        states, branch, injected, value = {}, None, 0, None
 
         def load(address):
             if address not in states:
@@ -201,7 +200,7 @@ def per_shot_execute(mem, sched):
                     p1 = mem.fetch_consume(ins.addr1)
                     p2 = mem.fetch_consume(ins.addr2)
                     result, used = uqt.compose(p1, p2, ins.strategy, rng)
-                    bells.append(used)
+                    outcomes[idx].append(used)
                     if ins.dest in mem.slots:
                         mem.append_copy(ins.dest, result)
                     else:
@@ -211,6 +210,7 @@ def per_shot_execute(mem, sched):
                     n = len(state.subsystem_dims) // 2
                     spec = tailed.InjectionSpec(tuple(range(n)), ins.bits or "1" * n)
                     branch, _, states[ins.target] = tailed.inject(state, spec, rng)
+                    outcomes[idx].append(branch)
                     injected = n
                 elif isinstance(ins, Readout):
                     state = load(ins.target)
@@ -220,6 +220,7 @@ def per_shot_execute(mem, sched):
                     if probs.sum() <= 0:
                         raise EstimationError("readout distribution vanished")
                     value = float(vals[rng.choice(probs)].real)
+                    outcomes[idx].append(value)
                     trace_of_o = ins.observable.trace
                 elif isinstance(ins, Restore):
                     mem.restore(ins.addr, ins.copies)
@@ -235,7 +236,7 @@ def per_shot_execute(mem, sched):
                         )
                     tail = tailed.tail_outcomes(load(ins.target), n + ins.tail)
                     bit, states[ins.target] = tail.sample(rng)
-                    bells.append(bit)
+                    outcomes[idx].append(bit)
             except OutOfCopiesError as exc:
                 raise OutOfCopiesError(
                     exc.address, f"instruction {idx} ({type(ins).__name__}): {exc}"
@@ -244,14 +245,6 @@ def per_shot_execute(mem, sched):
         if value is not None:
             grouped[name].append(value)
             n_tails = max(n_tails, injected)
-        records.append(
-            tailed.RunRecord(
-                shot=shot_idx,
-                injection_branch=name,
-                observable_value=math.nan if value is None else value,
-                bell_outcomes=tuple(bells),
-            )
-        )
     estimate = stderr = None
     n1 = len(grouped["P1"]) + len(grouped["none"])
     n0 = len(grouped["P0"])
@@ -265,7 +258,7 @@ def per_shot_execute(mem, sched):
         shots=sched.shots,
         n_p0=n0,
         n_p1=n1,
-        records=tuple(records),
+        outcomes=tuple(tuple(column) for column in outcomes),
         copies_after={addr: len(slot.copies) for addr, slot in mem.slots.items()},
         audit_consistent=mem.verify_conservation(),
     )

@@ -104,7 +104,7 @@ class TestExecute:
         mem, a, b = fresh_memory(2)
         result = execute(mem, Schedule((), shots=3))
         assert result.estimate is None
-        assert len(result.records) == 3
+        assert result.outcomes == ()
         assert mem.copy_count(a) == 2
 
     def test_out_of_copies_carries_instruction_index(self):
@@ -135,7 +135,7 @@ class TestExecute:
         r1 = execute(fresh_memory(100)[0], th_schedule(0, 1, shots=100, seed=9))
         r2 = execute(fresh_memory(100)[0], th_schedule(0, 1, shots=100, seed=9))
         assert r1.estimate == r2.estimate
-        assert r1.records == r2.records
+        assert r1.outcomes == r2.outcomes
 
     def test_copy_accounting_matches_instruction_counts(self):
         mem, a, b = fresh_memory(copies=10)
@@ -180,12 +180,18 @@ class TestExecute:
         assert tables == []
         assert (mem.copy_count(a), mem.copy_count(b)) == (3, 3)
 
+    def test_unknown_instruction_rejected(self):
+        mem, a, _ = fresh_memory(2)
+        with pytest.raises(ValidationError, match="unknown instruction 'halt'"):
+            execute(mem, Schedule((SampleTail(a, 0), "halt"), shots=2))
+
     def test_sample_tail_instruction(self):
         mem, a, _ = fresh_memory(4)
         sched = Schedule((SampleTail(a, 0),), shots=4, seed=5)
         result = execute(mem, sched)
-        assert all(len(r.bell_outcomes) == 1 for r in result.records)
-        assert {r.bell_outcomes[0] for r in result.records} <= {0, 1}
+        (bits,) = result.outcomes
+        assert len(bits) == 4
+        assert set(bits) <= {0, 1}
 
 
 def chain_memory(n):
@@ -338,6 +344,28 @@ class TestPathSelection:
             mem.store(desc, copies, address=addr)
         result = execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
         assert result.n_p0 + result.n_p1 == shots and loop_calls == []
+
+    @pytest.mark.parametrize("strategy, loop", [("correction_table", False), ("repeat_until_success", True)])
+    def test_outcomes_give_the_estimate(self, loop_calls, strategy, loop):
+        # the README run file, batched, and with a composition that repeats
+        # until success, in the loop: the estimate and the branch counts
+        # follow from the outcome columns alone, the readout's split on the
+        # injection's
+        text = DEMO_RUN.read_text().replace("strategy=correction_table", f"strategy={strategy}")
+        shots, seed, slots, instructions = parse_run_file(text)
+        mem = MemoryUnit()
+        for addr, copies, desc in slots:
+            mem.store(desc, copies, address=addr)
+        result = execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
+        assert bool(loop_calls) == loop
+        assert [len(column) for column in result.outcomes] == [0, 0, shots, shots, shots]
+        rounds, branch, values = (np.array(column) for column in result.outcomes[2:])
+        assert rounds.min() >= 1 and (rounds.max() > 1) == loop
+        direct, complement = values[branch == 1], values[branch == 0]
+        trace_of_z = 0.0
+        estimate = tailed.combine_branch_estimates(direct, complement, trace_of_z, 1)
+        assert estimate == (result.estimate, result.standard_error)
+        assert (result.n_p0, result.n_p1) == (complement.size, direct.size)
 
     def test_readme_run_file_builds_one_injection(self, monkeypatch):
         # every Bell outcome of a corrected composition leaves one program,

@@ -93,6 +93,11 @@ class TestUnitarityResiduals:
             UnitaryOp(m)
         assert str(info.value) == f"U†U deviates from identity by {resid}"
 
+    def test_overflowing_gate_fails(self):
+        # U†U overflows to a NaN residual, which no threshold passes
+        with pytest.raises(ValidationError, match=r"^U†U deviates from identity by nan$"):
+            UnitaryOp([[1e300 + 1e300j, 0], [0, 1]])
+
 
 class TestKron:
     def test_identity(self):

@@ -187,14 +187,22 @@ def test_parser_raises_only_qvn_errors(fmt, data):
 # A file is random bytes, a line-shaped document or a well-formed one.
 CLI_FILES = {"compose": ["qvn1", "qvn1"], "qec-check": ["code"], "run": ["run"],
              "topo-eval": ["diagram"]}
+# The last of each kind overflows a float: U†U of a gate with 1e300
+# entries, and the mean of readout values of ±1e308; each must end in one
+# error line.
+OVERFLOWING_GATE = "rows=2 data=1e300,1e300;0,0;0,0;1,0"
+README_RUN = (Path(__file__).resolve().parent.parent / "bench" / "inputs" / "demo.run").read_text()
 WELL_FORMED = {
     "qvn1": ["QVN1 name=H n=1\nt=0 g=H q=0\n",
-             "QVN1 name=C n=2\nt=0 g=CX q=1,0\nt=1 g=custom q=0 rows=2 data=0,0;1,0;1,0;0,0\n"],
+             "QVN1 name=C n=2\nt=0 g=CX q=1,0\nt=1 g=custom q=0 rows=2 data=0,0;1,0;1,0;0,0\n",
+             f"QVN1 name=O n=1\nt=0 g=custom q=0 {OVERFLOWING_GATE}\n"],
     "code": [qec.serialize_code(qec.bit_flip_code())],
     "run": ["run shots=3 seed=1\nslot addr=0 copies=1\nQVN1 name=H n=1\nt=0 g=H q=0\nendslot\n"
             "schedule\nrestore addr=0 copies=1\ninject target=0\nreadout target=0 obs=Z\n"
-            "endschedule\n"],
-    "diagram": ["vertex g=T\nsegment a=0.h0 b=0.t0\n", "vertex g=CX legs=2\nsegment a=0.h0 b=0.t1\n"],
+            "endschedule\n",
+            README_RUN.replace("obs=Z", "obs=custom rows=2 data=1e308,0;0,0;0,0;-1e308,0")],
+    "diagram": ["vertex g=T\nsegment a=0.h0 b=0.t0\n", "vertex g=CX legs=2\nsegment a=0.h0 b=0.t1\n",
+                f"vertex g=custom {OVERFLOWING_GATE}\nsegment a=0.h0 b=0.t0\n"],
 }
 COUNTS = ["0", "1", "3", "-1", "10001", "x"]
 CLI_OPTIONS = {
@@ -474,6 +482,26 @@ def run_or_error(executor, slots, sched):
             ),
             shots=40,
             seed=7,
+        ),
+    ),
+    control.MAX_RETAINED_ENTRIES,
+)
+# two injections on programs of two widths before the readout: the
+# complement branch is inverted through the last one's width
+@example(
+    (
+        [
+            (ProgramDescription("HC", 2, (GateRecord(0, "H", (0,)), GateRecord(1, "CX", (0, 1)))), 40),
+            (ProgramDescription("T", 1, (GateRecord(0, "T", (0,)),)), 40),
+        ],
+        Schedule(
+            (
+                Inject(0, "10"),
+                Inject(1, "1"),
+                Readout(0, Observable(gates.pauli_string_matrix("ZX")), "ZX"),
+            ),
+            shots=40,
+            seed=11,
         ),
     ),
     control.MAX_RETAINED_ENTRIES,

@@ -6,7 +6,7 @@ import pytest
 from conftest import einsum_oracle
 from qvn import gates, tailed
 from qvn.duality import bell_state, choi_of_unitary
-from qvn.errors import ValidationError
+from qvn.errors import EstimationError, ValidationError
 from qvn.kernel import (
     Observable,
     PureState,
@@ -416,6 +416,17 @@ def su4_case(seed):
 
 
 class TestRunAlgorithm:
+    @pytest.mark.parametrize(
+        "direct, complement",
+        [
+            ([1e200, -1e200, 1e200], [1e200, -1e200]),  # every variance: no weight is left
+            ([1.5e308], [-1.5e308]),  # two finite estimates whose mean overflows
+        ],
+    )
+    def test_overflowing_samples_raise(self, direct, complement):
+        with pytest.raises(EstimationError, match="overflow"):
+            tailed.combine_branch_estimates(np.array(direct), np.array(complement), 0.0, 1)
+
     # (estimate, standard_error, n_p0, n_p1) of 10,000 shots, as drawn when
     # readouts were sampled through numpy's Generator.choice
     @pytest.mark.parametrize(
@@ -489,15 +500,3 @@ class TestRunAlgorithm:
             if abs(result.estimate - exact) <= 4 * max(result.standard_error, 1e-15):
                 hits += 1
         assert hits >= 0.95 * reps
-
-    def test_records_collected(self):
-        result = run_algorithm(
-            stored_program(gates.H),
-            ReadoutSpec(Observable(gates.Z), (0,)),
-            InjectionSpec((0,)),
-            32,
-            RngStream(1),
-            collect_records=True,
-        )
-        assert len(result.records) == 32
-        assert {r.injection_branch for r in result.records} <= {"P0", "P1"}
