@@ -319,6 +319,12 @@ class RngStream:
     def uniforms(self, size):
         return self._gen.random(size)
 
+    def rewind(self, doubles):
+        """Step the stream back over its last `doubles` doubles. PCG64's
+        jump-ahead is modular in its 128-bit state (O'Neill, "PCG",
+        HMC-CS-2014-0905), so advancing 2¹²⁸ − m steps undoes m of them."""
+        self._gen.bit_generator.advance((1 << 128) - int(doubles))
+
     def draw(self, cdf):
         """Index sampled from a `checked_cdf`, on one double from the stream."""
         return int(cdf.searchsorted(self._gen.random(), side="right"))

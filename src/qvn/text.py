@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",;")
+
 
 def _split(text):
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -127,15 +129,33 @@ class Line:
 
     def matrix(self, rows, cols):
         """The rows×cols complex matrix of `data=`, row-major `re,im;re,im;...`,
-        every entry finite."""
+        every entry finite.
+
+        When every entry is two parts, as the separators show, the parts go
+        through one `float` pass and one finiteness check and are read as
+        complex pairs. Otherwise, or when that pass fails, the entries are
+        read one at a time, so an error names the first entry at fault: one
+        not of two parts, then a bad number, then a non-finite one.
+        """
         text = self.str("data")
         col = self.fields["data"][1]
+        n = rows * cols
+        # the separators alternate , ; exactly when there are n entries of
+        # two parts each (neither byte occurs in the UTF-8 of another character)
+        separators = text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+        if separators == b",;" * (n - 1) + b",":
+            try:
+                values = np.fromiter(map(float, text.replace(";", ",").split(",")), float, 2 * n)
+            except ValueError:
+                pass
+            else:
+                # one byte per part, 0 for one that is not finite
+                if 0 not in np.isfinite(values).tobytes():
+                    return np.ndarray((rows, cols), complex, values)  # read as complex pairs
         entries = text.split(";")
-        if len(entries) != rows * cols:
-            raise ParseError(
-                f"expected {rows * cols} complex entries, got {len(entries)}", self.no, col
-            )
-        out = np.empty(rows * cols, dtype=complex)
+        if len(entries) != n:
+            raise ParseError(f"expected {n} complex entries, got {len(entries)}", self.no, col)
+        out = np.empty(n, dtype=complex)
         for i, entry in enumerate(entries):
             parts = entry.split(",")
             if len(parts) != 2:

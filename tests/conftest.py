@@ -1,3 +1,4 @@
+import cmath
 import tempfile
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from qvn import tailed, uqt
 from qvn.control import Compose, ExecutionResult, Inject, Readout, Restore, SampleTail
-from qvn.errors import EstimationError, OutOfCopiesError, ValidationError
+from qvn.errors import EstimationError, NumericalError, OutOfCopiesError, ParseError, ValidationError
 from qvn.kernel import RngStream
 
 try:
@@ -78,6 +79,76 @@ def einsum_oracle(diagram):
     spec = ",".join(terms) + "->" + "".join(letters[ep] for ep in open_eps)
     tensors = [vert.tensor() for vert in diagram.vertices]
     return np.einsum(spec, *tensors) * 2 ** (-len(diagram.segments) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Entry-by-entry `data=` reader, the oracle for `text.Line.matrix`
+# ---------------------------------------------------------------------------
+
+
+def entrywise_matrix(line, rows, cols):
+    """The rows×cols matrix of a line's `data=`, read one entry at a time:
+    each entry split at `,`, its two parts made one complex number and
+    checked finite, so the first entry at fault names the error."""
+    text = line.str("data")
+    col = line.fields["data"][1]
+    entries = text.split(";")
+    if len(entries) != rows * cols:
+        raise ParseError(
+            f"expected {rows * cols} complex entries, got {len(entries)}", line.no, col
+        )
+    out = np.empty(rows * cols, dtype=complex)
+    for i, entry in enumerate(entries):
+        parts = entry.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"bad complex entry {entry!r}", line.no, col)
+        try:
+            z = complex(float(parts[0]), float(parts[1]))
+        except ValueError:
+            raise ParseError(f"bad number in entry {entry!r}", line.no, col) from None
+        if not cmath.isfinite(z):
+            raise ParseError(f"non-finite entry {entry!r}", line.no, col)
+        out[i] = z
+    return out.reshape(rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# One draw per round, the oracle for `uqt._draw_round`
+# ---------------------------------------------------------------------------
+
+
+def per_round_draw(cdf, d, repeat, rng):
+    """`uqt._draw_round` with one `RngStream.draw` per round: (outcome k,
+    rounds drawn), redrawing with `repeat` until k = 0, at most 64·d²
+    rounds."""
+    max_rounds = uqt.MAX_ROUNDS_PER_OUTCOME * d * d if repeat else 1
+    for rounds in range(1, max_rounds + 1):
+        k = rng.draw(cdf)
+        if k == 0 or not repeat:
+            return k, rounds
+    raise NumericalError(
+        f"no trivial Bell outcome in {max_rounds} rounds "
+        f"(repeat-until-success bound {uqt.MAX_ROUNDS_PER_OUTCOME}·d² at d={d})"
+    )
+
+
+# the error of repeat-until-success that reaches its bound at d = 2
+RUS_BOUND_D2 = "no trivial Bell outcome in 256 rounds (repeat-until-success bound 64·d² at d=2)"
+
+
+def never_heralded(monkeypatch):
+    """Make every double an `RngStream` hands out in blocks 1 or more, so no
+    repeat-until-success round heralds k = 0; the stream still advances."""
+    uniforms = RngStream.uniforms
+    monkeypatch.setattr(RngStream, "uniforms", lambda self, size: uniforms(self, size) + 1.0)
+
+
+def assert_drawn(rng, doubles):
+    """`rng` stands `doubles` doubles past its seeding."""
+    reference = RngStream(rng.seed, rng.stream_id)
+    reference._gen.random(doubles)
+    assert rng.random() == reference.random()
+
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ QvnError, every `qvn` subcommand given any files and argv ends in a report
 or in one error line, the pairwise diagram contraction agrees with the
 single-pass einsum, the index-only Bell measurement agrees with the dense basis, the
 table-driven schedule executor agrees with the per-shot one, batch-derived
-shot streams and doubles draw as numpy seeds them, and lazily concatenated program
-descriptions flatten to the eager concatenation."""
+shot streams and doubles draw as numpy seeds them, lazily concatenated program
+descriptions flatten to the eager concatenation, `data=` matrices read as
+one entry at a time reads them, and repeat-until-success leaves its rounds
+and its stream where one draw per round leaves them."""
 
 import contextlib
 import io
@@ -25,10 +27,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import dense_bell_probabilities, einsum_oracle, per_shot_execute
-from qvn import cli, control, gates, memory, qec, text
+from conftest import (
+    dense_bell_probabilities,
+    einsum_oracle,
+    entrywise_matrix,
+    per_round_draw,
+    per_shot_execute,
+)
+from qvn import cli, control, gates, memory, qec, text, uqt
 from qvn.control import Compose, Inject, Readout, Restore, SampleTail, Schedule
-from qvn.errors import QvnError, ValidationError
+from qvn.errors import ParseError, QvnError, ValidationError
 from qvn.kernel import (
     SHOT_BLOCK,
     Observable,
@@ -605,3 +613,172 @@ def test_then_flattens_to_eager_concatenation(parts, data):
     assert lazy[0] == eager[0]
     assert (lazy[0].start, lazy[0].span) == (eager[0].start, eager[0].span)
     assert memory.serialize(lazy[0]) == memory.serialize(eager[0])
+
+
+# ---------------------------------------------------------------------------
+# data= matrices
+# ---------------------------------------------------------------------------
+
+# the spellings `float` takes or refuses at the edges: signed zero, the
+# least subnormal and the greatest double, underscores, a bare sign and
+# point, exponent case, the words for infinity and NaN, overflow, and empty
+# or broken parts
+PART_SPELLINGS = (
+    "-0.0", "5e-324", "1.7976931348623157e308", "1_0", "+.5", "1E3", "infinity", "nan",
+    "-inf", "1e400", "", "x", "1__0", "0x1", ".",
+)
+PARTS = st.one_of(
+    st.sampled_from(PART_SPELLINGS),
+    st.floats().map(repr),
+    st.text("0123456789.eE+-_xn,;", max_size=5),
+)
+
+
+@st.composite
+def matrix_fields(draw):
+    """(rows, cols, data=) with entries of one to three parts, their count
+    rows·cols or one off it."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = rows * cols + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    weights = st.sampled_from([2, 2, 2, 2, 1, 3])
+    entries = [",".join(draw(st.lists(PARTS, min_size=k, max_size=k))) for k in draw(
+        st.lists(weights, min_size=count, max_size=count))]
+    return rows, cols, ";".join(entries)
+
+
+def matrix_or_error(read, rows, cols, data):
+    """The bits and shape of the matrix `read` makes of a line's `data=`, or
+    its ParseError's message, line and column."""
+    line = text.Line(4, f"vertex g=custom data={data}")
+    try:
+        m = read(line, rows, cols)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    return m.shape, m.dtype, m.view(np.uint64).tobytes()
+
+
+@given(matrix_fields())
+@example((2, 2, "1,0,0;0;0,0;1,0"))  # a 3-part entry beside a 1-part one
+@example((1, 3, "-0.0,5e-324;1.7976931348623157e308,-0.0;1_0,+.5"))
+@example((2, 1, "1E3,1_0;infinity,0"))
+@example((1, 2, "nan,0;x,0"))
+@example((2, 2, "1,0;;0,0;1,0"))
+@example((1, 1, "1,0,"))
+@example((1, 1, "1"))
+@example((2, 2, "1,0;0,0;0,0"))
+def test_matrix_reads_as_entrywise_oracle(field):
+    assert matrix_or_error(text.Line.matrix, *field) == matrix_or_error(entrywise_matrix, *field)
+
+
+# ---------------------------------------------------------------------------
+# Repeat-until-success draws
+# ---------------------------------------------------------------------------
+
+
+def drawn_then_stream(call, seed):
+    """What `call(rng)` gives on `RngStream(seed)`, or its error's type and
+    text, then that stream's PCG64 state and next double."""
+    rng = RngStream(seed)
+    try:
+        out = call(rng)
+    except QvnError as exc:
+        out = type(exc), str(exc)
+    return out, rng._gen.bit_generator.state, rng.random()
+
+
+@given(st.floats(0.0, 1.0), st.integers(1, 4), SEEDS)
+@example(0.0, 2, 0)  # never heralded: the bound, after all 64·d² draws
+@example(2e-3, 2, 3)  # past the first block
+@example(1.0, 1, 5)  # the first double heralds
+def test_rus_rounds_draw_as_one_draw_per_round(p0, d, seed):
+    cdf = checked_cdf([p0, 1.0 - p0])
+    got = drawn_then_stream(lambda rng: uqt._draw_round(cdf, d, True, rng), seed)
+    assert got == drawn_then_stream(lambda rng: per_round_draw(cdf, d, True, rng), seed)
+
+
+def symmetric_logical(code, seed):
+    """Physical gate V G Vᵀ + (1 − P) of a random symmetric logical gate
+    G = diag(phases) on a code with a real isometry V."""
+    v = np.asarray(code.isometry)
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, v.shape[1]))
+    return v @ np.diag(phases) @ v.T + np.eye(v.shape[0]) - v @ v.T
+
+
+def rus_compose(n, seed):
+    p1, p2 = (uqt.stored_program(haar(2**n, seed + i)) for i in (0, 1))
+
+    def call(rng):
+        result, rounds = uqt.compose(p1, p2, ByproductStrategy.REPEAT_UNTIL_SUCCESS, rng)
+        return result.amplitudes.tobytes(), rounds
+
+    return call
+
+
+def rus_teleport(n, seed):
+    u1, u2 = haar(2**n, seed), haar(2**n, seed + 1)
+    amp1, amp2 = u1.reshape(-1) / 2 ** (n / 2), u2.reshape(-1) / 2 ** (n / 2)
+
+    def call(rng):
+        state, rounds = uqt.teleport(
+            amp1, amp2, BellBasis.for_dim(2**n), u2, ByproductStrategy.REPEAT_UNTIL_SUCCESS, rng
+        )
+        return state.amplitudes.tobytes(), rounds
+
+    return call
+
+
+def rus_logical_compose(n, seed):
+    code = qec.bit_flip_code() if n > 1 else qec.Code(1, 1, np.eye(2))
+    lp1, lp2 = (qec.logical_program(code, symmetric_logical(code, seed + i)) for i in (0, 1))
+
+    def call(rng):
+        result, rounds = qec.logical_compose(lp1, lp2, ByproductStrategy.REPEAT_UNTIL_SUCCESS, rng)
+        return result.state.amplitudes.tobytes(), rounds
+
+    return call
+
+
+def rus_execute(n, seed):
+    """A schedule of two repeat-until-success composes, the second on the
+    first's result, then an inject and a tail draw, which runs shot by
+    shot; each shot's stream state is kept when the next shot starts."""
+    slots = []
+    for address in range(2):
+        gate = GateRecord(0, "custom", tuple(range(n)), haar(2**n, seed + address))
+        slots.append((ProgramDescription(f"u{address}", n, (gate,)), 1))
+    rus = ByproductStrategy.REPEAT_UNTIL_SUCCESS
+    sched = Schedule(
+        (Restore(0, 1), Restore(1, 2), Compose(0, 1, rus, 2), Compose(2, 1, rus, 3),
+         Inject(3, ""), SampleTail(3, 0)),
+        shots=seed % 4 + 1,
+        seed=seed,
+    )
+
+    def call(_):
+        states = []
+
+        def recorded(*args):
+            for stream in shot_streams(*args):
+                yield stream
+                states.append(stream._gen.bit_generator.state)
+
+        with mock.patch.object(control, "shot_streams", recorded):
+            return run_or_error(control.execute, slots, sched), states
+
+    return call
+
+
+RUS_CALLS = {
+    "compose": rus_compose,
+    "teleport": rus_teleport,
+    "logical_compose": rus_logical_compose,
+    "execute": rus_execute,
+}
+
+
+@given(st.sampled_from(sorted(RUS_CALLS)), st.integers(1, 3), SEEDS)
+def test_rus_stream_matches_per_round_oracle(api, n, seed):
+    call = RUS_CALLS[api](n, seed)
+    got = drawn_then_stream(call, seed)
+    with mock.patch.object(uqt, "_draw_round", per_round_draw):
+        assert got == drawn_then_stream(call, seed)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from qvn.qec import (
     serialize_code,
 )
 from qvn.uqt import MAX_ROUNDS_PER_OUTCOME, ByproductStrategy, compose, stored_program
+
+from conftest import RUS_BOUND_D2, assert_drawn, never_heralded
 
 
 def x_errors():
@@ -284,17 +287,12 @@ class TestLogicalCompose:
             assert np.abs(logical.state.amplitudes - bare.amplitudes).max() < 1e-15
 
     def test_rus_bounded(self, monkeypatch):
-        draws = []
-
-        def nontrivial(self, cdf):
-            draws.append(1)
-            return 1
-
-        monkeypatch.setattr(RngStream, "draw", nontrivial)
+        never_heralded(monkeypatch)
         p = logical_program(Code(1, 1, np.eye(2)), gates.T)
-        with pytest.raises(NumericalError, match="64·d²"):
-            logical_compose(p, p, ByproductStrategy.REPEAT_UNTIL_SUCCESS, RngStream(0))
-        assert len(draws) == MAX_ROUNDS_PER_OUTCOME * 2**2
+        rng = RngStream(0)
+        with pytest.raises(NumericalError, match=re.escape(RUS_BOUND_D2)):
+            logical_compose(p, p, ByproductStrategy.REPEAT_UNTIL_SUCCESS, rng)
+        assert_drawn(rng, MAX_ROUNDS_PER_OUTCOME * 2**2)
 
     def test_asymmetric_gate_rejected(self, rng):
         code = Code(1, 1, np.eye(2))

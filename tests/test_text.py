@@ -4,8 +4,10 @@ read the same way in every format."""
 import pytest
 
 from qvn.cli import parse_run_file
+from qvn.errors import ParseError
 from qvn.memory import deserialize, serialize
 from qvn.qec import bit_flip_code, parse_code, serialize_code
+from qvn.text import Line
 
 RUN = (
     "run shots=3\nslot addr=0 copies=1\nQVN1 name=H n=1\nt=0 g=H q=0\nendslot\n"
@@ -32,3 +34,10 @@ def test_run_file_lone_cr_reads_as_lf():
     clean = parse_run_file(RUN)
     assert len(clean[2]) == 1 and len(clean[3]) == 2  # one slot, two instructions
     assert parse_run_file(RUN.replace("\n", "\r")) == clean
+
+
+def test_misaligned_entries_are_an_error():
+    # as many parts as a 2×2 matrix has, but the first entry has three
+    line = Line(1, "readout rows=2 data=1,0,0;0;0,0;1,0")
+    with pytest.raises(ParseError, match=r"^bad complex entry '1,0,0' \(line 1, col 16\)$"):
+        line.matrix(2, 2)

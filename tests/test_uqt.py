@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from qvn.uqt import (
     ByproductStrategy,
     Composition,
     SymmetricFactors,
+    _draw_round,
     bell_measure_pair,
     bell_probabilities,
     byproduct_correction,
@@ -33,7 +35,16 @@ from qvn.uqt import (
     teleport,
 )
 
-from conftest import dense_bell_vectors, dense_corrected, dense_paulis, dense_teleport
+from conftest import (
+    RUS_BOUND_D2,
+    assert_drawn,
+    dense_bell_vectors,
+    dense_corrected,
+    dense_paulis,
+    dense_teleport,
+    never_heralded,
+    per_round_draw,
+)
 
 
 def identity_program(d):
@@ -302,17 +313,19 @@ class TestCompose:
         assert abs(mean - 4.0) < 3 * sigma_mean
 
     def test_rus_bounded(self, monkeypatch):
-        draws = []
-
-        def nontrivial(self, cdf):
-            draws.append(1)
-            return 1
-
-        monkeypatch.setattr(RngStream, "draw", nontrivial)
+        never_heralded(monkeypatch)
         p1, p2 = stored_program(gates.H), stored_program(gates.T)
-        with pytest.raises(NumericalError, match="64·d²"):
-            compose(p1, p2, ByproductStrategy.REPEAT_UNTIL_SUCCESS, RngStream(0))
-        assert len(draws) == MAX_ROUNDS_PER_OUTCOME * 2**2
+        rng = RngStream(0)
+        with pytest.raises(NumericalError, match=re.escape(RUS_BOUND_D2)):
+            compose(p1, p2, ByproductStrategy.REPEAT_UNTIL_SUCCESS, rng)
+        assert_drawn(rng, MAX_ROUNDS_PER_OUTCOME * 2**2)
+
+    def test_rus_double_at_cdf0_does_not_herald(self):
+        # `RngStream.draw` searches side="right": a double equal to cdf[0] is k = 1
+        cdf = np.array([RngStream(3).random(), 1.0])
+        rng, oracle = RngStream(3), RngStream(3)
+        assert _draw_round(cdf, 2, True, rng) == per_round_draw(cdf, 2, True, oracle)
+        assert rng.random() == oracle.random()
 
     def test_associativity(self, rng):
         ua = haar_random_unitary(2, rng)
@@ -461,10 +474,14 @@ class TestTeleport:
                 rng, oracle_rng = RecordingRng(seed), RecordingRng(seed)
                 state, rounds = teleport(amp1, amp2, BellBasis.for_dim(d), u2, strategy, rng)
                 amp, oracle_rounds, k = dense_teleport(amp1, amp2, u2, strategy, oracle_rng)
-                # repeat-until-success draws only whether the round heralded k = 0
-                assert [x == 0 for x in rng.draws] == [x == 0 for x in oracle_rng.draws]
-                assert rounds == oracle_rounds == len(rng.draws)
-                if strategy is not ByproductStrategy.REPEAT_UNTIL_SUCCESS:
+                # the oracle draws one double per round, and the stream stands
+                # where its draws left it
+                assert rounds == oracle_rounds == len(oracle_rng.draws)
+                assert rng.random() == oracle_rng.random()
+                if strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS:
+                    # only the last round heralded k = 0
+                    assert [x == 0 for x in oracle_rng.draws] == [False] * (rounds - 1) + [True]
+                else:
                     assert rng.draws == oracle_rng.draws == [k]
                 assert np.abs(state.amplitudes - amp).max() <= 1e-10
 
