@@ -141,9 +141,10 @@ class Line:
         col = self.fields["data"][1]
         n = rows * cols
         # the separators alternate , ; exactly when there are n entries of
-        # two parts each (neither byte occurs in the UTF-8 of another character)
+        # two parts each (neither byte occurs in the UTF-8 of another character);
+        # the length is compared first, so the pattern is never longer than the text
         separators = text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-        if separators == b",;" * (n - 1) + b",":
+        if len(separators) == 2 * n - 1 and separators == b",;" * (n - 1) + b",":
             try:
                 values = np.fromiter(map(float, text.replace(";", ",").split(",")), float, 2 * n)
             except ValueError:

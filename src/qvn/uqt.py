@@ -277,26 +277,21 @@ def _fusion(amp1, amp2, basis: BellBasis, repeat):
     return checked_cdf([probs[0], probs.sum() - probs[0]] if repeat else probs), fused
 
 
-# Repeat-until-success draws its rounds in blocks of d² doubles, the mean
-# round count of a unitary composition, and of no fewer than this many. It
-# divides MAX_ROUNDS_PER_OUTCOME, so a whole number of blocks reaches the bound.
-MIN_ROUNDS_PER_BLOCK = 64
-
-
 def _draw_round(cdf, d, repeat, rng: RngStream):
     """(outcome k, rounds drawn) of one teleportation: one draw from `cdf`,
     or with `repeat` draws until the trivial outcome, at most 64·d².
 
-    Repeat-until-success takes its doubles in blocks (`RngStream.uniforms`),
-    ends on the first u < cdf[0], the test by which `RngStream.draw` gives
-    k = 0, and rewinds the stream over the doubles of the block after it.
-    So the rounds, the stream position after them and the bound's error are
-    those of one `draw` per round.
+    Repeat-until-success takes its doubles in blocks of d², the mean round
+    count of a unitary composition (`RngStream.uniforms`), ends on the first
+    u < cdf[0], the test by which `RngStream.draw` gives k = 0, and rewinds
+    the stream over the doubles of the block after it. A block divides the
+    bound, so the rounds, the stream position after them and the bound's
+    error are those of one `draw` per round.
     """
     if not repeat:
         return rng.draw(cdf), 1
     max_rounds = MAX_ROUNDS_PER_OUTCOME * d * d
-    block = max(d * d, MIN_ROUNDS_PER_BLOCK)  # a divisor of max_rounds
+    block = d * d
     for drawn in range(0, max_rounds, block):
         u = rng.uniforms(block)
         hit = int(np.argmax(u < cdf[0]))
@@ -318,10 +313,8 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
     pair until the trivial outcome, at most 64·d² rounds; every round sees
     fresh copies of the same states, so all rounds draw from one
     probability vector, computed once. Every other strategy takes one
-    round and applies C_k for the sampled outcome k. The rounds are drawn
-    as `_draw_round` draws them: a block of doubles at a time, with the
-    stream left just past the round that heralded k = 0. The joint state is
-    never built.
+    round and applies C_k for the sampled outcome k. Rounds are drawn by
+    `_draw_round`. The joint state is never built.
 
     The correction stays per outcome here because a state that is not a
     unitary's dual state, such as an encoded program's, can leave a
@@ -353,9 +346,8 @@ class Composition:
     state, through S2 and then S1 for `symmetric_pair`, built here. Each
     round keeps only the cdf it draws from, so `sample` draws as the
     per-outcome protocol does: one double per round, or for
-    repeat-until-success one per try until the trivial outcome, taken from
-    the stream in blocks and rewound to just past that try (`_draw_round`).
-    The table never holds the input programs.
+    repeat-until-success one per try until the trivial outcome
+    (`_draw_round`). The table never holds the input programs.
     """
 
     def __init__(self, p1: StoredProgram, p2: StoredProgram, strategy: ByproductStrategy):

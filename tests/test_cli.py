@@ -926,6 +926,23 @@ class TestLocatedFaults:
                 "endschedule\n",
                 2, 36, id="schedule-data-misaligned",
             ),
+            # rows far beyond the data given: an entry-count error, whatever rows asks for
+            pytest.param(
+                "qvn", "QVN1 name=C n=1\nt=0 g=custom q=0 rows=100000 data=1,0\n",
+                2, 30, id="qvn1-data-rows-huge",
+            ),
+            pytest.param(
+                "topo", "vertex g=custom rows=100000 data=1,0\nsegment a=0.h0 b=0.t0\n",
+                1, 29, id="topo-data-rows-huge",
+            ),
+            pytest.param(
+                "code", "QVN1 name=c n=1 k=1\nisometry rows=100000 cols=100000 data=1,0\n",
+                2, 34, id="code-data-rows-huge",
+            ),
+            pytest.param(
+                "run", "schedule\nreadout target=0 obs=custom rows=100000 data=1,0\nendschedule\n",
+                2, 41, id="schedule-data-rows-huge",
+            ),
             # bytes that are not UTF-8
             pytest.param("qvn", b"QVN1 name=H n=1\nt=0 g=H q=0 \xff\xfe\n", 2, 13, id="not-utf8"),
             # a key the line's reader does not take, in each format and in schedule lines

@@ -41,3 +41,12 @@ def test_misaligned_entries_are_an_error():
     line = Line(1, "readout rows=2 data=1,0,0;0;0,0;1,0")
     with pytest.raises(ParseError, match=r"^bad complex entry '1,0,0' \(line 1, col 16\)$"):
         line.matrix(2, 2)
+
+
+@pytest.mark.parametrize("rows", [100000, 10**10])
+def test_entry_count_error_whatever_rows_asks(rows):
+    # the bulk pass compares lengths before it builds anything of size rows²
+    line = Line(1, f"readout rows={rows} data=1,0")
+    message = f"expected {rows * rows} complex entries, got 1"
+    with pytest.raises(ParseError, match=rf"^{message} \(line 1, col {15 + len(str(rows))}\)$"):
+        line.matrix(rows, rows)
