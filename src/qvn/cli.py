@@ -37,7 +37,7 @@ from .errors import ParseError, QvnError, ValidationError
 from .gates import GATE_MATRICES
 from .kernel import DEFAULT_TOL, RngStream, UnitaryOp, random_pure_state, unitarity_residuals
 from .memory import MemoryUnit
-from .text import decode, lines
+from .text import decode, lines, read_matrices
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -291,9 +291,13 @@ _ENDPOINT_RE = re.compile(r"^(\d+)\.([ht])(\d+)$")
 def _endpoint(line, key):
     value = line.str(key)
     m = _ENDPOINT_RE.match(value)
-    if not m:
-        raise line.error(f"bad endpoint {value!r} (want <vertex>.<h|t><leg>)", key)
-    return int(m.group(1)), m.group(2), int(m.group(3))
+    if m:
+        vertex, kind, leg = m.groups()
+        try:
+            return int(vertex), kind, int(leg)
+        except ValueError:  # more digits than `int` reads
+            pass
+    raise line.error(f"bad endpoint {value!r} (want <vertex>.<h|t><leg>)", key)
 
 
 def _check_unitary(custom):
@@ -305,7 +309,7 @@ def _check_unitary(custom):
         by_size.setdefault(len(gate), []).append(pos)
     failing = []  # the first failing position of each size
     for rows, members in by_size.items():
-        residuals = unitarity_residuals(np.stack([custom[p][1] for p in members]))
+        residuals = unitarity_residuals(np.array([custom[p][1] for p in members]))
         bad = np.flatnonzero(~(residuals <= DEFAULT_TOL * rows))  # NaN fails
         if bad.size:
             failing.append(members[bad[0]])
@@ -315,10 +319,28 @@ def _check_unitary(custom):
             UnitaryOp(gate)
 
 
+def _read_gates(fields, custom):
+    """The gates of the custom vertices' `data=` fields, (line, rows, rows)
+    in file order, read as one batch. A field at fault is reported as if
+    each field had been read at its own line: after the unitarity error of
+    a custom vertex above it, `custom` being their lines in file order."""
+    try:
+        return read_matrices(fields)
+    except ParseError as exc:
+        above = read_matrices([field for field in fields if field[0].no < exc.line])
+        _check_unitary(list(zip(custom, above)))
+        raise
+
+
 def parse_diagram(text) -> tailed.TopoDiagram:
-    vertices = []
+    """The diagram of a diagram file. The keys are read line by line; the
+    custom vertices' `data=` are read together once the lines are, and a
+    fault is reported as the first one in file order, with a custom vertex
+    that is not unitary reported before any fault further down."""
+    vertices = []  # (gate, legs), with None for a custom gate not read yet
     segments = []
-    custom = []
+    fields = []  # the (line, rows, rows) of each custom vertex's data=
+    custom = []  # the lines of the custom vertices read in full
     saw_header = False
     try:
         for line in lines(text):
@@ -331,33 +353,43 @@ def parse_diagram(text) -> tailed.TopoDiagram:
                 tag = line.str("g")
                 if tag == "custom":
                     rows = line.int("rows", low=1)
-                    gate = line.matrix(rows, rows)
+                    line.str("data")
+                    fields.append((line, rows, rows))
+                    gate, shape = None, (rows, rows)
                 elif tag in GATE_MATRICES:
                     gate = GATE_MATRICES[tag]
+                    shape = gate.shape
                 else:
                     raise line.error(f"unknown vertex gate {tag!r}", "g")
                 line.done()
-                if tag == "custom":  # the named gates are unitary already
-                    custom.append((line, gate))
+                if gate is None:  # the named gates are unitary already
+                    custom.append(line)
                 with line.located():
-                    vertices.append(tailed.TopoVertex(gate, legs))
+                    tailed.check_vertex_shape(shape, legs)
+                vertices.append((gate, legs))
             elif line.verb == "segment":
                 segments.append((line, _endpoint(line, "a"), _endpoint(line, "b")))
                 line.done()
             else:
                 raise line.error("expected a vertex or segment line")
     except ParseError:
-        # a custom vertex read so far that is not unitary is reported first
-        _check_unitary(custom)
+        # the data= read so far come before this fault, and a custom vertex
+        # read so far that is not unitary comes first
+        _check_unitary(list(zip(custom, _read_gates(fields, custom))))
         raise
-    _check_unitary(custom)
+    gates = _read_gates(fields, custom)
+    _check_unitary(list(zip(custom, gates)))
+    gates = iter(gates)
+    vertices = tuple(
+        tailed.TopoVertex(next(gates) if gate is None else gate, legs) for gate, legs in vertices
+    )
     try:
-        return tailed.TopoDiagram(tuple(vertices), tuple((a, b) for _, a, b in segments))
+        return tailed.TopoDiagram(vertices, tuple((a, b) for _, a, b in segments))
     except ValidationError:
         # a segment may name a vertex given further down, so endpoints are
         # checked once every vertex is read; the first fault is reported
         # again at its own line and key
-        unwired = tailed.TopoDiagram(tuple(vertices), ())
+        unwired = tailed.TopoDiagram(vertices, ())
         seen = set()
         for line, a, b in segments:
             for key, ep in (("a", a), ("b", b)):

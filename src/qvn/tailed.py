@@ -265,6 +265,12 @@ def contract(
 # ---------------------------------------------------------------------------
 
 
+def check_vertex_shape(shape, legs):
+    """Raise unless a gate of `shape` fits a vertex of `legs` qubit legs."""
+    if shape != (2**legs,) * 2:
+        raise ValidationError(f"vertex gate shape {shape} does not fit {legs} qubit legs")
+
+
 @dataclass(frozen=True, eq=False)
 class TopoVertex:
     """Diagram vertex: a gate over k qubit heads with k matching tails."""
@@ -274,8 +280,7 @@ class TopoVertex:
 
     def __init__(self, gate, legs):
         m = np.asarray(gate, dtype=complex)
-        if m.shape != (2**legs,) * 2:
-            raise ValidationError(f"vertex gate shape {m.shape} does not fit {legs} qubit legs")
+        check_vertex_shape(m.shape, legs)
         object.__setattr__(self, "gate", m)
         object.__setattr__(self, "legs", int(legs))
 
@@ -370,6 +375,10 @@ def _contraction_plan(terms, d):
     only when no live tensors share a label does it take the outer product
     of the two smallest. Results get fresh ids len(terms), len(terms)+1, ...
     Candidate pairs wait in a heap, so planning E labels takes O(E log E).
+    This is the greedy path search of opt_einsum (Smith & Gray, JOSS 3(26),
+    753, 2018) with each tensor's labels also held as one int bitmask: the
+    labels two tensors share are the bits of a & b, and their result's
+    label count, a pair's score, is the popcount of a ^ b.
 
     Returns (loops, steps, labels): loops[t] are the self-loop axis pairs of
     tensor t; a step is (a, b, order_a, order_b, inner, shape), the ids of
@@ -379,11 +388,19 @@ def _contraction_plan(terms, d):
     operands and result together, are checked against
     MAX_INTERMEDIATE_ENTRIES before any is made.
     """
-    loops, live = [], {}
+    loops, live, masks = [], {}, {}
     for t, labels in enumerate(terms):
-        pairs, live[t] = _self_loops(labels)
+        mask = 0
+        for x in labels:
+            mask |= 1 << x
+        pairs = []
+        if mask.bit_count() < len(labels):  # a repeated label is a self-loop
+            pairs, labels = _self_loops(labels)
+            mask = sum(1 << x for x in labels)
         loops.append(pairs)
-        _check_entries(d ** len(live[t]), "entries in one tensor")
+        live[t] = tuple(labels)
+        masks[t] = mask
+        _check_entries(d ** len(labels), "entries in one tensor")
     owners = {}  # label -> ids of the live tensors that carry it
     for t, labels in live.items():
         for label in labels:
@@ -392,8 +409,12 @@ def _contraction_plan(terms, d):
 
     def join(a, b):
         la, lb = live.pop(a), live.pop(b)
-        shared = [x for x in la if x in lb]
-        labels = tuple(x for x in la if x not in shared) + tuple(x for x in lb if x not in shared)
+        ma, mb = masks.pop(a), masks.pop(b)
+        both = ma & mb
+        shared = [x for x in la if both >> x & 1]
+        free_a = [x for x in la if not both >> x & 1]
+        free_b = [x for x in lb if not both >> x & 1]
+        labels = (*free_a, *free_b)
         # the product holds both operands while it makes the result
         _check_entries(
             d ** len(la) + d ** len(lb) + d ** len(labels),
@@ -401,20 +422,24 @@ def _contraction_plan(terms, d):
         )
         new = len(terms) + len(steps)
         # np.tensordot's axis order, so that each step is tensordot's one
-        # np.dot: a's free axes then the shared ones, b's shared axes then
-        # its free ones
-        order_a = [i for i, x in enumerate(la) if x not in shared] + [la.index(x) for x in shared]
-        order_b = [lb.index(x) for x in shared] + [i for i, x in enumerate(lb) if x not in shared]
+        # np.dot: a's free axes then the shared ones, b's shared axes (in
+        # a's order) then its free ones
+        order_a = [la.index(x) for x in free_a + shared]
+        order_b = [lb.index(x) for x in shared + free_b]
         steps.append((a, b, order_a, order_b, d ** len(shared), (d,) * len(labels)))
-        live[new] = labels
+        live[new], masks[new] = labels, ma ^ mb
         for x in shared:
             del owners[x]
-        for x in labels:
-            owners[x] = [new if t in (a, b) else t for t in owners[x]]
+        for x in free_a:
+            ids = owners[x]
+            ids[ids.index(a)] = new
+        for x in free_b:
+            ids = owners[x]
+            ids[ids.index(b)] = new
         return new
 
     def candidate(a, b):  # result label count first, then the ids
-        return len(set(live[a]) ^ set(live[b])), a, b
+        return (masks[a] ^ masks[b]).bit_count(), a, b
 
     # A pair's score depends only on its two tensors, which never change
     # while both are live, so a heap whose stale entries are skipped on pop
@@ -453,14 +478,16 @@ def eval_topological(diagram: TopoDiagram):
     if not diagram.vertices:
         raise ValidationError("empty diagram")
     d = 2  # every leg is a qubit
-    open_eps = diagram.open_endpoints()
-    # one label per segment (shared by its two endpoints) and per open endpoint
-    groups = [*diagram.segments, *((ep,) for ep in open_eps)]
-    label_of = {ep: label for label, group in enumerate(groups) for ep in group}
-    terms = []
+    # one label per segment (shared by its two endpoints), then one per open
+    # endpoint, met here in `open_endpoints()` order
+    label_of = {ep: label for label, segment in enumerate(diagram.segments) for ep in segment}
+    open_eps, terms = [], []
     for v, vert in enumerate(diagram.vertices):
-        axes = [(v, "h", leg) for leg in range(vert.legs)]
-        axes += [(v, "t", leg) for leg in range(vert.legs)]
+        axes = [(v, kind, leg) for kind in "ht" for leg in range(vert.legs)]
+        for ep in axes:
+            if ep not in label_of:
+                label_of[ep] = len(diagram.segments) + len(open_eps)
+                open_eps.append(ep)
         terms.append([label_of[ep] for ep in axes])
     loops, steps, labels = _contraction_plan(terms, d)
     tensors = []
@@ -470,8 +497,8 @@ def eval_topological(diagram: TopoDiagram):
             tensor = np.trace(tensor, axis1=p, axis2=q)
         tensors.append(tensor)
     for a, b, order_a, order_b, inner, shape in steps:
-        left = np.transpose(tensors[a], order_a).reshape(-1, inner)
-        right = np.transpose(tensors[b], order_b).reshape(inner, -1)
+        left = tensors[a].transpose(order_a).reshape(-1, inner)
+        right = tensors[b].transpose(order_b).reshape(inner, -1)
         tensors.append(np.dot(left, right).reshape(shape))
         tensors[a] = tensors[b] = None
     out = [label_of[ep] for ep in open_eps]

@@ -13,7 +13,7 @@ of the token at fault.
 from __future__ import annotations
 
 import cmath
-from contextlib import contextmanager
+import itertools
 
 import numpy as np
 
@@ -55,34 +55,31 @@ class Line:
     def __init__(self, no, raw):
         self.no = no
         self.verb = None
-        self.fields = {}
+        self.fields = fields = {}
         self.read = set()
         col = 1
         for token in raw.split(" "):
             if token:
                 key, eq, value = token.partition("=")
                 if not eq:
-                    if self.verb is not None or self.fields:
+                    if self.verb is not None or fields:
                         raise ParseError(f"stray token {token!r}", no, col)
                     self.verb = token
-                elif key in self.fields:
+                elif key in fields:
                     raise ParseError(f"duplicate key {key}=", no, col)
                 else:
-                    self.fields[key] = (value, col)
+                    fields[key] = (value, col)
             col += len(token) + 1
 
     def error(self, message, key=None) -> ParseError:
         """ParseError at the column of `key` (column 1 without one)."""
         return ParseError(message, self.no, self.fields[key][1] if key else 1)
 
-    @contextmanager
     def located(self, key=None):
-        """Report a ValidationError raised inside as a ParseError at this
-        line, at the column of `key` (column 1 without one)."""
-        try:
-            yield
-        except ValidationError as exc:
-            raise self.error(str(exc), key) from exc
+        """A context that reports a ValidationError raised inside as a
+        ParseError at this line, at the column of `key` (column 1 without
+        one)."""
+        return _Located(self, key)
 
     def done(self):
         """Raise a ParseError at the first key that no getter has read: the
@@ -128,47 +125,95 @@ class Line:
             raise self.error(f"bad integer list {key}={value!r}", key) from None
 
     def matrix(self, rows, cols):
-        """The rows×cols complex matrix of `data=`, row-major `re,im;re,im;...`,
-        every entry finite.
+        """The rows×cols complex matrix of `data=`: `read_matrices` of this
+        one field."""
+        self.str("data")
+        return read_matrices([(self, rows, cols)])[0]
 
-        When every entry is two parts, as the separators show, the parts go
-        through one `float` pass and one finiteness check and are read as
-        complex pairs. Otherwise, or when that pass fails, the entries are
-        read one at a time, so an error names the first entry at fault: one
-        not of two parts, then a bad number, then a non-finite one.
-        """
-        text = self.str("data")
-        col = self.fields["data"][1]
-        n = rows * cols
-        # the separators alternate , ; exactly when there are n entries of
-        # two parts each (neither byte occurs in the UTF-8 of another character);
-        # the length is compared first, so the pattern is never longer than the text
-        separators = text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-        if len(separators) == 2 * n - 1 and separators == b",;" * (n - 1) + b",":
-            try:
-                values = np.fromiter(map(float, text.replace(";", ",").split(",")), float, 2 * n)
-            except ValueError:
-                pass
-            else:
-                # one byte per part, 0 for one that is not finite
-                if 0 not in np.isfinite(values).tobytes():
-                    return np.ndarray((rows, cols), complex, values)  # read as complex pairs
-        entries = text.split(";")
-        if len(entries) != n:
-            raise ParseError(f"expected {n} complex entries, got {len(entries)}", self.no, col)
-        out = np.empty(n, dtype=complex)
-        for i, entry in enumerate(entries):
-            parts = entry.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"bad complex entry {entry!r}", self.no, col)
-            try:
-                z = complex(float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise ParseError(f"bad number in entry {entry!r}", self.no, col) from None
-            if not cmath.isfinite(z):
-                raise ParseError(f"non-finite entry {entry!r}", self.no, col)
-            out[i] = z
-        return out.reshape(rows, cols)
+
+def read_matrices(fields):
+    """The complex matrices of `fields`, (line, rows, cols) triples, each the
+    rows×cols matrix of that line's `data=`: row-major `re,im;re,im;...`,
+    every entry finite. The caller has read each `data=` with `Line.str`.
+
+    When every field holds rows·cols entries and every entry is two parts,
+    as the separators show, the parts of all fields go through one `float`
+    pass and one finiteness check and are read as complex pairs. Otherwise,
+    or when that pass fails, the fields are read in order, one entry at a
+    time, so an error names the first field at fault and, in it, the first
+    entry at fault: one not of two parts, then a bad number, then a
+    non-finite one.
+    """
+    texts, sizes, separators = [], [], []
+    for line, rows, cols in fields:
+        text = line.fields["data"][0]
+        texts.append(text)
+        sizes.append(rows * cols)
+        separators.append(text.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR))
+    total = sum(sizes)
+    # a field's separators alternate , ; exactly when it holds n entries of
+    # two parts (neither byte occurs in the UTF-8 of another character), and
+    # the fields' separators joined by ; alternate exactly when each field's
+    # do; the lengths are compared first, so the pattern is never longer
+    # than the text
+    if [len(seps) for seps in separators] == [2 * n - 1 for n in sizes] and (
+        b";".join(separators) == b",;" * (total - 1) + b","
+    ):
+        parts = ";".join(texts).replace(";", ",").split(",")
+        try:
+            values = np.fromiter(map(float, parts), float, 2 * total)
+        except ValueError:
+            pass
+        else:
+            # one byte per part, 0 for one that is not finite
+            if 0 not in np.isfinite(values).tobytes():
+                # read as complex pairs, each field from its first part on
+                starts = itertools.accumulate(sizes, initial=0)
+                return [
+                    np.ndarray((rows, cols), complex, values, 2 * start * values.itemsize)
+                    for (_, rows, cols), start in zip(fields, starts)
+                ]
+    return [_entrywise_matrix(line, rows, cols) for line, rows, cols in fields]
+
+
+def _entrywise_matrix(line, rows, cols):
+    """A line's `data=` matrix read one entry at a time, raising at the
+    first entry at fault."""
+    text, col = line.fields["data"]
+    n = rows * cols
+    entries = text.split(";")
+    if len(entries) != n:
+        raise ParseError(f"expected {n} complex entries, got {len(entries)}", line.no, col)
+    out = np.empty(n, dtype=complex)
+    for i, entry in enumerate(entries):
+        parts = entry.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"bad complex entry {entry!r}", line.no, col)
+        try:
+            z = complex(float(parts[0]), float(parts[1]))
+        except ValueError:
+            raise ParseError(f"bad number in entry {entry!r}", line.no, col) from None
+        if not cmath.isfinite(z):
+            raise ParseError(f"non-finite entry {entry!r}", line.no, col)
+        out[i] = z
+    return out.reshape(rows, cols)
+
+
+class _Located:
+    """The context of `Line.located`; a class, as it is entered for every
+    checked line and a generator-based context costs more."""
+
+    __slots__ = ("line", "key")
+
+    def __init__(self, line, key):
+        self.line, self.key = line, key
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValidationError):
+            raise self.line.error(str(exc), self.key) from exc
 
 
 def format_complex_data(matrix) -> str:

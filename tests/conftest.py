@@ -1,4 +1,6 @@
 import cmath
+import heapq
+import re
 import tempfile
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from qvn import tailed, uqt
 from qvn.control import Compose, ExecutionResult, Inject, Readout, Restore, SampleTail
 from qvn.errors import EstimationError, NumericalError, OutOfCopiesError, ParseError, ValidationError
-from qvn.kernel import RngStream
+from qvn.gates import GATE_MATRICES
+from qvn.kernel import DEFAULT_TOL, RngStream, UnitaryOp, unitarity_residuals
+from qvn.text import lines
 
 try:
     from hypothesis import settings
@@ -110,6 +114,163 @@ def entrywise_matrix(line, rows, cols):
             raise ParseError(f"non-finite entry {entry!r}", line.no, col)
         out[i] = z
     return out.reshape(rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# Tuple-label greedy plan, the oracle for `tailed._contraction_plan`
+# ---------------------------------------------------------------------------
+
+
+def tuple_label_plan(terms, d):
+    """`tailed._contraction_plan` with each tensor's labels held as tuples
+    alone: shared labels found by scanning both tuples, a pair's score the
+    size of the two label sets' symmetric difference, and every owner list
+    rebuilt on each join. Returns the same (loops, steps, labels)."""
+    loops, live = [], {}
+    for t, labels in enumerate(terms):
+        pairs, live[t] = tailed._self_loops(labels)
+        loops.append(pairs)
+        tailed._check_entries(d ** len(live[t]), "entries in one tensor")
+    owners = {}  # label -> ids of the live tensors that carry it
+    for t, labels in live.items():
+        for label in labels:
+            owners.setdefault(label, []).append(t)
+    steps = []
+
+    def join(a, b):
+        la, lb = live.pop(a), live.pop(b)
+        shared = [x for x in la if x in lb]
+        labels = tuple(x for x in la if x not in shared) + tuple(x for x in lb if x not in shared)
+        tailed._check_entries(
+            d ** len(la) + d ** len(lb) + d ** len(labels),
+            "live entries in one step (both operands and the result)",
+        )
+        new = len(terms) + len(steps)
+        order_a = [i for i, x in enumerate(la) if x not in shared] + [la.index(x) for x in shared]
+        order_b = [lb.index(x) for x in shared] + [i for i, x in enumerate(lb) if x not in shared]
+        steps.append((a, b, order_a, order_b, d ** len(shared), (d,) * len(labels)))
+        live[new] = labels
+        for x in shared:
+            del owners[x]
+        for x in labels:
+            owners[x] = [new if t in (a, b) else t for t in owners[x]]
+        return new
+
+    def candidate(a, b):
+        return len(set(live[a]) ^ set(live[b])), a, b
+
+    heap = [candidate(*ids) for ids in owners.values() if len(ids) == 2]
+    heapq.heapify(heap)
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a in live and b in live:
+            new = join(a, b)
+            for x in live[new]:
+                if len(owners[x]) == 2:
+                    heapq.heappush(heap, candidate(min(owners[x]), new))
+    sizes = [(len(labels), t) for t, labels in live.items()]
+    heapq.heapify(sizes)
+    while len(sizes) > 1:
+        (_, a), (_, b) = heapq.heappop(sizes), heapq.heappop(sizes)
+        new = join(min(a, b), max(a, b))
+        heapq.heappush(sizes, (len(live[new]), new))
+    (labels,) = live.values()
+    return loops, steps, labels
+
+
+def diagram_terms(diagram):
+    """Each vertex's axis labels as `tailed.eval_topological` gives them to
+    its plan: one label per segment, then one per open endpoint in
+    `open_endpoints()` order; a vertex's axes are its heads, then its tails."""
+    groups = [*diagram.segments, *((ep,) for ep in diagram.open_endpoints())]
+    label_of = {ep: label for label, group in enumerate(groups) for ep in group}
+    return [
+        [label_of[(v, kind, leg)] for kind in "ht" for leg in range(vert.legs)]
+        for v, vert in enumerate(diagram.vertices)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Line-at-a-time diagram reader, the oracle for `cli.parse_diagram`
+# ---------------------------------------------------------------------------
+
+_ENDPOINT_RE = re.compile(r"^(\d+)\.([ht])(\d+)$")
+
+
+def _oracle_endpoint(line, key):
+    value = line.str(key)
+    m = _ENDPOINT_RE.match(value)
+    if not m:
+        raise line.error(f"bad endpoint {value!r} (want <vertex>.<h|t><leg>)", key)
+    return int(m.group(1)), m.group(2), int(m.group(3))
+
+
+def _oracle_check_unitary(custom):
+    """The unitarity error, at its line, of the first (line, gate) pair in
+    `custom` whose gate is not unitary; the gates of one size as one stack."""
+    by_size = {}
+    for pos, (_, gate) in enumerate(custom):
+        by_size.setdefault(len(gate), []).append(pos)
+    failing = []
+    for rows, members in by_size.items():
+        residuals = unitarity_residuals(np.stack([custom[p][1] for p in members]))
+        bad = np.flatnonzero(~(residuals <= DEFAULT_TOL * rows))
+        if bad.size:
+            failing.append(members[bad[0]])
+    if failing:
+        line, gate = custom[min(failing)]
+        with line.located():
+            UnitaryOp(gate)
+
+
+def line_at_a_time_diagram(text):
+    """`cli.parse_diagram` reading each custom vertex's `data=` at its own
+    line, one entry at a time: a fault ends the reading where it stands,
+    after the unitarity error of any custom vertex read before it."""
+    vertices = []
+    segments = []
+    custom = []
+    saw_header = False
+    try:
+        for line in lines(text):
+            if line.verb == "QVN1" and not saw_header:
+                line.str("name", "")
+                line.done()
+                saw_header = True
+            elif line.verb == "vertex":
+                legs = line.int("legs", 1, low=1, high=tailed.MAX_VERTEX_LEGS)
+                tag = line.str("g")
+                if tag == "custom":
+                    rows = line.int("rows", low=1)
+                    gate = entrywise_matrix(line, rows, rows)
+                elif tag in GATE_MATRICES:
+                    gate = GATE_MATRICES[tag]
+                else:
+                    raise line.error(f"unknown vertex gate {tag!r}", "g")
+                line.done()
+                if tag == "custom":
+                    custom.append((line, gate))
+                with line.located():
+                    vertices.append(tailed.TopoVertex(gate, legs))
+            elif line.verb == "segment":
+                segments.append((line, _oracle_endpoint(line, "a"), _oracle_endpoint(line, "b")))
+                line.done()
+            else:
+                raise line.error("expected a vertex or segment line")
+    except ParseError:
+        _oracle_check_unitary(custom)
+        raise
+    _oracle_check_unitary(custom)
+    try:
+        return tailed.TopoDiagram(tuple(vertices), tuple((a, b) for _, a, b in segments))
+    except ValidationError:
+        unwired = tailed.TopoDiagram(tuple(vertices), ())
+        seen = set()
+        for line, a, b in segments:
+            for key, ep in (("a", a), ("b", b)):
+                with line.located(key):
+                    unwired.check_endpoint(ep, seen)
+        raise
 
 
 # ---------------------------------------------------------------------------

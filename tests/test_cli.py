@@ -990,6 +990,15 @@ class TestLocatedFaults:
                 "topo", "vertex g=T\nsegment a=0.h0 b=0.t0 c=0.h0\n", 2, 23,
                 id="topo-segment-unknown-key",
             ),
+            # an endpoint number of more digits than `int` reads
+            pytest.param(
+                "topo", f"vertex g=T\nsegment a={'9' * 5000}.h0 b=0.t0\n", 2, 9,
+                id="topo-endpoint-vertex-oversized",
+            ),
+            pytest.param(
+                "topo", f"vertex g=T\nsegment a=0.h0 b=0.t{'9' * 5000}\n", 2, 16,
+                id="topo-endpoint-leg-oversized",
+            ),
         ],
     )
     def test_one_located_error(self, tmp_path, capsys, kind, text, line, col):

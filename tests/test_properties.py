@@ -3,7 +3,9 @@ formats are byte exact, any line-shaped text given to a parser (run files
 nest program documents and schedule lines) either parses or raises a
 QvnError, every `qvn` subcommand given any files and argv ends in a report
 or in one error line, the pairwise diagram contraction agrees with the
-single-pass einsum, the index-only Bell measurement agrees with the dense basis, the
+single-pass einsum, its bitmask plan is the tuple-label plan, diagram files
+with faults put in read as the line-at-a-time reader reads them, the
+index-only Bell measurement agrees with the dense basis, the
 table-driven schedule executor agrees with the per-shot one, batch-derived
 shot streams and doubles draw as numpy seeds them, lazily concatenated program
 descriptions flatten to the eager concatenation, `data=` matrices read as
@@ -29,12 +31,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     dense_bell_probabilities,
+    diagram_terms,
     einsum_oracle,
     entrywise_matrix,
+    line_at_a_time_diagram,
     per_round_draw,
     per_shot_execute,
+    tuple_label_plan,
 )
-from qvn import cli, control, gates, memory, qec, text, uqt
+from qvn import cli, control, gates, memory, qec, tailed, text, uqt
 from qvn.control import Compose, Inject, Readout, Restore, SampleTail, Schedule
 from qvn.errors import ParseError, QvnError, ValidationError
 from qvn.kernel import (
@@ -345,6 +350,141 @@ def test_parsed_diagram_is_the_built_one(case):
         return value if diagram.closed else value.amplitudes.tobytes()
 
     assert evaluated(parsed) == evaluated(built)
+
+
+# whole lines that are at fault, put into a diagram file: non-unitary gates
+# of two sizes, a rows/legs mismatch, bad data= entries, an unknown gate,
+# key or verb, a stray token and bad, missing or reused endpoints; the first
+# five hold two faults each, in the order one line reads them
+FAULT_LINES = (
+    "vertex g=custom rows=2 data=2,0;0,0;0,0;1,0 bogus=1",
+    "vertex g=custom legs=2 rows=2 data=2,0;0,0;0,0;1,0",
+    "vertex g=custom rows=2 data=nan,0;0,0;0,0;1,0 bogus=1",
+    "vertex g=custom legs=2 rows=2 data=1,0;0,0;0,0 stray",
+    "vertex g=custom rows=2 bogus=1",
+    "vertex g=custom rows=2 data=2,0;0,0;0,0;1,0",
+    f"vertex g=custom legs=2 rows=4 data={text.format_complex_data(np.diag([2, 1, 1, 1]))}",
+    "vertex g=custom legs=2 rows=2 data=1,0;0,0;0,0;1,0",
+    "vertex g=custom rows=2 data=nan,0;0,0;0,0;1,0",
+    "vertex g=custom rows=2 data=1,0;0,0;0,0;inf,0",
+    "vertex g=custom rows=2 data=1,0;0,0;0,0",
+    "vertex g=custom rows=2 data=1,0,0;0;0,0;1,0",
+    "vertex g=custom rows=2",
+    "vertex g=FOO",
+    "vertex g=T bogus=1",
+    "vertex g=T stray",
+    "gate x=1",
+    "QVN1 name=again",
+    "segment a=0.h0 b=0.q0",
+    "segment a=0.h0 b=99.t0",
+    "segment a=0.h0 b=0.t7",
+    "segment a=0.h0",
+    "segment a=0.h0 b=0.t0",
+)
+
+
+def _reuse_a(line):  # a segment whose two endpoints are one
+    a = re.search(r" a=(\S+)", line)
+    return re.sub(r" b=\S+", f" b={a.group(1)}", line) if a else line
+
+
+# faults put into a line of the file; one that does not apply leaves it as it is
+LINE_FAULTS = (
+    lambda s: re.sub(r"data=[^,;]*,", "data=nan,", s),
+    lambda s: re.sub(r",[^,;]*$", ",inf", s) if "data=" in s else s,
+    lambda s: re.sub(r"data=[^,;]*,", "data=2,", s),  # no longer unitary
+    lambda s: re.sub(r";[^;]*$", "", s) if "data=" in s else s,  # an entry short
+    lambda s: s + ";0,0" if "data=" in s else s,  # an entry over
+    lambda s: re.sub(r"data=([^,;]*),([^,;]*);([^,;]*),", r"data=\1,\2,\3;", s),  # misaligned
+    lambda s: re.sub(r"rows=(\d+)", lambda m: "rows=" + ("4" if m[1] == "2" else "2"), s),
+    lambda s: re.sub(r"legs=(\d+)", lambda m: f"legs={int(m[1]) % 3 + 1}", s),
+    lambda s: re.sub(r"g=\S+", "g=FOO", s),
+    lambda s: s + " bogus=1",
+    lambda s: s + " stray",
+    lambda s: re.sub(r" b=\S+", " b=0.q0", s),
+    lambda s: re.sub(r" b=\S+", " b=99.t0", s),
+    lambda s: re.sub(r" b=(\d+)\.([ht])\d+", r" b=\1.\g<2>7", s),
+    lambda s: re.sub(r" b=\S+", "", s),
+    _reuse_a,
+)
+
+
+@st.composite
+def faulty_diagram_texts(draw):
+    """A diagram file from `diagram_texts()` with one to three faults put
+    in: a line of `FAULT_LINES` inserted, a fault of `LINE_FAULTS` made in a
+    line, or a line given twice."""
+    _, source = draw(diagram_texts())
+    body = source.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["insert", "change", "repeat"]))
+        at = draw(st.integers(0, len(body) - 1))
+        if how == "insert":
+            body.insert(at, draw(st.sampled_from(FAULT_LINES)))
+        elif how == "change":
+            body[at] = draw(st.sampled_from(LINE_FAULTS))(body[at])
+        else:
+            body.insert(draw(st.integers(0, len(body))), body[at])
+    return "\n".join(body) + "\n"
+
+
+def diagram_or_error(parse, source):
+    """Each vertex's legs and gate bits and the segments of the diagram
+    `parse` makes of `source`, or its error's type, message, line and column."""
+    try:
+        diagram = parse(source)
+    except QvnError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    vertices = [(v.legs, v.gate.shape, v.gate.tobytes()) for v in diagram.vertices]
+    return vertices, diagram.segments
+
+
+@given(faulty_diagram_texts())
+# a gate that is not unitary comes before a bad entry below it, not above it
+@example("vertex g=custom rows=2 data=2,0;0,0;0,0;1,0\nvertex g=custom rows=2 data=nan,0;0,0;0,0;1,0\n")
+@example("vertex g=T\nvertex g=custom rows=2 data=1,0;0,0;0,0\n"
+         "vertex g=custom rows=2 data=2,0;0,0;0,0;1,0\nvertex g=FOO\n")
+def test_diagram_reads_as_line_at_a_time_oracle(source):
+    assert diagram_or_error(cli.parse_diagram, source) == diagram_or_error(
+        line_at_a_time_diagram, source
+    )
+
+
+def ring(m):
+    """A closed ring of m one-leg vertices, each head wired to the next tail."""
+    vertices = tuple(TopoVertex(np.eye(2), 1) for _ in range(m))
+    return TopoDiagram(vertices, tuple(((v, "h", 0), ((v + 1) % m, "t", 0)) for v in range(m)))
+
+
+@st.composite
+def plan_diagrams(draw):
+    """1-8 vertices of 1-3 legs; a random pairing of their endpoints into
+    segments (self-loops, multi-edges and disjoint components among them)
+    leaves the rest open. Only the wiring matters to a plan."""
+    legs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    vertices = tuple(TopoVertex(np.eye(2**k), k) for k in legs)
+    endpoints = [(v, kind, leg) for v, k in enumerate(legs) for kind in "ht" for leg in range(k)]
+    order = draw(st.permutations(endpoints))
+    count = draw(st.integers(0, len(order) // 2))
+    return TopoDiagram(vertices, tuple((order[2 * i], order[2 * i + 1]) for i in range(count)))
+
+
+def plan_or_error(plan, terms, d):
+    try:
+        return plan(terms, d)
+    except ValidationError as exc:
+        return str(exc)
+
+
+# d = 64 puts a vertex of three legs past MAX_INTERMEDIATE_ENTRIES
+@given(plan_diagrams(), st.sampled_from([2, 2, 2, 64]))
+@example(ring(20), 2)
+@example(ring(53), 2)
+def test_bitmask_plan_is_the_tuple_label_plan(diagram, d):
+    terms = diagram_terms(diagram)
+    assert plan_or_error(tailed._contraction_plan, terms, d) == plan_or_error(
+        tuple_label_plan, terms, d
+    )
 
 
 def random_amplitudes(shape, seed):
