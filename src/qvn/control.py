@@ -76,6 +76,11 @@ class SampleTail:
 # Most shots one schedule may run: `execute` runs each of them and keeps one
 # outcome per shot of each instruction.
 MAX_SHOTS = 1_000_000
+# Most outcome entries one `execute` keeps: one per shot of each instruction
+# but restores. A run peaks at 18 to 35 bytes an entry above its start, so
+# at most about 280 MB at the limit; the README run file keeps three
+# entries a shot, 3,000,000 at MAX_SHOTS.
+MAX_OUTCOME_ENTRIES = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,12 @@ class Schedule:
             )
         if self.seed < 0:
             raise ValidationError(f"schedule needs a seed >= 0, got {self.seed}")
+        entries = self.shots * sum(1 for i in self.instructions if not isinstance(i, Restore))
+        if entries > MAX_OUTCOME_ENTRIES:
+            raise ValidationError(
+                f"schedule would keep {entries} outcome entries ({self.shots} shots of each "
+                f"instruction but restores); the limit is MAX_OUTCOME_ENTRIES = {MAX_OUTCOME_ENTRIES}"
+            )
         dests = [i.dest for i in self.instructions if isinstance(i, Compose)]
         if len(dests) != len(set(dests)):
             raise ValidationError("compose destinations must be unique per schedule")
@@ -206,13 +217,14 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
 
     A schedule whose outcomes cannot change what a later shot fetches or
     how many doubles it draws (see `_plan`) runs one instruction at a time
-    over all shots (`_run_batched`, whose doubles `kernel.shot_uniforms`
-    computes for all shots at once). Any other schedule, and one that
-    fails, runs shot by shot (`_run_shots`, on `kernel.shot_streams`), so
-    errors are raised where that loop raises them. Both paths give the same
-    outcome columns and leave the same copies. Streams that differ from
-    numpy's (`StreamDerivationError`) stop the call before anything is
-    sampled.
+    over all shots (`_run_batched`, for which `kernel.shot_uniforms`
+    derives, for all shots at once, only the doubles its measurements
+    read). Any other schedule, and one that fails, runs shot by shot
+    (`_run_shots`, on `kernel.shot_streams`), so errors are raised where
+    that loop raises them. Both paths give the same outcome columns and
+    leave the same copies. Streams that differ from numpy's
+    (`StreamDerivationError`) stop the call before anything is sampled. A
+    schedule past MAX_OUTCOME_ENTRIES is refused when it is made.
     """
     plan = _plan(mem, sched)
     run = None
@@ -275,19 +287,20 @@ def _run_shots(mem: MemoryUnit, sched: Schedule):
 
 
 def _result(mem: MemoryUnit, sched: Schedule, outcomes, n_tails) -> ExecutionResult:
-    """The result of a run whose outcome columns are `outcomes`. The readout
-    column is split on the last inject's: the values of shots that took P0
-    estimate through the complement, tr(O) − (2^n − 1)·mean with n
-    `n_tails`, the rest (all, when nothing is injected) directly, and
-    `tailed.combine_branch_estimates` combines the two, as in
-    `tailed.run_algorithm`. A schedule without a readout has no estimate."""
+    """The result of a run whose outcome columns, tuples or arrays, are
+    `outcomes`. The readout column is split on the last inject's: the
+    values of shots that took P0 estimate through the complement, tr(O) −
+    (2^n − 1)·mean with n `n_tails`, the rest (all, when nothing is
+    injected) directly, and `tailed.combine_branch_estimates` combines the
+    two, as in `tailed.run_algorithm`. A schedule without a readout has no
+    estimate."""
     estimate = standard_error = None
     direct = complement = ()
     readouts = [i for i, ins in enumerate(sched.instructions) if isinstance(ins, Readout)]
     if readouts:
-        values = np.array(outcomes[readouts[0]], dtype=float)
+        values = np.asarray(outcomes[readouts[0]], dtype=float)
         injects = [i for i, ins in enumerate(sched.instructions) if isinstance(ins, Inject)]
-        p0 = np.array(outcomes[injects[-1]]) == 0 if injects else np.zeros(values.size, dtype=bool)
+        p0 = np.asarray(outcomes[injects[-1]]) == 0 if injects else np.zeros(values.size, dtype=bool)
         direct, complement = values[~p0], values[p0]
         estimate, standard_error = tailed.combine_branch_estimates(
             direct, complement, sched.instructions[readouts[0]].observable.trace, n_tails
@@ -298,7 +311,7 @@ def _result(mem: MemoryUnit, sched: Schedule, outcomes, n_tails) -> ExecutionRes
         shots=sched.shots,
         n_p0=len(complement),
         n_p1=len(direct),
-        outcomes=tuple(outcomes),
+        outcomes=tuple(c if isinstance(c, tuple) else tuple(c.tolist()) for c in outcomes),
         copies_after={addr: len(slot.copies) for addr, slot in mem.slots.items()},
         audit_consistent=mem.verify_conservation(),
     )
@@ -338,12 +351,13 @@ class _Flow:
 
 @dataclass(frozen=True)
 class _Plan:
-    # (instruction index, instruction, source(s), first draw column) of each
-    # instruction but restores; a source is ("result", compose index),
-    # ("restored", address), ("copy", program) for a copy taken from below
-    # the shot's own, or None for a target the shot has loaded
+    # (instruction index, instruction, source(s), row) of each instruction
+    # but restores; a source is ("result", compose index), ("restored",
+    # address), ("copy", program) for a copy taken from below the shot's
+    # own, or None for a target the shot has loaded; a measurement's row is
+    # the index of its double in `reads`, a compose's is None
     steps: tuple
-    draws: int  # doubles one shot draws
+    reads: tuple  # stream positions of the doubles the measurements read
     flows: dict  # address -> _Flow
     restored: frozenset  # addresses of the slots restores copy
 
@@ -367,11 +381,16 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
     description or that no earlier compose of this call creates. (The
     description of a slot a compose creates is that of its one composed
     program, which `_run_batched` reads when it builds the program.)
+
+    The pass also counts the doubles a shot draws, one per measurement and
+    one or, for `symmetric_pair`, two per compose, and notes the stream
+    position of each measurement's, the only ones read.
     """
     flows = {}
     steps = []
+    reads = []
     loaded = set()
-    draws = 0
+    draws = 0  # doubles a shot has drawn
 
     def flow(address):
         if address not in flows:
@@ -396,7 +415,7 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
             sources = (fetch(ins.addr1), fetch(ins.addr2))
             if None in sources:
                 return None
-            steps.append((idx, ins, sources, draws))
+            steps.append((idx, ins, sources, None))
             draws += 2 if ins.strategy is ByproductStrategy.SYMMETRIC_PAIR else 1
             flow(ins.dest).push([idx])
         elif isinstance(ins, (Inject, Readout, SampleTail)):
@@ -406,7 +425,8 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
                 if source is None:
                     return None
                 loaded.add(ins.target)
-            steps.append((idx, ins, source, draws))
+            steps.append((idx, ins, source, len(reads)))
+            reads.append(draws)
             draws += 1
         elif isinstance(ins, Restore):
             # a flow with no copies before the call that outlives the
@@ -440,28 +460,34 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
             return None
     return _Plan(
         steps=tuple(steps),
-        draws=draws,
+        reads=tuple(reads),
         flows=flows,
         restored=frozenset(ins.addr for ins in sched.instructions if isinstance(ins, Restore)),
     )
 
 
 def _split(keys, members):
-    """(key, the members with that key) for each distinct key in the int
-    array `keys`, one per member: keys ascending, members in their order."""
-    order = np.argsort(keys, kind="stable")
-    keys, members = keys[order], members[order]
-    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
-    return [(int(keys[a]), members[a:b]) for a, b in zip(bounds, bounds[1:])]
+    """(key, the members with that key) for each distinct key in the array
+    `keys` of small non-negative ints, one per member: keys ascending,
+    members in their order."""
+    members = members[keys.argsort(kind="stable")]
+    groups, end = [], 0
+    for key, count in enumerate(np.bincount(keys).tolist()):
+        if count:
+            groups.append((key, members[end : end + count]))
+            end += count
+    return groups
 
 
 def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan):
     """`execute` one instruction at a time over groups of shots.
 
-    Every shot's doubles are drawn up front, by one pass of PCG64 over all
-    shots (`kernel.shot_uniforms`). Every shot fetches the same programs,
-    so every composition has one program in every shot, built before any
-    shot runs, and passes over its draws. All shots start as one group;
+    Only the doubles the measurements read are derived, up front, for all
+    shots at once: `kernel.shot_uniforms` moves each shot's PCG64 to the
+    stream positions in `plan.reads` by jump-ahead. Every shot fetches the
+    same programs, so every composition has one program in every shot,
+    built before any shot runs, and its Bell doubles, which nothing reads,
+    are not derived: they only move the stream. All shots start as one group;
     each other instruction samples its table for a group with one
     `searchsorted` and splits the group by outcome. Groups run depth
     first: an outcome's result is built, every later instruction runs for
@@ -469,10 +495,10 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan):
     the tables keep at most one result per instruction is alive. Memory is
     written once, at the end, with the copies the shot loop leaves;
     anything raised before leaves it as it was. Returns what `_run_shots`
-    returns.
+    returns, with each column but a restore's an array.
     """
     shots = sched.shots
-    uniforms = shot_uniforms(sched.seed, shots, plan.draws).T  # one row per draw
+    uniforms = shot_uniforms(sched.seed, shots, plan.reads).T  # one row per read
     restored = {}  # address -> the program its restores copy
     for address in plan.restored & mem.slots.keys():
         slot = mem.slots[address]
@@ -502,8 +528,14 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan):
                         raise NotRestorableError(f"slot {ins.dest} holds no classical description")
                     restored[ins.dest] = synthesize(description)
 
-    # each instruction's entry for each shot; a compose's Bell rounds are 1
-    columns = [np.ones(shots, float if isinstance(ins, Readout) else int) for ins in sched.instructions]
+    # each instruction's entry for each shot: a compose's Bell rounds are 1,
+    # a measurement's entries are all written below, a restore keeps none
+    columns = [
+        () if isinstance(ins, Restore)
+        else np.ones(shots, int) if isinstance(ins, Compose)
+        else np.empty(shots, float if isinstance(ins, Readout) else int)
+        for ins in sched.instructions
+    ]
     widths = {}  # inject index -> the tails it measures
     stack = [(0, np.arange(shots), {}, None)]  # a group's live states by address
     while stack:
@@ -517,7 +549,7 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan):
                 states = {**states, ins.target: post}
         if i == len(plan.steps):
             continue
-        idx, ins, src, column = plan.steps[i]
+        idx, ins, src, row = plan.steps[i]
         if isinstance(ins, Compose):  # one Bell round, whatever it draws
             stack.append((i + 1, members, states, None))
             continue
@@ -532,15 +564,13 @@ def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan):
             widths[idx] = len(state.subsystem_dims) // 2
         table = tables.measurement(state, ins)
         # each member's outcome, drawn as `RngStream.draw` draws it
-        ks = table.cdf.searchsorted(uniforms[column][members], side="right")
+        ks = table.cdf.searchsorted(uniforms[row][members], side="right")
         for k, group in reversed(_split(ks, members)):
             stack.append((i + 1, group, states, (table, k)))
 
     _commit(mem, plan, shots, restored, results, created)
-    outcomes = [() if isinstance(ins, Restore) else tuple(column.tolist())
-                for ins, column in zip(sched.instructions, columns)]
     # every shot injects the same programs, so its last injection's width
-    return outcomes, widths[max(widths)] if widths else 0
+    return columns, widths[max(widths)] if widths else 0
 
 
 def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, results, created):

@@ -361,15 +361,15 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
 
-# Shots whose streams are derived and stepped in one vectorized pass: the
-# pass peaks at about 18 words of 8 bytes per shot (seed words, state and
-# inc limbs and the temporaries of a step), 36 KiB a block.
+# Shots whose streams are derived in one vectorized pass: the pass peaks at
+# about 18 words of 8 bytes per shot (seed words, limbs and the
+# temporaries of a product), 36 KiB a block.
 SHOT_BLOCK = 256
 
 
 def _hashmix(value, hash_const):
-    """SeedSequence's hashmix of a uint32 (a Python int or a uint32 array):
-    (mixed value, next hash constant)."""
+    """SeedSequence's hashmix of a 32-bit Python int: (mixed value, next
+    hash constant)."""
     hash_const_next = hash_const * _MULT_A & _MASK32
     value = (value ^ hash_const) * hash_const_next & _MASK32
     return value ^ (value >> 16), hash_const_next
@@ -410,13 +410,19 @@ def _block_seeds(pool, hash_const, shots):
     shot ids in the uint32 array `shots`: one uint64 row each, one entry
     per shot."""
     # the shot word is mixed into each pool word in turn, at successive
-    # hash constants: one hashmix of all four constants at once
-    consts = [hash_const * _MULT_A**i & _MASK32 for i in range(_POOL_SIZE)]
-    value, _ = _hashmix(shots, np.array(consts, dtype=np.uint32)[:, None])
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], value)
+    # hash constants: `_hashmix` and `_mix` of all four at once, in uint32
+    # arithmetic, which wraps mod 2**32 without a mask
+    consts = [hash_const * _MULT_A**i & _MASK32 for i in range(_POOL_SIZE + 1)]
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    mixed = (shots ^ consts[:-1]) * consts[1:]
+    mixed ^= mixed >> 16
+    mixed *= _MIX_MULT_R
+    mixed = np.array([_MIX_MULT_L * word & _MASK32 for word in pool], dtype=np.uint32)[:, None] - mixed
+    mixed ^= mixed >> 16
     # generate_state(4, uint64): 8 words cycling over the pool, paired low first
     consts = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(9)], dtype=np.uint32)
-    words = pool ^ consts[:-1].reshape(2, _POOL_SIZE, 1)
+    words = mixed ^ consts[:-1].reshape(2, _POOL_SIZE, 1)
+    del mixed
     words *= consts[1:].reshape(2, _POOL_SIZE, 1)
     words ^= words >> 16
     words = words.reshape(4, 2, -1)
@@ -431,27 +437,44 @@ def _block_seeds(pool, hash_const, shots):
 # silently where numpy scalars warn, so no step works on a scalar.
 
 
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """PCG64's state step, state·_PCG_MULT + inc mod 2**128, on limbs. The
-    high half of lo·(low half of _PCG_MULT) is summed from 32-bit halves."""
-    mult_hi, mult_lo = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+def _times(hi, lo, mult):
+    """(hi, lo)·mult mod 2**128 on limbs, for a Python int mult, as (high,
+    low). The high half of lo·(mult's low half) is summed from 32-bit
+    halves."""
+    mult_hi, mult_lo = mult >> 64, mult & _MASK64
     lo_hi, lo_lo = lo >> 32, lo & _MASK32
     low_32, high_32 = mult_lo & _MASK32, mult_lo >> 32
     # (lo·mult_lo) >> 64, the middle products' carries in `mid` and `cross`
-    mid = lo_hi * low_32
-    mid += (lo_lo * low_32) >> 32
+    mid = lo_lo * low_32
+    mid >>= 32
+    mid += lo_hi * low_32
     cross = lo_lo * high_32
     cross += mid & _MASK32
     high = lo_hi * high_32
-    high += mid >> 32
-    high += cross >> 32
+    mid >>= 32
+    high += mid
+    cross >>= 32
+    high += cross
     high += hi * mult_lo
     high += lo * mult_hi
-    high += inc_hi
-    low = lo * mult_lo
-    low += inc_lo
-    high += low < inc_lo
-    return high, low
+    return high, lo * mult_lo
+
+
+def _plus(hi, lo, add_hi, add_lo):
+    """(hi, lo) + add mod 2**128 on limbs, written into hi and lo."""
+    lo += add_lo
+    hi += add_hi
+    hi += lo < add_lo
+    return hi, lo
+
+
+def _affine(hi, lo, inc_hi, inc_lo, a, c):
+    """a·(hi, lo) + c·inc mod 2**128 on limbs, for Python ints a and c: one
+    product, or two when c is not 1. PCG64's step is a = MULT, c = 1."""
+    high, low = _times(hi, lo, a)
+    if c == 1:
+        return _plus(high, low, inc_hi, inc_lo)
+    return _plus(high, low, *_times(inc_hi, inc_lo, c))
 
 
 def _xsl_rr(hi, lo):
@@ -461,49 +484,63 @@ def _xsl_rr(hi, lo):
     return (folded >> rot) | (folded << ((64 - rot) & 63))
 
 
-def _seeded_limbs(pool, hash_const, shots):
-    """The PCG64 (state, inc) seeded for each shot id in the uint32 array
-    `shots` from its `_block_seeds` words, as limbs: one uint64 array of
-    rows state high, state low, inc high, inc low."""
+def _start_limbs(pool, hash_const, shots):
+    """What PCG64's srandom seeds each shot id in the uint32 array `shots`
+    from, given its `_block_seeds` words, as limbs: one uint64 array of rows
+    initstate high, initstate low, inc high, inc low, with inc = 2·initseq
+    + 1 mod 2**128. srandom steps the zero state to inc, adds initstate and
+    steps again, so it seeds the state MULT·initstate + (MULT + 1)·inc."""
     limbs = _block_seeds(pool, hash_const, shots)
-    init_hi, init_lo, seq_hi, seq_lo = limbs
-    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    # srandom: the zero state steps to inc, adds initstate, steps again
-    lo = inc_lo + init_lo
-    limbs[:2] = _lcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    limbs[2:] = inc_hi, inc_lo
+    carry = limbs[3] >> 63
+    limbs[2:] <<= 1
+    limbs[2] |= carry
+    limbs[3] |= 1
     return limbs
 
 
-def _shot_limbs(seed, shots):
+def _seeded_limbs(pool, hash_const, shots):
+    """The PCG64 (state, inc) seeded for each shot id in the uint32 array
+    `shots`, as limbs: one uint64 array of rows state high, state low, inc
+    high, inc low (srandom's map of `_start_limbs`, one step of initstate
+    + inc)."""
+    limbs = _start_limbs(pool, hash_const, shots)
+    _plus(*limbs)
+    limbs[:2] = _affine(*limbs, _PCG_MULT, 1)
+    return limbs
+
+
+def _shot_limbs(seed, shots, derive):
     """For each block of up to SHOT_BLOCK shots of range(shots), in order,
-    (its first shot, the `_seeded_limbs` of its shots): the PCG64 (state,
-    inc) that `RngStream(seed, stream_id=s)` seeds for each shot s.
+    (its first shot, `derive(pool, hash_const, ids)` of its shot ids): with
+    `_seeded_limbs`, the PCG64 (state, inc) that `RngStream(seed,
+    stream_id=s)` seeds for each shot s; with `_start_limbs`, what it is
+    seeded from.
 
     Only the spawn-key word of the SeedSequence differs between shots, so
     the seed's own words are mixed once per call, and the rest of the hash
-    and PCG64's srandom run vectorized over the block.
+    runs vectorized over the block.
     """
     if shots > 2**32:
         raise ValidationError(f"shot ids must fit one 32-bit word, got {shots} shots")
     pool, hash_const = _seed_pool(seed)
     for first in range(0, shots, SHOT_BLOCK):
         block = np.arange(first, min(first + SHOT_BLOCK, shots), dtype=np.uint32)
-        yield first, _seeded_limbs(pool, hash_const, block)
+        yield first, derive(pool, hash_const, block)
 
 
-def _check_shot_zero(seed, limbs, doubles=()):
-    """Raise `StreamDerivationError` unless shot 0 of the first block's
-    `limbs` has the (state, inc) numpy seeds for it and `doubles` are the
-    first doubles numpy's `Generator` draws from it: the check of a numpy
-    whose seeding or output function differs from the one derived here."""
+def _check_shot_zero(seed, state, inc, positions=(), doubles=()):
+    """Raise `StreamDerivationError` unless the Python ints `state` and
+    `inc` are the PCG64 (state, inc) numpy seeds for shot 0 and `doubles`
+    are the doubles numpy's `Generator` draws from it at the sorted draw
+    `positions`: the check of a numpy whose seeding or output function
+    differs from the one derived here."""
     reference = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))
-    hi, lo, inc_hi, inc_lo = (int(limb[0]) for limb in limbs)
-    if {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo} != reference.state["state"]:
+    if {"state": state, "inc": inc} != reference.state["state"]:
         raise StreamDerivationError(
             f"the derived PCG64 state of seed {seed}, shot 0 differs from numpy's seeding"
         )
-    if not np.array_equal(doubles, np.random.Generator(reference).random(len(doubles))):
+    drawn = np.random.Generator(reference).random(positions[-1] + 1 if positions else 0)
+    if np.asarray(doubles, dtype=float).tobytes() != drawn[list(positions)].tobytes():
         raise StreamDerivationError(
             f"the doubles derived for seed {seed}, shot 0 differ from numpy's PCG64 output"
         )
@@ -517,9 +554,10 @@ def _shot_generators(seed, shots):
     seeding (`_check_shot_zero`)."""
     bit_generator = np.random.PCG64()
     generator = np.random.Generator(bit_generator)
-    for first, limbs in _shot_limbs(seed, shots):
+    for first, limbs in _shot_limbs(seed, shots, _seeded_limbs):
         if first == 0:
-            _check_shot_zero(seed, limbs)
+            hi, lo, inc_hi, inc_lo = limbs[:, 0].tolist()
+            _check_shot_zero(seed, hi << 64 | lo, inc_hi << 64 | inc_lo)
         for state_hi, state_lo, inc_hi, inc_lo in map(np.ndarray.tolist, limbs.T):
             bit_generator.state = {
                 "bit_generator": "PCG64",
@@ -541,26 +579,46 @@ def shot_streams(seed, shots):
         yield RngStream._over(seed, shot, generator)
 
 
-def shot_uniforms(seed, shots, draws):
-    """A (shots, draws) array whose row s holds the first `draws` doubles of
-    `RngStream(seed, stream_id=s)`, bit for bit.
+def shot_uniforms(seed, shots, positions):
+    """A (shots, len(positions)) array whose row s holds the doubles of
+    `RngStream(seed, stream_id=s)` at the sorted, distinct draw `positions`
+    (0 is its first draw), bit for bit.
 
-    Each block of `_shot_limbs` steps PCG64 once per draw over all its
-    shots, and each double is the draw's top 53 bits times 2**-53, as
-    `Generator.random` makes it. Before anything is returned, shot 0's
-    state and doubles are checked against numpy's (`_check_shot_zero`).
-    The array is the transpose of a C-ordered one, so the doubles of one
-    draw over all shots are contiguous.
+    PCG64 is an LCG on 128-bit states, so k steps of it are one affine map
+    of the state and inc (F. B. Brown, "Random Number Generation with
+    Arbitrary Strides", Trans. Am. Nucl. Soc. 71, 202, 1994): MULT**k·state
+    + Σ_{i < k} MULT**i·inc mod 2**128. The state that draw p reads, p + 1
+    steps after srandom's, is so MULT**(p + 2)·initstate + Σ_{i ≤ p + 2}
+    MULT**i·inc of the `_start_limbs`. Each block of `_shot_limbs` takes
+    that map (`_affine`, two products) to the first position, and from
+    each position the map to the next: one step (one product) when they
+    are adjacent, two products whatever the gap otherwise. No draw that is
+    not read is made. Each double is the state's XSL-RR output's top 53
+    bits times 2**-53, as `Generator.random` makes it. Before anything is
+    returned, shot 0's state and doubles are checked against numpy's
+    (`_check_shot_zero`). The array is the transpose of a C-ordered one, so
+    one position's doubles over all shots are contiguous.
     """
-    out = np.empty((draws, shots))
-    for first, limbs in _shot_limbs(seed, shots):
+    mult, mask = _PCG_MULT, 2**128 - 1
+    maps = []  # (a, c) of the map to each position from the one before
+    a, c, last = mult, mult + 1, -1  # srandom's, from (initstate, inc)
+    for position in positions:
+        for _ in range(position - last):
+            a, c = a * mult & mask, (c * mult + 1) & mask
+        maps.append((a, c))
+        a, c, last = 1, 0, position
+    out = np.empty((len(maps), shots))
+    for first, limbs in _shot_limbs(seed, shots, _start_limbs):
         hi, lo, inc_hi, inc_lo = limbs
-        block = out[:, first : first + hi.size]
-        for row in block:
-            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        for row, (a, c) in zip(out[:, first : first + hi.size], maps):
+            hi, lo = _affine(hi, lo, inc_hi, inc_lo, a, c)
             np.multiply(_xsl_rr(hi, lo) >> 11, 2.0**-53, out=row)
         if first == 0:
-            _check_shot_zero(seed, limbs, block[:, 0])
+            init_0, inc_0 = (h << 64 | l for h, l in limbs[:, 0].reshape(2, 2).tolist())
+            state_0 = (mult * init_0 + (mult + 1) * inc_0) & mask
+            _check_shot_zero(seed, state_0, inc_0, positions, out[:, 0])
+        if not maps:
+            break  # nothing is read: shot 0 was derived for its check alone
     return out.T
 
 
@@ -684,7 +742,7 @@ def wire_outcomes(amplitudes, dims, wire):
     dims = tuple(dims)
     tensor = np.asarray(amplitudes, dtype=complex).reshape(dims)
     moved = np.moveaxis(tensor, wire, 0).reshape(dims[wire], -1)
-    probs = np.clip((np.abs(moved) ** 2).sum(axis=1), 0.0, None)
+    probs = np.maximum((np.abs(moved) ** 2).sum(axis=1), 0.0)
     if probs.sum() <= 0:
         raise NumericalError("state has vanished; no outcome possible")
 

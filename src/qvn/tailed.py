@@ -126,7 +126,7 @@ class Injection(OutcomeTable):
             idx[w] = int(bit)
         idx = tuple(idx)
         sub = tensor[idx]
-        self.p1 = p1 = float(np.clip((np.abs(sub) ** 2).sum(), 0.0, 1.0))
+        self.p1 = p1 = min(max(float((np.abs(sub) ** 2).sum()), 0.0), 1.0)
         p0 = 1.0 - p1
 
         def branch(b):
@@ -519,15 +519,16 @@ def eval_topological(diagram: TopoDiagram):
 
 
 def _observable_distribution(state: PureState, readout: ReadoutSpec):
-    """Eigenvalues and their exact probabilities for O on the head wires."""
-    head_wires = list(readout.target_heads)
-    dims = state.subsystem_dims
+    """Eigenvalues and their exact probabilities for O on the head wires.
+    Heads that lead the wires in order, as `control` reads them, need no
+    move: the amplitudes are the matrix."""
+    heads = list(readout.target_heads)
+    amplitudes = state.amplitudes
+    if heads != list(range(len(heads))):
+        amplitudes = np.moveaxis(state.tensor(), heads, range(len(heads)))
     vals, vecs = readout.observable.eigh
-    tensor = state.tensor()
-    moved = np.moveaxis(tensor, head_wires, range(len(head_wires)))
-    mat = moved.reshape(readout.observable.dim, -1)
-    coeffs = vecs.conj().T @ mat
-    probs = np.clip((np.abs(coeffs) ** 2).sum(axis=1), 0.0, None)
+    coeffs = vecs.conj().T @ amplitudes.reshape(readout.observable.dim, -1)
+    probs = np.maximum((np.abs(coeffs) ** 2).sum(axis=1), 0.0)
     return vals, probs
 
 
@@ -540,9 +541,17 @@ def readout_outcomes(state: PureState, readout: ReadoutSpec, keep) -> OutcomeTab
 
 
 def _branch_estimate(values, trace_of_o, scale, invert):
+    """(estimate, variance of the estimate) of one branch's float samples.
+    The mean and the ddof=1 variance take the reductions `ndarray.mean` and
+    `ndarray.var` take, in their order, so every bit is theirs."""
     n = values.size
-    mean = float(values.mean())
-    var_mean = float(values.var(ddof=1) / n) if n > 1 else 0.0
+    mean = np.add.reduce(values) / n
+    var_mean = 0.0
+    if n > 1:
+        deviations = values - mean
+        np.multiply(deviations, deviations, out=deviations)
+        var_mean = float(np.add.reduce(deviations) / (n - 1) / n)
+    mean = float(mean)
     if invert:
         return trace_of_o - scale * mean, scale * scale * var_mean
     return mean, var_mean

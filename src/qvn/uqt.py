@@ -200,7 +200,7 @@ def bell_probabilities(joint: PureState, wire_a, wire_b, basis: BellBasis):
     gathered = tensor[basis.shift, np.arange(d)]  # [a, j, rest] = T[s_a(j), j, rest]
     residuals = (basis.chars.conj() @ gathered).reshape(d * d, -1)[basis.order]
     residuals /= math.sqrt(d)
-    probs = np.clip((np.abs(residuals) ** 2).sum(axis=1), 0.0, None)
+    probs = np.maximum((np.abs(residuals) ** 2).sum(axis=1), 0.0)
     return probs, residuals
 
 
@@ -244,7 +244,7 @@ def fusion_probabilities(m1, m2, basis: BellBasis) -> np.ndarray:
     y = (m1.conj() @ m1.T)[basis.shift, cols]  # y[g, j] = B[s_g(j), j]
     corr = ((x @ chi.conj()) * (y @ chi)) @ chi.conj()  # d·F_a(g) at [g, a]
     probs = (chi @ corr).real.T.reshape(-1)[basis.order] / (d * d)
-    return np.clip(probs, 0.0, None)
+    return np.maximum(probs, 0.0)
 
 
 # Repeat-until-success gives up after this many rounds per Bell outcome. For

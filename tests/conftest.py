@@ -404,6 +404,22 @@ def dense_teleport(amp1, amp2, u2, strategy, rng):
 
 
 # ---------------------------------------------------------------------------
+# numpy's mean and variance, the oracle for `tailed._branch_estimate`
+# ---------------------------------------------------------------------------
+
+
+def numpy_branch_estimate(values, trace_of_o, scale, invert):
+    """`tailed._branch_estimate` through `ndarray.mean` and
+    `ndarray.var(ddof=1)`."""
+    n = values.size
+    mean = float(values.mean())
+    var_mean = float(values.var(ddof=1) / n) if n > 1 else 0.0
+    if invert:
+        return trace_of_o - scale * mean, scale * scale * var_mean
+    return mean, var_mean
+
+
+# ---------------------------------------------------------------------------
 # Per-shot schedule executor, the oracle for `control.execute`
 # ---------------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvn import gates
+from qvn import control, gates
 from qvn.cli import main
 from qvn.kernel import RngStream, haar_random_unitary
 from qvn.text import format_complex_data
@@ -458,6 +458,24 @@ class TestCountBounds:
         assert err.count("\n") == 1
         assert err.startswith("error[E_VALIDATION]")
         assert "slot 2 would hold 1048577 live copies; the limit is MAX_COPIES = 1048576" in err
+
+    @pytest.mark.parametrize("shots, injects", [(1_000_000, 8), (200_000, 40), (8000, 1000)])
+    def test_outcome_entries(self, tmp_path, capsys, shots, injects):
+        # one inject line past the limit at three sizes: the schedule is
+        # refused once parsed, before any shot runs
+        lines = "\n".join(["inject target=0 bits=1"] * injects)
+        text = (f"run shots={shots}\nslot addr=0 copies=1\nQVN1 name=H n=1\nt=0 g=H q=0\nendslot\n"
+                f"schedule\nrestore addr=0 copies=1\n{lines}\nreadout target=0 obs=Z\nendschedule\n")
+        entries = shots * (injects + 1)
+        assert entries > control.MAX_OUTCOME_ENTRIES >= entries - shots
+        bad = tmp_path / "big.run"
+        bad.write_text(text)
+        code, out, err = run_cli(["run", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[E_VALIDATION]")
+        assert f"keep {entries} outcome entries" in err
+        assert "the limit is MAX_OUTCOME_ENTRIES = 8000000" in err
 
     @pytest.mark.parametrize(
         "argv, fault",

@@ -80,6 +80,16 @@ class TestScheduleValidation:
         with pytest.raises(ValidationError, match="seed >= 0, got -5"):
             Schedule((), seed=-5)
 
+    def test_outcome_entries_bounded(self):
+        # the README run file fits at MAX_SHOTS; restores keep no entries
+        _, _, _, instructions = parse_run_file(DEMO_RUN.read_text())
+        assert Schedule(tuple(instructions), shots=control.MAX_SHOTS).shots == control.MAX_SHOTS
+        restores = (Restore(0, 1),) * 20
+        draws = (Inject(0, "1"),) * 8
+        assert Schedule(restores + draws, shots=control.MAX_SHOTS).shots == control.MAX_SHOTS
+        with pytest.raises(ValidationError, match="limit is MAX_OUTCOME_ENTRIES = 8000000"):
+            Schedule(restores + draws + (Readout(0, Observable(gates.Z), "Z"),), shots=control.MAX_SHOTS)
+
     def test_two_readouts_rejected(self):
         with pytest.raises(ValidationError):
             Schedule(
@@ -390,6 +400,28 @@ class TestPathSelection:
         assert shots == 200 and len(built) == 1
         copies = mem.slots[2].copies
         assert len(copies) == 200 and all(c is copies[0] for c in copies)
+
+    def test_readme_run_file_reads_two_of_three_draws(self, monkeypatch):
+        # the compose draws the first double of each shot's stream and no
+        # one reads it, so the batched path derives the inject's and the
+        # readout's alone
+        asked = []
+
+        def spy(seed, shots, positions):
+            asked.append(positions)
+            return kernel.shot_uniforms(seed, shots, positions)
+
+        monkeypatch.setattr(control, "shot_uniforms", spy)
+        shots, seed, slots, instructions = parse_run_file(DEMO_RUN.read_text())
+        mem = MemoryUnit()
+        for addr, copies, desc in slots:
+            mem.store(desc, copies, address=addr)
+        spied = execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
+        assert asked == [(1, 2)]
+        mem = MemoryUnit()
+        for addr, copies, desc in slots:
+            mem.store(desc, copies, address=addr)
+        assert spied == per_shot_execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
 
     def test_restore_of_composed_slot_batches(self, loop_calls):
         # the README run file restoring the slot its compose creates: every

@@ -408,20 +408,24 @@ class TestShotStreams:
     @pytest.mark.parametrize("draws", [0, 1, 4])
     def test_uniforms_are_each_streams_first_doubles(self, seed, draws):
         shots = kernel.SHOT_BLOCK + 3
-        uniforms = kernel.shot_uniforms(seed, shots, draws)
+        uniforms = kernel.shot_uniforms(seed, shots, tuple(range(draws)))
         assert uniforms.shape == (shots, draws)
         for shot in (0, 1, kernel.SHOT_BLOCK - 1, kernel.SHOT_BLOCK, shots - 1):
             stream = RngStream(seed, stream_id=shot)
             assert uniforms[shot].tolist() == [stream.random() for _ in range(draws)]
 
     def test_uniforms_drift_guard(self, monkeypatch):
+        # no positions, and positions that skip draw 0: srandom's state is
+        # checked whatever is read
         monkeypatch.setattr(kernel, "_PCG_MULT", kernel._PCG_MULT + 2)
-        with pytest.raises(StreamDerivationError, match="shot 0 differs from numpy"):
-            kernel.shot_uniforms(7, 3, 0)
+        for positions in ((), (1, 2), (3,)):
+            with pytest.raises(StreamDerivationError, match="shot 0 differs from numpy"):
+                kernel.shot_uniforms(7, 3, positions)
 
     def test_uniforms_output_drift_guard(self, monkeypatch):
         # PCG64's output without its rotation: every state still matches
-        # numpy's seeding, shot 0's doubles do not
+        # numpy's seeding, shot 0's doubles do not, whichever are read
         monkeypatch.setattr(kernel, "_xsl_rr", lambda hi, lo: hi ^ lo)
-        with pytest.raises(StreamDerivationError, match="shot 0 differ from numpy's PCG64 output"):
-            kernel.shot_uniforms(7, 3, 2)
+        for positions in ((0, 1), (1, 2), (2, 5)):
+            with pytest.raises(StreamDerivationError, match="shot 0 differ from numpy's PCG64 output"):
+                kernel.shot_uniforms(7, 3, positions)

@@ -7,10 +7,12 @@ single-pass einsum, its bitmask plan is the tuple-label plan, diagram files
 with faults put in read as the line-at-a-time reader reads them, the
 index-only Bell measurement agrees with the dense basis, the
 table-driven schedule executor agrees with the per-shot one, batch-derived
-shot streams and doubles draw as numpy seeds them, lazily concatenated program
-descriptions flatten to the eager concatenation, `data=` matrices read as
-one entry at a time reads them, and repeat-until-success leaves its rounds
-and its stream where one draw per round leaves them."""
+shot streams and doubles draw as numpy seeds them, at any read positions,
+a branch's estimate is numpy's mean and variance bit for bit, lazily
+concatenated program descriptions flatten to the eager concatenation,
+`data=` matrices read as one entry at a time reads them, and
+repeat-until-success leaves its rounds and its stream where one draw per
+round leaves them."""
 
 import contextlib
 import io
@@ -35,6 +37,7 @@ from conftest import (
     einsum_oracle,
     entrywise_matrix,
     line_at_a_time_diagram,
+    numpy_branch_estimate,
     per_round_draw,
     per_shot_execute,
     tuple_label_plan,
@@ -707,14 +710,76 @@ def test_shot_streams_draw_as_rng_stream(seed, shots, calls):
 @given(
     SEEDS,
     st.sampled_from([1, 2, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 3]),
-    st.integers(0, 6),
+    st.sets(st.integers(0, 8)).map(sorted).map(tuple),
 )
-@example(2**160 - 1, SHOT_BLOCK + 1, 3)
-def test_shot_uniforms_are_rng_stream_uniforms(seed, shots, draws):
-    uniforms = shot_uniforms(seed, shots, draws)
-    assert uniforms.shape == (shots, draws)
+@example(2**160 - 1, SHOT_BLOCK + 1, (0, 1, 2))
+@example(2**160 - 1, SHOT_BLOCK + 1, (1, 2))
+@example(2**160 - 1, SHOT_BLOCK + 1, ())
+@example(2**160 - 1, 2 * SHOT_BLOCK + 3, (0, 3, 8))
+@example(0, SHOT_BLOCK, (5,))
+def test_shot_uniforms_are_rng_stream_uniforms(seed, shots, positions):
+    # any sorted subset of a stream's first nine draws: none, ones that
+    # skip draw 0, ones with gaps
+    uniforms = shot_uniforms(seed, shots, positions)
+    assert uniforms.shape == (shots, len(positions))
+    draws = positions[-1] + 1 if positions else 0
     for shot in range(shots):
-        assert uniforms[shot].tobytes() == RngStream(seed, stream_id=shot).uniforms(draws).tobytes()
+        oracle = RngStream(seed, stream_id=shot).uniforms(draws)[list(positions)]
+        assert uniforms[shot].tobytes() == oracle.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Branch estimates
+# ---------------------------------------------------------------------------
+
+FLOAT_MAX = np.finfo(float).max
+
+
+@st.composite
+def branch_samples(draw):
+    """One branch's readout values: ±1, floats of any size, or values near
+    overflow, in runs of 1, 2, 3, 200 or 10⁴; short runs also as any finite
+    floats."""
+    size = draw(st.sampled_from([1, 2, 3, 200, 10_000]))
+    kind = draw(st.sampled_from(["pm1", "floats", "near-overflow", "any"]))
+    gen = np.random.default_rng(draw(SEEDS))
+    if kind == "pm1":
+        return gen.choice([-1.0, 1.0], size)
+    if kind == "floats":
+        return gen.standard_normal(size) * 10.0 ** gen.integers(-300, 300, size)
+    if kind == "near-overflow":
+        return gen.choice([-1.0, 1.0], size) * gen.uniform(FLOAT_MAX / 4, FLOAT_MAX, size)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(finite, min_size=min(size, 3), max_size=min(size, 3))))
+
+
+@given(
+    branch_samples(),
+    st.sampled_from([0.0, 1.0, -2.5]),
+    st.sampled_from([1.0, 3.0, 1023.0]),
+    st.booleans(),
+)
+@example(np.array([1e308, -1e308, 1e308]), 0.0, 1.0, False)
+@example(np.array([1.5e308]), 0.0, 1.0, True)
+@example(np.ones(10_000), 0.0, 1.0, False)
+def test_branch_estimate_is_numpy_mean_and_var(values, trace_of_o, scale, invert):
+    # every bit of numpy's mean and ddof=1 variance, overflow included
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = tailed._branch_estimate(values.copy(), trace_of_o, scale, invert)
+        want = numpy_branch_estimate(values.copy(), trace_of_o, scale, invert)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_overflowing_readouts_end_in_estimation_error():
+    # the run file of WELL_FORMED whose readout values are ±1e308
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        Path("overflow.run").write_text(WELL_FORMED["run"][-1])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "overflow.run"])
+    assert code != 0 and out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1
+    assert "the readout samples overflow: their estimate is not finite" in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

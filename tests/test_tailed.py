@@ -14,6 +14,7 @@ from qvn.kernel import (
     apply_to_subsystems,
     haar_random_unitary,
     measure_wire_computational,
+    partial_trace_matrix,
 )
 from qvn.tailed import (
     Injection,
@@ -444,6 +445,22 @@ class TestRunAlgorithm:
         assert (r.estimate, r.standard_error, r.n_p0, r.n_p1) == pinned
         # the heralded branch of n injected tails has probability 2⁻ⁿ
         assert abs(r.p1_exact - 2.0 ** -len(injection.target_tails)) < 1e-12
+
+    @pytest.mark.parametrize("heads", [(0,), (2,), (0, 1), (1, 0), (2, 0)])
+    def test_observable_distribution_on_any_heads(self, rng, heads):
+        # heads that lead the wires in order are read in place, any others
+        # are moved first: both give v_k†ρv_k of the heads' reduced state
+        k = len(heads)
+        psi = haar_random_unitary(8, rng).matrix[:, 0]
+        h = haar_random_unitary(2**k, rng).matrix
+        obs = Observable(h @ np.diag(np.arange(2**k, dtype=float)) @ h.conj().T)
+        vals, probs = tailed._observable_distribution(PureState(psi, (2, 2, 2)), ReadoutSpec(obs, heads))
+        rho = partial_trace_matrix(np.outer(psi, psi.conj()), (2, 2, 2), heads)  # heads ascending
+        order = [sorted(heads).index(w) for w in heads]
+        rho = rho.reshape((2,) * 2 * k).transpose(order + [k + i for i in order]).reshape(2**k, 2**k)
+        vecs = obs.eigh[1]
+        assert np.allclose(probs, np.einsum("ik,ij,jk->k", vecs.conj(), rho, vecs).real, atol=1e-12)
+        assert np.array_equal(vals, obs.eigh[0])
 
     def test_other_program_types_rejected(self):
         # a stored program or its circuit state runs; a bare matrix does not
