@@ -9,6 +9,18 @@ Knill-Laflamme error-correction toolkit with logical ebits.
 
 __version__ = "0.1.0"
 
+from .control import (
+    Compose,
+    ExecutionResult,
+    Inject,
+    Readout,
+    Restore,
+    SampleTail,
+    Schedule,
+    controlled_unknown_channel,
+    execute,
+    ideal_controlled,
+)
 from .duality import (
     ChoiState,
     Comb,
@@ -105,16 +117,4 @@ from .uqt import (
     stored_program,
     symmetric_decompose,
     teleport,
-)
-from .control import (
-    Compose,
-    ExecutionResult,
-    Inject,
-    Readout,
-    Restore,
-    SampleTail,
-    Schedule,
-    controlled_unknown_channel,
-    execute,
-    ideal_controlled,
 )

@@ -15,13 +15,14 @@ of `qvn.text`, each read by `parse_instruction`:
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates, tailed, uqt
-from .errors import NotRestorableError, OutOfCopiesError, QvnError, StreamDerivationError, ValidationError
+from .errors import OutOfCopiesError, QvnError, ValidationError
 from .kernel import (
     DEFAULT_TOL,
     KrausChannel,
@@ -31,10 +32,9 @@ from .kernel import (
     Retention,
     UnitaryOp,
     apply_to_subsystems,
-    shot_streams,
     shot_uniforms,
 )
-from .memory import MAX_COPIES, MAX_QUBITS, MemoryUnit, synthesize
+from .memory import MAX_COPIES, MAX_QUBITS, MemoryUnit, check_live_copies, check_restore, synthesize
 from .text import Line
 from .tailed import InjectionSpec, ReadoutSpec
 from .uqt import ByproductStrategy
@@ -77,9 +77,10 @@ class SampleTail:
 # outcome per shot of each instruction.
 MAX_SHOTS = 1_000_000
 # Most outcome entries one `execute` keeps: one per shot of each instruction
-# but restores. A run peaks at 18 to 35 bytes an entry above its start, so
-# at most about 280 MB at the limit; the README run file keeps three
-# entries a shot, 3,000,000 at MAX_SHOTS.
+# but restores. A run peaks at 17 to 41 bytes an entry above its start
+# (the most for a repeat-until-success chain), so at most about 330 MB at
+# the limit; the README run file keeps three entries a shot, 3,000,000 at
+# MAX_SHOTS.
 MAX_OUTCOME_ENTRIES = 8_000_000
 
 
@@ -138,10 +139,8 @@ class _Tables:
     sampled: a composition per (p1, p2, instruction), with its one composed
     program, an injection, readout or tail measurement per (state,
     instruction), and the circuit state of each program. Programs and
-    states are keys held weakly, and no table refers to them, so a table
-    goes when its inputs go: a schedule that composes into its own input
-    slot makes a new program every shot, and its tables do not pile up.
-    The post states and values the measurement tables keep for later draws
+    states are keys held weakly, so a table goes when its inputs go. The
+    post states and values the measurement tables keep for later draws
     share one `Retention` of MAX_RETAINED_ENTRIES, so a schedule whose
     outcomes rarely repeat keeps no more than that however many shots it
     runs.
@@ -186,104 +185,31 @@ class _Tables:
         return table
 
 
-def _check_tail(ins: SampleTail, n):
-    if not 0 <= ins.tail < n:
-        raise ValidationError(
-            f"sampletail tail={ins.tail} is out of range: the program at address "
-            f"{ins.target} has {n} tails (0..{n - 1})"
-        )
-
-
-def _measured(ins, k, result):
-    """(post state of the target, or None for a readout, which leaves it
-    unchanged; outcome entry) of measurement `ins` drawing outcome k, whose
-    result is given."""
-    if isinstance(ins, Inject):
-        return result[1], k
-    if isinstance(ins, Readout):
-        return None, result
-    return result, k
-
-
 def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     """Run the schedule once per shot, mutating memory, and aggregate.
 
     Each shot draws from its own stream, that of `RngStream(seed,
     stream_id=shot)`, fetches and restores copies as the schedule says,
     and samples each instruction from its exact outcome table (see
-    `_Tables`), which this call builds once per distinct input. The draws,
-    and so the results, are those of running every instruction's one-shot
-    kernel afresh each shot.
+    `_Tables`), which this call builds once per distinct input. The
+    outcomes, the copies left and the first error raised are those of
+    running every instruction's one-shot kernel afresh, shot after shot.
 
-    A schedule whose outcomes cannot change what a later shot fetches or
-    how many doubles it draws (see `_plan`) runs one instruction at a time
-    over all shots (`_run_batched`, for which `kernel.shot_uniforms`
-    derives, for all shots at once, only the doubles its measurements
-    read). Any other schedule, and one that fails, runs shot by shot
-    (`_run_shots`, on `kernel.shot_streams`), so errors are raised where
-    that loop raises them. Both paths give the same outcome columns and
-    leave the same copies. Streams that differ from numpy's
-    (`StreamDerivationError`) stop the call before anything is sampled. A
-    schedule past MAX_OUTCOME_ENTRIES is refused when it is made.
+    Every schedule runs one way (`_Run`): the copy flow fixes the program
+    each shot fetches before anything is drawn, `kernel.shot_uniforms`
+    derives the doubles read and draws each repeat-until-success
+    composition's rounds, and each measurement is sampled over groups of
+    shots. Memory is written only when nothing fails. Streams that differ
+    from numpy's (`StreamDerivationError`) stop the call before any
+    measurement is sampled. A schedule past MAX_OUTCOME_ENTRIES is refused when made.
     """
-    plan = _plan(mem, sched)
-    run = None
-    if plan is not None:
-        try:
-            run = _run_batched(mem, sched, plan)
-        except StreamDerivationError:
-            raise  # numpy's streams are not those derived: nothing is sampled
-        except QvnError:
-            pass  # memory is untouched; the loop raises where its shot fails
-    outcomes, n_tails = run or _run_shots(mem, sched)
-    return _result(mem, sched, outcomes, n_tails)
-
-
-def _run_shots(mem: MemoryUnit, sched: Schedule):
-    """`execute` one shot at a time: each shot runs every instruction
-    against memory on its own stream. Returns (outcome columns, the most
-    tails a shot's last injection measured)."""
-    tables = _Tables()
-    columns = [[] for _ in sched.instructions]
-    n_tails = 0
-    for rng in shot_streams(sched.seed, sched.shots):
-        states = {}  # address -> the shot's live state of the program it fetched
-        injected = 0
-        for idx, ins in enumerate(sched.instructions):
-            column = columns[idx]
-            try:
-                if isinstance(ins, Compose):
-                    p1, p2 = mem.fetch_consume(ins.addr1), mem.fetch_consume(ins.addr2)
-                    result, rounds = tables.composition(p1, p2, ins).sample(rng)
-                    if ins.dest in mem.slots:
-                        mem.append_copy(ins.dest, result)
-                    else:
-                        mem.store_copies([result], description=result.description, address=ins.dest)
-                    column.append(rounds)
-                elif isinstance(ins, Restore):
-                    mem.restore(ins.addr, ins.copies)
-                elif isinstance(ins, (Inject, Readout, SampleTail)):
-                    state = states.get(ins.target)
-                    if state is None:
-                        if isinstance(ins, SampleTail):  # checked before a copy is fetched
-                            _check_tail(ins, mem.peek(ins.target).d.bit_length() - 1)
-                        state = states[ins.target] = tables.state(mem.fetch_consume(ins.target))
-                    elif isinstance(ins, SampleTail):
-                        _check_tail(ins, len(state.subsystem_dims) // 2)
-                    post, entry = _measured(ins, *tables.measurement(state, ins).sample(rng))
-                    if post is not None:
-                        states[ins.target] = post
-                    if isinstance(ins, Inject):
-                        injected = len(state.subsystem_dims) // 2
-                    column.append(entry)
-                else:
-                    raise ValidationError(f"unknown instruction {ins!r}")
-            except OutOfCopiesError as exc:
-                raise OutOfCopiesError(
-                    exc.address, f"instruction {idx} ({type(ins).__name__}): {exc}"
-                ) from exc
-        n_tails = max(n_tails, injected)
-    return [tuple(column) for column in columns], n_tails
+    run = _Run(mem, sched)
+    run.sample(shot_uniforms(sched.seed, run.shots, run.reads).T)
+    if run.stop[3] is not None:
+        raise run.stop[3]
+    run.commit()
+    # every shot's last injection is the schedule's last one
+    return _result(mem, sched, run.columns, run.widths[max(run.widths)] if run.widths else 0)
 
 
 def _result(mem: MemoryUnit, sched: Schedule, outcomes, n_tails) -> ExecutionResult:
@@ -318,84 +244,70 @@ def _result(mem: MemoryUnit, sched: Schedule, outcomes, n_tails) -> ExecutionRes
 
 
 # ---------------------------------------------------------------------------
-# Batched execution
+# The copy flow and the run
 # ---------------------------------------------------------------------------
 
 # The token of a restored copy in `_Flow.put`; any other token is the index
 # of the compose instruction whose result the copy is.
 _RESTORED = -1
+_REPEAT = ByproductStrategy.REPEAT_UNTIL_SUCCESS
+_MEASURED = (Inject, Readout, SampleTail)
 
 
 class _Flow:
-    """What one shot does to one slot, the same in every shot of a batched
-    schedule: `put` holds the tokens of the copies it put in and has not
-    fetched, bottom first, `taken` counts the copies it fetched from below
-    them, and `peak` is the most copies the slot holds above its count at
-    the start of the shot, at any put. `initial` is the slot's list of
-    copies before the call, None for a slot that does not exist then."""
+    """What a shot does to one slot, the same in every shot: `put` holds the
+    tokens of the copies it put in and has not fetched, bottom first, and
+    `taken` counts those it fetched from below them; `start` copies lie
+    below them when it starts, and `peak` is the most it holds above those.
+    `initial` is the slot's list of copies before the call, or None."""
 
-    def __init__(self, initial):
-        self.initial = initial
-        self.put = []
-        self.taken = 0
-        self.peak = 0
+    def __init__(self, slot, start):
+        self.initial = None if slot is None else slot.copies
+        self.start = len(self.initial or ()) if start is None else start
+        self.put, self.taken, self.peak = [], 0, 0
 
-    def push(self, tokens):
+    def push(self, address, tokens):
         self.put.extend(tokens)
         self.peak = max(self.peak, len(self.put) - self.taken)
+        if self.start + self.peak > MAX_COPIES:
+            check_live_copies(f"slot {address}", self.start + len(self.put) - self.taken)
+
+    def earlier(self, j):
+        """The token later shots' j-th fetch from below takes, or None."""
+        return self.put[-j] if j <= len(self.put) else None
 
     def below(self, shot):
-        """Copies below the shot's own when it starts."""
+        """`start` of shot `shot`, from the first shot's flow."""
         return len(self.initial or ()) + shot * (len(self.put) - self.taken)
 
-
-@dataclass(frozen=True)
-class _Plan:
-    # (instruction index, instruction, source(s), row) of each instruction
-    # but restores; a source is ("result", compose index), ("restored",
-    # address), ("copy", program) for a copy taken from below the shot's
-    # own, or None for a target the shot has loaded; a measurement's row is
-    # the index of its double in `reads`, a compose's is None
-    steps: tuple
-    reads: tuple  # stream positions of the doubles the measurements read
-    flows: dict  # address -> _Flow
-    restored: frozenset  # addresses of the slots restores copy
+    def failing(self):
+        """The first later shot to find no copy below its own or pass MAX_COPIES."""
+        moved = len(self.put) - self.taken
+        if moved < 0:
+            return (self.start - self.taken) // -moved + 1
+        return (MAX_COPIES - self.peak - self.start) // moved + 1 if moved else math.inf
 
 
-def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
-    """The copy flow of a schedule that runs batched, or None.
-
-    Copy counts do not depend on outcomes, so one pass over the schedule on
-    tokens finds the copy each fetch takes: one the shot put in itself, a
-    compose result or a restored copy, or one it takes from below those.
-    Every shot moves copies the same way, so what lies below a shot's own
-    copies is the slot's copies before the call less what earlier shots
-    took plus what they left.
-
-    A schedule runs batched when every fetch from below a shot's own copies
-    takes one and the same program object in every shot, so no shot
-    fetches a compose result that another shot left, and no compose repeats
-    until success, whose draw count varies by shot. It takes the loop,
-    which raises the error, when a shot would run out of copies, fetch from
-    a missing slot, pass MAX_COPIES, or restore a slot that has no
-    description or that no earlier compose of this call creates. (The
-    description of a slot a compose creates is that of its one composed
-    program, which `_run_batched` reads when it builds the program.)
-
-    The pass also counts the doubles a shot draws, one per measurement and
-    one or, for `symmetric_pair`, two per compose, and notes the stream
-    position of each measurement's, the only ones read.
-    """
-    flows = {}
-    steps = []
-    reads = []
-    loaded = set()
-    draws = 0  # doubles a shot has drawn
+def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
+    """Shot `shot` on tokens, `below` (address -> count, else the count before
+    the call) copies lying below its own in each slot when it starts.
+    Returns (steps, reads, flows, restores, stop), stopped at the first copy
+    that fails with the memory unit's error. A step is (instruction index,
+    instruction, source(s), row), a source ("result", compose index) or
+    ("restored", address) for a copy the shot put in itself, ("below",
+    address, j) for the j-th it took from below its own, or None for a
+    loaded target. A measurement's row indexes its double among `reads`,
+    the `shot_uniforms` entries: each measurement's stream position, and
+    (position, step) for a repeat-until-success compose, after which
+    positions count afresh."""
+    flows, steps, reads, loaded, restores = {}, [], [], set(), set()
+    described = {address: slot.description is not None for address, slot in mem.slots.items()}
+    composed = {}  # compose index -> whether the first shot's program has a description
+    draws = rows = 0  # doubles drawn since the last repeated compose, reads so far
 
     def flow(address):
         if address not in flows:
-            slot = mem.slots.get(address)
-            flows[address] = _Flow(None if slot is None else slot.copies)
+            flows[address] = _Flow(mem.slots.get(address), below.get(address))
         return flows[address]
 
     def fetch(address):
@@ -403,67 +315,54 @@ def _plan(mem: MemoryUnit, sched: Schedule) -> _Plan | None:
         if f.put:
             token = f.put.pop()
             return ("restored", address) if token == _RESTORED else ("result", token)
-        if f.initial is None or f.taken == len(f.initial):
-            return None
+        if address not in described:
+            mem.copy_count(address)  # raises SlotNotFoundError
+        if f.taken == f.start:
+            message = f"instruction {idx} ({type(ins).__name__}): {OutOfCopiesError(address)}"
+            raise OutOfCopiesError(address, message)
         f.taken += 1
-        return ("copy", f.initial[-f.taken])
+        return ("below", address, f.taken)
 
-    for idx, ins in enumerate(sched.instructions):
-        if isinstance(ins, Compose):
-            if ins.strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS:
-                return None
-            sources = (fetch(ins.addr1), fetch(ins.addr2))
-            if None in sources:
-                return None
-            steps.append((idx, ins, sources, None))
-            draws += 2 if ins.strategy is ByproductStrategy.SYMMETRIC_PAIR else 1
-            flow(ins.dest).push([idx])
-        elif isinstance(ins, (Inject, Readout, SampleTail)):
-            source = None
-            if ins.target not in loaded:
-                source = fetch(ins.target)
-                if source is None:
-                    return None
-                loaded.add(ins.target)
-            steps.append((idx, ins, source, len(reads)))
-            reads.append(draws)
-            draws += 1
-        elif isinstance(ins, Restore):
-            # a flow with no copies before the call that outlives the
-            # instruction making it is a compose's dest
-            if ins.addr not in flows and ins.addr not in mem.slots:
-                return None
-            f = flow(ins.addr)
-            if f.initial is not None and mem.slots[ins.addr].description is None:
-                return None
-            if ins.copies < 1:
-                return None
-            f.push([_RESTORED] * ins.copies)
-        else:
-            return None
-    last = sched.shots - 1
-    for address, f in flows.items():
-        # the copies below a shot's own change linearly over the shots
-        if any(f.below(s) < f.taken or f.below(s) + f.peak > MAX_COPIES for s in (0, last)):
-            return None
-        # the copies later shots take from those an earlier one left
-        reached = f.put[len(f.put) - min(f.taken, len(f.put)) :] if last else []
-        if any(token != _RESTORED for token in reached):
-            return None
-        # they and the copies from before the call that the shots take are
-        # one program
-        initial = f.initial or []
-        programs = initial[len(initial) - f.taken - last * max(f.taken - len(f.put), 0) :]
-        if reached and f.initial is not None:
-            programs.append(mem.slots[address].program)
-        if any(p is not programs[-1] for p in programs):
-            return None
-    return _Plan(
-        steps=tuple(steps),
-        reads=tuple(reads),
-        flows=flows,
-        restored=frozenset(ins.addr for ins in sched.instructions if isinstance(ins, Restore)),
-    )
+    def has_description(src):
+        kind, key = src[:2]
+        if kind == "below":
+            return flows[key].initial[-src[2]].description is not None
+        return kind == "restored" or composed[key]
+
+    try:
+        for idx, ins in enumerate(sched.instructions):
+            at = (idx, 0)
+            if isinstance(ins, Compose):
+                sources = (fetch(ins.addr1), fetch(ins.addr2))
+                composed[idx] = shot > 0 or all(map(has_description, sources))
+                described.setdefault(ins.dest, composed[idx])  # a slot it creates
+                steps.append((idx, ins, sources, None))
+                if ins.strategy is _REPEAT:
+                    reads.append((draws, len(steps) - 1))
+                    draws = 0
+                else:
+                    draws += 2 if ins.strategy is ByproductStrategy.SYMMETRIC_PAIR else 1
+                at = (idx, 2)
+                flow(ins.dest).push(ins.dest, [idx])
+            elif isinstance(ins, _MEASURED):
+                source = None
+                if ins.target not in loaded:
+                    source = fetch(ins.target)
+                    loaded.add(ins.target)
+                steps.append((idx, ins, source, rows))
+                reads.append(draws)
+                draws, rows = draws + 1, rows + 1
+            elif isinstance(ins, Restore):
+                if ins.addr not in described:
+                    mem.copy_count(ins.addr)  # raises SlotNotFoundError
+                check_restore(ins.addr, ins.copies, described[ins.addr])
+                flow(ins.addr).push(ins.addr, [_RESTORED] * ins.copies)
+                restores.add(ins.addr)
+            else:
+                raise ValidationError(f"unknown instruction {ins!r}")
+    except QvnError as exc:
+        return steps, reads, flows, restores, (shot, *at, exc)
+    return steps, reads, flows, restores, None
 
 
 def _split(keys, members):
@@ -479,112 +378,235 @@ def _split(keys, members):
     return groups
 
 
-def _run_batched(mem: MemoryUnit, sched: Schedule, plan: _Plan):
-    """`execute` one instruction at a time over groups of shots.
-
-    Only the doubles the measurements read are derived, up front, for all
-    shots at once: `kernel.shot_uniforms` moves each shot's PCG64 to the
-    stream positions in `plan.reads` by jump-ahead. Every shot fetches the
-    same programs, so every composition has one program in every shot,
-    built before any shot runs, and its Bell doubles, which nothing reads,
-    are not derived: they only move the stream. All shots start as one group;
-    each other instruction samples its table for a group with one
-    `searchsorted` and splits the group by outcome. Groups run depth
-    first: an outcome's result is built, every later instruction runs for
-    its group, and it is dropped before the next outcome's, so beside what
-    the tables keep at most one result per instruction is alive. Memory is
-    written once, at the end, with the copies the shot loop leaves;
-    anything raised before leaves it as it was. Returns what `_run_shots`
-    returns, with each column but a restore's an array.
-    """
-    shots = sched.shots
-    uniforms = shot_uniforms(sched.seed, shots, plan.reads).T  # one row per read
-    restored = {}  # address -> the program its restores copy
-    for address in plan.restored & mem.slots.keys():
-        slot = mem.slots[address]
-        restored[address] = slot.program if slot.program is not None else synthesize(slot.description)
-    tables = _Tables()
-    results = {}  # compose index -> its program
-    created = {}  # address -> description of the slot a compose creates
-
-    def source(src):
-        kind, key = src
-        if kind == "result":
-            return results[key]
-        return restored[key] if kind == "restored" else key
-
-    for idx, ins, src, _ in plan.steps:
-        if isinstance(ins, Compose):
-            results[idx] = tables.composition(*(source(s) for s in src), ins).program
-            # a slot missing before the call is created by this compose
-            # alone, as a schedule's compose destinations are distinct
-            if plan.flows[ins.dest].initial is None:
-                created[ins.dest] = description = results[idx].description
-                # restores of the created slot copy its description's
-                # program, made once, as `MemoryUnit.restore` makes it; the
-                # loop raises this error at the first restore
-                if ins.dest in plan.restored:
-                    if description is None:
-                        raise NotRestorableError(f"slot {ins.dest} holds no classical description")
-                    restored[ins.dest] = synthesize(description)
-
-    # each instruction's entry for each shot: a compose's Bell rounds are 1,
-    # a measurement's entries are all written below, a restore keeps none
-    columns = [
-        () if isinstance(ins, Restore)
-        else np.ones(shots, int) if isinstance(ins, Compose)
-        else np.empty(shots, float if isinstance(ins, Readout) else int)
-        for ins in sched.instructions
-    ]
-    widths = {}  # inject index -> the tails it measures
-    stack = [(0, np.arange(shots), {}, None)]  # a group's live states by address
-    while stack:
-        i, members, states, drawn = stack.pop()
-        if drawn is not None:  # the group's outcome of step i - 1
-            table, k = drawn
-            idx, ins = plan.steps[i - 1][:2]
-            post, entry = _measured(ins, k, table.result(k))
-            columns[idx][members] = entry
-            if post is not None:
-                states = {**states, ins.target: post}
-        if i == len(plan.steps):
-            continue
-        idx, ins, src, row = plan.steps[i]
-        if isinstance(ins, Compose):  # one Bell round, whatever it draws
-            stack.append((i + 1, members, states, None))
-            continue
-        if src is None:
-            state = states[ins.target]
-        else:
-            state = tables.state(source(src))
-            states = {**states, ins.target: state}
-        if isinstance(ins, SampleTail):
-            _check_tail(ins, len(state.subsystem_dims) // 2)
-        elif isinstance(ins, Inject):
-            widths[idx] = len(state.subsystem_dims) // 2
-        table = tables.measurement(state, ins)
-        # each member's outcome, drawn as `RngStream.draw` draws it
-        ks = table.cdf.searchsorted(uniforms[row][members], side="right")
-        for k, group in reversed(_split(ks, members)):
-            stack.append((i + 1, group, states, (table, k)))
-
-    _commit(mem, plan, shots, restored, results, created)
-    # every shot injects the same programs, so its last injection's width
-    return columns, widths[max(widths)] if widths else 0
+def _by_program(programs, members):
+    """(program, the members that fetch it) for each distinct program in
+    `programs`, one per shot or one for all, among `members`: in the order
+    of their first members, members in their order."""
+    if len(programs) == 1:
+        return [(programs[0], members)]
+    index = {}
+    keys = np.array([index.setdefault(programs[m], len(index)) for m in members.tolist()])
+    return [(list(index)[key], group) for key, group in _split(keys, members)]
 
 
-def _commit(mem: MemoryUnit, plan: _Plan, shots, restored, results, created):
-    """Write the copies the shot loop leaves. In each slot: the copies from
-    before the call that no shot took, then what each shot but the last
-    left below the next shot's fetches, then all the last shot left."""
-    for address, f in plan.flows.items():
-        left, taken = len(f.put), f.taken
-        initial = f.initial or []
-        below = len(initial) - taken - (shots - 1) * max(taken - left, 0)
-        # every shot puts in the same copy under each token
-        put = [restored[address] if t == _RESTORED else results[t] for t in f.put]
-        final = initial[:below] + put[: max(left - taken, 0)] * (shots - 1) + put
-        mem.replace_copies(address, final, program=restored.get(address), description=created.get(address))
+class _Run:
+    """One `execute` call. Copy counts do not depend on outcomes and every
+    shot moves copies the same way, so the first shot's walk (`_walk`) gives
+    every shot's fetches: below a shot's own copies lie the slot's copies
+    before the call less what earlier shots took plus what they left. The
+    first later shot to fail in memory follows from that flow, and is
+    walked to raise its error. A run is uniform when each fetch takes one
+    program object in every shot. `stop` is the first error met, (shot,
+    instruction index, phase, error) with phase 0 before the instruction's
+    table and draws, 1 in them and 2 after, or (shots, 0, 0, None); only the
+    shots up to it run."""
+
+    def __init__(self, mem: MemoryUnit, sched: Schedule):
+        self.mem, self.sched, self.tables = mem, sched, None
+        self.steps, reads, self.flows, self.restores, stop = _walk(mem, sched, 0, {})
+        if stop is None:
+            shot = min((f.failing() for f in self.flows.values()), default=math.inf)
+            if shot < sched.shots:
+                stop = _walk(mem, sched, shot, {a: f.below(shot) for a, f in self.flows.items()})[4]
+        self.stop = stop or (sched.shots, 0, 0, None)
+        self.shots = last = min(self.stop[0] + 1, sched.shots)
+        self.uniform = True
+        for address, f in self.flows.items():
+            if not f.taken:
+                continue
+            # the tokens later shots take from an earlier one's, and the
+            # copies from before the call that the shots take
+            reached = f.put[len(f.put) - min(f.taken, len(f.put)) :] if last > 1 else []
+            programs = (f.initial or [])[max(min(f.start, f.below(last - 1)) - f.taken, 0) :]
+            if reached and f.initial is not None:
+                programs.append(mem.slots[address].program)
+            self.uniform &= all(t == _RESTORED for t in reached) and all(p is programs[-1] for p in programs)
+        self.reads = tuple(r if isinstance(r, int) else (r[0], self.rounds(r[1])) for r in reads)
+        # step -> the program each shot loads; a repeated compose's cdf[0]
+        # and d for each shot, which its rounds draw from
+        n = 1 if self.uniform else self.shots
+        self.fetched, self.repeats = {}, {}
+        for i, (_, ins, src, _) in enumerate(self.steps):
+            if src and isinstance(ins, _MEASURED):
+                self.fetched[i] = []
+            elif getattr(ins, "strategy", None) is _REPEAT:
+                self.repeats[i] = np.empty(n), np.empty(n, int)
+        # address -> the program its restores copy, the description of a
+        # slot a compose creates, the copies each shot left below the next
+        self.restored, self.created, self.left = {}, {}, {a: [] for a in self.flows}
+        self.last, self.widths = {}, {}  # compose -> the last shot's program, inject -> most tails
+        # an entry per shot for each instruction: a compose's Bell rounds, 1
+        # unless it repeats, a measurement's outcome; none for a restore
+        self.columns = [
+            () if isinstance(ins, Restore)
+            else (1,) * sched.shots if getattr(ins, "strategy", _REPEAT) is not _REPEAT
+            else np.empty(sched.shots, float if isinstance(ins, Readout) else int)
+            for ins in sched.instructions
+        ]
+
+    def fail(self, shot, idx, phase, exc):
+        if (shot, idx, phase) < self.stop[:3]:
+            self.stop = (shot, idx, phase, exc)
+
+    def cutoff(self, idx):
+        """The shots below this one reach instruction idx's table and draws."""
+        return self.stop[0] + ((idx, 1) < self.stop[1:3])
+
+    def program(self, src, shot, now, prev):
+        """The program shot `shot` fetches from `src`, given the programs its
+        composes made (`now`) and those the shot before made (`prev`)."""
+        kind, key = src[:2]
+        if kind == "below":
+            f, j = self.flows[key], src[2]
+            token, now = f.earlier(j), prev  # a copy the shot before put in
+            if shot == 0 or token is None:  # a copy from before the call
+                return f.initial[f.below(shot) - j]
+            kind, key = ("restored", key) if token == _RESTORED else ("result", token)
+        return self.restored[key] if kind == "restored" else now[key]
+
+    def copies(self, address, tokens, now):
+        return [self.restored[address] if t == _RESTORED else now[t] for t in tokens]
+
+    def evaluate(self):
+        """Build, once, what each shot fetches, shot after shot, as a chain's
+        compositions take programs an earlier shot made; they need no draws.
+        A uniform run builds the first shot's alone. A composition whose
+        input later shots take from the shot before is not kept in the
+        tables, where each program would keep the next."""
+        if self.tables is not None:
+            return
+        self.tables, mem = _Tables(), self.mem
+        for address in self.restores & mem.slots.keys():
+            slot = mem.slots[address]
+            self.restored[address] = slot.program or synthesize(slot.description)
+        # the composes whose input later shots take from a program the shot before made
+        chained = set() if self.uniform else {
+            i for i, (_, ins, src, _) in enumerate(self.steps) if isinstance(ins, Compose)
+            and any(s[0] == "below" and self.flows[s[1]].earlier(s[2]) not in (None, _RESTORED) for s in src)
+        }
+        # the copies each shot leaves below the next one's fetches
+        kept = {a: f.put[: len(f.put) - f.taken] for a, f in self.flows.items() if len(f.put) > f.taken}
+        now = {}
+        for shot in range(min(1 if self.uniform else self.shots, self.stop[0] + 1)):
+            prev, now = now, {}
+            for i, (idx, ins, src, _) in enumerate(self.steps):
+                if shot >= self.cutoff(idx) or src is None:
+                    if i in self.fetched:
+                        self.fetched[i].append(None)
+                elif not isinstance(ins, Compose):
+                    self.fetched[i].append(self.program(src, shot, now, prev))
+                else:
+                    programs = [self.program(s, shot, now, prev) for s in src]
+                    try:
+                        if i in chained:
+                            table = uqt.Composition(*programs, ins.strategy)
+                        else:
+                            table = self.tables.composition(*programs, ins)
+                    except QvnError as exc:
+                        self.fail(shot, idx, 1, exc)
+                        continue
+                    now[idx] = program = table.program
+                    if i in self.repeats:
+                        self.repeats[i][0][shot], self.repeats[i][1][shot] = table.cdfs[0][0], program.d
+                    if shot == 0 and ins.dest not in mem.slots:  # the compose creates the slot
+                        self.created[ins.dest] = program.description
+                        if ins.dest in self.restores:
+                            self.restored[ins.dest] = synthesize(program.description)
+            if shot < self.stop[0]:
+                for address, tokens in kept.items():
+                    self.left[address] += self.copies(address, tokens, now)
+        self.last = now
+
+    def rounds(self, step):
+        """The draw of repeat-until-success compose `step` at the stream
+        cursor: each shot's Bell rounds, drawn by `uqt._draw_round` where
+        its stream stands."""
+        idx = self.steps[step][0]
+
+        def draw(rng):
+            self.evaluate()
+            shot = rng.stream_id
+            if shot < self.cutoff(idx):
+                cdf0, d = self.repeats[step]
+                k = 0 if self.uniform else shot
+                try:  # a repeated round's draw reads cdf[0] alone
+                    self.columns[idx][shot] = uqt._draw_round(cdf0[k : k + 1], int(d[k]), True, rng)[1]
+                except QvnError as exc:
+                    self.fail(shot, idx, 1, exc)
+
+        return draw
+
+    def sample(self, uniforms):
+        """Sample the measurements, once what each shot fetches is built,
+        `uniforms` holding one row of doubles per read. All shots start as
+        one group; each measurement splits a group by the program it loads,
+        samples its table for each part with one `searchsorted` and splits
+        it by outcome. Groups run depth first: an outcome's result is built,
+        every later instruction runs for its group, and it is dropped before
+        the next outcome's, so beside what the tables keep at most one result
+        per instruction is alive. A group whose table or result fails stops,
+        its first shot's error noted."""
+        self.evaluate()
+        steps, stack = self.steps, [(0, np.arange(self.shots), {}, None)]  # with a group's states by address
+        while stack:
+            i, members, states, drawn = stack.pop()
+            if drawn is not None:  # the group's outcome of step i - 1
+                table, k = drawn
+                idx, ins = steps[i - 1][:2]
+                try:
+                    result = table.result(k)
+                except QvnError as exc:
+                    self.fail(int(members[0]), idx, 1, exc)
+                    continue
+                # a readout's value, leaving its target; an inject's branch
+                # and a tail's bit, with the post state
+                self.columns[idx][members] = result if isinstance(ins, Readout) else k
+                if not isinstance(ins, Readout):
+                    states = {**states, ins.target: result[1] if isinstance(ins, Inject) else result}
+            if i == len(steps):
+                continue
+            idx, ins, src, row = steps[i]
+            if self.stop[3] is not None and members[-1] >= self.cutoff(idx):
+                members = members[members < self.cutoff(idx)]
+                if not members.size:
+                    continue
+            if isinstance(ins, Compose):  # its rounds are drawn, its program built
+                stack.append((i + 1, members, states, None))
+                continue
+            parts = [(None, members)] if src is None else _by_program(self.fetched[i], members)
+            for program, group in parts:
+                try:
+                    state = states[ins.target] if program is None else self.tables.state(program)
+                    n = len(state.subsystem_dims) // 2
+                    if isinstance(ins, SampleTail) and not 0 <= ins.tail < n:
+                        raise ValidationError(
+                            f"sampletail tail={ins.tail} is out of range: the program at address "
+                            f"{ins.target} has {n} tails (0..{n - 1})"
+                        )
+                    table = self.tables.measurement(state, ins)
+                except QvnError as exc:
+                    self.fail(int(group[0]), idx, 1, exc)
+                    continue
+                if isinstance(ins, Inject):
+                    self.widths[idx] = max(self.widths.get(idx, 0), n)
+                # each member's outcome, drawn as `RngStream.draw` draws it
+                ks = table.cdf.searchsorted(uniforms[row][group], side="right")
+                loaded = states if program is None else {**states, ins.target: state}
+                for k, outcome in reversed(_split(ks, group)):
+                    stack.append((i + 1, outcome, loaded, (table, k)))
+
+    def commit(self):
+        """Write, through `MemoryUnit.replace_copies`, the copies running shot
+        after shot leaves in each slot: those from before the call that no
+        shot took, what each shot but the last left below the next one's
+        fetches, then all the last shot left."""
+        shots = self.sched.shots
+        for address, f in self.flows.items():
+            moved, initial, left = len(f.put) - f.taken, f.initial or [], self.left[address]
+            left = left * (shots - 1) if self.uniform else left[: (shots - 1) * max(moved, 0)]
+            below = len(initial) - f.taken - (shots - 1) * max(-moved, 0)
+            final = initial[:below] + left + self.copies(address, f.put, self.last)
+            self.mem.replace_copies(address, final, self.restored.get(address), self.created.get(address))
 
 
 # ---------------------------------------------------------------------------

@@ -498,127 +498,96 @@ def _start_limbs(pool, hash_const, shots):
     return limbs
 
 
-def _seeded_limbs(pool, hash_const, shots):
-    """The PCG64 (state, inc) seeded for each shot id in the uint32 array
-    `shots`, as limbs: one uint64 array of rows state high, state low, inc
-    high, inc low (srandom's map of `_start_limbs`, one step of initstate
-    + inc)."""
-    limbs = _start_limbs(pool, hash_const, shots)
-    _plus(*limbs)
-    limbs[:2] = _affine(*limbs, _PCG_MULT, 1)
-    return limbs
+def _pcg64_state(state, inc):
+    """PCG64's `state` dict of a (state, inc) of Python ints."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
-def _shot_limbs(seed, shots, derive):
-    """For each block of up to SHOT_BLOCK shots of range(shots), in order,
-    (its first shot, `derive(pool, hash_const, ids)` of its shot ids): with
-    `_seeded_limbs`, the PCG64 (state, inc) that `RngStream(seed,
-    stream_id=s)` seeds for each shot s; with `_start_limbs`, what it is
-    seeded from.
-
-    Only the spawn-key word of the SeedSequence differs between shots, so
-    the seed's own words are mixed once per call, and the rest of the hash
-    runs vectorized over the block.
-    """
-    if shots > 2**32:
-        raise ValidationError(f"shot ids must fit one 32-bit word, got {shots} shots")
-    pool, hash_const = _seed_pool(seed)
-    for first in range(0, shots, SHOT_BLOCK):
-        block = np.arange(first, min(first + SHOT_BLOCK, shots), dtype=np.uint32)
-        yield first, derive(pool, hash_const, block)
-
-
-def _check_shot_zero(seed, state, inc, positions=(), doubles=()):
-    """Raise `StreamDerivationError` unless the Python ints `state` and
-    `inc` are the PCG64 (state, inc) numpy seeds for shot 0 and `doubles`
-    are the doubles numpy's `Generator` draws from it at the sorted draw
-    `positions`: the check of a numpy whose seeding or output function
-    differs from the one derived here."""
-    reference = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))
-    if {"state": state, "inc": inc} != reference.state["state"]:
+def _check_state(seed, reference, state, inc, when):
+    """Raise unless `reference`, numpy's generator of shot 0, stands at (state, inc)."""
+    if reference.bit_generator.state["state"] != {"state": state, "inc": inc}:
         raise StreamDerivationError(
-            f"the derived PCG64 state of seed {seed}, shot 0 differs from numpy's seeding"
-        )
-    drawn = np.random.Generator(reference).random(positions[-1] + 1 if positions else 0)
-    if np.asarray(doubles, dtype=float).tobytes() != drawn[list(positions)].tobytes():
-        raise StreamDerivationError(
-            f"the doubles derived for seed {seed}, shot 0 differ from numpy's PCG64 output"
+            f"the derived PCG64 state of seed {seed}, shot 0 differs from numpy's {when}"
         )
 
 
-def _shot_generators(seed, shots):
-    """For each shot s in range(shots), in order, one reused `Generator`
-    re-seeded in place as `RngStream(seed, stream_id=s)` seeds its own:
-    each shot sets its (state, inc) from `_shot_limbs` into one PCG64.
-    Before the first is given, shot 0's state is checked against numpy's
-    seeding (`_check_shot_zero`)."""
-    bit_generator = np.random.PCG64()
-    generator = np.random.Generator(bit_generator)
-    for first, limbs in _shot_limbs(seed, shots, _seeded_limbs):
-        if first == 0:
-            hi, lo, inc_hi, inc_lo = limbs[:, 0].tolist()
-            _check_shot_zero(seed, hi << 64 | lo, inc_hi << 64 | inc_lo)
-        for state_hi, state_lo, inc_hi, inc_lo in map(np.ndarray.tolist, limbs.T):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield generator
-
-
-def shot_streams(seed, shots):
-    """For each shot s in range(shots), in order, an `RngStream` whose draws
-    equal those of `RngStream(seed, stream_id=s)` bit for bit.
-
-    The streams share one generator (see `_shot_generators`): draw from
-    each only before taking the next.
-    """
-    for shot, generator in enumerate(_shot_generators(seed, shots)):
-        yield RngStream._over(seed, shot, generator)
+def _each(draw, seed, first, hi, lo, inc):
+    """The states (hi, lo) `draw(stream)` leaves on each shot's stream in
+    turn from shot `first`, its (state, inc limbs) set into one reused PCG64
+    and read back, so it draws as `RngStream(seed, stream_id=shot)`."""
+    generator = np.random.Generator(np.random.PCG64(0))
+    states = []
+    for shot, (h, l, inc_h, inc_l) in enumerate(zip(hi.tolist(), lo.tolist(), *inc.tolist()), first):
+        generator.bit_generator.state = _pcg64_state(h << 64 | l, inc_h << 64 | inc_l)
+        draw(RngStream._over(seed, shot, generator))
+        states.append(generator.bit_generator.state["state"]["state"])
+    return np.array([s >> 64 for s in states], np.uint64), np.array([s & _MASK64 for s in states], np.uint64)
 
 
 def shot_uniforms(seed, shots, positions):
-    """A (shots, len(positions)) array whose row s holds the doubles of
-    `RngStream(seed, stream_id=s)` at the sorted, distinct draw `positions`
-    (0 is its first draw), bit for bit.
+    """A (shots, m) array whose row s holds the doubles of `RngStream(seed,
+    stream_id=s)` at the m int entries of `positions`, sorted, distinct draw
+    positions (0 is its first draw), bit for bit. An entry may instead be a
+    pair (p, draw), the stream cursor: once p more doubles are drawn,
+    `draw(stream)` is called on each shot's stream in turn (`_each`), and
+    may draw any number of them; positions after it count from where it
+    leaves each stream.
 
     PCG64 is an LCG on 128-bit states, so k steps of it are one affine map
     of the state and inc (F. B. Brown, "Random Number Generation with
     Arbitrary Strides", Trans. Am. Nucl. Soc. 71, 202, 1994): MULT**k·state
-    + Σ_{i < k} MULT**i·inc mod 2**128. The state that draw p reads, p + 1
-    steps after srandom's, is so MULT**(p + 2)·initstate + Σ_{i ≤ p + 2}
-    MULT**i·inc of the `_start_limbs`. Each block of `_shot_limbs` takes
-    that map (`_affine`, two products) to the first position, and from
-    each position the map to the next: one step (one product) when they
-    are adjacent, two products whatever the gap otherwise. No draw that is
-    not read is made. Each double is the state's XSL-RR output's top 53
-    bits times 2**-53, as `Generator.random` makes it. Before anything is
-    returned, shot 0's state and doubles are checked against numpy's
-    (`_check_shot_zero`). The array is the transpose of a C-ordered one, so
-    one position's doubles over all shots are contiguous.
+    + Σ_{i < k} MULT**i·inc mod 2**128. Each block of SHOT_BLOCK shots goes
+    by one such map (`_affine`) from srandom's inputs (`_start_limbs`) to
+    the first entry and from each entry to the next, one product for one
+    step and two for any gap, and makes no draw that is not read. Each
+    double is the XSL-RR output's top 53 bits times 2**-53, as
+    `Generator.random` makes it. The seed's own words are hashed once.
+
+    Shot 0 is checked against numpy's own generator for it
+    (`StreamDerivationError`): its seeded state first, then each double and
+    each state handed to a `draw` as it is derived. With no entry, shot 0
+    alone is derived, for its check. The array is the transpose of a
+    C-ordered one, so one position's doubles over all shots are contiguous.
     """
+    if shots > 2**32:
+        raise ValidationError(f"shot ids must fit one 32-bit word, got {shots} shots")
     mult, mask = _PCG_MULT, 2**128 - 1
-    maps = []  # (a, c) of the map to each position from the one before
+    maps = []  # (a, c, steps, draw) of the map to each entry from the one before
     a, c, last = mult, mult + 1, -1  # srandom's, from (initstate, inc)
-    for position in positions:
-        for _ in range(position - last):
+    for entry in positions:
+        position, draw = entry if isinstance(entry, tuple) else (entry, None)
+        steps = position - last - (draw is not None)
+        for _ in range(steps):
             a, c = a * mult & mask, (c * mult + 1) & mask
-        maps.append((a, c))
-        a, c, last = 1, 0, position
-    out = np.empty((len(maps), shots))
-    for first, limbs in _shot_limbs(seed, shots, _start_limbs):
-        hi, lo, inc_hi, inc_lo = limbs
-        for row, (a, c) in zip(out[:, first : first + hi.size], maps):
-            hi, lo = _affine(hi, lo, inc_hi, inc_lo, a, c)
-            np.multiply(_xsl_rr(hi, lo) >> 11, 2.0**-53, out=row)
+        maps.append((a, c, steps, draw))
+        a, c, last = 1, 0, -1 if draw else position
+    out = np.empty((sum(draw is None for *_, draw in maps), shots))
+    pool, hash_const = _seed_pool(seed)
+    derived = shots if maps else 1
+    for first in range(0, derived, SHOT_BLOCK):
+        ids = np.arange(first, min(first + SHOT_BLOCK, derived), dtype=np.uint32)
+        hi, lo, inc_hi, inc_lo = limbs = _start_limbs(pool, hash_const, ids)
+        rows = iter(out[:, first : first + ids.size])
         if first == 0:
             init_0, inc_0 = (h << 64 | l for h, l in limbs[:, 0].reshape(2, 2).tolist())
-            state_0 = (mult * init_0 + (mult + 1) * inc_0) & mask
-            _check_shot_zero(seed, state_0, inc_0, positions, out[:, 0])
-        if not maps:
-            break  # nothing is read: shot 0 was derived for its check alone
+            reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+            _check_state(seed, reference, (mult * init_0 + (mult + 1) * inc_0) & mask, inc_0, "seeding")
+        for a, c, steps, draw in maps:
+            hi, lo = _affine(hi, lo, inc_hi, inc_lo, a, c)
+            if draw is None:
+                row = next(rows)
+                np.multiply(_xsl_rr(hi, lo) >> 11, 2.0**-53, out=row)
+                if first == 0 and row[0] != reference.random(steps)[-1]:
+                    raise StreamDerivationError(
+                        f"the doubles derived for seed {seed}, shot 0 differ from numpy's PCG64 output"
+                    )
+                continue
+            if first == 0:
+                reference.random(steps)
+                _check_state(seed, reference, hi[0].item() << 64 | lo[0].item(), inc_0, f"after {steps} draws")
+            hi, lo = _each(draw, seed, first, hi, lo, limbs[2:])
+            if first == 0:
+                reference.bit_generator.state = _pcg64_state(hi[0].item() << 64 | lo[0].item(), inc_0)
     return out.T
 
 

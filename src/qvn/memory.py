@@ -266,10 +266,21 @@ def description_of_lines(doc) -> ProgramDescription:
 # ---------------------------------------------------------------------------
 
 
-def _check_live_copies(slot_name, count):
+def check_live_copies(slot_name, count):
     if count > MAX_COPIES:
         raise ValidationError(
             f"{slot_name} would hold {count} live copies; the limit is MAX_COPIES = {MAX_COPIES}"
+        )
+
+
+def check_restore(address, copies, described):
+    """Raise what `MemoryUnit.restore` raises, short of counting copies, for
+    `copies` copies of slot `address`, described or not."""
+    if copies < 1:
+        raise ValidationError("restore needs at least one copy")
+    if not described:
+        raise NotRestorableError(
+            f"slot {address} holds no classical description and cannot be restored"
         )
 
 
@@ -310,7 +321,7 @@ class MemoryUnit:
         """Create a slot holding freshly synthesized copies; returns its address."""
         if copies < 1:
             raise ValidationError("store needs at least one copy")
-        _check_live_copies("a new slot" if address is None else f"slot {address}", copies)
+        check_live_copies("a new slot" if address is None else f"slot {address}", copies)
         address = self._claim_address(address)
         program = synthesize(desc)
         self.slots[address] = MemorySlot(desc, [program] * copies, program, copies)
@@ -327,7 +338,7 @@ class MemoryUnit:
         """Add one pre-built copy (a composition result) to a slot; returns
         the new total."""
         slot = self._slot(address)
-        _check_live_copies(f"slot {address}", len(slot.copies) + 1)
+        check_live_copies(f"slot {address}", len(slot.copies) + 1)
         slot.copies.append(program)
         slot.balance += 1
         return len(slot.copies)
@@ -339,7 +350,7 @@ class MemoryUnit:
         `program` becomes the one the slot's restores copy. Returns the new
         total."""
         copies = list(copies)
-        _check_live_copies(f"slot {address}", len(copies))
+        check_live_copies(f"slot {address}", len(copies))
         if address not in self.slots:
             self.store_copies([], description, address)
         slot = self.slots[address]
@@ -373,14 +384,9 @@ class MemoryUnit:
     def restore(self, address, copies) -> int:
         """Add copies of the program synthesized from the slot's description
         (once per slot); returns the new total."""
-        if copies < 1:
-            raise ValidationError("restore needs at least one copy")
         slot = self._slot(address)
-        if slot.description is None:
-            raise NotRestorableError(
-                f"slot {address} holds no classical description and cannot be restored"
-            )
-        _check_live_copies(f"slot {address}", len(slot.copies) + copies)
+        check_restore(address, copies, slot.description is not None)
+        check_live_copies(f"slot {address}", len(slot.copies) + copies)
         if slot.program is None:
             slot.program = synthesize(slot.description)
         slot.copies.extend([slot.program] * copies)

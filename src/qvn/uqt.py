@@ -344,7 +344,7 @@ class Composition:
     into U2U1 whatever k is; repeat-until-success ends on k = 0. So the
     composition has one result, `program`: the trivial outcome's fused
     state, through S2 and then S1 for `symmetric_pair`, built here. Each
-    round keeps only the cdf it draws from, so `sample` draws as the
+    round keeps only the cdf it draws from (`cdfs`), so `sample` draws as the
     per-outcome protocol does: one double per round, or for
     repeat-until-success one per try until the trivial outcome
     (`_draw_round`). The table never holds the input programs.
@@ -360,18 +360,18 @@ class Composition:
         else:
             raise ConfigurationError(f"unknown strategy {strategy!r}")
         self._repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
-        self._cdfs = []
+        self.cdfs = []
         amp1 = p1.amplitudes
         for amp2 in factors:
             cdf, fused = _fusion(amp1, amp2, p2.basis, self._repeat)
-            self._cdfs.append(cdf)
+            self.cdfs.append(cdf)
             amp1 = fused(0).reshape(-1)
         u = unvec(amp1)
         self.program = stored_program(UnitaryOp(u, tol=1e-8), _combined_description(p1, p2))
 
     def sample(self, rng: RngStream):
         """(`program`, Bell rounds of its last teleportation)."""
-        for cdf in self._cdfs:
+        for cdf in self.cdfs:
             _, rounds = _draw_round(cdf, self.program.d, self._repeat, rng)
         return self.program, rounds
 

@@ -1,4 +1,5 @@
 import gc
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import per_shot_execute, spanning_pure_states
+from conftest import RUS_BOUND_D2, never_heralded, per_shot_execute, spanning_pure_states
 from qvn import control, gates, kernel, tailed, uqt
 from qvn.control import (
     Compose,
@@ -23,6 +24,7 @@ from qvn.cli import parse_run_file
 from qvn.duality import reversal_permutation
 from qvn.errors import (
     NotRestorableError,
+    NumericalError,
     OutOfCopiesError,
     ParseError,
     SlotNotFoundError,
@@ -157,7 +159,7 @@ class TestExecute:
 
     @pytest.mark.parametrize("strategy", list(ByproductStrategy))
     def test_matches_oracle_across_stream_blocks(self, strategy):
-        # 600 shots take their streams from three blocks of shot_streams
+        # 600 shots take their streams from three blocks of the derivation
         sched = Schedule(
             (
                 Compose(0, 1, strategy, 10),
@@ -331,46 +333,42 @@ class TestOutcomeTables:
         assert peaks[execute] <= peaks[per_shot_execute] + kept + 256 * 1024
 
 
+def readme_memory(slots):
+    """A memory unit holding a run file's slots."""
+    mem = MemoryUnit()
+    for addr, copies, desc in slots:
+        mem.store(desc, copies, address=addr)
+    return mem
+
+
+def copies_of(mem):
+    """Each slot's copies, which compare by identity."""
+    return {address: list(slot.copies) for address, slot in mem.slots.items()}
+
+
 class TestPathSelection:
-    """The schedule alone decides whether `execute` runs one instruction at
-    a time over all shots or shot by shot in `control._run_shots`."""
+    """Schedules of every shape run one path: they give the outcomes, the
+    estimate and the copies that running shot after shot gives, and raise
+    its first error with memory as it was."""
 
-    @pytest.fixture
-    def loop_calls(self, monkeypatch):
-        calls = []
-        loop = control._run_shots
-
-        def counting(mem, sched):
-            calls.append(sched)
-            return loop(mem, sched)
-
-        monkeypatch.setattr(control, "_run_shots", counting)
-        return calls
-
-    def test_readme_run_file_batches(self, loop_calls):
+    def test_readme_run_file_batches(self):
         shots, seed, slots, instructions = parse_run_file(DEMO_RUN.read_text())
-        mem = MemoryUnit()
-        for addr, copies, desc in slots:
-            mem.store(desc, copies, address=addr)
-        result = execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
-        assert result.n_p0 + result.n_p1 == shots and loop_calls == []
+        sched = Schedule(tuple(instructions), shots=shots, seed=seed)
+        result = execute(readme_memory(slots), sched)
+        assert result.n_p0 + result.n_p1 == shots
+        assert result == per_shot_execute(readme_memory(slots), sched)
 
-    @pytest.mark.parametrize("strategy, loop", [("correction_table", False), ("repeat_until_success", True)])
-    def test_outcomes_give_the_estimate(self, loop_calls, strategy, loop):
-        # the README run file, batched, and with a composition that repeats
-        # until success, in the loop: the estimate and the branch counts
-        # follow from the outcome columns alone, the readout's split on the
-        # injection's
+    @pytest.mark.parametrize("strategy, repeats", [("correction_table", False), ("repeat_until_success", True)])
+    def test_outcomes_give_the_estimate(self, strategy, repeats):
+        # the README run file, and with a composition that repeats until
+        # success: the estimate and the branch counts follow from the
+        # outcome columns alone, the readout's split on the injection's
         text = DEMO_RUN.read_text().replace("strategy=correction_table", f"strategy={strategy}")
         shots, seed, slots, instructions = parse_run_file(text)
-        mem = MemoryUnit()
-        for addr, copies, desc in slots:
-            mem.store(desc, copies, address=addr)
-        result = execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
-        assert bool(loop_calls) == loop
+        result = execute(readme_memory(slots), Schedule(tuple(instructions), shots=shots, seed=seed))
         assert [len(column) for column in result.outcomes] == [0, 0, shots, shots, shots]
         rounds, branch, values = (np.array(column) for column in result.outcomes[2:])
-        assert rounds.min() >= 1 and (rounds.max() > 1) == loop
+        assert rounds.min() >= 1 and (rounds.max() > 1) == repeats
         direct, complement = values[branch == 1], values[branch == 0]
         trace_of_z = 0.0
         estimate = tailed.combine_branch_estimates(direct, complement, trace_of_z, 1)
@@ -393,9 +391,7 @@ class TestPathSelection:
         kept = text.replace("inject target=2 bits=1\n", "").replace("readout target=2 obs=Z\n", "")
         for run_file in (text, kept):
             shots, seed, slots, instructions = parse_run_file(run_file)
-            mem = MemoryUnit()
-            for addr, copies, desc in slots:
-                mem.store(desc, copies, address=addr)
+            mem = readme_memory(slots)
             execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
         assert shots == 200 and len(built) == 1
         copies = mem.slots[2].copies
@@ -403,8 +399,7 @@ class TestPathSelection:
 
     def test_readme_run_file_reads_two_of_three_draws(self, monkeypatch):
         # the compose draws the first double of each shot's stream and no
-        # one reads it, so the batched path derives the inject's and the
-        # readout's alone
+        # one reads it, so the inject's and the readout's alone are derived
         asked = []
 
         def spy(seed, shots, positions):
@@ -413,17 +408,12 @@ class TestPathSelection:
 
         monkeypatch.setattr(control, "shot_uniforms", spy)
         shots, seed, slots, instructions = parse_run_file(DEMO_RUN.read_text())
-        mem = MemoryUnit()
-        for addr, copies, desc in slots:
-            mem.store(desc, copies, address=addr)
-        spied = execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
+        sched = Schedule(tuple(instructions), shots=shots, seed=seed)
+        spied = execute(readme_memory(slots), sched)
         assert asked == [(1, 2)]
-        mem = MemoryUnit()
-        for addr, copies, desc in slots:
-            mem.store(desc, copies, address=addr)
-        assert spied == per_shot_execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
+        assert spied == per_shot_execute(readme_memory(slots), sched)
 
-    def test_restore_of_composed_slot_batches(self, loop_calls):
+    def test_restore_of_composed_slot_batches(self):
         # the README run file restoring the slot its compose creates: every
         # shot's restore copies the one program synthesized from the
         # composed program's description, as `MemoryUnit.restore` makes it,
@@ -431,43 +421,42 @@ class TestPathSelection:
         text = DEMO_RUN.read_text().replace("dest=2\n", "dest=2\nrestore addr=2 copies=1\n")
         shots, seed, slots, instructions = parse_run_file(text)
         assert Restore(2, 1) in instructions
-        mem = MemoryUnit()
-        for addr, copies, desc in slots:
-            mem.store(desc, copies, address=addr)
+        mem = readme_memory(slots)
         execute(mem, Schedule(tuple(instructions), shots=shots, seed=seed))
-        assert loop_calls == []
         slot = mem.slots[2]
         assert slot.description is not None and slot.program is not None
         assert slot.program.op.matrix.tobytes() == synthesize(slot.description).op.matrix.tobytes()
         assert len(slot.copies) == shots and all(c is not slot.program for c in slot.copies)
 
-    def test_restore_of_undescribed_composed_slot_runs_loop(self, loop_calls):
+    def test_restore_of_undescribed_composed_slot_runs_loop(self):
         # a composition of programs without descriptions has none to restore
         mem = MemoryUnit()
         for address, gate in enumerate((gates.H, gates.T)):
             mem.store_copies([stored_program(gate)] * 2, address=address)
+        before = copies_of(mem)
         sched = Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 2), Restore(2, 1)), shots=2)
-        with pytest.raises(NotRestorableError, match="slot 2"):
+        with pytest.raises(NotRestorableError, match="slot 2 holds no classical description"):
             execute(mem, sched)
-        assert loop_calls == [sched]
+        assert copies_of(mem) == before
 
-    def test_restore_of_missing_slot_runs_loop(self, loop_calls):
+    def test_restore_of_missing_slot_runs_loop(self):
         # a restore of a slot that neither memory nor a compose of the call
-        # holds is the loop's to raise
+        # holds
         mem, a, b = fresh_memory(copies=2)
+        before = copies_of(mem)
         sched = Schedule((Compose(a, b, ByproductStrategy.CORRECTION_TABLE, 10), Restore(11, 1)), shots=2)
-        with pytest.raises(SlotNotFoundError, match="11"):
+        with pytest.raises(SlotNotFoundError, match="no slot at address 11"):
             execute(mem, sched)
-        assert loop_calls == [sched]
+        assert copies_of(mem) == before
 
-    def test_wide_fresh_slot_batches(self, loop_calls):
+    def test_wide_fresh_slot_batches(self):
         # the schedule of test_wide_fresh_slot_memory_bounded
         n, shots = 6, 20
         mem = MemoryUnit()
         mem.store_copies([stored_program(haar_random_unitary(2**n, RngStream(5)))] * shots, address=0)
         mem.store(ProgramDescription("H", n, tuple(GateRecord(0, "H", (q,)) for q in range(n))), shots, address=1)
         execute(mem, Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 2), Inject(2)), shots=shots, seed=3))
-        assert loop_calls == [] and mem.copy_count(2) == 0
+        assert mem.copy_count(2) == 0
 
     @pytest.mark.parametrize(
         "sched, mem",
@@ -480,28 +469,70 @@ class TestPathSelection:
         ],
         ids=["chain", "repeat_until_success", "mixed_copies"],
     )
-    def test_loop_schedules(self, loop_calls, sched, mem):
-        execute(mem(), sched)
-        assert loop_calls == [sched]
+    def test_loop_schedules(self, sched, mem):
+        # a chain, repeat-until-success and a slot of mixed copies, whose
+        # shots take different programs or draw varying numbers of doubles
+        ran, oracle = mem(), mem()
+        assert execute(ran, sched) == per_shot_execute(oracle, sched)
+        assert {a: [c.op.matrix.tobytes() for c in copies] for a, copies in copies_of(ran).items()} == {
+            a: [c.op.matrix.tobytes() for c in copies] for a, copies in copies_of(oracle).items()
+        }
 
-    def test_failing_schedule_runs_loop_on_untouched_memory(self, loop_calls):
-        # the copy-flow plan sees the third shot run out of copies of slot a;
-        # the loop raises there
+    def test_failing_schedule_leaves_memory_untouched(self):
+        # the third shot runs out of copies of slot a, after two shots
+        # composed and restored
         mem, a, b = fresh_memory(copies=2)
+        before = copies_of(mem)
         sched = Schedule((Restore(b, 1), Compose(a, b, ByproductStrategy.CORRECTION_TABLE, 10)), shots=3)
         with pytest.raises(OutOfCopiesError, match="instruction 1"):
             execute(mem, sched)
-        assert loop_calls == [sched]
-        assert (mem.copy_count(a), mem.copy_count(b), mem.copy_count(10)) == (0, 3, 2)
+        assert copies_of(mem) == before
 
-    def test_batched_error_reruns_in_the_loop(self, loop_calls):
-        # the batched path raises on the tail index; the loop raises it again
-        # on its first shot, after that shot's restore
+    def test_table_error_leaves_memory_untouched(self):
+        # the tail index is out of range on the first shot, after its restore
         mem, a, _ = fresh_memory(copies=2)
+        before = copies_of(mem)
         sched = Schedule((Restore(a, 1), SampleTail(a, 1)), shots=3)
         with pytest.raises(ValidationError, match="tail=1 is out of range"):
             execute(mem, sched)
-        assert loop_calls == [sched] and mem.copy_count(a) == 3
+        assert copies_of(mem) == before
+
+    def test_copy_limit_at_a_later_shot(self):
+        # each shot restores just over half of MAX_COPIES and takes one copy,
+        # so the second shot's restore passes the limit; the error is the
+        # per-shot executor's, and memory is as it was
+        sched = Schedule((Restore(0, control.MAX_COPIES // 2 + 1), Inject(0)), shots=3)
+        mem, oracle_mem = fresh_memory(copies=1)[0], fresh_memory(copies=1)[0]
+        before = copies_of(mem)
+        with pytest.raises(ValidationError) as err:
+            execute(mem, sched)
+        with pytest.raises(ValidationError) as oracle_err:
+            per_shot_execute(oracle_mem, sched)
+        assert str(err.value) == str(oracle_err.value)
+        assert f"slot 0 would hold {control.MAX_COPIES + 2} live copies" in str(err.value)
+        assert copies_of(mem) == before
+
+    def test_repeat_until_success_bound_leaves_memory_untouched(self, monkeypatch):
+        # no double heralds, so the first shot's composition reaches the
+        # 64·d² bound at the stream cursor
+        never_heralded(monkeypatch)
+        mem, a, b = fresh_memory(copies=3)
+        before = copies_of(mem)
+        sched = Schedule((Compose(a, b, ByproductStrategy.REPEAT_UNTIL_SUCCESS, 10), Inject(10)), shots=3)
+        with pytest.raises(NumericalError, match=re.escape(RUS_BOUND_D2)):
+            execute(mem, sched)
+        assert copies_of(mem) == before
+
+    def test_chain_failing_at_a_later_shot_leaves_memory_untouched(self):
+        # slot 1 holds two copies, so the third shot of a chain finds it
+        # empty; the programs the first two shots composed are not kept
+        mem = chain_memory(2)
+        mem.restore(1, 1)
+        before = copies_of(mem)
+        sched = Schedule((CHAIN[1],), shots=3, seed=3)
+        with pytest.raises(OutOfCopiesError, match=r"instruction 0 \(Compose\): slot 1 has no copies left"):
+            execute(mem, sched)
+        assert copies_of(mem) == before
 
 
 def controlled_unknown(u: UnitaryOp) -> np.ndarray:

@@ -24,7 +24,6 @@ from qvn.kernel import (
     random_cptp_channel,
     random_density,
     random_pure_state,
-    shot_streams,
     unitarity_residuals,
 )
 
@@ -382,27 +381,65 @@ def numpy_pcg64_state(seed, shot):
 class TestShotStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**127 + 3, 3**90])
     def test_block_derivation_reaches_max_shot(self, seed):
-        # the shot ids a Schedule may have, first and last, across block edges
+        # the shot ids a Schedule may have, first and last, across block edges,
+        # seeded by srandom's map of their start limbs
         shots = np.array([0, 1, kernel.SHOT_BLOCK - 1, kernel.SHOT_BLOCK, MAX_SHOTS - 1], dtype=np.uint32)
         pool, hash_const = kernel._seed_pool(seed)
-        hi, lo, inc_hi, inc_lo = (limb.tolist() for limb in kernel._seeded_limbs(pool, hash_const, shots))
+        init_hi, init_lo, inc_hi, inc_lo = (limb.tolist() for limb in kernel._start_limbs(pool, hash_const, shots))
+        mult = kernel._PCG_MULT
         for i, shot in enumerate(shots.tolist()):
-            assert (hi[i] << 64 | lo[i], inc_hi[i] << 64 | inc_lo[i]) == numpy_pcg64_state(seed, shot)
+            init, inc = init_hi[i] << 64 | init_lo[i], inc_hi[i] << 64 | inc_lo[i]
+            state = (mult * init + (mult + 1) * inc) % 2**128
+            assert (state, inc) == numpy_pcg64_state(seed, shot)
 
-    def test_streams_are_labelled_in_order(self):
-        streams = list(stream.stream_id for stream in shot_streams(9, kernel.SHOT_BLOCK + 2))
-        assert streams == list(range(kernel.SHOT_BLOCK + 2))
+    def test_cursor_hands_out_each_streams_state(self):
+        # a draw that takes shot % 3 doubles, then one read: each shot's
+        # stream comes labelled, in order across a block edge, where two draws
+        # leave it, and the read is the double after its draws
+        seen = []
+
+        def draw(stream):
+            seen.append((stream.stream_id, stream._gen.bit_generator.state))
+            stream.uniforms(stream.stream_id % 3)
+
+        shots = kernel.SHOT_BLOCK + 2
+        uniforms = kernel.shot_uniforms(9, shots, ((2, draw), 0))
+        assert [shot for shot, _ in seen] == list(range(shots))
+        for shot, state in seen:
+            oracle = RngStream(9, stream_id=shot)
+            oracle.uniforms(2)
+            assert state == oracle._gen.bit_generator.state
+            oracle.uniforms(shot % 3)
+            assert uniforms[shot].tolist() == [oracle.random()]
 
     def test_drift_guard_raises_before_the_first_stream(self, monkeypatch):
-        # a derivation that no longer matches numpy's seeding gives no stream
+        # a derivation that no longer matches numpy's seeding hands out no
+        # stream
         monkeypatch.setattr(kernel, "_PCG_MULT", kernel._PCG_MULT + 2)
-        with pytest.raises(StreamDerivationError, match="shot 0 differs from numpy"):
-            next(shot_streams(7, 3))
+        handed = []
+        with pytest.raises(StreamDerivationError, match="shot 0 differs from numpy's seeding"):
+            kernel.shot_uniforms(7, 3, ((0, handed.append),))
+        assert handed == []
+
+    def test_cursor_state_drift_guard(self, monkeypatch):
+        # a jump-ahead that misses by one bit: srandom's state still matches
+        # numpy's seeding, shot 0's state before the draw does not
+        affine = kernel._affine
+
+        def off_by_one(*args):
+            hi, lo = affine(*args)
+            return hi, lo ^ np.uint64(1)
+
+        monkeypatch.setattr(kernel, "_affine", off_by_one)
+        handed = []
+        with pytest.raises(StreamDerivationError, match="shot 0 differs from numpy's after 2 draws"):
+            kernel.shot_uniforms(7, 3, ((2, handed.append),))
+        assert handed == []
 
     @pytest.mark.parametrize("seed, shots", [(-1, 1), (0, 2**32 + 1)])
     def test_rejects_seed_or_shots_out_of_range(self, seed, shots):
         with pytest.raises(ValidationError):
-            next(shot_streams(seed, shots))
+            kernel.shot_uniforms(seed, shots, ())
 
     @pytest.mark.parametrize("seed", [0, 2**32, 3**90])
     @pytest.mark.parametrize("draws", [0, 1, 4])

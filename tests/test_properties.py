@@ -52,7 +52,6 @@ from qvn.kernel import (
     RngStream,
     checked_cdf,
     haar_random_unitary,
-    shot_streams,
     shot_uniforms,
 )
 from qvn.memory import GATE_ARITY, GateRecord, ProgramDescription
@@ -693,18 +692,26 @@ def stream_draws(stream, calls):
 @given(
     st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**160)),
     st.sampled_from([1, 2, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 3]),
+    st.integers(0, 3),
     STREAM_CALLS,
 )
-@example(2**160 - 1, SHOT_BLOCK + 1, ["random", "normal", "draw"])
-def test_shot_streams_draw_as_rng_stream(seed, shots, calls):
-    # 2**160 - 1 has five 32-bit words: more than the pool, so no padding
-    count = 0
-    for shot, stream in enumerate(shot_streams(seed, shots)):
+@example(2**160 - 1, SHOT_BLOCK + 1, 1, ["random", "normal", "draw"])
+def test_cursor_streams_draw_as_rng_stream(seed, shots, skip, calls):
+    # 2**160 - 1 has five 32-bit words: more than the pool, so no padding.
+    # The cursor hands each shot's stream out `skip` draws in, and the
+    # double read after it is the one after what each stream drew.
+    drawn = []
+
+    def draw(stream):
+        drawn.append((stream.stream_id, stream_draws(stream, calls)))
+
+    uniforms = shot_uniforms(seed, shots, ((skip, draw), 0))
+    assert [shot for shot, _ in drawn] == list(range(shots))
+    for shot, draws in drawn:
         oracle = RngStream(seed, stream_id=shot)
-        assert stream._gen.bit_generator.state == oracle._gen.bit_generator.state
-        assert stream_draws(stream, calls) == stream_draws(oracle, calls)
-        count += 1
-    assert count == shots
+        oracle.uniforms(skip)
+        assert draws == stream_draws(oracle, calls)
+        assert uniforms[shot].tolist() == [oracle.random()]
 
 
 @given(
@@ -945,8 +952,11 @@ def rus_logical_compose(n, seed):
 
 def rus_execute(n, seed):
     """A schedule of two repeat-until-success composes, the second on the
-    first's result, then an inject and a tail draw, which runs shot by
-    shot; each shot's stream state is kept when the next shot starts."""
+    first's result, then an inject and a tail draw, whose outcomes show
+    where each composition left each shot's stream. Its results, copies
+    and errors are checked against the per-shot executor's with one draw
+    per round; a seed that is a multiple of 1024 runs more shots than one
+    stream block."""
     slots = []
     for address in range(2):
         gate = GateRecord(0, "custom", tuple(range(n)), haar(2**n, seed + address))
@@ -955,20 +965,15 @@ def rus_execute(n, seed):
     sched = Schedule(
         (Restore(0, 1), Restore(1, 2), Compose(0, 1, rus, 2), Compose(2, 1, rus, 3),
          Inject(3, ""), SampleTail(3, 0)),
-        shots=seed % 4 + 1,
+        shots=seed % 4 + 1 if seed % 1024 else SHOT_BLOCK + 2,
         seed=seed,
     )
 
     def call(_):
-        states = []
-
-        def recorded(*args):
-            for stream in shot_streams(*args):
-                yield stream
-                states.append(stream._gen.bit_generator.state)
-
-        with mock.patch.object(control, "shot_streams", recorded):
-            return run_or_error(control.execute, slots, sched), states
+        got = run_or_error(control.execute, slots, sched)
+        with mock.patch.object(uqt, "_draw_round", per_round_draw):
+            assert got == run_or_error(per_shot_execute, slots, sched)
+        return got
 
     return call
 
@@ -982,6 +987,7 @@ RUS_CALLS = {
 
 
 @given(st.sampled_from(sorted(RUS_CALLS)), st.integers(1, 3), SEEDS)
+@example("execute", 2, 3 * 1024)  # past the first block of shots
 def test_rus_stream_matches_per_round_oracle(api, n, seed):
     call = RUS_CALLS[api](n, seed)
     got = drawn_then_stream(call, seed)
