@@ -25,6 +25,7 @@ from . import gates, tailed, uqt
 from .errors import OutOfCopiesError, QvnError, ValidationError
 from .kernel import (
     DEFAULT_TOL,
+    SHOT_BLOCK,
     KrausChannel,
     Observable,
     OutcomeTable,
@@ -77,10 +78,11 @@ class SampleTail:
 # outcome per shot of each instruction.
 MAX_SHOTS = 1_000_000
 # Most outcome entries one `execute` keeps: one per shot of each instruction
-# but restores. A run peaks at 17 to 41 bytes an entry above its start
-# (the most for a repeat-until-success chain), so at most about 330 MB at
-# the limit; the README run file keeps three entries a shot, 3,000,000 at
-# MAX_SHOTS.
+# but restores. A run peaks at 9 to 30 bytes an entry above its start (the
+# most for the README run file), plus what one block of shots keeps (see
+# `_Run.blocks`; about 5 MB for a chain at n = 4 or 6), so at most about
+# 250 MB at the limit; the README run file keeps three entries a shot,
+# 3,000,000 at MAX_SHOTS.
 MAX_OUTCOME_ENTRIES = 8_000_000
 
 
@@ -199,12 +201,23 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     each shot fetches before anything is drawn, `kernel.shot_uniforms`
     derives the doubles read and draws each repeat-until-success
     composition's rounds, and each measurement is sampled over groups of
-    shots. Memory is written only when nothing fails. Streams that differ
-    from numpy's (`StreamDerivationError`) stop the call before any
-    measurement is sampled. A schedule past MAX_OUTCOME_ENTRIES is refused when made.
+    shots, a block of shots at a time. Memory is written only when nothing
+    fails. Streams that differ from numpy's (`StreamDerivationError`) stop
+    the call before any measurement is sampled. A schedule past
+    MAX_OUTCOME_ENTRIES is refused when made.
     """
     run = _Run(mem, sched)
-    run.sample(shot_uniforms(sched.seed, run.shots, run.reads).T)
+    for block in run.blocks():
+        # a run that repeats until success draws its rounds from what each
+        # shot composes; any other derives its doubles first, so that
+        # streams that differ from numpy's stop it before any table is built
+        if run.repeating:
+            run.evaluate(block)
+        uniforms = shot_uniforms(sched.seed, block, run.reads)
+        if not run.repeating:
+            run.evaluate(block)
+        run.sample(block, uniforms.T)
+        del uniforms  # before the next block's, and the result's columns
     if run.stop[3] is not None:
         raise run.stop[3]
     run.commit()
@@ -264,7 +277,9 @@ class _Flow:
     def __init__(self, slot, start):
         self.initial = None if slot is None else slot.copies
         self.start = len(self.initial or ()) if start is None else start
-        self.put, self.taken, self.peak = [], 0, 0
+        self.put = []
+        self.taken = 0
+        self.peak = 0
 
     def push(self, address, tokens):
         self.put.extend(tokens)
@@ -285,7 +300,9 @@ class _Flow:
         moved = len(self.put) - self.taken
         if moved < 0:
             return (self.start - self.taken) // -moved + 1
-        return (MAX_COPIES - self.peak - self.start) // moved + 1 if moved else math.inf
+        if moved == 0:
+            return math.inf
+        return (MAX_COPIES - self.peak - self.start) // moved + 1
 
 
 def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
@@ -300,10 +317,15 @@ def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
     the `shot_uniforms` entries: each measurement's stream position, and
     (position, step) for a repeat-until-success compose, after which
     positions count afresh."""
-    flows, steps, reads, loaded, restores = {}, [], [], set(), set()
+    flows = {}
+    steps = []
+    reads = []
+    loaded = set()
+    restores = set()
     described = {address: slot.description is not None for address, slot in mem.slots.items()}
     composed = {}  # compose index -> whether the first shot's program has a description
-    draws = rows = 0  # doubles drawn since the last repeated compose, reads so far
+    draws = 0  # doubles drawn since the last repeated compose
+    rows = 0  # reads of measurements so far
 
     def flow(address):
         if address not in flows:
@@ -340,8 +362,10 @@ def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
                 if ins.strategy is _REPEAT:
                     reads.append((draws, len(steps) - 1))
                     draws = 0
+                elif ins.strategy is ByproductStrategy.SYMMETRIC_PAIR:
+                    draws += 2
                 else:
-                    draws += 2 if ins.strategy is ByproductStrategy.SYMMETRIC_PAIR else 1
+                    draws += 1
                 at = (idx, 2)
                 flow(ins.dest).push(ins.dest, [idx])
             elif isinstance(ins, _MEASURED):
@@ -351,7 +375,8 @@ def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
                     loaded.add(ins.target)
                 steps.append((idx, ins, source, rows))
                 reads.append(draws)
-                draws, rows = draws + 1, rows + 1
+                draws += 1
+                rows += 1
             elif isinstance(ins, Restore):
                 if ins.addr not in described:
                     mem.copy_count(ins.addr)  # raises SlotNotFoundError
@@ -380,7 +405,7 @@ def _split(keys, members):
 
 def _by_program(programs, members):
     """(program, the members that fetch it) for each distinct program in
-    `programs`, one per shot or one for all, among `members`: in the order
+    `programs`, one per member or one for all, among `members`: in the order
     of their first members, members in their order."""
     if len(programs) == 1:
         return [(programs[0], members)]
@@ -395,54 +420,90 @@ class _Run:
     every shot's fetches: below a shot's own copies lie the slot's copies
     before the call less what earlier shots took plus what they left. The
     first later shot to fail in memory follows from that flow, and is
-    walked to raise its error. A run is uniform when each fetch takes one
-    program object in every shot. `stop` is the first error met, (shot,
-    instruction index, phase, error) with phase 0 before the instruction's
-    table and draws, 1 in them and 2 after, or (shots, 0, 0, None); only the
-    shots up to it run."""
+    walked to raise its error.
+
+    A run is uniform when each fetch takes one program object in every
+    shot; it is one block of shots, and only its first shot's programs are
+    built. Any other run builds and samples a block of shots at a time
+    (`blocks`), so what a block's shots make goes before the next block's.
+
+    `stop` is the first error met, (shot, instruction index, phase, error)
+    with phase 0 before the instruction's table and draws, 1 in them and 2
+    after, or (shots, 0, 0, None); no shot after it runs."""
 
     def __init__(self, mem: MemoryUnit, sched: Schedule):
-        self.mem, self.sched, self.tables = mem, sched, None
+        self.mem = mem
+        self.sched = sched
         self.steps, reads, self.flows, self.restores, stop = _walk(mem, sched, 0, {})
         if stop is None:
             shot = min((f.failing() for f in self.flows.values()), default=math.inf)
             if shot < sched.shots:
-                stop = _walk(mem, sched, shot, {a: f.below(shot) for a, f in self.flows.items()})[4]
+                below = {address: f.below(shot) for address, f in self.flows.items()}
+                stop = _walk(mem, sched, shot, below)[4]
         self.stop = stop or (sched.shots, 0, 0, None)
-        self.shots = last = min(self.stop[0] + 1, sched.shots)
+        self.shots = min(self.stop[0] + 1, sched.shots)
         self.uniform = True
+        # address -> the copies each shot leaves below the next one's fetches
+        self.kept = {}
         for address, f in self.flows.items():
+            if len(f.put) > f.taken:
+                self.kept[address] = f.put[: len(f.put) - f.taken]
             if not f.taken:
                 continue
             # the tokens later shots take from an earlier one's, and the
             # copies from before the call that the shots take
-            reached = f.put[len(f.put) - min(f.taken, len(f.put)) :] if last > 1 else []
-            programs = (f.initial or [])[max(min(f.start, f.below(last - 1)) - f.taken, 0) :]
+            reached = f.put[len(f.put) - min(f.taken, len(f.put)) :] if self.shots > 1 else []
+            programs = (f.initial or [])[max(min(f.start, f.below(self.shots - 1)) - f.taken, 0) :]
             if reached and f.initial is not None:
                 programs.append(mem.slots[address].program)
             self.uniform &= all(t == _RESTORED for t in reached) and all(p is programs[-1] for p in programs)
         self.reads = tuple(r if isinstance(r, int) else (r[0], self.rounds(r[1])) for r in reads)
-        # step -> the program each shot loads; a repeated compose's cdf[0]
-        # and d for each shot, which its rounds draw from
-        n = 1 if self.uniform else self.shots
-        self.fetched, self.repeats = {}, {}
+        self.fetching = []  # the steps that fetch a program to measure
+        self.repeating = []  # the composes that repeat until success
+        self.chained = set()  # the composes whose input later shots take from a program the shot before made
         for i, (_, ins, src, _) in enumerate(self.steps):
-            if src and isinstance(ins, _MEASURED):
-                self.fetched[i] = []
-            elif getattr(ins, "strategy", None) is _REPEAT:
-                self.repeats[i] = np.empty(n), np.empty(n, int)
-        # address -> the program its restores copy, the description of a
-        # slot a compose creates, the copies each shot left below the next
-        self.restored, self.created, self.left = {}, {}, {a: [] for a in self.flows}
-        self.last, self.widths = {}, {}  # compose -> the last shot's program, inject -> most tails
+            if not isinstance(ins, Compose):
+                if src is not None:
+                    self.fetching.append(i)
+                continue
+            if ins.strategy is _REPEAT:
+                self.repeating.append(i)
+            tokens = [self.flows[s[1]].earlier(s[2]) for s in src if s[0] == "below"]
+            if not self.uniform and any(t not in (None, _RESTORED) for t in tokens):
+                self.chained.add(i)
+        self.tables = None  # made with the first block's programs
+        self.restored = {}  # address -> the program its restores copy
+        self.created = {}  # address -> the description of a slot a compose creates
+        self.left = {address: [] for address in self.flows}  # what each shot but the last kept
+        self.now = {}  # compose index -> the program the shot last built made
+        self.widths = {}  # inject index -> the most tails it measures
         # an entry per shot for each instruction: a compose's Bell rounds, 1
         # unless it repeats, a measurement's outcome; none for a restore
-        self.columns = [
-            () if isinstance(ins, Restore)
-            else (1,) * sched.shots if getattr(ins, "strategy", _REPEAT) is not _REPEAT
-            else np.empty(sched.shots, float if isinstance(ins, Readout) else int)
-            for ins in sched.instructions
-        ]
+        self.columns = []
+        for ins in sched.instructions:
+            if isinstance(ins, Restore):
+                self.columns.append(())
+            elif getattr(ins, "strategy", _REPEAT) is not _REPEAT:
+                self.columns.append((1,) * sched.shots)
+            else:
+                self.columns.append(np.empty(sched.shots, float if isinstance(ins, Readout) else int))
+
+    def blocks(self):
+        """The ranges of shots built and sampled at once, in order, up to the
+        stop: all of a uniform run's; otherwise as many, at most SHOT_BLOCK,
+        as keep about MAX_RETAINED_ENTRIES entries at 4·d² a shot (a program,
+        its circuit state and tables), with d the largest dimension of the
+        programs the first shot takes."""
+        size = self.shots
+        if not self.uniform:
+            d = max([f.initial[-1].d for f in self.flows.values() if f.initial and f.taken], default=2)
+            for address in self.restores & self.mem.slots.keys():
+                d = max(d, 2 ** self.mem.slots[address].description.n)
+            size = min(SHOT_BLOCK, max(1, MAX_RETAINED_ENTRIES // (4 * d**2)))
+        for start in range(0, self.shots, size):
+            if start > self.stop[0]:
+                return
+            yield range(start, min(start + size, self.shots))
 
     def fail(self, shot, idx, phase, exc):
         if (shot, idx, phase) < self.stop[:3]:
@@ -452,102 +513,112 @@ class _Run:
         """The shots below this one reach instruction idx's table and draws."""
         return self.stop[0] + ((idx, 1) < self.stop[1:3])
 
-    def program(self, src, shot, now, prev):
-        """The program shot `shot` fetches from `src`, given the programs its
-        composes made (`now`) and those the shot before made (`prev`)."""
+    def program(self, src, shot, prev):
+        """The program shot `shot` fetches from `src`, given the programs the
+        shot before made (`prev`) and those it made so far (`now`)."""
         kind, key = src[:2]
+        now = self.now
         if kind == "below":
-            f, j = self.flows[key], src[2]
-            token, now = f.earlier(j), prev  # a copy the shot before put in
+            f = self.flows[key]
+            token = f.earlier(src[2])
             if shot == 0 or token is None:  # a copy from before the call
-                return f.initial[f.below(shot) - j]
-            kind, key = ("restored", key) if token == _RESTORED else ("result", token)
+                return f.initial[f.below(shot) - src[2]]
+            now = prev  # a copy the shot before put in
+            if token == _RESTORED:
+                kind = "restored"
+            else:
+                kind, key = "result", token
         return self.restored[key] if kind == "restored" else now[key]
 
-    def copies(self, address, tokens, now):
-        return [self.restored[address] if t == _RESTORED else now[t] for t in tokens]
+    def copies(self, address, tokens):
+        return [self.restored[address] if t == _RESTORED else self.now[t] for t in tokens]
 
-    def evaluate(self):
-        """Build, once, what each shot fetches, shot after shot, as a chain's
-        compositions take programs an earlier shot made; they need no draws.
-        A uniform run builds the first shot's alone. A composition whose
-        input later shots take from the shot before is not kept in the
-        tables, where each program would keep the next."""
-        if self.tables is not None:
-            return
-        self.tables, mem = _Tables(), self.mem
-        for address in self.restores & mem.slots.keys():
-            slot = mem.slots[address]
-            self.restored[address] = slot.program or synthesize(slot.description)
-        # the composes whose input later shots take from a program the shot before made
-        chained = set() if self.uniform else {
-            i for i, (_, ins, src, _) in enumerate(self.steps) if isinstance(ins, Compose)
-            and any(s[0] == "below" and self.flows[s[1]].earlier(s[2]) not in (None, _RESTORED) for s in src)
-        }
-        # the copies each shot leaves below the next one's fetches
-        kept = {a: f.put[: len(f.put) - f.taken] for a, f in self.flows.items() if len(f.put) > f.taken}
-        now = {}
-        for shot in range(min(1 if self.uniform else self.shots, self.stop[0] + 1)):
-            prev, now = now, {}
+    def evaluate(self, block):
+        """Build what the shots of `block` fetch, shot after shot, as a
+        chain's compositions take programs the shot before made; they need
+        no draws. A uniform run builds its first shot's alone. The first
+        block also makes the tables and the programs restores copy. A
+        composition whose input later shots take from the shot before is
+        not kept in the tables, where each program would keep the next."""
+        mem = self.mem
+        if block.start == 0:
+            self.tables = _Tables()
+            for address in self.restores & mem.slots.keys():
+                slot = mem.slots[address]
+                self.restored[address] = slot.program or synthesize(slot.description)
+        self.block = block
+        self.fetched = {i: [] for i in self.fetching}  # step -> each shot's program
+        self.repeats = {i: [] for i in self.repeating}  # step -> each shot's composition
+        for shot in block[:1] if self.uniform else block:
+            prev = self.now
+            self.now = {}
             for i, (idx, ins, src, _) in enumerate(self.steps):
-                if shot >= self.cutoff(idx) or src is None:
-                    if i in self.fetched:
-                        self.fetched[i].append(None)
-                elif not isinstance(ins, Compose):
-                    self.fetched[i].append(self.program(src, shot, now, prev))
-                else:
-                    programs = [self.program(s, shot, now, prev) for s in src]
-                    try:
-                        if i in chained:
-                            table = uqt.Composition(*programs, ins.strategy)
-                        else:
-                            table = self.tables.composition(*programs, ins)
-                    except QvnError as exc:
-                        self.fail(shot, idx, 1, exc)
-                        continue
-                    now[idx] = program = table.program
-                    if i in self.repeats:
-                        self.repeats[i][0][shot], self.repeats[i][1][shot] = table.cdfs[0][0], program.d
-                    if shot == 0 and ins.dest not in mem.slots:  # the compose creates the slot
-                        self.created[ins.dest] = program.description
-                        if ins.dest in self.restores:
-                            self.restored[ins.dest] = synthesize(program.description)
-            if shot < self.stop[0]:
-                for address, tokens in kept.items():
-                    self.left[address] += self.copies(address, tokens, now)
-        self.last = now
+                if src is None:
+                    continue
+                if i in self.fetched:
+                    reached = shot < self.cutoff(idx)
+                    self.fetched[i].append(self.program(src, shot, prev) if reached else None)
+                elif shot < self.cutoff(idx):
+                    self.compose(i, shot, [self.program(s, shot, prev) for s in src])
+            if shot < min(self.stop[0], self.sched.shots - 1):
+                for address, tokens in self.kept.items():
+                    self.left[address] += self.copies(address, tokens)
+
+    def compose(self, step, shot, programs):
+        """Build the composition of step `step` for shot `shot`."""
+        idx, ins = self.steps[step][:2]
+        try:
+            if step in self.chained:
+                table = uqt.Composition(*programs, ins.strategy)
+            else:
+                table = self.tables.composition(*programs, ins)
+        except QvnError as exc:
+            self.fail(shot, idx, 1, exc)
+            return
+        self.now[idx] = table.program
+        if step in self.repeats:
+            self.repeats[step].append(table)
+        if shot == 0 and ins.dest not in self.mem.slots:  # the compose creates the slot
+            self.created[ins.dest] = table.program.description
+            if ins.dest in self.restores:
+                self.restored[ins.dest] = synthesize(table.program.description)
 
     def rounds(self, step):
         """The draw of repeat-until-success compose `step` at the stream
         cursor: each shot's Bell rounds, drawn by `uqt._draw_round` where
-        its stream stands."""
+        its stream stands, from the composition built for it."""
         idx = self.steps[step][0]
 
         def draw(rng):
-            self.evaluate()
             shot = rng.stream_id
-            if shot < self.cutoff(idx):
-                cdf0, d = self.repeats[step]
-                k = 0 if self.uniform else shot
-                try:  # a repeated round's draw reads cdf[0] alone
-                    self.columns[idx][shot] = uqt._draw_round(cdf0[k : k + 1], int(d[k]), True, rng)[1]
-                except QvnError as exc:
-                    self.fail(shot, idx, 1, exc)
+            if shot >= self.cutoff(idx):
+                return
+            tables = self.repeats[step]
+            table = tables[0] if self.uniform else tables[shot - self.block.start]
+            try:
+                self.columns[idx][shot] = uqt._draw_round(table.cdfs[0], table.program.d, True, rng)[1]
+            except QvnError as exc:
+                self.fail(shot, idx, 1, exc)
 
         return draw
 
-    def sample(self, uniforms):
-        """Sample the measurements, once what each shot fetches is built,
-        `uniforms` holding one row of doubles per read. All shots start as
-        one group; each measurement splits a group by the program it loads,
-        samples its table for each part with one `searchsorted` and splits
-        it by outcome. Groups run depth first: an outcome's result is built,
-        every later instruction runs for its group, and it is dropped before
-        the next outcome's, so beside what the tables keep at most one result
+    def sample(self, block, uniforms):
+        """Sample the measurements of the shots of `block`, once what they
+        fetch is built, `uniforms` holding one row of doubles per read and
+        one column per shot. The block's shots start as one group; each
+        measurement splits a group by the program it loads, samples its
+        table for each part with one `searchsorted` and splits it by
+        outcome. Groups run depth first: an outcome's result is built, every
+        later instruction runs for its group, and it is dropped before the
+        next outcome's, so beside what the tables keep at most one result
         per instruction is alive. A group whose table or result fails stops,
         its first shot's error noted."""
-        self.evaluate()
-        steps, stack = self.steps, [(0, np.arange(self.shots), {}, None)]  # with a group's states by address
+        start = block.start
+        columns = self.columns
+        if start:  # the block's part of each column, indexed by shot - start
+            columns = [c[start : block.stop] if isinstance(c, np.ndarray) else c for c in columns]
+        steps = self.steps
+        stack = [(0, np.arange(len(block)), {}, None)]  # with a group's states by address
         while stack:
             i, members, states, drawn = stack.pop()
             if drawn is not None:  # the group's outcome of step i - 1
@@ -556,18 +627,23 @@ class _Run:
                 try:
                     result = table.result(k)
                 except QvnError as exc:
-                    self.fail(int(members[0]), idx, 1, exc)
+                    self.fail(start + int(members[0]), idx, 1, exc)
                     continue
                 # a readout's value, leaving its target; an inject's branch
                 # and a tail's bit, with the post state
-                self.columns[idx][members] = result if isinstance(ins, Readout) else k
-                if not isinstance(ins, Readout):
-                    states = {**states, ins.target: result[1] if isinstance(ins, Inject) else result}
+                if isinstance(ins, Readout):
+                    columns[idx][members] = result
+                elif isinstance(ins, Inject):
+                    columns[idx][members] = k
+                    states = {**states, ins.target: result[1]}
+                else:
+                    columns[idx][members] = k
+                    states = {**states, ins.target: result}
             if i == len(steps):
                 continue
             idx, ins, src, row = steps[i]
-            if self.stop[3] is not None and members[-1] >= self.cutoff(idx):
-                members = members[members < self.cutoff(idx)]
+            if self.stop[3] is not None and start + members[-1] >= self.cutoff(idx):
+                members = members[members < self.cutoff(idx) - start]
                 if not members.size:
                     continue
             if isinstance(ins, Compose):  # its rounds are drawn, its program built
@@ -585,7 +661,7 @@ class _Run:
                         )
                     table = self.tables.measurement(state, ins)
                 except QvnError as exc:
-                    self.fail(int(group[0]), idx, 1, exc)
+                    self.fail(start + int(group[0]), idx, 1, exc)
                     continue
                 if isinstance(ins, Inject):
                     self.widths[idx] = max(self.widths.get(idx, 0), n)
@@ -602,10 +678,11 @@ class _Run:
         fetches, then all the last shot left."""
         shots = self.sched.shots
         for address, f in self.flows.items():
-            moved, initial, left = len(f.put) - f.taken, f.initial or [], self.left[address]
-            left = left * (shots - 1) if self.uniform else left[: (shots - 1) * max(moved, 0)]
-            below = len(initial) - f.taken - (shots - 1) * max(-moved, 0)
-            final = initial[:below] + left + self.copies(address, f.put, self.last)
+            initial = f.initial or []
+            below = len(initial) - f.taken - (shots - 1) * max(f.taken - len(f.put), 0)
+            # a uniform run built its first shot's alone, which every shot leaves
+            left = self.left[address] * (shots - 1 if self.uniform else 1)
+            final = initial[:below] + left + self.copies(address, f.put)
             self.mem.replace_copies(address, final, self.restored.get(address), self.created.get(address))
 
 

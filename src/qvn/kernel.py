@@ -527,11 +527,12 @@ def _each(draw, seed, first, hi, lo, inc):
 def shot_uniforms(seed, shots, positions):
     """A (shots, m) array whose row s holds the doubles of `RngStream(seed,
     stream_id=s)` at the m int entries of `positions`, sorted, distinct draw
-    positions (0 is its first draw), bit for bit. An entry may instead be a
-    pair (p, draw), the stream cursor: once p more doubles are drawn,
-    `draw(stream)` is called on each shot's stream in turn (`_each`), and
-    may draw any number of them; positions after it count from where it
-    leaves each stream.
+    positions (0 is its first draw), bit for bit; `shots` is a count, for
+    shot ids 0 to shots − 1, or a range of shot ids with step 1, whose
+    first shot takes row 0. An entry may instead be a pair (p, draw), the
+    stream cursor: once p more doubles are drawn, `draw(stream)` is called
+    on each shot's stream in turn (`_each`), and may draw any number of
+    them; positions after it count from where it leaves each stream.
 
     PCG64 is an LCG on 128-bit states, so k steps of it are one affine map
     of the state and inc (F. B. Brown, "Random Number Generation with
@@ -546,11 +547,14 @@ def shot_uniforms(seed, shots, positions):
     Shot 0 is checked against numpy's own generator for it
     (`StreamDerivationError`): its seeded state first, then each double and
     each state handed to a `draw` as it is derived. With no entry, shot 0
-    alone is derived, for its check. The array is the transpose of a
-    C-ordered one, so one position's doubles over all shots are contiguous.
+    alone is derived, for its check, and none when the shots start later.
+    The array is the transpose of a C-ordered one, so one position's
+    doubles over all shots are contiguous.
     """
-    if shots > 2**32:
-        raise ValidationError(f"shot ids must fit one 32-bit word, got {shots} shots")
+    if isinstance(shots, int):
+        shots = range(shots)
+    if shots.stop > 2**32:
+        raise ValidationError(f"shot ids must fit one 32-bit word, got {shots.stop} shots")
     mult, mask = _PCG_MULT, 2**128 - 1
     maps = []  # (a, c, steps, draw) of the map to each entry from the one before
     a, c, last = mult, mult + 1, -1  # srandom's, from (initstate, inc)
@@ -561,13 +565,13 @@ def shot_uniforms(seed, shots, positions):
             a, c = a * mult & mask, (c * mult + 1) & mask
         maps.append((a, c, steps, draw))
         a, c, last = 1, 0, -1 if draw else position
-    out = np.empty((sum(draw is None for *_, draw in maps), shots))
+    out = np.empty((sum(draw is None for *_, draw in maps), len(shots)))
     pool, hash_const = _seed_pool(seed)
-    derived = shots if maps else 1
-    for first in range(0, derived, SHOT_BLOCK):
+    derived = shots.stop if maps else min(shots.stop, 1)
+    for first in range(shots.start, derived, SHOT_BLOCK):
         ids = np.arange(first, min(first + SHOT_BLOCK, derived), dtype=np.uint32)
         hi, lo, inc_hi, inc_lo = limbs = _start_limbs(pool, hash_const, ids)
-        rows = iter(out[:, first : first + ids.size])
+        rows = iter(out[:, first - shots.start : first - shots.start + ids.size])
         if first == 0:
             init_0, inc_0 = (h << 64 | l for h, l in limbs[:, 0].reshape(2, 2).tolist())
             reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))

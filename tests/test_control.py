@@ -287,6 +287,29 @@ class TestOutcomeTables:
                 tracemalloc.stop()
         assert peaks[execute] <= peaks[per_shot_execute] + 16 * 1024
 
+    def test_measured_chain_memory_bounded(self):
+        # Each shot composes the program the shot before left in slot 0 into
+        # slot 7 and injects it, so every shot measures a new program with
+        # its own circuit state and injection table. A block of shots keeps
+        # about MAX_RETAINED_ENTRIES entries of them, where keeping every
+        # shot's would add about 20 KiB a shot (30 MiB here).
+        n, shots = 4, 1500
+        ct = ByproductStrategy.CORRECTION_TABLE
+        sched = Schedule((Restore(1, 2), Compose(0, 1, ct, 7), Compose(0, 1, ct, 0), Inject(7)), shots=shots, seed=3)
+        peaks = {}
+        for executor in (per_shot_execute, execute):
+            mem = chain_memory(n)
+            mem.replace_copies(0, [mem.peek(0)] * (shots + 1))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                executor(mem, sched)
+                peaks[executor] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        kept = control.MAX_RETAINED_ENTRIES * np.dtype(complex).itemsize
+        assert peaks[execute] <= peaks[per_shot_execute] + 2 * kept
+
     def test_described_chain_cost_flat(self):
         # With both slots described, each shot's program carries the
         # description of H followed by one T per shot so far. Composing
@@ -477,6 +500,25 @@ class TestPathSelection:
         assert {a: [c.op.matrix.tobytes() for c in copies] for a, copies in copies_of(ran).items()} == {
             a: [c.op.matrix.tobytes() for c in copies] for a, copies in copies_of(oracle).items()
         }
+
+    @pytest.mark.parametrize("n, shots", [(1, kernel.SHOT_BLOCK + 5), (6, 20)])
+    def test_blocks_of_shots_match_oracle(self, n, shots):
+        # a chain whose every shot measures a new program, built and sampled
+        # a block of shots at a time: SHOT_BLOCK shots at n = 1, 16 at n = 6;
+        # its repeat-until-success compose draws at the stream cursor
+        sched = Schedule(
+            (Restore(1, 2), Compose(0, 1, ByproductStrategy.REPEAT_UNTIL_SUCCESS, 7),
+             Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 0), Inject(7), SampleTail(7, 0)),
+            shots=shots,
+            seed=5,
+        )
+        ran, oracle = chain_memory(n), chain_memory(n)
+        for mem in (ran, oracle):
+            mem.replace_copies(0, [mem.peek(0)] * (shots + 1))
+        assert execute(ran, sched) == per_shot_execute(oracle, sched)
+        assert [c.op.matrix.tobytes() for c in ran.slots[0].copies] == [
+            c.op.matrix.tobytes() for c in oracle.slots[0].copies
+        ]
 
     def test_failing_schedule_leaves_memory_untouched(self):
         # the third shot runs out of copies of slot a, after two shots

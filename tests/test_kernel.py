@@ -412,6 +412,21 @@ class TestShotStreams:
             oracle.uniforms(shot % 3)
             assert uniforms[shot].tolist() == [oracle.random()]
 
+    def test_range_of_shots_takes_their_rows(self):
+        # shots 250..262 alone, across a block edge, with a cursor: the rows
+        # of the whole derivation, and the cursor sees those shots alone
+        seen = []
+
+        def draw(stream):
+            seen.append(stream.stream_id)
+            stream.uniforms(stream.stream_id % 3)
+
+        shots = range(kernel.SHOT_BLOCK - 6, kernel.SHOT_BLOCK + 7)
+        part = kernel.shot_uniforms(9, shots, (1, (2, draw), 0))
+        assert seen == list(shots)
+        whole = kernel.shot_uniforms(9, shots.stop, (1, (2, draw), 0))
+        assert part.tobytes() == whole[shots.start :].tobytes()
+
     def test_drift_guard_raises_before_the_first_stream(self, monkeypatch):
         # a derivation that no longer matches numpy's seeding hands out no
         # stream
