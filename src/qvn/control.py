@@ -207,13 +207,16 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     MAX_OUTCOME_ENTRIES is refused when made.
     """
     run = _Run(mem, sched)
+    # a cursor's draw refers to the run, so the entries stay off it and the
+    # run, with its tables, goes when the call returns
+    reads = tuple(r if isinstance(r, int) else (r[0], run.rounds(r[1])) for r in run.reads)
     for block in run.blocks():
         # a run that repeats until success draws its rounds from what each
         # shot composes; any other derives its doubles first, so that
         # streams that differ from numpy's stop it before any table is built
         if run.repeating:
             run.evaluate(block)
-        uniforms = shot_uniforms(sched.seed, block, run.reads)
+        uniforms = shot_uniforms(sched.seed, block, reads)
         if not run.repeating:
             run.evaluate(block)
         run.sample(block, uniforms.T)
@@ -457,7 +460,7 @@ class _Run:
             if reached and f.initial is not None:
                 programs.append(mem.slots[address].program)
             self.uniform &= all(t == _RESTORED for t in reached) and all(p is programs[-1] for p in programs)
-        self.reads = tuple(r if isinstance(r, int) else (r[0], self.rounds(r[1])) for r in reads)
+        self.reads = reads  # `shot_uniforms` entries, with a compose's step for its draw
         self.fetching = []  # the steps that fetch a program to measure
         self.repeating = []  # the composes that repeat until success
         self.chained = set()  # the composes whose input later shots take from a program the shot before made
@@ -517,18 +520,15 @@ class _Run:
         """The program shot `shot` fetches from `src`, given the programs the
         shot before made (`prev`) and those it made so far (`now`)."""
         kind, key = src[:2]
-        now = self.now
         if kind == "below":
             f = self.flows[key]
             token = f.earlier(src[2])
             if shot == 0 or token is None:  # a copy from before the call
                 return f.initial[f.below(shot) - src[2]]
-            now = prev  # a copy the shot before put in
-            if token == _RESTORED:
-                kind = "restored"
-            else:
-                kind, key = "result", token
-        return self.restored[key] if kind == "restored" else now[key]
+            if token == _RESTORED:  # a copy the shot before put in
+                return self.restored[key]
+            return prev[token]
+        return self.restored[key] if kind == "restored" else self.now[key]
 
     def copies(self, address, tokens):
         return [self.restored[address] if t == _RESTORED else self.now[t] for t in tokens]

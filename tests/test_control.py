@@ -310,6 +310,20 @@ class TestOutcomeTables:
         kept = control.MAX_RETAINED_ENTRIES * np.dtype(complex).itemsize
         assert peaks[execute] <= peaks[per_shot_execute] + 2 * kept
 
+    def test_run_freed_on_return(self):
+        # a repeat-until-success draw refers to the run: the run and its
+        # tables go when `execute` returns, not at a later collection
+        mem, a, b = fresh_memory(copies=4)
+        sched = Schedule((Compose(a, b, ByproductStrategy.REPEAT_UNTIL_SUCCESS, 10), Inject(10)), shots=4)
+        gc.collect()
+        gc.disable()
+        try:
+            execute(mem, sched)
+            alive = [o for o in gc.get_objects() if isinstance(o, (control._Run, control._Tables))]
+        finally:
+            gc.enable()
+        assert alive == []
+
     def test_described_chain_cost_flat(self):
         # With both slots described, each shot's program carries the
         # description of H followed by one T per shot so far. Composing
