@@ -78,11 +78,12 @@ class SampleTail:
 # outcome per shot of each instruction.
 MAX_SHOTS = 1_000_000
 # Most outcome entries one `execute` keeps: one per shot of each instruction
-# but restores. A run peaks at 9 to 30 bytes an entry above its start (the
-# most for the README run file), plus what one block of shots keeps (see
-# `_Run.blocks`; about 5 MB for a chain at n = 4 or 6), so at most about
-# 250 MB at the limit; the README run file keeps three entries a shot,
-# 3,000,000 at MAX_SHOTS.
+# but restores. A run peaks at 20 to 32 bytes an entry above its start (the
+# most for the README run file; a lone measurement, whose per-shot arrays
+# fall on its one entry a shot, reads 48), plus what one block of shots
+# keeps (see `_Run.size`; about 5 MB for a chain at n = 4 or 6), so at most
+# about 260 MB at the limit; the README run file keeps three entries a
+# shot, 3,000,000 at MAX_SHOTS.
 MAX_OUTCOME_ENTRIES = 8_000_000
 
 
@@ -122,7 +123,8 @@ class ExecutionResult:
     n_p1: int
     # one column per schedule instruction, one entry per shot: a compose's
     # Bell rounds, an inject's branch, a readout's value, a sampletail's
-    # bit; () for a restore
+    # bit; () for a restore. The estimate comes from these alone: the
+    # readout's column split on that of the last inject on its target.
     outcomes: tuple[tuple, ...]
     copies_after: dict
     audit_consistent: bool
@@ -172,7 +174,7 @@ class _Tables:
 
     def measurement(self, state, ins) -> OutcomeTable:
         """The table of the injection, readout or tail measurement `ins` on
-        `state`, made once."""
+        `state`, made once; a tail out of range raises each time."""
         tables = self._measurements.setdefault(state, {})
         table = tables.get(ins)
         if table is None:
@@ -181,8 +183,13 @@ class _Tables:
                 table = tailed.Injection(state, InjectionSpec(tuple(range(n)), ins.bits), keep=self.keep)
             elif isinstance(ins, Readout):
                 table = tailed.readout_outcomes(state, ReadoutSpec(ins.observable, tuple(range(n))), self.keep)
-            else:
+            elif 0 <= ins.tail < n:
                 table = tailed.tail_outcomes(state, n + ins.tail, self.keep)
+            else:
+                raise ValidationError(
+                    f"sampletail tail={ins.tail} is out of range: the program at address "
+                    f"{ins.target} has {n} tails (0..{n - 1})"
+                )
             tables[ins] = table
         return table
 
@@ -197,66 +204,34 @@ def execute(mem: MemoryUnit, sched: Schedule) -> ExecutionResult:
     outcomes, the copies left and the first error raised are those of
     running every instruction's one-shot kernel afresh, shot after shot.
 
-    Every schedule runs one way (`_Run`): the copy flow fixes the program
-    each shot fetches before anything is drawn, `kernel.shot_uniforms`
-    derives the doubles read and draws each repeat-until-success
-    composition's rounds, and each measurement is sampled over groups of
-    shots, a block of shots at a time. Memory is written only when nothing
-    fails. Streams that differ from numpy's (`StreamDerivationError`) stop
-    the call before any measurement is sampled. A schedule past
-    MAX_OUTCOME_ENTRIES is refused when made.
+    Every schedule runs one way, a block of shots at a time (`_Run`), and
+    memory is written only when nothing fails. Streams that differ from
+    numpy's (`StreamDerivationError`) stop the call before any measurement
+    is sampled. A schedule past MAX_OUTCOME_ENTRIES is refused when made.
     """
     run = _Run(mem, sched)
     # a cursor's draw refers to the run, so the entries stay off it and the
     # run, with its tables, goes when the call returns
     reads = tuple(r if isinstance(r, int) else (r[0], run.rounds(r[1])) for r in run.reads)
-    for block in run.blocks():
+    repeating = any(isinstance(r, tuple) for r in reads)
+    for start in range(0, run.shots, run.size):
+        if start > run.stop[0]:
+            break
+        block = range(start, min(start + run.size, run.shots))
         # a run that repeats until success draws its rounds from what each
         # shot composes; any other derives its doubles first, so that
         # streams that differ from numpy's stop it before any table is built
-        if run.repeating:
+        if repeating:
             run.evaluate(block)
         uniforms = shot_uniforms(sched.seed, block, reads)
-        if not run.repeating:
+        if not repeating:
             run.evaluate(block)
         run.sample(block, uniforms.T)
         del uniforms  # before the next block's, and the result's columns
-    if run.stop[3] is not None:
-        raise run.stop[3]
+    if run.stop[2] is not None:
+        raise run.stop[2]
     run.commit()
-    # every shot's last injection is the schedule's last one
-    return _result(mem, sched, run.columns, run.widths[max(run.widths)] if run.widths else 0)
-
-
-def _result(mem: MemoryUnit, sched: Schedule, outcomes, n_tails) -> ExecutionResult:
-    """The result of a run whose outcome columns, tuples or arrays, are
-    `outcomes`. The readout column is split on the last inject's: the
-    values of shots that took P0 estimate through the complement, tr(O) −
-    (2^n − 1)·mean with n `n_tails`, the rest (all, when nothing is
-    injected) directly, and `tailed.combine_branch_estimates` combines the
-    two, as in `tailed.run_algorithm`. A schedule without a readout has no
-    estimate."""
-    estimate = standard_error = None
-    direct = complement = ()
-    readouts = [i for i, ins in enumerate(sched.instructions) if isinstance(ins, Readout)]
-    if readouts:
-        values = np.asarray(outcomes[readouts[0]], dtype=float)
-        injects = [i for i, ins in enumerate(sched.instructions) if isinstance(ins, Inject)]
-        p0 = np.asarray(outcomes[injects[-1]]) == 0 if injects else np.zeros(values.size, dtype=bool)
-        direct, complement = values[~p0], values[p0]
-        estimate, standard_error = tailed.combine_branch_estimates(
-            direct, complement, sched.instructions[readouts[0]].observable.trace, n_tails
-        )
-    return ExecutionResult(
-        estimate=estimate,
-        standard_error=standard_error,
-        shots=sched.shots,
-        n_p0=len(complement),
-        n_p1=len(direct),
-        outcomes=tuple(c if isinstance(c, tuple) else tuple(c.tolist()) for c in outcomes),
-        copies_after={addr: len(slot.copies) for addr, slot in mem.slots.items()},
-        audit_consistent=mem.verify_conservation(),
-    )
+    return run.result()
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +242,6 @@ def _result(mem: MemoryUnit, sched: Schedule, outcomes, n_tails) -> ExecutionRes
 # of the compose instruction whose result the copy is.
 _RESTORED = -1
 _REPEAT = ByproductStrategy.REPEAT_UNTIL_SUCCESS
-_MEASURED = (Inject, Readout, SampleTail)
 
 
 class _Flow:
@@ -275,11 +249,12 @@ class _Flow:
     tokens of the copies it put in and has not fetched, bottom first, and
     `taken` counts those it fetched from below them; `start` copies lie
     below them when it starts, and `peak` is the most it holds above those.
-    `initial` is the slot's list of copies before the call, or None."""
+    `initial` is the slot's list of copies before the call, empty for a slot
+    the call creates."""
 
     def __init__(self, slot, start):
-        self.initial = None if slot is None else slot.copies
-        self.start = len(self.initial or ()) if start is None else start
+        self.initial = [] if slot is None else slot.copies
+        self.start = len(self.initial) if start is None else start
         self.put = []
         self.taken = 0
         self.peak = 0
@@ -296,30 +271,32 @@ class _Flow:
 
     def below(self, shot):
         """`start` of shot `shot`, from the first shot's flow."""
-        return len(self.initial or ()) + shot * (len(self.put) - self.taken)
+        return len(self.initial) + shot * (len(self.put) - self.taken)
+
+    def untaken(self, shots):
+        """The copies from before the call that none of the first `shots`
+        shots takes, at the bottom of the slot."""
+        return max(min(self.start, self.below(shots - 1)) - self.taken, 0)
 
     def failing(self):
         """The first later shot to find no copy below its own or pass MAX_COPIES."""
         moved = len(self.put) - self.taken
-        if moved < 0:
-            return (self.start - self.taken) // -moved + 1
         if moved == 0:
             return math.inf
-        return (MAX_COPIES - self.peak - self.start) // moved + 1
+        return ((self.taken if moved < 0 else MAX_COPIES - self.peak) - self.start) // moved + 1
 
 
 def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
     """Shot `shot` on tokens, `below` (address -> count, else the count before
     the call) copies lying below its own in each slot when it starts.
     Returns (steps, reads, flows, restores, stop), stopped at the first copy
-    that fails with the memory unit's error. A step is (instruction index,
-    instruction, source(s), row), a source ("result", compose index) or
-    ("restored", address) for a copy the shot put in itself, ("below",
-    address, j) for the j-th it took from below its own, or None for a
-    loaded target. A measurement's row indexes its double among `reads`,
-    the `shot_uniforms` entries: each measurement's stream position, and
-    (position, step) for a repeat-until-success compose, after which
-    positions count afresh."""
+    that fails with the memory unit's error, as `_Run.stop` holds it. A step
+    is (instruction index, instruction, source(s), row), a source (address,
+    token, 0) for a copy the shot put in itself, (address, None, j) for the
+    j-th it took from below its own, or None for a loaded target. A
+    measurement's row indexes its double among `reads`, the `shot_uniforms`
+    entries: each measurement's stream position, and (position, step) for a
+    repeat-until-success compose, after which positions count afresh."""
     flows = {}
     steps = []
     reads = []
@@ -331,6 +308,8 @@ def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
     rows = 0  # reads of measurements so far
 
     def flow(address):
+        if address not in described:
+            mem.copy_count(address)  # raises SlotNotFoundError
         if address not in flows:
             flows[address] = _Flow(mem.slots.get(address), below.get(address))
         return flows[address]
@@ -338,25 +317,22 @@ def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
     def fetch(address):
         f = flow(address)
         if f.put:
-            token = f.put.pop()
-            return ("restored", address) if token == _RESTORED else ("result", token)
-        if address not in described:
-            mem.copy_count(address)  # raises SlotNotFoundError
+            return address, f.put.pop(), 0
         if f.taken == f.start:
             message = f"instruction {idx} ({type(ins).__name__}): {OutOfCopiesError(address)}"
             raise OutOfCopiesError(address, message)
         f.taken += 1
-        return ("below", address, f.taken)
+        return address, None, f.taken
 
     def has_description(src):
-        kind, key = src[:2]
-        if kind == "below":
-            return flows[key].initial[-src[2]].description is not None
-        return kind == "restored" or composed[key]
+        address, token, j = src
+        if j:
+            return flows[address].initial[-j].description is not None
+        return token == _RESTORED or composed[token]
 
     try:
         for idx, ins in enumerate(sched.instructions):
-            at = (idx, 0)
+            at = idx
             if isinstance(ins, Compose):
                 sources = (fetch(ins.addr1), fetch(ins.addr2))
                 composed[idx] = shot > 0 or all(map(has_description, sources))
@@ -365,13 +341,11 @@ def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
                 if ins.strategy is _REPEAT:
                     reads.append((draws, len(steps) - 1))
                     draws = 0
-                elif ins.strategy is ByproductStrategy.SYMMETRIC_PAIR:
-                    draws += 2
                 else:
-                    draws += 1
-                at = (idx, 2)
+                    draws += 2 if ins.strategy is ByproductStrategy.SYMMETRIC_PAIR else 1
+                at = idx + 1  # a full destination fails after the composition's draws
                 flow(ins.dest).push(ins.dest, [idx])
-            elif isinstance(ins, _MEASURED):
+            elif isinstance(ins, (Inject, Readout, SampleTail)):
                 source = None
                 if ins.target not in loaded:
                     source = fetch(ins.target)
@@ -381,15 +355,14 @@ def _walk(mem: MemoryUnit, sched: Schedule, shot, below):
                 draws += 1
                 rows += 1
             elif isinstance(ins, Restore):
-                if ins.addr not in described:
-                    mem.copy_count(ins.addr)  # raises SlotNotFoundError
+                f = flow(ins.addr)
                 check_restore(ins.addr, ins.copies, described[ins.addr])
-                flow(ins.addr).push(ins.addr, [_RESTORED] * ins.copies)
+                f.push(ins.addr, [_RESTORED] * ins.copies)
                 restores.add(ins.addr)
             else:
                 raise ValidationError(f"unknown instruction {ins!r}")
     except QvnError as exc:
-        return steps, reads, flows, restores, (shot, *at, exc)
+        return steps, reads, flows, restores, (shot, at, exc)
     return steps, reads, flows, restores, None
 
 
@@ -406,17 +379,6 @@ def _split(keys, members):
     return groups
 
 
-def _by_program(programs, members):
-    """(program, the members that fetch it) for each distinct program in
-    `programs`, one per member or one for all, among `members`: in the order
-    of their first members, members in their order."""
-    if len(programs) == 1:
-        return [(programs[0], members)]
-    index = {}
-    keys = np.array([index.setdefault(programs[m], len(index)) for m in members.tolist()])
-    return [(list(index)[key], group) for key, group in _split(keys, members)]
-
-
 class _Run:
     """One `execute` call. Copy counts do not depend on outcomes and every
     shot moves copies the same way, so the first shot's walk (`_walk`) gives
@@ -425,110 +387,90 @@ class _Run:
     first later shot to fail in memory follows from that flow, and is
     walked to raise its error.
 
-    A run is uniform when each fetch takes one program object in every
-    shot; it is one block of shots, and only its first shot's programs are
-    built. Any other run builds and samples a block of shots at a time
-    (`blocks`), so what a block's shots make goes before the next block's.
+    `stop` is the first error met, (shot, position, error): that shot runs
+    the tables and draws of the instructions before `position` and no later
+    shot runs; (shots, 0, None) while none is. A table or draw that fails
+    stops its shot at its own instruction, a destination past MAX_COPIES
+    just after its compose.
 
-    `stop` is the first error met, (shot, instruction index, phase, error)
-    with phase 0 before the instruction's table and draws, 1 in them and 2
-    after, or (shots, 0, 0, None); no shot after it runs."""
+    A run is uniform when each fetch takes one program object in every
+    shot: it is one block of shots, whose first shot's programs, built
+    alone, stand for all of them (`reps`). Any other run builds and samples
+    `size` shots at a time, so what a block's shots make goes before the
+    next block's: as many, at most SHOT_BLOCK, as keep about
+    MAX_RETAINED_ENTRIES entries at 4·d² a shot (a program, its circuit
+    state and tables), with d the largest dimension of the programs the
+    first shot takes."""
 
     def __init__(self, mem: MemoryUnit, sched: Schedule):
         self.mem = mem
         self.sched = sched
-        self.steps, reads, self.flows, self.restores, stop = _walk(mem, sched, 0, {})
+        self.steps, self.reads, self.flows, self.restores, stop = _walk(mem, sched, 0, {})
         if stop is None:
             shot = min((f.failing() for f in self.flows.values()), default=math.inf)
             if shot < sched.shots:
-                below = {address: f.below(shot) for address, f in self.flows.items()}
-                stop = _walk(mem, sched, shot, below)[4]
-        self.stop = stop or (sched.shots, 0, 0, None)
+                stop = _walk(mem, sched, shot, {address: f.below(shot) for address, f in self.flows.items()})[4]
+        self.stop = stop or (sched.shots, 0, None)
         self.shots = min(self.stop[0] + 1, sched.shots)
-        self.uniform = True
-        # address -> the copies each shot leaves below the next one's fetches
-        self.kept = {}
+        uniform = True
+        self.kept = {}  # address -> the tokens each shot leaves below later shots' fetches
         for address, f in self.flows.items():
-            if len(f.put) > f.taken:
-                self.kept[address] = f.put[: len(f.put) - f.taken]
-            if not f.taken:
-                continue
-            # the tokens later shots take from an earlier one's, and the
-            # copies from before the call that the shots take
-            reached = f.put[len(f.put) - min(f.taken, len(f.put)) :] if self.shots > 1 else []
-            programs = (f.initial or [])[max(min(f.start, f.below(self.shots - 1)) - f.taken, 0) :]
-            if reached and f.initial is not None:
-                programs.append(mem.slots[address].program)
-            self.uniform &= all(t == _RESTORED for t in reached) and all(p is programs[-1] for p in programs)
-        self.reads = reads  # `shot_uniforms` entries, with a compose's step for its draw
-        self.fetching = []  # the steps that fetch a program to measure
-        self.repeating = []  # the composes that repeat until success
-        self.chained = set()  # the composes whose input later shots take from a program the shot before made
-        for i, (_, ins, src, _) in enumerate(self.steps):
-            if not isinstance(ins, Compose):
-                if src is not None:
-                    self.fetching.append(i)
-                continue
-            if ins.strategy is _REPEAT:
-                self.repeating.append(i)
-            tokens = [self.flows[s[1]].earlier(s[2]) for s in src if s[0] == "below"]
-            if not self.uniform and any(t not in (None, _RESTORED) for t in tokens):
-                self.chained.add(i)
-        self.tables = None  # made with the first block's programs
+            cut = max(len(f.put) - f.taken, 0)
+            if cut:
+                self.kept[address] = f.put[:cut]
+            if f.taken:
+                # the tokens later shots take from the shot before, and the
+                # programs the shots take from below their own
+                reached = f.put[cut:]
+                programs = f.initial[f.untaken(self.shots) :]
+                if reached:
+                    programs.append(mem.slots[address].program)
+                uniform &= all(t == _RESTORED for t in reached) and all(p is programs[0] for p in programs)
+        self.reps = self.shots if uniform else 1
+        self.size = self.shots
+        self.chained = set()
+        if not uniform:
+            d = max([f.initial[-1].d for f in self.flows.values() if f.initial and f.taken], default=2)
+            for address in self.restores & mem.slots.keys():
+                d = max(d, 2 ** mem.slots[address].description.n)
+            self.size = min(SHOT_BLOCK, max(1, MAX_RETAINED_ENTRIES // (4 * d**2)))
+            # the composes that take a program the shot before composed: their
+            # compositions stay out of the tables, where each would keep the next
+            self.chained = {
+                i for i, (_, ins, src, _) in enumerate(self.steps) if isinstance(ins, Compose)
+                and any(j and self.flows[a].earlier(j) not in (None, _RESTORED) for a, _, j in src)
+            }
         self.restored = {}  # address -> the program its restores copy
         self.created = {}  # address -> the description of a slot a compose creates
-        self.left = {address: [] for address in self.flows}  # what each shot but the last kept
+        self.left = {address: [] for address in self.flows}  # what the shots leave below later ones
         self.now = {}  # compose index -> the program the shot last built made
-        self.widths = {}  # inject index -> the most tails it measures
-        # an entry per shot for each instruction: a compose's Bell rounds, 1
-        # unless it repeats, a measurement's outcome; none for a restore
-        self.columns = []
-        for ins in sched.instructions:
-            if isinstance(ins, Restore):
-                self.columns.append(())
-            elif getattr(ins, "strategy", _REPEAT) is not _REPEAT:
-                self.columns.append((1,) * sched.shots)
-            else:
-                self.columns.append(np.empty(sched.shots, float if isinstance(ins, Readout) else int))
+        # an entry per shot for each instruction but a restore, written where
+        # it is drawn: a compose's Bell rounds, a measurement's outcome
+        self.columns = [
+            np.empty(0 if isinstance(ins, Restore) else sched.shots, float if isinstance(ins, Readout) else int)
+            for ins in sched.instructions
+        ]
 
-    def blocks(self):
-        """The ranges of shots built and sampled at once, in order, up to the
-        stop: all of a uniform run's; otherwise as many, at most SHOT_BLOCK,
-        as keep about MAX_RETAINED_ENTRIES entries at 4·d² a shot (a program,
-        its circuit state and tables), with d the largest dimension of the
-        programs the first shot takes."""
-        size = self.shots
-        if not self.uniform:
-            d = max([f.initial[-1].d for f in self.flows.values() if f.initial and f.taken], default=2)
-            for address in self.restores & self.mem.slots.keys():
-                d = max(d, 2 ** self.mem.slots[address].description.n)
-            size = min(SHOT_BLOCK, max(1, MAX_RETAINED_ENTRIES // (4 * d**2)))
-        for start in range(0, self.shots, size):
-            if start > self.stop[0]:
-                return
-            yield range(start, min(start + size, self.shots))
-
-    def fail(self, shot, idx, phase, exc):
-        if (shot, idx, phase) < self.stop[:3]:
-            self.stop = (shot, idx, phase, exc)
+    def fail(self, shot, position, exc):
+        if (shot, position) < self.stop[:2]:
+            self.stop = (shot, position, exc)
 
     def cutoff(self, idx):
         """The shots below this one reach instruction idx's table and draws."""
-        return self.stop[0] + ((idx, 1) < self.stop[1:3])
+        return self.stop[0] + (idx < self.stop[1])
 
     def program(self, src, shot, prev):
         """The program shot `shot` fetches from `src`, given the programs the
         shot before made (`prev`) and those it made so far (`now`)."""
-        kind, key = src[:2]
-        if kind == "below":
-            f = self.flows[key]
-            token = f.earlier(src[2])
+        address, token, j = src
+        made = self.now
+        if j:  # the j-th copy from below the shot's own
+            f = self.flows[address]
+            token = f.earlier(j)
             if shot == 0 or token is None:  # a copy from before the call
-                return f.initial[f.below(shot) - src[2]]
-            if token == _RESTORED:  # a copy the shot before put in
-                return self.restored[key]
-            return prev[token]
-        return self.restored[key] if kind == "restored" else self.now[key]
+                return f.initial[f.below(shot) - j]
+            made = prev
+        return self.restored[address] if token == _RESTORED else made[token]
 
     def copies(self, address, tokens):
         return [self.restored[address] if t == _RESTORED else self.now[t] for t in tokens]
@@ -536,52 +478,47 @@ class _Run:
     def evaluate(self, block):
         """Build what the shots of `block` fetch, shot after shot, as a
         chain's compositions take programs the shot before made; they need
-        no draws. A uniform run builds its first shot's alone. The first
-        block also makes the tables and the programs restores copy. A
-        composition whose input later shots take from the shot before is
-        not kept in the tables, where each program would keep the next."""
-        mem = self.mem
+        no draws. A uniform run builds its first shot's alone, which stand
+        for every shot of the block. `built` keeps, per step and built
+        shot, what sampling reads: the program a measurement fetches, the
+        composition a repeated compose draws from. The first block also
+        makes the tables and the programs restores copy."""
         if block.start == 0:
             self.tables = _Tables()
-            for address in self.restores & mem.slots.keys():
-                slot = mem.slots[address]
+            for address in self.restores & self.mem.slots.keys():
+                slot = self.mem.slots[address]
                 self.restored[address] = slot.program or synthesize(slot.description)
         self.block = block
-        self.fetched = {i: [] for i in self.fetching}  # step -> each shot's program
-        self.repeats = {i: [] for i in self.repeating}  # step -> each shot's composition
-        for shot in block[:1] if self.uniform else block:
+        self.built = {i: [] for i, step in enumerate(self.steps) if step[2] is not None}
+        for shot in block[:: self.reps]:
             prev = self.now
             self.now = {}
             for i, (idx, ins, src, _) in enumerate(self.steps):
-                if src is None:
+                if src is None or shot >= self.cutoff(idx):
                     continue
-                if i in self.fetched:
-                    reached = shot < self.cutoff(idx)
-                    self.fetched[i].append(self.program(src, shot, prev) if reached else None)
-                elif shot < self.cutoff(idx):
-                    self.compose(i, shot, [self.program(s, shot, prev) for s in src])
-            if shot < min(self.stop[0], self.sched.shots - 1):
+                if not isinstance(ins, Compose):
+                    self.built[i].append(self.program(src, shot, prev))
+                    continue
+                programs = [self.program(s, shot, prev) for s in src]
+                try:
+                    if i in self.chained:
+                        table = uqt.Composition(*programs, ins.strategy)
+                    else:
+                        table = self.tables.composition(*programs, ins)
+                except QvnError as exc:
+                    self.fail(shot, idx, exc)
+                    continue
+                self.now[idx] = table.program
+                if ins.strategy is _REPEAT:
+                    self.built[i].append(table)
+                if shot == 0 and ins.dest not in self.mem.slots:  # the compose creates the slot
+                    self.created[ins.dest] = table.program.description
+                    if ins.dest in self.restores:
+                        self.restored[ins.dest] = synthesize(table.program.description)
+                del table  # before the next shot's is built
+            if shot < self.stop[0]:
                 for address, tokens in self.kept.items():
-                    self.left[address] += self.copies(address, tokens)
-
-    def compose(self, step, shot, programs):
-        """Build the composition of step `step` for shot `shot`."""
-        idx, ins = self.steps[step][:2]
-        try:
-            if step in self.chained:
-                table = uqt.Composition(*programs, ins.strategy)
-            else:
-                table = self.tables.composition(*programs, ins)
-        except QvnError as exc:
-            self.fail(shot, idx, 1, exc)
-            return
-        self.now[idx] = table.program
-        if step in self.repeats:
-            self.repeats[step].append(table)
-        if shot == 0 and ins.dest not in self.mem.slots:  # the compose creates the slot
-            self.created[ins.dest] = table.program.description
-            if ins.dest in self.restores:
-                self.restored[ins.dest] = synthesize(table.program.description)
+                    self.left[address] += self.copies(address, tokens) * self.reps
 
     def rounds(self, step):
         """The draw of repeat-until-success compose `step` at the stream
@@ -591,14 +528,12 @@ class _Run:
 
         def draw(rng):
             shot = rng.stream_id
-            if shot >= self.cutoff(idx):
-                return
-            tables = self.repeats[step]
-            table = tables[0] if self.uniform else tables[shot - self.block.start]
-            try:
-                self.columns[idx][shot] = uqt._draw_round(table.cdfs[0], table.program.d, True, rng)[1]
-            except QvnError as exc:
-                self.fail(shot, idx, 1, exc)
+            if shot < self.cutoff(idx):
+                table = self.built[step][(shot - self.block.start) // self.reps]
+                try:
+                    self.columns[idx][shot] = uqt._draw_round(table.cdfs[0], table.program.d, True, rng)[1]
+                except QvnError as exc:
+                    self.fail(shot, idx, exc)
 
         return draw
 
@@ -614,57 +549,51 @@ class _Run:
         per instruction is alive. A group whose table or result fails stops,
         its first shot's error noted."""
         start = block.start
-        columns = self.columns
-        if start:  # the block's part of each column, indexed by shot - start
-            columns = [c[start : block.stop] if isinstance(c, np.ndarray) else c for c in columns]
-        steps = self.steps
+        # the block's part of each column, indexed by shot - start
+        columns = [c[start : block.stop] for c in self.columns] if start else self.columns
         stack = [(0, np.arange(len(block)), {}, None)]  # with a group's states by address
         while stack:
             i, members, states, drawn = stack.pop()
             if drawn is not None:  # the group's outcome of step i - 1
                 table, k = drawn
-                idx, ins = steps[i - 1][:2]
+                idx, ins = self.steps[i - 1][:2]
                 try:
                     result = table.result(k)
                 except QvnError as exc:
-                    self.fail(start + int(members[0]), idx, 1, exc)
+                    self.fail(start + int(members[0]), idx, exc)
                     continue
                 # a readout's value, leaving its target; an inject's branch
                 # and a tail's bit, with the post state
-                if isinstance(ins, Readout):
-                    columns[idx][members] = result
-                elif isinstance(ins, Inject):
-                    columns[idx][members] = k
-                    states = {**states, ins.target: result[1]}
-                else:
-                    columns[idx][members] = k
-                    states = {**states, ins.target: result}
-            if i == len(steps):
+                columns[idx][members] = result if isinstance(ins, Readout) else k
+                if not isinstance(ins, Readout):
+                    states = {**states, ins.target: result[1] if isinstance(ins, Inject) else result}
+            if i == len(self.steps):
                 continue
-            idx, ins, src, row = steps[i]
-            if self.stop[3] is not None and start + members[-1] >= self.cutoff(idx):
+            idx, ins, src, row = self.steps[i]
+            if self.stop[2] is not None and start + members[-1] >= self.cutoff(idx):
                 members = members[members < self.cutoff(idx) - start]
                 if not members.size:
                     continue
-            if isinstance(ins, Compose):  # its rounds are drawn, its program built
+            if isinstance(ins, Compose):  # its program is built, and it draws one round
+                if ins.strategy is not _REPEAT:  # or its rounds at the stream cursor
+                    columns[idx][members] = 1
                 stack.append((i + 1, members, states, None))
                 continue
-            parts = [(None, members)] if src is None else _by_program(self.fetched[i], members)
+            # the parts of the group that load one state: its target's, or
+            # one per program fetched, in the order of their first members
+            programs = self.built[i] if src else [None]
+            parts = [(programs[0], members)]
+            if len(programs) > 1:
+                index = {}
+                keys = np.array([index.setdefault(programs[m], len(index)) for m in members.tolist()])
+                parts = [(list(index)[key], group) for key, group in _split(keys, members)]
             for program, group in parts:
                 try:
                     state = states[ins.target] if program is None else self.tables.state(program)
-                    n = len(state.subsystem_dims) // 2
-                    if isinstance(ins, SampleTail) and not 0 <= ins.tail < n:
-                        raise ValidationError(
-                            f"sampletail tail={ins.tail} is out of range: the program at address "
-                            f"{ins.target} has {n} tails (0..{n - 1})"
-                        )
                     table = self.tables.measurement(state, ins)
                 except QvnError as exc:
-                    self.fail(start + int(group[0]), idx, 1, exc)
+                    self.fail(start + int(group[0]), idx, exc)
                     continue
-                if isinstance(ins, Inject):
-                    self.widths[idx] = max(self.widths.get(idx, 0), n)
                 # each member's outcome, drawn as `RngStream.draw` draws it
                 ks = table.cdf.searchsorted(uniforms[row][group], side="right")
                 loaded = states if program is None else {**states, ins.target: state}
@@ -674,16 +603,46 @@ class _Run:
     def commit(self):
         """Write, through `MemoryUnit.replace_copies`, the copies running shot
         after shot leaves in each slot: those from before the call that no
-        shot took, what each shot but the last left below the next one's
-        fetches, then all the last shot left."""
-        shots = self.sched.shots
+        shot took, what each shot left below later shots' fetches, then the
+        rest of what the last shot left."""
         for address, f in self.flows.items():
-            initial = f.initial or []
-            below = len(initial) - f.taken - (shots - 1) * max(f.taken - len(f.put), 0)
-            # a uniform run built its first shot's alone, which every shot leaves
-            left = self.left[address] * (shots - 1 if self.uniform else 1)
-            final = initial[:below] + left + self.copies(address, f.put)
+            last = self.copies(address, f.put[len(self.kept.get(address, ())) :])
+            final = f.initial[: f.untaken(self.shots)] + self.left[address] + last
             self.mem.replace_copies(address, final, self.restored.get(address), self.created.get(address))
+
+    def result(self) -> ExecutionResult:
+        """The result of the run, from its columns. The readout column is
+        split on the column of the last inject on the readout's target
+        before it: the values of shots that took P0 estimate through the
+        complement, tr(O) − (2^n − 1)·mean with n that inject's tails, the
+        rest (all, with no such inject) directly, and
+        `tailed.combine_branch_estimates` combines the two, as in
+        `tailed.run_algorithm`. A schedule without a readout has no
+        estimate."""
+        instructions = self.sched.instructions
+        estimate = standard_error = None
+        direct = complement = ()
+        for r, readout in enumerate(instructions):
+            if isinstance(readout, Readout):
+                target = readout.target
+                on = [i for i, ins in enumerate(instructions[:r]) if isinstance(ins, Inject) and ins.target == target]
+                values = self.columns[r]
+                branches = self.columns[on[-1]] if on else np.ones(values.size, int)
+                direct, complement = values[branches == 1], values[branches == 0]
+                # the inject and the readout measure one state, whose tails the observable spans
+                estimate, standard_error = tailed.combine_branch_estimates(
+                    direct, complement, readout.observable.trace, readout.observable.dim.bit_length() - 1
+                )
+        return ExecutionResult(
+            estimate=estimate,
+            standard_error=standard_error,
+            shots=self.sched.shots,
+            n_p0=len(complement),
+            n_p1=len(direct),
+            outcomes=tuple(tuple(c.tolist()) for c in self.columns),
+            copies_after={addr: len(slot.copies) for addr, slot in self.mem.slots.items()},
+            audit_consistent=self.mem.verify_conservation(),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,6 @@ def _reversed_indices(site_dim, parts) -> np.ndarray:
     return np.arange(site_dim**parts).reshape(dims).transpose(range(parts)[::-1]).reshape(-1)
 
 
-def reversal_permutation(site_dim, parts) -> np.ndarray:
-    """Unitary R that reverses the order of `parts` equal subsystems."""
-    total = site_dim**parts
-    m = np.zeros((total, total), dtype=complex)
-    m[np.arange(total), _reversed_indices(site_dim, parts)] = 1.0
-    return m
-
-
 def vectorize(a, parts=1) -> PureState:
     """Dual state of an operator over one bold tail or n bent per-part tails.
 

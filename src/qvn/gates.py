@@ -52,19 +52,6 @@ def controlled(u):
     return np.kron(P0, np.eye(d)) + np.kron(P1, np.asarray(u, dtype=complex))
 
 
-def nfold_toffoli(n):
-    """Monolithic n-fold Toffoli: flip the last qubit iff all n controls are 1."""
-    if n < 1:
-        raise ValidationError("n-fold Toffoli needs n >= 1 controls")
-    dim = 2 ** (n + 1)
-    m = np.eye(dim, dtype=complex)
-    a = dim - 2  # |1...1, 0>
-    b = dim - 1  # |1...1, 1>
-    m[a, a] = m[b, b] = 0.0
-    m[a, b] = m[b, a] = 1.0
-    return m
-
-
 def pauli_string_matrix(label):
     """Matrix of a Pauli string such as 'Z', 'ZZ', or 'XIZ'."""
     label = label.strip()

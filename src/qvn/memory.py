@@ -40,7 +40,7 @@ GATE_ARITY = {tag: len(m).bit_length() - 1 for tag, m in gates.GATE_MATRICES.ite
 MAX_QUBITS = 8
 
 # Most live copies one slot may hold: a slot keeps one list entry per copy,
-# and `store`, `restore` and `append_copy` extend that list.
+# and `store`, `restore` and `replace_copies` make that list.
 MAX_COPIES = 2**20
 
 
@@ -333,15 +333,6 @@ class MemoryUnit:
         address = self._claim_address(address)
         self.slots[address] = MemorySlot(description, programs, balance=len(programs))
         return address
-
-    def append_copy(self, address, program) -> int:
-        """Add one pre-built copy (a composition result) to a slot; returns
-        the new total."""
-        slot = self._slot(address)
-        check_live_copies(f"slot {address}", len(slot.copies) + 1)
-        slot.copies.append(program)
-        slot.balance += 1
-        return len(slot.copies)
 
     def replace_copies(self, address, copies, program=None, description=None) -> int:
         """Make `copies`, bottom first, a slot's live copies and count the

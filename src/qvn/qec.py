@@ -260,14 +260,6 @@ def logical_program(code: Code, gate) -> LogicalProgram:
     return LogicalProgram(code=code, gate=u, state=PureState(amp, (n_dim, n_dim)))
 
 
-def decode_program(lp: LogicalProgram) -> np.ndarray:
-    """Logical-space operator carried by an encoded program state."""
-    v = lp.code.isometry
-    n_dim = lp.code.physical_dim
-    mat = lp.state.amplitudes.reshape(n_dim, n_dim)
-    return math.sqrt(lp.code.logical_dim) * v.conj().T @ mat @ v.conj()
-
-
 def logical_compose(
     p1: LogicalProgram,
     p2: LogicalProgram,

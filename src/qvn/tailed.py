@@ -167,9 +167,9 @@ def inject(state: PureState, spec: InjectionSpec, rng: RngStream, num_ebits=None
 class ToffoliCascade:
     """Cascade realization of the n-fold Toffoli as an explicit gate list.
 
-    Wire order: n controls, n−1 ancillas, one target. Materializing the
-    dense unitary is quadratic in 2^(2n), so the circuit form is primary
-    and `to_matrix` is offered for small n.
+    Wire order: n controls, n−1 ancillas, one target. The dense unitary
+    is quadratic in 2^(2n), so the cascade is kept as its gate list and
+    applied gate by gate.
     """
 
     n: int
@@ -177,23 +177,10 @@ class ToffoliCascade:
     num_qubits: int
 
     def apply(self, amplitudes):
-        """The cascade on a state vector, or on every column of a matrix
-        with 2^num_qubits rows at once."""
-        amp = np.asarray(amplitudes, dtype=complex)
-        dims = (2,) * self.num_qubits + (amp.size >> self.num_qubits,)
+        """The cascade on a state vector of 2^num_qubits amplitudes."""
         for g, targets in self.gate_list:
-            amp = apply_to_subsystems(amp, dims, g, targets)
-        return amp.reshape(np.shape(amplitudes))
-
-    def apply_to_basis_state(self, bits):
-        amp = np.zeros(2**self.num_qubits, dtype=complex)
-        amp[int("".join(str(b) for b in bits), 2)] = 1.0
-        return self.apply(amp)
-
-    def to_matrix(self):
-        if self.num_qubits > 10:
-            raise ValidationError("dense cascade matrix only offered for <= 10 qubits")
-        return self.apply(np.eye(2**self.num_qubits, dtype=complex))
+            amplitudes = apply_to_subsystems(amplitudes, (2,) * self.num_qubits, g, targets)
+        return amplitudes
 
 
 def toffoli_cascade(n) -> ToffoliCascade:

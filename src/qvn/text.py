@@ -139,10 +139,10 @@ def read_matrices(fields):
     When every field holds rows·cols entries and every entry is two parts,
     as the separators show, the parts of all fields go through one `float`
     pass and one finiteness check and are read as complex pairs. Otherwise,
-    or when that pass fails, the fields are read in order, one entry at a
-    time, so an error names the first field at fault and, in it, the first
-    entry at fault: one not of two parts, then a bad number, then a
-    non-finite one.
+    or when that pass fails, some entry is at fault: the fields are read
+    again in order, one entry at a time, and the error names the first
+    field at fault and, in it, the first entry at fault, each entry checked
+    for two parts, then for numbers, then for finite ones.
     """
     texts, sizes, separators = [], [], []
     for line, rows, cols in fields:
@@ -157,7 +157,7 @@ def read_matrices(fields):
     # do; the lengths are compared first, so the pattern is never longer
     # than the text
     if [len(seps) for seps in separators] == [2 * n - 1 for n in sizes] and (
-        b";".join(separators) == b",;" * (total - 1) + b","
+        b";".join(separators) == (b",;" * total)[:-1]
     ):
         parts = ";".join(texts).replace(";", ",").split(",")
         try:
@@ -173,30 +173,21 @@ def read_matrices(fields):
                     np.ndarray((rows, cols), complex, values, 2 * start * values.itemsize)
                     for (_, rows, cols), start in zip(fields, starts)
                 ]
-    return [_entrywise_matrix(line, rows, cols) for line, rows, cols in fields]
-
-
-def _entrywise_matrix(line, rows, cols):
-    """A line's `data=` matrix read one entry at a time, raising at the
-    first entry at fault."""
-    text, col = line.fields["data"]
-    n = rows * cols
-    entries = text.split(";")
-    if len(entries) != n:
-        raise ParseError(f"expected {n} complex entries, got {len(entries)}", line.no, col)
-    out = np.empty(n, dtype=complex)
-    for i, entry in enumerate(entries):
-        parts = entry.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"bad complex entry {entry!r}", line.no, col)
-        try:
-            z = complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ParseError(f"bad number in entry {entry!r}", line.no, col) from None
-        if not cmath.isfinite(z):
-            raise ParseError(f"non-finite entry {entry!r}", line.no, col)
-        out[i] = z
-    return out.reshape(rows, cols)
+    for (line, _, _), text, size in zip(fields, texts, sizes):
+        col = line.fields["data"][1]
+        entries = text.split(";")
+        if len(entries) != size:
+            raise ParseError(f"expected {size} complex entries, got {len(entries)}", line.no, col)
+        for entry in entries:
+            parts = entry.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"bad complex entry {entry!r}", line.no, col)
+            try:
+                z = complex(float(parts[0]), float(parts[1]))
+            except ValueError:
+                raise ParseError(f"bad number in entry {entry!r}", line.no, col) from None
+            if not cmath.isfinite(z):
+                raise ParseError(f"non-finite entry {entry!r}", line.no, col)
 
 
 class _Located:

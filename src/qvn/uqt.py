@@ -56,10 +56,6 @@ class BellBasis:
             table.setflags(write=False)
 
     @classmethod
-    def weyl(cls, d):
-        return _weyl_basis(d)
-
-    @classmethod
     def qubit_product(cls, n):
         return _qubit_basis(n)
 

@@ -313,6 +313,35 @@ def assert_drawn(rng, doubles):
 
 
 # ---------------------------------------------------------------------------
+# Dense gate and program oracles
+# ---------------------------------------------------------------------------
+
+
+def nfold_toffoli(n):
+    """Monolithic n-fold Toffoli, the oracle for `tailed.toffoli_cascade`:
+    X on the last qubit when all n controls are 1, the last 2×2 block."""
+    m = np.eye(2 ** (n + 1), dtype=complex)
+    m[-2:, -2:] = GATE_MATRICES["X"]
+    return m
+
+
+def basis_image(cascade, bits):
+    """A `tailed.ToffoliCascade` applied to the basis state of `bits`."""
+    amp = np.zeros(2**cascade.num_qubits, dtype=complex)
+    amp[int("".join(str(b) for b in bits), 2)] = 1.0
+    return cascade.apply(amp)
+
+
+def decode_program(lp):
+    """Logical-space operator carried by an encoded program state (a
+    `qec.LogicalProgram`)."""
+    v = lp.code.isometry
+    n_dim = lp.code.physical_dim
+    mat = lp.state.amplitudes.reshape(n_dim, n_dim)
+    return np.sqrt(lp.code.logical_dim) * v.conj().T @ mat @ v.conj()
+
+
+# ---------------------------------------------------------------------------
 # Dense Bell-basis oracles for `uqt`, at d <= 8
 # ---------------------------------------------------------------------------
 
@@ -428,14 +457,17 @@ def per_shot_execute(mem, sched):
     """`control.execute` without outcome tables: every shot runs each
     instruction's one-shot kernel afresh (`uqt.compose`, `tailed.inject`,
     the readout distribution and a draw from `tailed.tail_outcomes`), on the
-    same `RngStream(seed, stream_id=shot)`."""
+    same `RngStream(seed, stream_id=shot)`. A compose puts its result on
+    top of its destination's copies; a readout's value is grouped by the
+    branch of the last inject on its target before it, the complement
+    inverted through that inject's tails."""
     outcomes = [[] for _ in sched.instructions]
     grouped = {"P0": [], "P1": [], "none": []}
     n_tails = 0
     trace_of_o = None
     for shot_idx in range(sched.shots):
         rng = RngStream(sched.seed, stream_id=shot_idx)
-        states, branch, injected, value = {}, None, 0, None
+        states, injected, split, value = {}, {}, None, None
 
         def load(address):
             if address not in states:
@@ -450,7 +482,7 @@ def per_shot_execute(mem, sched):
                     result, used = uqt.compose(p1, p2, ins.strategy, rng)
                     outcomes[idx].append(used)
                     if ins.dest in mem.slots:
-                        mem.append_copy(ins.dest, result)
+                        mem.replace_copies(ins.dest, [*mem.slots[ins.dest].copies, result])
                     else:
                         mem.store_copies([result], description=result.description, address=ins.dest)
                 elif isinstance(ins, Inject):
@@ -459,7 +491,7 @@ def per_shot_execute(mem, sched):
                     spec = tailed.InjectionSpec(tuple(range(n)), ins.bits or "1" * n)
                     branch, _, states[ins.target] = tailed.inject(state, spec, rng)
                     outcomes[idx].append(branch)
-                    injected = n
+                    injected[ins.target] = (branch, n)
                 elif isinstance(ins, Readout):
                     state = load(ins.target)
                     n = len(state.subsystem_dims) // 2
@@ -470,6 +502,7 @@ def per_shot_execute(mem, sched):
                     value = float(vals[rng.choice(probs)].real)
                     outcomes[idx].append(value)
                     trace_of_o = ins.observable.trace
+                    split = injected.get(ins.target)
                 elif isinstance(ins, Restore):
                     mem.restore(ins.addr, ins.copies)
                 elif isinstance(ins, SampleTail):
@@ -489,10 +522,9 @@ def per_shot_execute(mem, sched):
                 raise OutOfCopiesError(
                     exc.address, f"instruction {idx} ({type(ins).__name__}): {exc}"
                 ) from exc
-        name = "none" if branch is None else f"P{branch}"
         if value is not None:
-            grouped[name].append(value)
-            n_tails = max(n_tails, injected)
+            grouped["none" if split is None else f"P{split[0]}"].append(value)
+            n_tails = max(n_tails, split[1] if split else 0)
     estimate = stderr = None
     n1 = len(grouped["P1"]) + len(grouped["none"])
     n0 = len(grouped["P0"])

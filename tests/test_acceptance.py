@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import kraus_action, matrix_units, spanning_pure_states
+from conftest import basis_image, kraus_action, matrix_units, nfold_toffoli, spanning_pure_states
 from qvn import gates
 from qvn.cli import main as cli_main
 from qvn.control import controlled_unknown_channel, ideal_controlled
@@ -298,11 +298,11 @@ def test_criterion_09_toffoli_cascade():
     worst = 0.0
     for n in range(2, 7):
         cascade = toffoli_cascade(n)
-        mono = gates.nfold_toffoli(n)
+        mono = nfold_toffoli(n)
         for basis_index in range(2 ** (n + 1)):
             bits = [(basis_index >> (n - i)) & 1 for i in range(n + 1)]
             full = bits[:n] + [0] * (n - 1) + [bits[n]]
-            out = cascade.apply_to_basis_state(full)
+            out = basis_image(cascade, full)
             expected_col = mono[:, basis_index]
             k = int(np.argmax(np.abs(expected_col)))
             ebits = [(k >> (n - i)) & 1 for i in range(n + 1)]

@@ -1,4 +1,5 @@
 import gc
+import json
 import re
 import time
 import tracemalloc
@@ -20,8 +21,7 @@ from qvn.control import (
     execute,
     ideal_controlled,
 )
-from qvn.cli import parse_run_file
-from qvn.duality import reversal_permutation
+from qvn.cli import main, parse_run_file
 from qvn.errors import (
     NotRestorableError,
     NumericalError,
@@ -503,12 +503,17 @@ class TestPathSelection:
              lambda: fresh_memory(5)[0]),
             (Schedule((Compose(0, 1, ByproductStrategy.CORRECTION_TABLE, 10), Inject(10, "1")), shots=4),
              lambda: mixed_memory(4)),
+            (Schedule((Inject(0, "1"), Inject(1), Readout(0, Observable(gates.X), "X")), shots=40, seed=3),
+             lambda: fresh_memory(40)[0]),
+            (Schedule((Inject(0, "1"), Readout(0, Observable(gates.X), "X"), Inject(1)), shots=40, seed=3),
+             lambda: fresh_memory(40)[0]),
         ],
-        ids=["chain", "repeat_until_success", "mixed_copies"],
+        ids=["chain", "repeat_until_success", "mixed_copies", "other_inject_between", "other_inject_after"],
     )
     def test_loop_schedules(self, sched, mem):
         # a chain, repeat-until-success and a slot of mixed copies, whose
-        # shots take different programs or draw varying numbers of doubles
+        # shots take different programs or draw varying numbers of doubles,
+        # and a readout with an inject of another slot beside its own
         ran, oracle = mem(), mem()
         assert execute(ran, sched) == per_shot_execute(oracle, sched)
         assert {a: [c.op.matrix.tobytes() for c in copies] for a, copies in copies_of(ran).items()} == {
@@ -579,6 +584,23 @@ class TestPathSelection:
             execute(mem, sched)
         assert copies_of(mem) == before
 
+    def test_full_destination_at_a_later_shot(self):
+        # slot 0 is one copy short of MAX_COPIES, so the second shot's
+        # compose into it passes the limit after its composition is drawn;
+        # the error is the per-shot executor's, and memory is as it was
+        sched = Schedule((Compose(1, 1, ByproductStrategy.CORRECTION_TABLE, 0),), shots=3)
+        mem, oracle_mem = fresh_memory(copies=4)[0], fresh_memory(copies=4)[0]
+        for m in (mem, oracle_mem):
+            m.replace_copies(0, [m.peek(0)] * (control.MAX_COPIES - 1))
+        before = copies_of(mem)
+        with pytest.raises(ValidationError) as err:
+            execute(mem, sched)
+        with pytest.raises(ValidationError) as oracle_err:
+            per_shot_execute(oracle_mem, sched)
+        assert str(err.value) == str(oracle_err.value)
+        assert f"slot 0 would hold {control.MAX_COPIES + 1} live copies" in str(err.value)
+        assert copies_of(mem) == before
+
     def test_chain_failing_at_a_later_shot_leaves_memory_untouched(self):
         # slot 1 holds two copies, so the third shot of a chain finds it
         # empty; the programs the first two shots composed are not kept
@@ -591,11 +613,70 @@ class TestPathSelection:
         assert copies_of(mem) == before
 
 
+# Slot 0 holds H, injected with |1⟩ and read with X: ⟨1|H X H|1⟩ = −1, and
+# the complement branch, H|0⟩ read and inverted, gives −1 too, so the
+# estimate is exact; slot 1 holds T.
+SPLIT_RUN = """run shots=4000 seed=3
+slot addr=0 copies=4000
+QVN1 name=H n=1
+t=0 g=H q=0
+endslot
+slot addr=1 copies=4000
+QVN1 name=T n=1
+t=0 g=T q=0
+endslot
+schedule
+{}
+endschedule
+"""
+
+
+class TestReadoutSplit:
+    """The readout is split on the last inject on its own target before it;
+    an inject of another slot, or one after the readout, does not split it."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            "inject target=0 bits=1\ninject target=1\nreadout target=0 obs=X",
+            "inject target=0 bits=1\nreadout target=0 obs=X\ninject target=1",
+        ],
+        ids=["other_inject_between", "other_inject_after"],
+    )
+    def test_injected_readout_is_exact(self, schedule, tmp_path, capsys):
+        result, report = self.run(SPLIT_RUN.format(schedule), tmp_path, capsys)
+        assert (result.estimate, result.standard_error) == (-1.0, 0.0)
+        assert result.n_p0 > 0 and result.n_p1 > 0
+
+    def test_readout_without_inject_on_its_target_is_direct(self, tmp_path, capsys):
+        # X on H's output with its tails maximally mixed: tr(X)/2 = 0, every
+        # value taken as read
+        text = SPLIT_RUN.format("inject target=1\nreadout target=0 obs=X")
+        result, report = self.run(text, tmp_path, capsys)
+        assert (result.n_p0, result.n_p1) == (0, 4000)
+        assert abs(result.estimate) <= 4 * result.standard_error
+
+    @staticmethod
+    def run(text, tmp_path, capsys):
+        """The `execute` result of a run file and its `qvn run` report, which
+        must agree."""
+        shots, seed, slots, instructions = parse_run_file(text)
+        result = execute(readme_memory(slots), Schedule(tuple(instructions), shots=shots, seed=seed))
+        path = tmp_path / "split.run"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)["canonical"]
+        assert (report["estimate"], report["standard_error"]) == (result.estimate, result.standard_error)
+        assert report["branches"] == {"P0": result.n_p0, "P1": result.n_p1}
+        return result, report
+
+
 def controlled_unknown(u: UnitaryOp) -> np.ndarray:
     """The dense 2d²×2d² circuit CSWAP · (I ⊗ U on the ancilla) · CSWAP on
     control ⊗ target ⊗ ancilla."""
     d = u.dim
-    cswap = np.kron(gates.P0, np.eye(d * d)) + np.kron(gates.P1, reversal_permutation(d, 2))
+    swap = np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]  # |a⟩|b⟩ -> |b⟩|a⟩
+    cswap = np.kron(gates.P0, np.eye(d * d)) + np.kron(gates.P1, swap)
     return cswap @ np.kron(np.eye(2 * d, dtype=complex), u.matrix) @ cswap
 
 

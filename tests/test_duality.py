@@ -16,7 +16,6 @@ from qvn.duality import (
     choi_of_channel,
     choi_of_unitary,
     kraus_from_choi,
-    reversal_permutation,
     unvec,
     vec,
     vectorize,
@@ -154,8 +153,7 @@ class TestVectorize:
         # bent-wire pairing; explicit 16-dimensional check
         a = haar_random_unitary(4, rng).matrix
         base = vectorize(np.eye(4), parts=2).amplitudes
-        r = reversal_permutation(2, 2)
-        assert np.abs(r - gates.SWAP).max() < 1e-14
+        r = gates.SWAP
         lhs = np.kron(a, np.eye(4)) @ base
         rhs = np.kron(np.eye(4), r @ a.T @ r) @ base
         assert np.abs(lhs - rhs).max() < 1e-12

@@ -238,7 +238,7 @@ class TestMeasure:
         probs = [np.real(v.conj() @ rho.matrix @ v) for v in dense_bell_vectors(2)]
         assert np.abs(np.array(probs) - 0.25).max() < 1e-12
         pair = PureState(np.kron(bell_state(2), bell_state(2)), (2, 2, 2, 2))
-        probs, _ = bell_probabilities(pair, 0, 2, BellBasis.weyl(2))
+        probs, _ = bell_probabilities(pair, 0, 2, BellBasis.for_dim(2))
         assert np.abs(probs - 0.25).max() < 1e-12
 
     def test_frequencies_match_probabilities(self, rng):

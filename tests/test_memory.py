@@ -226,17 +226,6 @@ class TestMemoryUnit:
             mem.restore(addr, memory.MAX_COPIES)
         assert mem.copy_count(addr) == 1 and mem.verify_conservation()
 
-    def test_append_copy_bounded(self):
-        # a compose into a full slot fails before the list grows
-        mem = MemoryUnit()
-        addr = mem.store(desc_h(), memory.MAX_COPIES)
-        program = mem.peek(addr)
-        with pytest.raises(ValidationError, match="1048577 live copies"):
-            mem.append_copy(addr, program)
-        assert mem.copy_count(addr) == memory.MAX_COPIES and mem.verify_conservation()
-        mem.fetch_consume(addr)
-        assert mem.append_copy(addr, program) == memory.MAX_COPIES
-
     def test_restore_preserves_description(self):
         mem = MemoryUnit()
         addr = mem.store(desc_th(), 1)

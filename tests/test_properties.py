@@ -636,8 +636,9 @@ def run_or_error(executor, slots, sched):
     ),
     control.MAX_RETAINED_ENTRIES,
 )
-# two injections on programs of two widths before the readout: the
-# complement branch is inverted through the last one's width
+# two injections on programs of two widths before the readout: the readout
+# is split on the one of its own target, slot 0, and its complement branch
+# inverted through that program's two tails, not the later inject's one
 @example(
     (
         [

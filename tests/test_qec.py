@@ -26,7 +26,6 @@ from qvn.qec import (
     build_recovery,
     check_detection,
     check_kl,
-    decode_program,
     error_channel,
     logical_compose,
     logical_ebit,
@@ -38,7 +37,7 @@ from qvn.qec import (
 )
 from qvn.uqt import MAX_ROUNDS_PER_OUTCOME, ByproductStrategy, compose, stored_program
 
-from conftest import RUS_BOUND_D2, assert_drawn, never_heralded
+from conftest import RUS_BOUND_D2, assert_drawn, decode_program, never_heralded
 
 
 def x_errors():

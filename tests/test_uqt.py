@@ -81,8 +81,8 @@ def teleported_oracle(u1, u2, sigma, d):
 
 class TestBellBasis:
     def test_weyl_orthonormal(self):
-        for d in (2, 3, 4):
-            paulis = basis_paulis(BellBasis.weyl(d))
+        for d in (2, 3, 5):
+            paulis = basis_paulis(BellBasis.for_dim(d))
             vectors = np.stack([p.reshape(-1) / math.sqrt(d) for p in paulis])
             gram = vectors.conj() @ vectors.T
             assert np.abs(gram - np.eye(d * d)).max() < 1e-12
@@ -94,7 +94,7 @@ class TestBellBasis:
         assert np.abs(total - np.eye(16)).max() < 1e-12
 
     def test_first_element_is_identity(self):
-        for basis in (BellBasis.weyl(3), BellBasis.qubit_product(2)):
+        for basis in (BellBasis.for_dim(3), BellBasis.qubit_product(2)):
             assert np.abs(basis_paulis(basis)[0] - np.eye(basis.d)).max() < 1e-14
 
     def test_for_dim_picks_qubit_structure(self):
