@@ -232,6 +232,7 @@ def fusion_probabilities(m1, m2, basis: BellBasis) -> np.ndarray:
     g, where F_a(g) = Σ_j A[j, s_g(j)]·B[s_g(s_a(j)), s_a(j)] is a
     correlation over j for each g. Both sums are character transforms, so
     all d² probabilities take six d×d products: O(d³) time, O(d²) memory.
+    `Composition` takes p_k = 1/d², their value for unitaries' dual states.
     """
     d = basis.d
     chi = basis.chars
@@ -249,28 +250,18 @@ def fusion_probabilities(m1, m2, basis: BellBasis) -> np.ndarray:
 MAX_ROUNDS_PER_OUTCOME = 64
 
 
-def _fusion(amp1, amp2, basis: BellBasis, repeat):
-    """The Bell fusion of head1 against tail2: (cdf, fused).
-
-    The d² outcome probabilities come from `fusion_probabilities`. `cdf`
-    is what one round draws from: all d² outcomes, or with `repeat` the
-    coarse-grained pair (p_0, 1 − p_0), since a repeated round only asks
-    whether the trivial outcome was heralded. `fused(k)` is outcome k's
-    uncorrected state as a normalized (head, tail) matrix.
-    """
-    d = basis.d
-    m1 = np.asarray(amp1, dtype=complex).reshape(d, d)
-    m2 = np.asarray(amp2, dtype=complex).reshape(d, d)
-    probs = fusion_probabilities(m1, m2, basis)
-    norm = math.sqrt(probs.sum())
+def _checked_norm(amp1, amp2):
+    """The norm of the joint state amp1 ⊗ amp2, which must be 1 within DEFAULT_TOL."""
+    norm = math.sqrt(np.vdot(amp1, amp1).real * np.vdot(amp2, amp2).real)
     if abs(norm - 1.0) > DEFAULT_TOL:
         raise ValidationError(f"joint state norm {norm} differs from 1 beyond {DEFAULT_TOL}")
+    return norm
 
-    def fused(k):
-        # the residual on (t1, h2) is M1ᵀσ̄_kM2ᵀ/√d; its transpose is in (head, tail) order
-        return m2 @ basis.apply(k, m1, adjoint=True) / math.sqrt(d * probs[k])
 
-    return checked_cdf([probs[0], probs.sum() - probs[0]] if repeat else probs), fused
+@functools.lru_cache(maxsize=32)
+def _uniform_cdf(d, repeat):
+    """The cdf of 1/d² for each outcome, or with `repeat` of (1/d², 1 − 1/d²)."""
+    return checked_cdf([1 / d**2, 1 - 1 / d**2] if repeat else np.full(d * d, 1 / d**2))
 
 
 def _draw_round(cdf, d, repeat, rng: RngStream):
@@ -308,7 +299,8 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
     state on the fused (head, tail) pair. Repeat-until-success redraws the
     pair until the trivial outcome, at most 64·d² rounds; every round sees
     fresh copies of the same states, so all rounds draw from one
-    probability vector, computed once. Every other strategy takes one
+    probability vector, computed once by `fusion_probabilities`, or from
+    its coarse-grained pair (p_0, 1 − p_0). Every other strategy takes one
     round and applies C_k for the sampled outcome k. Rounds are drawn by
     `_draw_round`. The joint state is never built.
 
@@ -317,12 +309,18 @@ def teleport(amp1, amp2, basis: BellBasis, u2, strategy: ByproductStrategy, rng:
     different corrected state for each k.
     """
     repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
-    cdf, fused = _fusion(amp1, amp2, basis, repeat)
-    k, rounds = _draw_round(cdf, basis.d, repeat, rng)
-    mat = fused(k)
+    d = basis.d
+    m1 = np.asarray(amp1, dtype=complex).reshape(d, d)
+    m2 = np.asarray(amp2, dtype=complex).reshape(d, d)
+    _checked_norm(m1, m2)
+    probs = fusion_probabilities(m1, m2, basis)
+    cdf = checked_cdf([probs[0], probs.sum() - probs[0]] if repeat else probs)
+    k, rounds = _draw_round(cdf, d, repeat, rng)
+    # the residual on (t1, h2) is M1ᵀσ̄_kM2ᵀ/√d; its transpose is in (head, tail) order
+    mat = m2 @ basis.apply(k, m1, adjoint=True) / math.sqrt(d * probs[k])
     if k != 0:
         mat = byproduct_correction(u2, basis, k) @ mat
-    return PureState(mat.reshape(-1), (basis.d, basis.d)), rounds
+    return PureState(mat.reshape(-1), (d, d)), rounds
 
 
 def _combined_description(p1: StoredProgram, p2: StoredProgram):
@@ -339,11 +337,13 @@ class Composition:
     Outcome k of a teleportation round leaves U2σ_k†U1, and C_k turns it
     into U2U1 whatever k is; repeat-until-success ends on k = 0. So the
     composition has one result, `program`: the trivial outcome's fused
-    state, through S2 and then S1 for `symmetric_pair`, built here. Each
-    round keeps only the cdf it draws from (`cdfs`), so `sample` draws as the
-    per-outcome protocol does: one double per round, or for
-    repeat-until-success one per try until the trivial outcome
-    (`_draw_round`). The table never holds the input programs.
+    state, through S2 and then S1 for `symmetric_pair`, built here. A round
+    fuses two unitaries' dual states, so every outcome has probability
+    1/d² and the record says nothing of the programs: a round keeps the
+    uniform cdf (`cdfs`) and builds M2·M1·√d over the joint norm it checks,
+    with no `fusion_probabilities`. `sample` draws one double per round, or
+    for repeat-until-success one per try until the trivial outcome, as the
+    per-outcome protocol does (`_draw_round`). It holds no input program.
     """
 
     def __init__(self, p1: StoredProgram, p2: StoredProgram, strategy: ByproductStrategy):
@@ -356,14 +356,14 @@ class Composition:
         else:
             raise ConfigurationError(f"unknown strategy {strategy!r}")
         self._repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
-        self.cdfs = []
+        d = p1.d
+        self.cdfs = [_uniform_cdf(d, self._repeat)] * len(factors)
         amp1 = p1.amplitudes
         for amp2 in factors:
-            cdf, fused = _fusion(amp1, amp2, p2.basis, self._repeat)
-            self.cdfs.append(cdf)
-            amp1 = fused(0).reshape(-1)
-        u = unvec(amp1)
-        self.program = stored_program(UnitaryOp(u, tol=1e-8), _combined_description(p1, p2))
+            norm = _checked_norm(amp1, amp2)
+            # outcome 0 (σ_0 = I) leaves M2·M1/√d at probability norm²/d²
+            amp1 = (amp2.reshape(d, d) @ amp1.reshape(d, d) * (math.sqrt(d) / norm)).reshape(-1)
+        self.program = stored_program(UnitaryOp(unvec(amp1), tol=1e-8), _combined_description(p1, p2))
 
     def sample(self, rng: RngStream):
         """(`program`, Bell rounds of its last teleportation)."""

@@ -524,6 +524,39 @@ def test_fusion_probabilities_match_dense_basis(d, seed):
     assert np.abs(probs - oracle).max() <= 1e-12
 
 
+def transform_composition(p1, p2, strategy):
+    """`uqt.Composition` built from the full transform: (cdfs, program
+    matrix), each round's cdf from `fusion_probabilities` and its trivial
+    outcome's fused state normalized by the computed p_0."""
+    if strategy is ByproductStrategy.SYMMETRIC_PAIR:
+        gates_of_rounds = [p2.symmetric_factors.s2.matrix, p2.symmetric_factors.s1.matrix]
+    else:
+        gates_of_rounds = [p2.op.matrix]
+    repeat = strategy is ByproductStrategy.REPEAT_UNTIL_SUCCESS
+    d, basis = p1.d, p2.basis
+    m1, cdfs = p1.amplitudes.reshape(d, d), []
+    for u in gates_of_rounds:
+        m2 = u / np.sqrt(d)
+        probs = fusion_probabilities(m1, m2, basis)
+        cdfs.append(checked_cdf([probs[0], probs.sum() - probs[0]] if repeat else probs))
+        m1 = m2 @ basis.apply(0, m1, adjoint=True) / np.sqrt(d * probs[0])
+    return cdfs, m1 * np.sqrt(d)
+
+
+@given(st.sampled_from([2, 3, 4, 5, 8, 16]), st.sampled_from(list(ByproductStrategy)), SEEDS)
+def test_closed_form_composition_matches_transform(d, strategy, seed):
+    # every outcome of a unitary composition has probability 1/d², rounded
+    # for d not a power of two; the full transform is the oracle
+    p1, p2 = uqt.stored_program(haar(d, seed)), uqt.stored_program(haar(d, seed + 1))
+    table = uqt.Composition(p1, p2, strategy)
+    cdfs, program = transform_composition(p1, p2, strategy)
+    assert len(table.cdfs) == len(cdfs)
+    for cdf, oracle in zip(table.cdfs, cdfs):
+        assert cdf.shape == oracle.shape
+        assert np.abs(cdf - oracle).max() <= 1e-12
+    assert np.abs(table.program.op.matrix - program).max() <= 1e-12
+
+
 @st.composite
 def runnable_schedules(draw):
     """Two n-qubit slots (n = 1-3) of 1-3 copies and a schedule over them

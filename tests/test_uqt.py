@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qvn import gates
+from qvn import gates, uqt
 from qvn.duality import ChoiState, bell_state, choi_of_unitary
 from qvn.errors import NumericalError, ValidationError
 from qvn.kernel import (
@@ -242,6 +242,40 @@ class TestCompose:
             assert len(states) == d ** (2 * len(gates_of_rounds))
             program = Composition(p1, p2, strategy).program
             assert np.abs(np.stack(states) - program.amplitudes).max() <= 1e-12
+
+    def test_composition_runs_no_transform(self, monkeypatch):
+        # a unitary composition's outcomes are uniform, so Composition takes
+        # 1/d² and never runs the d³ transform that teleport still runs
+        calls = []
+        transform = uqt.fusion_probabilities
+
+        def spy(*args):
+            calls.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(uqt, "fusion_probabilities", spy)
+        for d in (2, 3, 8):
+            p1 = stored_program(haar_random_unitary(d, RngStream(d, 1)))
+            p2 = stored_program(haar_random_unitary(d, RngStream(d, 2)))
+            for strategy in ByproductStrategy:
+                Composition(p1, p2, strategy).sample(RngStream(0))
+        assert calls == []
+        teleport(p1.amplitudes, p2.amplitudes, p2.basis, p2.op.matrix,
+                 ByproductStrategy.CORRECTION_TABLE, RngStream(0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("strategy", list(ByproductStrategy))
+    @pytest.mark.parametrize("scaled", ["p1", "p2"])
+    def test_rejects_unnormalized_programs(self, strategy, scaled):
+        # (1 + 2e-10)·I passes UnitaryOp at d = 16, whose bound is tol·d,
+        # but the joint state of a round then has norm 1 + 2e-10; a scaled
+        # p2 under symmetric_pair is its factor S1 = A, in the second round
+        d = 16
+        a, eye = stored_program((1 + 2e-10) * np.eye(d)), identity_program(d)
+        p1, p2 = (a, eye) if scaled == "p1" else (eye, a)
+        message = "joint state norm 1.0000000002 differs from 1 beyond 1e-10"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Composition(p1, p2, strategy)
 
     def test_sample_returns_one_program(self):
         p1, p2 = stored_program(gates.H), stored_program(gates.T)
