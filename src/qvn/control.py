@@ -78,12 +78,12 @@ class SampleTail:
 # outcome per shot of each instruction.
 MAX_SHOTS = 1_000_000
 # Most outcome entries one `execute` keeps: one per shot of each instruction
-# but restores. A run peaks at 20 to 32 bytes an entry above its start (the
-# most for the README run file; a lone measurement, whose per-shot arrays
-# fall on its one entry a shot, reads 48), plus what one block of shots
-# keeps (see `_Run.size`; about 5 MB for a chain at n = 4 or 6), so at most
-# about 260 MB at the limit; the README run file keeps three entries a
-# shot, 3,000,000 at MAX_SHOTS.
+# but restores. A run peaks at 9 (a compose-only chain) to 31 bytes an entry
+# above its start (26 for the README run file; a lone measurement, whose
+# per-shot arrays fall on its one entry a shot, reads 48), plus what one
+# block of shots keeps (see `_Run.size`; about 5 MB for a chain at n = 4 or
+# 6), so at most about 260 MB at the limit; the README run file keeps three
+# entries a shot, 3,000,000 at MAX_SHOTS.
 MAX_OUTCOME_ENTRIES = 8_000_000
 
 
@@ -114,18 +114,18 @@ class Schedule:
             raise ValidationError("at most one readout per shot path")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExecutionResult:
     estimate: float | None
     standard_error: float | None
     shots: int
     n_p0: int
     n_p1: int
-    # one column per schedule instruction, one entry per shot: a compose's
-    # Bell rounds, an inject's branch, a readout's value, a sampletail's
-    # bit; () for a restore. The estimate comes from these alone: the
-    # readout's column split on that of the last inject on its target.
-    outcomes: tuple[tuple, ...]
+    # one array per schedule instruction, one entry per shot: a compose's
+    # Bell rounds, an inject's branch and a sampletail's bit as ints, a
+    # readout's value as a float; empty for a restore. The estimate comes
+    # from these alone: the readout's split on the last inject on its target.
+    outcomes: tuple[np.ndarray, ...]
     copies_after: dict
     audit_consistent: bool
 
@@ -542,12 +542,13 @@ class _Run:
         fetch is built, `uniforms` holding one row of doubles per read and
         one column per shot. The block's shots start as one group; each
         measurement splits a group by the program it loads, samples its
-        table for each part with one `searchsorted` and splits it by
-        outcome. Groups run depth first: an outcome's result is built, every
-        later instruction runs for its group, and it is dropped before the
-        next outcome's, so beside what the tables keep at most one result
-        per instruction is alive. A group whose table or result fails stops,
-        its first shot's error noted."""
+        table for each part with one `searchsorted` and, but for a readout,
+        which leaves its target as it was, splits it by outcome. Groups run
+        depth first: an outcome's result is built, every later instruction
+        runs for its group, and it is dropped before the next outcome's, so
+        beside what the tables keep at most one result per instruction is
+        alive. A group whose table or result fails stops, its first shot's
+        error noted."""
         start = block.start
         # the block's part of each column, indexed by shot - start
         columns = [c[start : block.stop] for c in self.columns] if start else self.columns
@@ -562,11 +563,9 @@ class _Run:
                 except QvnError as exc:
                     self.fail(start + int(members[0]), idx, exc)
                     continue
-                # a readout's value, leaving its target; an inject's branch
-                # and a tail's bit, with the post state
-                columns[idx][members] = result if isinstance(ins, Readout) else k
-                if not isinstance(ins, Readout):
-                    states = {**states, ins.target: result[1] if isinstance(ins, Inject) else result}
+                # an inject's branch or a tail's bit, with the post state
+                columns[idx][members] = k
+                states = {**states, ins.target: result[1] if isinstance(ins, Inject) else result}
             if i == len(self.steps):
                 continue
             idx, ins, src, row = self.steps[i]
@@ -597,6 +596,13 @@ class _Run:
                 # each member's outcome, drawn as `RngStream.draw` draws it
                 ks = table.cdf.searchsorted(uniforms[row][group], side="right")
                 loaded = states if program is None else {**states, ins.target: state}
+                if isinstance(ins, Readout):  # the values drawn; it leaves its target
+                    values = np.zeros(table.cdf.size)
+                    for k in np.flatnonzero(np.bincount(ks)).tolist():
+                        values[k] = table.result(k)
+                    columns[idx][group] = values[ks]
+                    stack.append((i + 1, group, loaded, None))
+                    continue
                 for k, outcome in reversed(_split(ks, group)):
                     stack.append((i + 1, outcome, loaded, (table, k)))
 
@@ -639,7 +645,7 @@ class _Run:
             shots=self.sched.shots,
             n_p0=len(complement),
             n_p1=len(direct),
-            outcomes=tuple(tuple(c.tolist()) for c in self.columns),
+            outcomes=tuple(self.columns),
             copies_after={addr: len(slot.copies) for addr, slot in self.mem.slots.items()},
             audit_consistent=self.mem.verify_conservation(),
         )

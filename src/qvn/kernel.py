@@ -30,7 +30,7 @@ def _as_matrix(a, name="matrix"):
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -61,7 +61,7 @@ class PureState:
 
     def __init__(self, amplitudes, subsystem_dims=None):
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise ValidationError("amplitudes contain non-finite entries")
         if subsystem_dims is None:
             subsystem_dims = (vec.size,)
@@ -129,9 +129,12 @@ class DensityOperator:
 
 def unitarity_residuals(stack):
     """max |U†U − I| of each matrix U in a (k, n, n) stack, as k floats;
-    NaN or inf, without a warning, where U†U overflows."""
+    NaN or inf, without a warning, where U†U overflows. I is subtracted
+    from the diagonal of the fresh product in place."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(stack.conj().mT @ stack - np.eye(stack.shape[1])).max(axis=(1, 2))
+        gram = stack.conj().mT @ stack
+        gram.reshape(len(stack), -1)[:, :: stack.shape[1] + 1] -= 1
+        return np.abs(gram).max(axis=(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,48 +364,26 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
 
-# Shots whose streams are derived in one vectorized pass: the pass peaks at
-# about 18 words of 8 bytes per shot (seed words, limbs and the
-# temporaries of a product), 36 KiB a block.
+# Shots whose streams one vectorized pass derives, and entries whose states
+# one product derives: the seeding peaks at about 18 words of 8 bytes a shot
+# (36 KiB a block), the product at about 10 a shot and entry (640 KiB).
 SHOT_BLOCK = 256
-
-
-def _hashmix(value, hash_const):
-    """SeedSequence's hashmix of a 32-bit Python int: (mixed value, next
-    hash constant)."""
-    hash_const_next = hash_const * _MULT_A & _MASK32
-    value = (value ^ hash_const) * hash_const_next & _MASK32
-    return value ^ (value >> 16), hash_const_next
-
-
-def _mix(x, y):
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
+ENTRY_BLOCK = 32
 
 
 def _seed_pool(seed):
     """SeedSequence pool of `seed` with every entropy word mixed in but the
-    spawn key, which comes last, and the hash constant that word starts at."""
+    spawn key, which comes last, and the hash constant that word starts at.
+    The pool is numpy's `SeedSequence(seed).pool`: a seed of fewer words
+    than the pool hashes zeros in their place, as the spawn key's padding
+    does. Each hash of a word advances the constant by one factor _MULT_A:
+    one per pool word, one per ordered pair of them, four per later word."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
-    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, hash_const
+    words = max(-(-seed.bit_length() // 32), 1)
+    hashes = _POOL_SIZE**2 + _POOL_SIZE * max(words - _POOL_SIZE, 0)
+    return np.random.SeedSequence(seed).pool, _INIT_A * pow(_MULT_A, hashes, 2**32) & _MASK32
 
 
 def _block_seeds(pool, hash_const, shots):
@@ -410,14 +391,14 @@ def _block_seeds(pool, hash_const, shots):
     shot ids in the uint32 array `shots`: one uint64 row each, one entry
     per shot."""
     # the shot word is mixed into each pool word in turn, at successive
-    # hash constants: `_hashmix` and `_mix` of all four at once, in uint32
-    # arithmetic, which wraps mod 2**32 without a mask
+    # hash constants: SeedSequence's hashmix and mix of all four at once, in
+    # uint32 arithmetic, which wraps mod 2**32 without a mask
     consts = [hash_const * _MULT_A**i & _MASK32 for i in range(_POOL_SIZE + 1)]
     consts = np.array(consts, dtype=np.uint32)[:, None]
     mixed = (shots ^ consts[:-1]) * consts[1:]
     mixed ^= mixed >> 16
     mixed *= _MIX_MULT_R
-    mixed = np.array([_MIX_MULT_L * word & _MASK32 for word in pool], dtype=np.uint32)[:, None] - mixed
+    mixed = (pool * _MIX_MULT_L)[:, None] - mixed
     mixed ^= mixed >> 16
     # generate_state(4, uint64): 8 words cycling over the pool, paired low first
     consts = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(9)], dtype=np.uint32)
@@ -437,11 +418,9 @@ def _block_seeds(pool, hash_const, shots):
 # silently where numpy scalars warn, so no step works on a scalar.
 
 
-def _times(hi, lo, mult):
-    """(hi, lo)·mult mod 2**128 on limbs, for a Python int mult, as (high,
-    low). The high half of lo·(mult's low half) is summed from 32-bit
-    halves."""
-    mult_hi, mult_lo = mult >> 64, mult & _MASK64
+def _times(hi, lo, mult_hi, mult_lo):
+    """(hi, lo)·mult mod 2**128 on limbs that broadcast, as (high, low). The
+    high half of lo·mult_lo is summed from 32-bit halves."""
     lo_hi, lo_lo = lo >> 32, lo & _MASK32
     low_32, high_32 = mult_lo & _MASK32, mult_lo >> 32
     # (lo·mult_lo) >> 64, the middle products' carries in `mid` and `cross`
@@ -468,13 +447,13 @@ def _plus(hi, lo, add_hi, add_lo):
     return hi, lo
 
 
-def _affine(hi, lo, inc_hi, inc_lo, a, c):
-    """a·(hi, lo) + c·inc mod 2**128 on limbs, for Python ints a and c: one
-    product, or two when c is not 1. PCG64's step is a = MULT, c = 1."""
-    high, low = _times(hi, lo, a)
-    if c == 1:
-        return _plus(high, low, inc_hi, inc_lo)
-    return _plus(high, low, *_times(inc_hi, inc_lo, c))
+def _affine(rows, mult):
+    """a_e·state + c_e·inc mod 2**128 of every shot for each entry e, as
+    (high, low) arrays of one row per entry: `rows` holds (state, inc) ×
+    (high, low) × shot and `mult` (a, c) × (high, low) × entry, both uint64.
+    One product of the stacked rows (state, inc) by (a_e, c_e), one sum."""
+    high, low = _times(rows[:, 0, None], rows[:, 1, None], mult[:, 0, :, None], mult[:, 1, :, None])
+    return _plus(high[0], low[0], high[1], low[1])
 
 
 def _xsl_rr(hi, lo):
@@ -537,61 +516,76 @@ def shot_uniforms(seed, shots, positions):
     PCG64 is an LCG on 128-bit states, so k steps of it are one affine map
     of the state and inc (F. B. Brown, "Random Number Generation with
     Arbitrary Strides", Trans. Am. Nucl. Soc. 71, 202, 1994): MULT**k·state
-    + Σ_{i < k} MULT**i·inc mod 2**128. Each block of SHOT_BLOCK shots goes
-    by one such map (`_affine`) from srandom's inputs (`_start_limbs`) to
-    the first entry and from each entry to the next, one product for one
-    step and two for any gap, and makes no draw that is not read. Each
-    double is the XSL-RR output's top 53 bits times 2**-53, as
-    `Generator.random` makes it. The seed's own words are hashed once.
+    + Σ_{i < k} MULT**i·inc mod 2**128. Between two cursors every entry's
+    state is such a map of where the part starts, srandom's inputs
+    (`_start_limbs`) or a cursor's states, so a block of SHOT_BLOCK shots
+    derives the states of ENTRY_BLOCK entries at once (`_affine`), whatever
+    their gaps, and makes no draw that is not read. Each double is the
+    XSL-RR output's top 53 bits times 2**-53, as `Generator.random` makes
+    it. The seed's own words are hashed once, by numpy's `SeedSequence`.
 
     Shot 0 is checked against numpy's own generator for it
-    (`StreamDerivationError`): its seeded state first, then each double and
-    each state handed to a `draw` as it is derived. With no entry, shot 0
-    alone is derived, for its check, and none when the shots start later.
-    The array is the transpose of a C-ordered one, so one position's
-    doubles over all shots are contiguous.
+    (`StreamDerivationError`): its seeded state first, then the doubles
+    read before each cursor and the state handed to its `draw`, before the
+    draw is made. With no entry, shot 0 alone is derived, for its check,
+    and none when the shots start later. The array is the transpose of a
+    C-ordered one, so one position's doubles over all shots are contiguous.
     """
     if isinstance(shots, int):
         shots = range(shots)
     if shots.stop > 2**32:
         raise ValidationError(f"shot ids must fit one 32-bit word, got {shots.stop} shots")
     mult, mask = _PCG_MULT, 2**128 - 1
-    maps = []  # (a, c, steps, draw) of the map to each entry from the one before
-    a, c, last = mult, mult + 1, -1  # srandom's, from (initstate, inc)
+    # the entries cut after each cursor: each part's maps from where it
+    # starts, (a, c) × (high, low) × entry, its read positions and its
+    # cursor, (position, draw), or None
+    parts, maps, reads = [], [], []
+    a, c, steps = mult, mult + 1, 0  # srandom's, from (initstate, inc)
     for entry in positions:
         position, draw = entry if isinstance(entry, tuple) else (entry, None)
-        steps = position - last - (draw is not None)
-        for _ in range(steps):
+        for _ in range(position + (draw is None) - steps):
             a, c = a * mult & mask, (c * mult + 1) & mask
-        maps.append((a, c, steps, draw))
-        a, c, last = 1, 0, -1 if draw else position
-    out = np.empty((sum(draw is None for *_, draw in maps), len(shots)))
+        steps = position + (draw is None)
+        maps.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+        if draw is None:
+            reads.append(position)
+        else:
+            parts.append((np.array(maps, np.uint64).T.reshape(2, 2, -1), reads, entry))
+            maps, reads, a, c, steps = [], [], 1, 0, 0
+    parts.append((np.array(maps, np.uint64).T.reshape(2, 2, -1), reads, None))
+    out = np.empty((sum(len(reads) for _, reads, _ in parts), len(shots)))
     pool, hash_const = _seed_pool(seed)
-    derived = shots.stop if maps else min(shots.stop, 1)
+    derived = shots.stop if parts[0][0].size else min(shots.stop, 1)
     for first in range(shots.start, derived, SHOT_BLOCK):
         ids = np.arange(first, min(first + SHOT_BLOCK, derived), dtype=np.uint32)
-        hi, lo, inc_hi, inc_lo = limbs = _start_limbs(pool, hash_const, ids)
-        rows = iter(out[:, first - shots.start : first - shots.start + ids.size])
+        limbs = _start_limbs(pool, hash_const, ids)
+        rows = limbs.reshape(2, 2, -1)  # (state, inc) × (high, low) × shot, initstate first
+        block = out[:, first - shots.start : first - shots.start + ids.size]
         if first == 0:
             init_0, inc_0 = (h << 64 | l for h, l in limbs[:, 0].reshape(2, 2).tolist())
             reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
             _check_state(seed, reference, (mult * init_0 + (mult + 1) * inc_0) & mask, inc_0, "seeding")
-        for a, c, steps, draw in maps:
-            hi, lo = _affine(hi, lo, inc_hi, inc_lo, a, c)
-            if draw is None:
-                row = next(rows)
-                np.multiply(_xsl_rr(hi, lo) >> 11, 2.0**-53, out=row)
-                if first == 0 and row[0] != reference.random(steps)[-1]:
+        row = 0
+        for mults, reads, cursor in parts:
+            for k in range(0, mults.shape[2], ENTRY_BLOCK):
+                hi, lo = _affine(rows, mults[..., k : k + ENTRY_BLOCK])
+                n = min(len(reads) - k, ENTRY_BLOCK)
+                np.multiply(_xsl_rr(hi[:n], lo[:n]) >> 11, 2.0**-53, out=block[row + k : row + k + n])
+            row += len(reads)
+            if first == 0 and mults.size:
+                numpy_doubles = reference.random(cursor[0] if cursor else reads[-1] + 1)
+                if block[row - len(reads) : row, 0].tolist() != numpy_doubles[reads].tolist():
                     raise StreamDerivationError(
                         f"the doubles derived for seed {seed}, shot 0 differ from numpy's PCG64 output"
                     )
+            if cursor is None:
                 continue
             if first == 0:
-                reference.random(steps)
-                _check_state(seed, reference, hi[0].item() << 64 | lo[0].item(), inc_0, f"after {steps} draws")
-            hi, lo = _each(draw, seed, first, hi, lo, limbs[2:])
+                state_0 = hi[-1, 0].item() << 64 | lo[-1, 0].item()
+                _check_state(seed, reference, state_0, inc_0, f"after {cursor[0]} draws")
+            rows[0] = _each(cursor[1], seed, first, hi[-1], lo[-1], limbs[2:])
             if first == 0:
-                reference.bit_generator.state = _pcg64_state(hi[0].item() << 64 | lo[0].item(), inc_0)
+                reference.bit_generator.state = _pcg64_state(rows[0, 0, 0].item() << 64 | rows[0, 1, 0].item(), inc_0)
     return out.T
 
 

@@ -453,6 +453,14 @@ def numpy_branch_estimate(values, trace_of_o, scale, invert):
 # ---------------------------------------------------------------------------
 
 
+def comparable(result):
+    """The fields of an `ExecutionResult` as a value that `==` compares like
+    with like: each outcome column as its dtype and its entries."""
+    fields = dict(vars(result))
+    fields["outcomes"] = tuple((column.dtype, column.tolist()) for column in result.outcomes)
+    return fields
+
+
 def per_shot_execute(mem, sched):
     """`control.execute` without outcome tables: every shot runs each
     instruction's one-shot kernel afresh (`uqt.compose`, `tailed.inject`,
@@ -538,7 +546,10 @@ def per_shot_execute(mem, sched):
         shots=sched.shots,
         n_p0=n0,
         n_p1=n1,
-        outcomes=tuple(tuple(column) for column in outcomes),
+        outcomes=tuple(
+            np.array(column, float if isinstance(ins, Readout) else int)
+            for ins, column in zip(sched.instructions, outcomes)
+        ),
         copies_after={addr: len(slot.copies) for addr, slot in mem.slots.items()},
         audit_consistent=mem.verify_conservation(),
     )

@@ -410,6 +410,35 @@ class TestWideCompose:
         assert code == 0 and err == ""
         assert canonical(out)["strategies"][strategy]["min_fidelity"] >= 1 - 1e-10
 
+    def test_fidelity_never_exceeds_one(self, tmp_path, capsys):
+        # the fidelity of two unit vectors is at most 1; of the vectors as
+        # composed, two n = 8 programs of H, T and CX gates read 1 + 6e-15
+        # under symmetric_pair, and Haar programs up to 1 + 4e-16 at n = 2-4
+        docs = []
+        for name, gen in (("A", np.random.default_rng(4)), ("B", np.random.default_rng(5))):
+            doc = [f"QVN1 name={name} n=8"]
+            for t in range(24):
+                wires = gen.choice(8, 2, replace=False) if t % 3 == 2 else [gen.integers(8)]
+                doc.append(f"t={t} g={('H', 'T', 'CX')[t % 3]} q={','.join(map(str, wires))}")
+            docs.append("\n".join(doc) + "\n")
+        pairs = [tuple(docs)]
+        for n in (1, 2, 3, 4):
+            for seed in range(4):
+                pairs.append(tuple(
+                    f"QVN1 name=U{k} n={n}\nt=0 g=custom q={','.join(map(str, range(n)))} rows={2**n} "
+                    f"data={format_complex_data(haar_random_unitary(2**n, RngStream(seed, k)).matrix)}\n"
+                    for k in (1, 2)
+                ))
+        for doc_a, doc_b in pairs:
+            (tmp_path / "a.qvn").write_text(doc_a)
+            (tmp_path / "b.qvn").write_text(doc_b)
+            code, out, _ = run_cli(
+                ["compose", str(tmp_path / "a.qvn"), str(tmp_path / "b.qvn"), "--repeats", "20"], capsys
+            )
+            assert code == 0
+            for entry in canonical(out)["strategies"].values():
+                assert 1 - 1e-12 <= entry["min_fidelity"] <= 1.0
+
     def test_width_past_limit_located(self, tmp_path, capsys):
         (tmp_path / "w.qvn").write_text(wide_program("W", 9, 0))
         code, out, err = run_cli(["compose", str(tmp_path / "w.qvn"), str(tmp_path / "w.qvn")], capsys)
@@ -585,6 +614,31 @@ TOPO_DIGESTS = {
     "open_loop": "ea58cc3fdfcd445d87524a1382252edc17e86c66169a5c01e1f4714ebc9eca6b",
     "circle_beside_open": "eb06fc227f99a244c1e5338c973c24d0e2f4919413512fe0dfb7d70b6645e220",
 }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "demo.run"],
+        ["compose", "h.qvn", "t.qvn"],
+        ["qec-check", "bitflip.code", "--errors", "I,X0", "--recovery"],
+        ["topo-eval", "circle.topo"],
+        ["topo-eval", "open.topo"],
+    ],
+    ids=["run", "compose", "qec-check-recovery", "topo-eval-closed", "topo-eval-open"],
+)
+def test_report_layout(workdir, capsys, monkeypatch, argv):
+    # the pinned digests re-serialize the canonical object, so this pins the
+    # printed text: two-space indents, sorted keys and one closing newline,
+    # on stdout and in an --out file alike
+    monkeypatch.chdir(workdir)
+    (workdir / "open.topo").write_text(_open_loop_doc())
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert run_cli([*argv, "--out", "report.json"], capsys)[0] == 0
+    written = (workdir / "report.json").read_text()
+    assert written == json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n"
 
 
 class TestTopoEval:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RUS_BOUND_D2, never_heralded, per_shot_execute, spanning_pure_states
+from conftest import RUS_BOUND_D2, comparable, never_heralded, per_shot_execute, spanning_pure_states
 from qvn import control, gates, kernel, tailed, uqt
 from qvn.control import (
     Compose,
@@ -147,7 +147,7 @@ class TestExecute:
         r1 = execute(fresh_memory(100)[0], th_schedule(0, 1, shots=100, seed=9))
         r2 = execute(fresh_memory(100)[0], th_schedule(0, 1, shots=100, seed=9))
         assert r1.estimate == r2.estimate
-        assert r1.outcomes == r2.outcomes
+        assert all(np.array_equal(a, b) for a, b in zip(r1.outcomes, r2.outcomes, strict=True))
 
     def test_copy_accounting_matches_instruction_counts(self):
         mem, a, b = fresh_memory(copies=10)
@@ -170,7 +170,8 @@ class TestExecute:
             seed=12,
         )
         assert sched.shots > 2 * kernel.SHOT_BLOCK
-        assert execute(fresh_memory(600)[0], sched) == per_shot_execute(fresh_memory(600)[0], sched)
+        got = execute(fresh_memory(600)[0], sched)
+        assert comparable(got) == comparable(per_shot_execute(fresh_memory(600)[0], sched))
 
     def test_stream_drift_stops_before_sampling(self, monkeypatch):
         monkeypatch.setattr(kernel, "_PCG_MULT", kernel._PCG_MULT + 2)
@@ -263,7 +264,7 @@ class TestOutcomeTables:
         zx = Readout(1, Observable(np.kron(gates.Z, gates.X)))
         sched = Schedule((Restore(1, 2), CHAIN[1], Inject(1), zx), shots=30, seed=2)
         mem, oracle_mem = chain_memory(2), chain_memory(2)
-        assert execute(mem, sched) == per_shot_execute(oracle_mem, sched)
+        assert comparable(execute(mem, sched)) == comparable(per_shot_execute(oracle_mem, sched))
         # the last program of the chain, made on shot 30
         last, oracle_last = mem.peek(0).op.matrix, oracle_mem.peek(0).op.matrix
         assert np.array_equal(last, oracle_last)
@@ -286,6 +287,24 @@ class TestOutcomeTables:
             finally:
                 tracemalloc.stop()
         assert peaks[execute] <= peaks[per_shot_execute] + 16 * 1024
+
+    def test_compose_column_memory(self):
+        # a compose-only chain keeps one int entry a shot, and its column
+        # leaves the run as the array it was written into, with no list or
+        # tuple beside it: 20000 shots at n = 2 peak at 8.8 bytes an entry
+        # above the start, where a copy of the column read 24.5
+        shots = 20_000
+        mem = chain_memory(2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = execute(mem, Schedule(CHAIN, shots=shots, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [column.size for column in result.outcomes] == [0, shots]
+        assert peak - start <= 12 * shots
 
     def test_measured_chain_memory_bounded(self):
         # Each shot composes the program the shot before left in slot 0 into
@@ -393,7 +412,7 @@ class TestPathSelection:
         sched = Schedule(tuple(instructions), shots=shots, seed=seed)
         result = execute(readme_memory(slots), sched)
         assert result.n_p0 + result.n_p1 == shots
-        assert result == per_shot_execute(readme_memory(slots), sched)
+        assert comparable(result) == comparable(per_shot_execute(readme_memory(slots), sched))
 
     @pytest.mark.parametrize("strategy, repeats", [("correction_table", False), ("repeat_until_success", True)])
     def test_outcomes_give_the_estimate(self, strategy, repeats):
@@ -448,7 +467,7 @@ class TestPathSelection:
         sched = Schedule(tuple(instructions), shots=shots, seed=seed)
         spied = execute(readme_memory(slots), sched)
         assert asked == [(1, 2)]
-        assert spied == per_shot_execute(readme_memory(slots), sched)
+        assert comparable(spied) == comparable(per_shot_execute(readme_memory(slots), sched))
 
     def test_restore_of_composed_slot_batches(self):
         # the README run file restoring the slot its compose creates: every
@@ -515,7 +534,7 @@ class TestPathSelection:
         # shots take different programs or draw varying numbers of doubles,
         # and a readout with an inject of another slot beside its own
         ran, oracle = mem(), mem()
-        assert execute(ran, sched) == per_shot_execute(oracle, sched)
+        assert comparable(execute(ran, sched)) == comparable(per_shot_execute(oracle, sched))
         assert {a: [c.op.matrix.tobytes() for c in copies] for a, copies in copies_of(ran).items()} == {
             a: [c.op.matrix.tobytes() for c in copies] for a, copies in copies_of(oracle).items()
         }
@@ -534,7 +553,7 @@ class TestPathSelection:
         ran, oracle = chain_memory(n), chain_memory(n)
         for mem in (ran, oracle):
             mem.replace_copies(0, [mem.peek(0)] * (shots + 1))
-        assert execute(ran, sched) == per_shot_execute(oracle, sched)
+        assert comparable(execute(ran, sched)) == comparable(per_shot_execute(oracle, sched))
         assert [c.op.matrix.tobytes() for c in ran.slots[0].copies] == [
             c.op.matrix.tobytes() for c in oracle.slots[0].copies
         ]

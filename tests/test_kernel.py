@@ -378,6 +378,36 @@ def numpy_pcg64_state(seed, shot):
     return state["state"], state["inc"]
 
 
+def seed_sequence_pool(seed):
+    """SeedSequence's entropy mixing of `seed`'s 32-bit words on Python
+    ints, after numpy/random/bit_generator.pyx: the pool and the hash
+    constant the next word would start at."""
+    mask = 2**32 - 1
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & mask
+        value = value * hash_const & mask
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & mask
+        return result ^ (result >> 16)
+
+    words = [(seed >> shift) & mask for shift in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool, hash_const
+
+
 class TestShotStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**127 + 3, 3**90])
     def test_block_derivation_reaches_max_shot(self, seed):
@@ -391,6 +421,36 @@ class TestShotStreams:
             init, inc = init_hi[i] << 64 | init_lo[i], inc_hi[i] << 64 | inc_lo[i]
             state = (mult * init + (mult + 1) * inc) % 2**128
             assert (state, inc) == numpy_pcg64_state(seed, shot)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128, 3**90])
+    def test_seed_pool_is_seed_sequences(self, seed):
+        # seeds of 1, 2, 3, 4 and 5 words: numpy's own pool, and the hash
+        # constant the entropy mixing ends at, against the mixing on ints
+        pool, hash_const = kernel._seed_pool(seed)
+        assert (pool.tolist(), hash_const) == seed_sequence_pool(seed)
+        assert pool.tolist() == np.random.SeedSequence(seed).pool.tolist()
+
+    @pytest.mark.parametrize("seed", [3, 2**128 - 1])
+    @pytest.mark.parametrize("cursor", [False, True])
+    def test_far_gapped_positions(self, seed, cursor):
+        # reads with gaps of 0, 3 and 996 draws, then 34 more reads, past one
+        # stacked product of ENTRY_BLOCK entries; with a cursor between, the
+        # reads after it count from where each shot's draw leaves its stream
+        def draw(stream):
+            stream.uniforms(stream.stream_id % 3)
+
+        head, tail = (0, 3, 4, 1000), tuple(range(0, 68, 2))
+        positions = head + ((1001, draw),) + tail if cursor else head + tuple(p + 1001 for p in tail)
+        assert len(tail) > kernel.ENTRY_BLOCK
+        shots = kernel.SHOT_BLOCK + 3
+        uniforms = kernel.shot_uniforms(seed, shots, positions)
+        for shot in (0, 1, kernel.SHOT_BLOCK - 1, kernel.SHOT_BLOCK, shots - 1):
+            stream = RngStream(seed, stream_id=shot)
+            expected = stream.uniforms(1001)[list(head)]
+            if cursor:
+                draw(stream)
+            later = stream.uniforms(tail[-1] + 1)[list(tail)]
+            assert uniforms[shot].tobytes() == np.concatenate([expected, later]).tobytes()
 
     def test_cursor_hands_out_each_streams_state(self):
         # a draw that takes shot % 3 doubles, then one read: each shot's

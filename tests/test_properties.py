@@ -32,6 +32,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    comparable,
     dense_bell_probabilities,
     diagram_terms,
     einsum_oracle,
@@ -618,7 +619,7 @@ def run_or_error(executor, slots, sched):
     except QvnError as exc:
         return type(exc), str(exc)
     slots = {a: (s.description, [p.op.matrix.tobytes() for p in s.copies]) for a, s in mem.slots.items()}
-    return result, slots
+    return comparable(result), slots
 
 
 @given(runnable_schedules(), st.sampled_from([control.MAX_RETAINED_ENTRIES, 64, 0]))
